@@ -39,12 +39,16 @@
 //! from thrashing. Off by default: existing escalation-only schedules
 //! are reproduced bit for bit.
 
+use crate::basis::Basis;
 use crate::basis_format::{self, BasisFormat};
-use crate::checkpoint::{DriverKind, SolveCheckpoint, SolveControl};
-use crate::gmres::{solve_driver_full, ControlledSolve, CycleEvent, GmresOptions, SolveResult};
+use crate::checkpoint::{DriverKind, SolveCheckpoint};
+use crate::gmres::{
+    solve_driver_full, Boundary, ControlledSolve, CyclePolicy, GmresOptions, SolveHooks,
+    SolveResult, SolveStats,
+};
 use crate::precond::Preconditioner;
+use numfmt::ColumnStorage;
 use spla::SparseMatrix;
-use std::cell::Cell;
 
 /// Options of [`adaptive_gmres`]: the base GMRES options plus the
 /// escalation policy.
@@ -96,45 +100,28 @@ impl Default for AdaptiveOptions {
     }
 }
 
-/// Why the driver decided to escalate after a cycle (diagnostic).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stagnation {
-    /// Explicit residual improved by less than `min_cycle_improvement`.
-    FlatCycle,
-    /// Implicit estimate crossed the target but the explicit residual
-    /// did not (the false-convergence signature).
-    FalseConvergence,
-    /// Explicit exceeds implicit by more than the allowed gap.
-    ImplicitGap,
-}
-
 /// Decide whether the just-finished cycle stagnated. Pure function of
 /// deterministic residuals — no wall-clock, no randomness — so the
 /// escalation schedule is reproducible bit for bit.
-fn stagnation(
+fn stagnates(
     opts: &AdaptiveOptions,
     prev_explicit: f64,
     explicit: f64,
     last_implicit: Option<f64>,
-) -> Option<Stagnation> {
-    let gap = opts.max_implicit_explicit_gap;
-    if let Some(implicit) = last_implicit {
-        // The implicit estimate claimed the target but the explicit
-        // residual missed it by more than the allowed gap. (A healthy
-        // cycle that breaks on the implicit test lands the explicit
-        // residual within rounding of the target — that is convergence
-        // pending the next boundary check, not stagnation.)
-        if implicit <= opts.gmres.target_rrn && explicit > gap * opts.gmres.target_rrn {
-            return Some(Stagnation::FalseConvergence);
-        }
-        if implicit > 0.0 && explicit > gap * implicit {
-            return Some(Stagnation::ImplicitGap);
-        }
-    }
-    if explicit > 0.0 && prev_explicit / explicit < opts.min_cycle_improvement {
-        return Some(Stagnation::FlatCycle);
-    }
-    None
+) -> bool {
+    let (gap, target) = (opts.max_implicit_explicit_gap, opts.gmres.target_rrn);
+    let lying = last_implicit.is_some_and(|implicit| {
+        // False convergence: the implicit estimate claimed the target
+        // but the explicit residual missed it by more than the allowed
+        // gap. (A healthy cycle that breaks on the implicit test lands
+        // the explicit residual within rounding of the target — that is
+        // convergence pending the next boundary check, not stagnation.)
+        (implicit <= target && explicit > gap * target)
+            // Implicit gap: explicit exceeds implicit beyond the gap.
+            || (implicit > 0.0 && explicit > gap * implicit)
+    });
+    // Flat cycle: the explicit residual barely improved.
+    lying || (explicit > 0.0 && prev_explicit / explicit < opts.min_cycle_improvement)
 }
 
 /// Decide whether the just-finished cycle *qualifies* toward
@@ -143,7 +130,7 @@ fn stagnation(
 /// gap in **both** directions (an implicit estimate far below the
 /// explicit residual is the stagnation signature, not health; one far
 /// above it means the cycle's own arithmetic is suspect). Pure and
-/// deterministic, like [`stagnation`].
+/// deterministic, like [`stagnates`].
 fn qualifies_for_de_escalation(
     opts: &AdaptiveOptions,
     prev_explicit: f64,
@@ -157,6 +144,81 @@ fn qualifies_for_de_escalation(
     agrees && explicit > 0.0 && prev_explicit / explicit >= opts.de_escalation_drop
 }
 
+/// The adaptive cycle policy: the scalar cycle, plus a rung decision
+/// at every restart boundary — at most one rung per boundary, in either
+/// direction, judged on the cycle that just finished.
+struct Ladder<'a> {
+    opts: &'a AdaptiveOptions,
+    /// The rung the next cycle runs in.
+    format: Box<dyn BasisFormat>,
+    /// Consecutive cycles qualifying for de-escalation.
+    streak: usize,
+}
+
+impl Ladder<'_> {
+    /// Move to rung `name`: only the basis store is rebuilt (basis
+    /// vectors never survive a restart anyway); `x` carries across.
+    fn switch(
+        &mut self,
+        name: &str,
+        basis: &mut Basis<Box<dyn ColumnStorage>>,
+        stats: &mut SolveStats,
+    ) {
+        self.format = basis_format::by_name(name).expect("ladder rungs are registered");
+        *basis = Basis::from_store(self.format.create(basis.rows(), basis.cols()));
+        stats.format = basis.format_name();
+    }
+}
+
+impl CyclePolicy<Box<dyn ColumnStorage>> for Ladder<'_> {
+    const DRIVER: DriverKind = DriverKind::Adaptive;
+
+    fn at_boundary(
+        &mut self,
+        boundary: &Boundary,
+        basis: &mut Basis<Box<dyn ColumnStorage>>,
+        stats: &mut SolveStats,
+    ) {
+        // First boundary: no finished cycle to judge.
+        let Some(prev) = boundary.prev_explicit_rrn else {
+            return;
+        };
+        let opts = self.opts;
+        let (rrn, implicit) = (boundary.explicit_rrn, boundary.last_implicit_rrn);
+        if stagnates(opts, prev, rrn, implicit) {
+            self.streak = 0;
+            // Already at the top: nothing stronger to switch to; keep
+            // iterating toward max_iters honestly.
+            if let Some(up) = basis_format::escalate(&self.format.name()) {
+                self.switch(&up, basis, stats);
+                stats.escalations += 1;
+            }
+        } else if opts.de_escalate {
+            if !qualifies_for_de_escalation(opts, prev, rrn, implicit) {
+                self.streak = 0;
+                return;
+            }
+            self.streak += 1;
+            if self.streak >= opts.de_escalation_cycles {
+                self.streak = 0;
+                // At the bottom rung: nothing cheaper to reclaim.
+                if let Some(down) = basis_format::de_escalate(&self.format.name()) {
+                    self.switch(&down, basis, stats);
+                    stats.de_escalations += 1;
+                }
+            }
+        }
+    }
+
+    fn capture(&self, cp: &mut SolveCheckpoint) {
+        cp.qualifying_streak = self.streak;
+    }
+
+    fn restore(&mut self, cp: &SolveCheckpoint) {
+        self.streak = cp.qualifying_streak;
+    }
+}
+
 /// Solve `A x = b` with restarted CB-GMRES whose basis format starts
 /// cheap and escalates on stagnation (see module docs).
 ///
@@ -168,6 +230,12 @@ fn qualifies_for_de_escalation(
 /// every executed cycle, [`crate::SolveStats::escalations`] and
 /// [`crate::SolveStats::de_escalations`] count the rung changes in each
 /// direction, and [`crate::SolveStats::format`] is the final format.
+///
+/// Observed, controlled, and resumed adaptive solves go through
+/// [`crate::solve`] with [`crate::SolvePlan::Adaptive`]: an event
+/// names the rung of the cycle about to run, and a checkpoint records
+/// that rung plus the de-escalation streak, so a resumed ladder
+/// schedule reproduces exactly.
 pub fn adaptive_gmres<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
@@ -175,170 +243,39 @@ pub fn adaptive_gmres<P: Preconditioner, A: SparseMatrix + ?Sized>(
     opts: &AdaptiveOptions,
     precond: &P,
 ) -> SolveResult {
-    adaptive_gmres_observed(a, b, x0, opts, precond, |_| {})
+    adaptive_driver(a, b, x0, opts, precond, SolveHooks::default()).result
 }
 
-/// [`adaptive_gmres`] with a per-cycle telemetry observer: `observe`
-/// fires once at every restart boundary, *after* the rung decision, so
-/// [`CycleEvent::format`] names the format of the cycle about to run.
-/// The observer cannot influence the solve — an observed solve is
-/// bit-identical to the unobserved one (the escalation schedule
-/// included); the final converged state arrives via the returned
-/// [`crate::SolveStats`], not an event.
-pub fn adaptive_gmres_observed<P: Preconditioner, A: SparseMatrix + ?Sized>(
+/// [`adaptive_gmres`] under `hooks` (the [`crate::SolvePlan::Adaptive`]
+/// arm of [`crate::solve`]). A resumed solve starts at the
+/// checkpointed rung, which [`SolveCheckpoint::check_resume`] has
+/// already found in the registry.
+pub(crate) fn adaptive_driver<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
     x0: &[f64],
     opts: &AdaptiveOptions,
     precond: &P,
-    observe: impl FnMut(&CycleEvent),
-) -> SolveResult {
-    adaptive_gmres_controlled(a, b, x0, opts, precond, None, None, observe).result
-}
-
-/// [`adaptive_gmres_observed`] plus the fault-tolerance seam: capture
-/// checkpoints and/or halt at restart boundaries through `control`,
-/// and resume bit-identically from `resume` (see
-/// [`crate::gmres::gmres_with_controlled`] for the contract).
-///
-/// Adaptive extras in the checkpoint: `format` records the rung the
-/// next cycle runs in (escalations already applied), and
-/// `qualifying_streak` carries the de-escalation hysteresis, so the
-/// resumed ladder schedule reproduces exactly. `opts.start_format` is
-/// ignored when resuming (the checkpointed rung wins). Panics if the
-/// checkpoint came from a different driver.
-#[allow(clippy::too_many_arguments)]
-pub fn adaptive_gmres_controlled<P: Preconditioner, A: SparseMatrix + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    opts: &AdaptiveOptions,
-    precond: &P,
-    resume: Option<&SolveCheckpoint>,
-    control: Option<&mut dyn FnMut(&SolveCheckpoint) -> SolveControl>,
-    mut observe: impl FnMut(&CycleEvent),
+    hooks: SolveHooks<'_>,
 ) -> ControlledSolve {
-    let n = a.rows();
     assert!(opts.min_cycle_improvement >= 1.0);
     assert!(opts.max_implicit_explicit_gap >= 1.0);
     assert!(opts.de_escalation_drop >= 1.0);
     assert!(opts.de_escalation_cycles >= 1);
-    let m = opts.gmres.restart;
-
-    let qualifying_streak = Cell::new(0usize);
-    let mut format: Box<dyn BasisFormat> = match resume {
-        Some(cp) => {
-            assert_eq!(
-                cp.driver,
-                DriverKind::Adaptive,
-                "a {:?} checkpoint cannot resume the adaptive driver",
-                cp.driver
-            );
-            qualifying_streak.set(cp.qualifying_streak);
-            basis_format::by_name(&cp.format)
-                .unwrap_or_else(|| panic!("unknown checkpointed basis format {}", cp.format))
-        }
-        None => match &opts.start_format {
-            Some(name) => {
-                basis_format::by_name(name).unwrap_or_else(|| panic!("unknown basis format {name}"))
-            }
-            None => basis_format::by_name(basis_format::ESCALATION_LADDER[0])
-                .expect("ladder base is registered"),
-        },
+    let start = match (hooks.resume, &opts.start_format) {
+        (Some(cp), _) => cp.format.as_str(),
+        (None, Some(name)) => name.as_str(),
+        (None, None) => basis_format::ESCALATION_LADDER[0],
     };
-    let basis = crate::basis::Basis::from_store(format.create(n, m + 1));
-
-    // The shared driver loop owns all boundary semantics (explicit-only
-    // convergence, non-finite and max_iters guards); this hook adds the
-    // rung decision — at most one rung per restart boundary, in either
-    // direction, judged on the cycle that just finished.
-    let streak = &qualifying_streak;
-    let on_boundary = |boundary: &crate::gmres::Boundary,
-                       basis: &mut crate::basis::Basis<Box<dyn numfmt::ColumnStorage>>,
-                       stats: &mut crate::gmres::SolveStats| {
-        // First boundary: no finished cycle to judge, only observe.
-        if let Some(prev) = boundary.prev_explicit_rrn {
-            if stagnation(
-                opts,
-                prev,
-                boundary.explicit_rrn,
-                boundary.last_implicit_rrn,
-            )
-            .is_some()
-            {
-                streak.set(0);
-                if let Some(next) = basis_format::escalate(&format.name()) {
-                    format =
-                        basis_format::by_name(&next).expect("escalation targets are registered");
-                    *basis = crate::basis::Basis::from_store(format.create(n, m + 1));
-                    stats.escalations += 1;
-                    stats.format = basis.format_name();
-                }
-                // Already at the top: nothing stronger to switch
-                // to; keep iterating toward max_iters honestly.
-            } else if opts.de_escalate {
-                if qualifies_for_de_escalation(
-                    opts,
-                    prev,
-                    boundary.explicit_rrn,
-                    boundary.last_implicit_rrn,
-                ) {
-                    streak.set(streak.get() + 1);
-                    if streak.get() >= opts.de_escalation_cycles {
-                        streak.set(0);
-                        if let Some(down) = basis_format::de_escalate(&format.name()) {
-                            format =
-                                basis_format::by_name(&down).expect("ladder rungs are registered");
-                            *basis = crate::basis::Basis::from_store(format.create(n, m + 1));
-                            stats.de_escalations += 1;
-                            stats.format = basis.format_name();
-                        }
-                        // At the bottom rung: nothing cheaper to
-                        // reclaim.
-                    }
-                } else {
-                    streak.set(0);
-                }
-            }
-        }
-        // Telemetry fires after the rung decision, so the event
-        // names the format of the cycle about to run.
-        observe(&CycleEvent::at_boundary(boundary, basis, stats));
+    let format =
+        basis_format::by_name(start).unwrap_or_else(|| panic!("unknown basis format {start}"));
+    let basis = Basis::from_store(format.create(a.rows(), opts.gmres.restart + 1));
+    let mut ladder = Ladder {
+        opts,
+        format,
+        streak: 0,
     };
-
-    match control {
-        Some(c) => {
-            // Stamp the adaptive-only state on top of the scalar
-            // capture before handing the checkpoint to the caller.
-            let mut wrap = |cp: &mut SolveCheckpoint| {
-                cp.driver = DriverKind::Adaptive;
-                cp.qualifying_streak = streak.get();
-                c(cp)
-            };
-            solve_driver_full(
-                a,
-                b,
-                x0,
-                &opts.gmres,
-                precond,
-                basis,
-                on_boundary,
-                Some(&mut wrap),
-                resume,
-            )
-        }
-        None => solve_driver_full(
-            a,
-            b,
-            x0,
-            &opts.gmres,
-            precond,
-            basis,
-            on_boundary,
-            None,
-            resume,
-        ),
-    }
+    solve_driver_full(a, b, x0, &opts.gmres, precond, basis, &mut ladder, hooks)
 }
 
 #[cfg(test)]
@@ -615,116 +552,6 @@ mod tests {
             r.stats.basis_bits_per_value
         );
         assert_eq!(r.stats.format, "frsz2_ab");
-    }
-
-    /// The telemetry observer is a pure spectator: the observed solve
-    /// reproduces the unobserved one bit for bit, streams exactly one
-    /// event per executed cycle, and each event names the format the
-    /// cycle actually ran in (the trajectory, in order).
-    #[test]
-    fn observed_solve_is_bit_identical_and_streams_cycles() {
-        let (a, b) = wide_range_system();
-        let x0 = vec![0.0; a.rows()];
-        let opts = adaptive_opts(1e-10, 1200, 30);
-        let mut events = Vec::new();
-        let observed =
-            adaptive_gmres_observed(&a, &b, &x0, &opts, &Identity, |e| events.push(e.clone()));
-        let plain = adaptive_gmres(&a, &b, &x0, &opts, &Identity);
-        assert_eq!(
-            observed.stats.format_trajectory,
-            plain.stats.format_trajectory
-        );
-        for (u, v) in observed.x.iter().zip(&plain.x) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-        assert_eq!(events.len(), observed.stats.restarts);
-        let event_formats: Vec<&str> = events.iter().map(|e| e.format.as_str()).collect();
-        let trajectory: Vec<&str> = observed
-            .stats
-            .format_trajectory
-            .iter()
-            .map(String::as_str)
-            .collect();
-        assert_eq!(event_formats, trajectory);
-        // First boundary: cycle 0, zero iterations, unit residual.
-        assert_eq!(events[0].cycle, 0);
-        assert_eq!(events[0].iterations, 0);
-        assert!((events[0].explicit_rrn - 1.0).abs() < 1e-12);
-        // Counters only move forward between boundaries.
-        for pair in events.windows(2) {
-            assert_eq!(pair[1].cycle, pair[0].cycle + 1);
-            assert!(pair[1].iterations > pair[0].iterations);
-            assert!(pair[1].basis_bytes_read >= pair[0].basis_bytes_read);
-            assert!(pair[1].basis_bytes_written >= pair[0].basis_bytes_written);
-        }
-    }
-
-    /// Halt the adaptive solve mid-ladder, resume from the captured
-    /// checkpoint, and require the stitched run to reproduce the
-    /// uninterrupted solve bit for bit — escalation schedule included.
-    #[test]
-    fn adaptive_halt_and_resume_is_bit_identical() {
-        let (a, b) = wide_range_system();
-        let x0 = vec![0.0; a.rows()];
-        let opts = adaptive_opts(1e-10, 1200, 30);
-        let base = adaptive_gmres(&a, &b, &x0, &opts, &Identity);
-        assert!(base.stats.converged);
-        assert!(base.stats.escalations >= 1);
-        assert!(base.stats.restarts >= 4, "need several cycles to split");
-
-        let mut taken: Option<SolveCheckpoint> = None;
-        let mut boundaries = 0usize;
-        let mut probe = |cp: &SolveCheckpoint| {
-            boundaries += 1;
-            if boundaries == 4 {
-                taken = Some(cp.clone());
-                SolveControl::Halt
-            } else {
-                SolveControl::Continue
-            }
-        };
-        let first = adaptive_gmres_controlled(
-            &a,
-            &b,
-            &x0,
-            &opts,
-            &Identity,
-            None,
-            Some(&mut probe),
-            |_| {},
-        );
-        assert!(first.halted);
-        let cp = taken.expect("checkpoint captured at halt");
-        assert_eq!(cp.driver, DriverKind::Adaptive);
-
-        // Round-trip through the delta-capable byte format.
-        let bytes = cp.encode(None);
-        let cp = SolveCheckpoint::decode(&bytes, None).expect("decode");
-
-        let resumed = adaptive_gmres_controlled(
-            &a,
-            &b,
-            &vec![0.0; a.rows()],
-            &opts,
-            &Identity,
-            Some(&cp),
-            None,
-            |_| {},
-        );
-        assert!(!resumed.halted);
-        let r = resumed.result;
-        assert!(r.stats.converged);
-        assert_eq!(r.stats.format_trajectory, base.stats.format_trajectory);
-        assert_eq!(r.stats.escalations, base.stats.escalations);
-        assert_eq!(r.stats.iterations, base.stats.iterations);
-        assert_eq!(r.stats.spmv_count, base.stats.spmv_count);
-        assert_eq!(r.history.len(), base.history.len());
-        for (p, q) in r.history.iter().zip(&base.history) {
-            assert_eq!(p.rrn.to_bits(), q.rrn.to_bits(), "history");
-        }
-        for (u, v) in r.x.iter().zip(&base.x) {
-            assert_eq!(u.to_bits(), v.to_bits(), "solution");
-        }
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //! orders the formats for [`escalate`], the ladder the adaptive solver
 //! climbs when the explicit residual stops improving.
 
-use crate::checkpoint::SolveControl;
-use crate::gmres::CycleEvent;
 use crate::precond::Preconditioner;
 use frsz2::{Frsz2AdaptiveStore, Frsz2Config, Frsz2Store};
 use lossy::RoundTripStore;
@@ -306,7 +304,9 @@ pub fn de_escalate(name: &str) -> Option<String> {
 
 /// Solve with a runtime-selected basis format: the boxed-storage
 /// equivalent of [`crate::gmres::gmres`], one line per registered
-/// backend away from any future format.
+/// backend away from any future format. Observed, controlled, and
+/// resumed fixed-format solves go through [`crate::solve`] with
+/// [`crate::SolvePlan::Fixed`].
 pub fn gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
@@ -318,94 +318,6 @@ pub fn gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     crate::gmres::gmres_with(a, b, x0, opts, precond, |rows, cols| {
         format.create(rows, cols)
     })
-}
-
-/// [`gmres_dyn`] with a per-cycle telemetry observer: `observe` is
-/// called once at every restart boundary (before the cycle runs) with
-/// the [`CycleEvent`] snapshot — residual, format, basis traffic. The
-/// observer cannot influence the solve, so an observed solve is
-/// bit-identical to the unobserved one; the final converged state is
-/// reported via the returned [`crate::gmres::SolveStats`], not an
-/// event (see [`CycleEvent`] for the boundary semantics).
-pub fn gmres_dyn_observed<P: Preconditioner, A: SparseMatrix + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    opts: &crate::gmres::GmresOptions,
-    precond: &P,
-    format: &dyn BasisFormat,
-    mut observe: impl FnMut(&CycleEvent),
-) -> crate::gmres::SolveResult {
-    let basis = crate::basis::Basis::from_store(format.create(a.rows(), opts.restart + 1));
-    crate::gmres::solve_driver(a, b, x0, opts, precond, basis, |boundary, basis, stats| {
-        observe(&CycleEvent::at_boundary(boundary, basis, stats));
-    })
-}
-
-/// [`gmres_dyn_observed`] plus the fault-tolerance seam: capture
-/// checkpoints and/or halt at restart boundaries through `control`,
-/// and resume bit-identically from `resume` — the boxed-storage
-/// equivalent of [`crate::gmres::gmres_with_controlled`] (see there
-/// for the full contract). Panics if the checkpoint came from a
-/// different driver or a different basis format.
-#[allow(clippy::too_many_arguments)]
-pub fn gmres_dyn_controlled<P: Preconditioner, A: SparseMatrix + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    opts: &crate::gmres::GmresOptions,
-    precond: &P,
-    format: &dyn BasisFormat,
-    resume: Option<&crate::checkpoint::SolveCheckpoint>,
-    control: Option<&mut dyn FnMut(&crate::checkpoint::SolveCheckpoint) -> SolveControl>,
-    mut observe: impl FnMut(&CycleEvent),
-) -> crate::gmres::ControlledSolve {
-    use crate::checkpoint::{DriverKind, SolveCheckpoint};
-    let basis = crate::basis::Basis::from_store(format.create(a.rows(), opts.restart + 1));
-    if let Some(cp) = resume {
-        assert_eq!(
-            cp.driver,
-            DriverKind::Scalar,
-            "a {:?} checkpoint cannot resume the scalar driver",
-            cp.driver
-        );
-        assert_eq!(
-            cp.format,
-            basis.format_name(),
-            "checkpoint format must match the solve format"
-        );
-    }
-    match control {
-        Some(c) => {
-            let mut wrap = |cp: &mut SolveCheckpoint| c(cp);
-            crate::gmres::solve_driver_full(
-                a,
-                b,
-                x0,
-                opts,
-                precond,
-                basis,
-                |boundary, basis, stats| {
-                    observe(&CycleEvent::at_boundary(boundary, basis, stats));
-                },
-                Some(&mut wrap),
-                resume,
-            )
-        }
-        None => crate::gmres::solve_driver_full(
-            a,
-            b,
-            x0,
-            opts,
-            precond,
-            basis,
-            |boundary, basis, stats| {
-                observe(&CycleEvent::at_boundary(boundary, basis, stats));
-            },
-            None,
-            resume,
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -567,37 +479,6 @@ mod tests {
         assert_eq!(auto_basis(2.5e-4, 1 << 30, m).name(), "frsz2_32");
         // Deterministic.
         assert_eq!(auto_basis(1e-3, n, m).name(), auto_basis(1e-3, n, m).name());
-    }
-
-    /// `gmres_dyn_observed` is `gmres_dyn` plus a spectator: identical
-    /// bits, one event per executed cycle, fixed format throughout.
-    #[test]
-    fn gmres_dyn_observed_matches_unobserved_and_reports_cycles() {
-        let a = gen::conv_diff_3d(8, 8, 8, [0.3, 0.1, 0.0], 0.05);
-        let (_, b) = manufactured_rhs(&a);
-        let x0 = vec![0.0; a.rows()];
-        let opts = GmresOptions {
-            restart: 10,
-            target_rrn: 1e-8,
-            max_iters: 3000,
-            ..GmresOptions::default()
-        };
-        let fmt = by_name("frsz2_32").unwrap();
-        let mut events = Vec::new();
-        let observed = gmres_dyn_observed(&a, &b, &x0, &opts, &Identity, fmt.as_ref(), |e| {
-            events.push(e.clone())
-        });
-        let plain = gmres_dyn(&a, &b, &x0, &opts, &Identity, fmt.as_ref());
-        assert!(observed.stats.converged);
-        assert_eq!(observed.stats.iterations, plain.stats.iterations);
-        for (u, v) in observed.x.iter().zip(&plain.x) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-        assert_eq!(events.len(), observed.stats.restarts);
-        assert!(events.iter().all(|e| e.format == "frsz2_32"));
-        // Residuals at successive boundaries are the explicit history
-        // points, which never leave the recorded history's order.
-        assert!((events[0].explicit_rrn - 1.0).abs() < 1e-12);
     }
 
     #[test]

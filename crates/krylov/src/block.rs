@@ -38,7 +38,7 @@
 //! bit-for-bit:
 //!
 //! - **b = 1 is the single solver.** The driver delegates width-1
-//!   solves to the `solve_driver` behind [`crate::gmres_with`], so the
+//!   solves to the restart loop behind [`crate::gmres_with`], so the
 //!   b=1 path is fingerprint-identical by construction (enforced by
 //!   the `block_solve` bench suite against the committed
 //!   `cb_gmres_frsz2_21` case).
@@ -77,8 +77,8 @@ use crate::basis::Basis;
 use crate::basis_format::BasisFormat;
 use crate::diagnostics::{history_summary, HistorySummary};
 use crate::gmres::{
-    boundary_bookkeeping, givens, solve_driver, BoundaryDecision, CycleEvent, GmresOptions,
-    HistoryPoint, SolveStats,
+    boundary_bookkeeping, givens, solve_driver_full, BoundaryDecision, CycleEvent, GmresOptions,
+    HistoryPoint, Scalar, SolveHooks, SolveStats,
 };
 use crate::precond::Preconditioner;
 use numfmt::ColumnStorage;
@@ -213,24 +213,14 @@ impl Lane {
 }
 
 /// Solve `A x_k = b_k` for every right-hand side in `bs` with block
-/// CB-GMRES, expanding one shared Krylov basis stored in format `S`.
+/// CB-GMRES, expanding one shared Krylov basis built by `make_store`
+/// (e.g. `DenseStore::<f64>::with_shape` or
+/// `Frsz2Store::with_config`); the factory receives `(rows, cols)` for
+/// the whole shared basis and is called once.
 ///
 /// `x0s` supplies per-RHS initial guesses (zero vectors when `None`).
 /// See the [module docs](self) for the shared-space semantics; at
-/// `b = 1` the result is bit-identical to [`crate::gmres()`].
-pub fn block_gmres<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
-    a: &A,
-    bs: &[Vec<f64>],
-    x0s: Option<&[Vec<f64>]>,
-    opts: &GmresOptions,
-    precond: &P,
-) -> BlockSolveResult {
-    block_gmres_with(a, bs, x0s, opts, precond, S::with_shape)
-}
-
-/// [`block_gmres`] with an explicit basis-store factory (e.g.
-/// `Frsz2Store::with_config`); the factory receives `(rows, cols)` for
-/// the whole shared basis and is called once.
+/// `b = 1` the result is bit-identical to [`crate::gmres_with`].
 pub fn block_gmres_with<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     bs: &[Vec<f64>],
@@ -242,7 +232,7 @@ pub fn block_gmres_with<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
     block_solve_driver(a, bs, x0s, opts, precond, make_store, |_, _| {})
 }
 
-/// [`block_gmres`] over a runtime-selected basis format from the
+/// [`block_gmres_with`] over a runtime-selected basis format from the
 /// [`crate::basis_format`] registry (the block analogue of
 /// [`crate::basis_format::gmres_dyn`]).
 pub fn block_gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
@@ -258,8 +248,8 @@ pub fn block_gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
 
 /// [`block_gmres_dyn`] with per-RHS restart-boundary telemetry: the
 /// hook receives `(rhs_index, event)` for every cycle an RHS is about
-/// to run, with the same boundary semantics as the single-RHS observed
-/// drivers (an RHS's converged boundary emits no event). The event
+/// to run, with the same boundary semantics as an observed single-RHS
+/// [`crate::solve`] (an RHS's converged boundary emits no event). The event
 /// stream is deterministic, like the solve.
 pub fn block_gmres_dyn_observed<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
@@ -282,7 +272,7 @@ pub fn block_gmres_dyn_observed<P: Preconditioner, A: SparseMatrix + ?Sized>(
 }
 
 /// The one block driver: validates shapes, delegates `b = 1` to the
-/// single-RHS `solve_driver` (fingerprint identity by construction),
+/// single-RHS `solve_driver_full` (fingerprint identity by construction),
 /// and runs the shared-space block Arnoldi loop otherwise.
 fn block_solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
@@ -319,15 +309,22 @@ fn block_solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Si
                 &zero
             }
         };
-        let r = solve_driver(
+        let mut observe = |event: &CycleEvent| on_event(0, event.clone());
+        let hooks = SolveHooks {
+            observe: Some(&mut observe),
+            ..SolveHooks::default()
+        };
+        let r = solve_driver_full(
             a,
             &bs[0],
             x0,
             opts,
             precond,
             basis.into_single(),
-            |boundary, basis, stats| on_event(0, CycleEvent::at_boundary(boundary, basis, stats)),
-        );
+            &mut Scalar,
+            hooks,
+        )
+        .result;
         let operator_sweeps = r.stats.spmv_count;
         return BlockSolveResult {
             solutions: vec![r.x],
@@ -472,7 +469,7 @@ pub(crate) fn mgs2_block(
 }
 
 /// The width > 1 shared-space loop. Restart boundaries mirror
-/// `solve_driver` per RHS (explicit residual, deflation, telemetry);
+/// `solve_driver_full` per RHS (explicit residual, deflation, telemetry);
 /// inside a cycle the block Arnoldi recursion replaces the per-RHS
 /// inner loop.
 fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
@@ -565,7 +562,7 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
                 lane.r[i] = bs[k][i] - wbuf[i * wb + slot];
             }
             let rrn = norm2(&lane.r) / lane.bnorm;
-            // Shared boundary bookkeeping (identical to `solve_driver`):
+            // Shared boundary bookkeeping (identical to `solve_driver_full`):
             // a converged lane deflates — the block shrinks — and a
             // terminal lane (non-finite residual / budget) retires.
             match boundary_bookkeeping(rrn, opts, &mut lane.stats, &mut lane.history) {
@@ -976,7 +973,14 @@ mod tests {
         let (xsol, _) = manufactured_rhs(&a);
         let mut x0s = vec![vec![0.0; a.rows()]; 4];
         x0s[0] = xsol;
-        let block = block_gmres::<DenseStore<f64>, _, _>(&a, &bs, Some(&x0s), &o, &Identity);
+        let block = block_gmres_with(
+            &a,
+            &bs,
+            Some(&x0s),
+            &o,
+            &Identity,
+            DenseStore::<f64>::with_shape,
+        );
         assert_eq!(block.stats[0].iterations, 0, "rhs 0 deflates immediately");
         assert!(
             block.stats.iter().any(|s| s.restarts > 0),
@@ -1063,7 +1067,7 @@ mod tests {
         let a = gen::conv_diff_3d(8, 8, 8, [0.4, 0.2, 0.1], 0.2);
         let bs = rhs_family(&a, 8);
         let o = opts(1e-9);
-        let block = block_gmres::<DenseStore<f64>, _, _>(&a, &bs, None, &o, &Identity);
+        let block = block_gmres_with(&a, &bs, None, &o, &Identity, DenseStore::<f64>::with_shape);
         let independent: u64 = bs
             .iter()
             .map(|b| {
@@ -1093,7 +1097,7 @@ mod tests {
             max_iters: 2000,
             ..GmresOptions::default()
         };
-        let r = block_gmres::<DenseStore<f64>, _, _>(&a, &bs, None, &o, &Identity);
+        let r = block_gmres_with(&a, &bs, None, &o, &Identity, DenseStore::<f64>::with_shape);
         assert!(r.all_converged());
         assert!(r.histories.iter().all(|h| h.is_empty()));
         for s in r.history_summaries() {
@@ -1148,7 +1152,7 @@ mod tests {
         let (_, b) = manufactured_rhs(&a);
         let bs = vec![vec![0.0; a.rows()], b];
         let o = opts(1e-9);
-        let r = block_gmres::<DenseStore<f64>, _, _>(&a, &bs, None, &o, &Identity);
+        let r = block_gmres_with(&a, &bs, None, &o, &Identity, DenseStore::<f64>::with_shape);
         assert!(r.stats[0].converged);
         assert_eq!(r.stats[0].iterations, 0);
         assert!(r.solutions[0].iter().all(|&v| v == 0.0));

@@ -22,7 +22,10 @@
 //! checksum turns torn or corrupted blobs into typed
 //! [`CheckpointError`]s instead of silent garbage.
 
-use crate::gmres::HistoryPoint;
+use crate::basis_format;
+use crate::gmres::{HistoryPoint, SolvePlan};
+use crate::sstep::gated_width;
+use numfmt::ColumnStorage;
 
 /// Which solver driver captured a checkpoint. Resume must go through
 /// the same driver: each one carries different auxiliary state.
@@ -158,7 +161,8 @@ impl Default for SolveCheckpoint {
     }
 }
 
-/// Typed failure modes of [`SolveCheckpoint::decode`].
+/// Typed failure modes of [`SolveCheckpoint::decode`] and
+/// [`SolveCheckpoint::check_resume`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The blob does not start with the `FZCK` magic.
@@ -174,6 +178,17 @@ pub enum CheckpointError {
     /// The blob was delta-encoded but no (or a mismatched) previous
     /// checkpoint was supplied.
     MissingPrevious,
+    /// The checkpoint cannot resume the solve it was handed to (see
+    /// [`SolveCheckpoint::check_resume`]).
+    Mismatch {
+        /// What differs: `"dimension"`, `"driver"`, `"format"`, or
+        /// `"panel width"`.
+        field: &'static str,
+        /// What the resuming solve needs.
+        expected: String,
+        /// What the checkpoint holds.
+        found: String,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -192,6 +207,14 @@ impl std::fmt::Display for CheckpointError {
                     "delta checkpoint needs its previous checkpoint to decode"
                 )
             }
+            CheckpointError::Mismatch {
+                field,
+                expected,
+                found,
+            } => write!(
+                f,
+                "checkpoint {field} mismatch: the solve needs {expected}, the checkpoint has {found}"
+            ),
         }
     }
 }
@@ -283,13 +306,98 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Shared prefix length of two slices (the part a delta encoding can
-/// reference instead of re-emitting).
-fn shared_prefix<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+/// Emit `list` as the length of the prefix it shares with `prev` (the
+/// part a delta encoding can reference instead of re-emitting), the
+/// count of fresh entries, and the fresh entries through `put`.
+fn put_suffix<T: PartialEq>(
+    out: &mut Vec<u8>,
+    list: &[T],
+    prev: Option<&[T]>,
+    put: impl Fn(&mut Vec<u8>, &T),
+) {
+    let shared = prev.map_or(0, |p| {
+        list.iter().zip(p).take_while(|(a, b)| a == b).count()
+    });
+    put_varint(out, shared as u64);
+    put_varint(out, (list.len() - shared) as u64);
+    for v in &list[shared..] {
+        put(out, v);
+    }
+}
+
+/// Read a list written by [`put_suffix`] against `base` (the previous
+/// checkpoint's list; empty for a full blob).
+fn suffix<'a, T: Clone>(
+    cur: &mut Cursor<'a>,
+    base: &[T],
+    read: impl Fn(&mut Cursor<'a>) -> Result<T, CheckpointError>,
+) -> Result<Vec<T>, CheckpointError> {
+    let shared = cur.len()?;
+    let fresh = cur.len()?;
+    if shared > base.len() {
+        return Err(CheckpointError::Malformed("shared prefix beyond previous"));
+    }
+    let mut v = base[..shared].to_vec();
+    for _ in 0..fresh {
+        v.push(read(cur)?);
+    }
+    Ok(v)
 }
 
 impl SolveCheckpoint {
+    /// Check that this checkpoint can resume `plan` on a `rows`-row
+    /// system: same dimension, same driver, and the basis format the
+    /// plan runs — for the adaptive driver, which resumes at the
+    /// checkpointed rung, any registered format; for the s-step driver
+    /// also a panel width the plan admits. [`crate::solve`] runs this
+    /// before any work, so a foreign checkpoint is a typed
+    /// [`CheckpointError::Mismatch`] instead of a panic mid-solve.
+    pub fn check_resume(&self, rows: usize, plan: &SolvePlan<'_>) -> Result<(), CheckpointError> {
+        let mismatch = |field, expected: String, found: String| {
+            Err(CheckpointError::Mismatch {
+                field,
+                expected,
+                found,
+            })
+        };
+        if self.x.len() != rows {
+            return mismatch("dimension", rows.to_string(), self.x.len().to_string());
+        }
+        if self.driver != plan.driver() {
+            return mismatch(
+                "driver",
+                format!("{:?}", plan.driver()),
+                format!("{:?}", self.driver),
+            );
+        }
+        let format = match *plan {
+            SolvePlan::Fixed(format, _) | SolvePlan::SStep(format, _) => format,
+            SolvePlan::Adaptive(_) if basis_format::by_name(&self.format).is_none() => {
+                let expected = "a registered basis format".to_string();
+                return mismatch("format", expected, self.format.clone());
+            }
+            SolvePlan::Adaptive(_) => return Ok(()),
+        };
+        // A checkpoint records the live store's name, which for a codec
+        // store spells out the codec's parameters; a 1 × 1 store of the
+        // plan's format names itself the same way.
+        let name = format.create(1, 1).format_name();
+        if self.format != name {
+            return mismatch("format", name, self.format.clone());
+        }
+        if let SolvePlan::SStep(format, sopts) = *plan {
+            let gated = gated_width(format, sopts);
+            if !(1..=gated).contains(&self.s_cur) {
+                return mismatch(
+                    "panel width",
+                    format!("1..={gated}"),
+                    self.s_cur.to_string(),
+                );
+            }
+        }
+        Ok(())
+    }
+
     /// Serialize to the compact versioned byte format.
     ///
     /// Pass the solve's previous checkpoint as `prev` to delta-encode
@@ -329,34 +437,32 @@ impl SolveCheckpoint {
             let base = prev.map_or(0, |p| p.x[i].to_bits());
             put_varint(&mut out, xi.to_bits() ^ base);
         }
-        let shared_t = prev.map_or(0, |p| {
-            shared_prefix(&self.format_trajectory, &p.format_trajectory)
+        let trajectory = prev.map(|p| &p.format_trajectory[..]);
+        put_suffix(&mut out, &self.format_trajectory, trajectory, |o, s| {
+            put_str(o, s)
         });
-        put_varint(&mut out, shared_t as u64);
-        put_varint(&mut out, (self.format_trajectory.len() - shared_t) as u64);
-        for s in &self.format_trajectory[shared_t..] {
-            put_str(&mut out, s);
-        }
-        let shared_h = prev.map_or(0, |p| shared_prefix(&self.history, &p.history));
-        put_varint(&mut out, shared_h as u64);
-        put_varint(&mut out, (self.history.len() - shared_h) as u64);
-        for p in &self.history[shared_h..] {
-            put_varint(&mut out, p.iteration as u64);
-            put_f64(&mut out, p.rrn);
-            out.push(p.explicit as u8);
-        }
-        let shared_s = prev.map_or(0, |p| shared_prefix(&self.s_per_cycle, &p.s_per_cycle));
-        put_varint(&mut out, shared_s as u64);
-        put_varint(&mut out, (self.s_per_cycle.len() - shared_s) as u64);
-        for &s in &self.s_per_cycle[shared_s..] {
-            put_varint(&mut out, s as u64);
-        }
-        let shared_l = prev.map_or(0, |p| shared_prefix(&self.loo_per_cycle, &p.loo_per_cycle));
-        put_varint(&mut out, shared_l as u64);
-        put_varint(&mut out, (self.loo_per_cycle.len() - shared_l) as u64);
-        for &l in &self.loo_per_cycle[shared_l..] {
-            put_f64(&mut out, l);
-        }
+        put_suffix(
+            &mut out,
+            &self.history,
+            prev.map(|p| &p.history[..]),
+            |o, p| {
+                put_varint(o, p.iteration as u64);
+                put_f64(o, p.rrn);
+                o.push(p.explicit as u8);
+            },
+        );
+        put_suffix(
+            &mut out,
+            &self.s_per_cycle,
+            prev.map(|p| &p.s_per_cycle[..]),
+            |o, &s| put_varint(o, s as u64),
+        );
+        put_suffix(
+            &mut out,
+            &self.loo_per_cycle,
+            prev.map(|p| &p.loo_per_cycle[..]),
+            |o, &l| put_f64(o, l),
+        );
         let sum = fnv1a(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
@@ -417,31 +523,9 @@ impl SolveCheckpoint {
             let base = prev.map_or(0, |p| p.x[i].to_bits());
             x.push(f64::from_bits(cur.varint()? ^ base));
         }
-        let suffix_strings =
-            |cur: &mut Cursor, prev: Option<&[String]>| -> Result<Vec<String>, CheckpointError> {
-                let shared = cur.len()?;
-                let fresh = cur.len()?;
-                let base = prev.unwrap_or(&[]);
-                if shared > base.len() {
-                    return Err(CheckpointError::Malformed("shared prefix beyond previous"));
-                }
-                let mut v: Vec<String> = base[..shared].to_vec();
-                v.reserve(fresh);
-                for _ in 0..fresh {
-                    v.push(cur.str()?);
-                }
-                Ok(v)
-            };
-        let format_trajectory =
-            suffix_strings(&mut cur, prev.map(|p| p.format_trajectory.as_slice()))?;
-        let shared_h = cur.len()?;
-        let fresh_h = cur.len()?;
-        let base_h = prev.map_or(&[][..], |p| p.history.as_slice());
-        if shared_h > base_h.len() {
-            return Err(CheckpointError::Malformed("shared prefix beyond previous"));
-        }
-        let mut history: Vec<HistoryPoint> = base_h[..shared_h].to_vec();
-        for _ in 0..fresh_h {
+        let trajectory = prev.map_or(&[][..], |p| &p.format_trajectory);
+        let format_trajectory = suffix(&mut cur, trajectory, Cursor::str)?;
+        let history = suffix(&mut cur, prev.map_or(&[][..], |p| &p.history), |cur| {
             let iteration = cur.len()?;
             let rrn = cur.f64()?;
             let explicit = match cur.u8()? {
@@ -449,32 +533,19 @@ impl SolveCheckpoint {
                 1 => true,
                 _ => return Err(CheckpointError::Malformed("history explicit flag")),
             };
-            history.push(HistoryPoint {
+            Ok(HistoryPoint {
                 iteration,
                 rrn,
                 explicit,
-            });
-        }
-        let shared_s = cur.len()?;
-        let fresh_s = cur.len()?;
-        let base_s = prev.map_or(&[][..], |p| p.s_per_cycle.as_slice());
-        if shared_s > base_s.len() {
-            return Err(CheckpointError::Malformed("shared prefix beyond previous"));
-        }
-        let mut s_per_cycle: Vec<usize> = base_s[..shared_s].to_vec();
-        for _ in 0..fresh_s {
-            s_per_cycle.push(cur.len()?);
-        }
-        let shared_l = cur.len()?;
-        let fresh_l = cur.len()?;
-        let base_l = prev.map_or(&[][..], |p| p.loo_per_cycle.as_slice());
-        if shared_l > base_l.len() {
-            return Err(CheckpointError::Malformed("shared prefix beyond previous"));
-        }
-        let mut loo_per_cycle: Vec<f64> = base_l[..shared_l].to_vec();
-        for _ in 0..fresh_l {
-            loo_per_cycle.push(cur.f64()?);
-        }
+            })
+        })?;
+        let s_per_cycle = suffix(
+            &mut cur,
+            prev.map_or(&[][..], |p| &p.s_per_cycle),
+            Cursor::len,
+        )?;
+        let loo_base = prev.map_or(&[][..], |p| &p.loo_per_cycle);
+        let loo_per_cycle = suffix(&mut cur, loo_base, Cursor::f64)?;
         if cur.pos != payload.len() {
             return Err(CheckpointError::Malformed("trailing bytes"));
         }

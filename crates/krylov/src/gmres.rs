@@ -13,9 +13,12 @@
 //! restarts. The sudden history corrections visible in Fig. 9a are
 //! exactly the difference between the two.
 
+use crate::adaptive::AdaptiveOptions;
 use crate::basis::Basis;
-use crate::checkpoint::{DriverKind, SolveCheckpoint, SolveControl};
+use crate::basis_format::BasisFormat;
+use crate::checkpoint::{CheckpointError, DriverKind, SolveCheckpoint, SolveControl};
 use crate::precond::Preconditioner;
+use crate::sstep::SStepOptions;
 use numfmt::ColumnStorage;
 use spla::dense::{axpy, norm2, scale, sub};
 use spla::SparseMatrix;
@@ -210,25 +213,19 @@ impl Workspace {
         a: &A,
         b: &[f64],
         x: &[f64],
-        stats: &mut SolveStats,
     ) -> f64 {
         a.spmv(x, &mut self.w);
-        stats.spmv_count += 1;
         sub(b, &self.w, &mut self.r);
         norm2(&self.r)
     }
 }
 
-/// What one restart cycle did (consumed by the drivers — `gmres_with`
-/// and `adaptive_gmres` — which own the explicit-residual loop).
+/// What one restart cycle did (consumed by [`solve_driver_full`],
+/// which owns the explicit-residual loop).
+#[derive(Default)]
 pub(crate) struct CycleOutcome {
     /// Inner iterations executed (Hessenberg columns recorded).
     pub(crate) steps: usize,
-    /// The cycle ended on a (possibly non-finite) breakdown.
-    pub(crate) breakdown: bool,
-    /// A non-finite Hessenberg entry was detected; the poisoned column
-    /// was discarded rather than propagated (NaN-spin guard).
-    pub(crate) non_finite: bool,
     /// Implicit Givens residual estimate after the last recorded
     /// column (`None` when the cycle recorded nothing).
     pub(crate) last_implicit_rrn: Option<f64>,
@@ -256,30 +253,10 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
     history: &mut Vec<HistoryPoint>,
     captured: &mut Option<Vec<f64>>,
 ) -> CycleOutcome {
-    let n = x.len();
     let m = ws.m;
     let ld = ws.ld;
-    let mut outcome = CycleOutcome {
-        steps: 0,
-        breakdown: false,
-        non_finite: false,
-        last_implicit_rrn: None,
-    };
-
-    // v1 = r / beta, stored compressed (step 1).
-    scale(1.0 / beta, &mut ws.r);
-    basis.write(0, &ws.r);
-    // Queried after the first write: round-trip stores only know their
-    // achieved rate once a column has actually been compressed.
-    let col_bytes = basis.column_bytes() as u64;
-    stats.basis_bytes_written += col_bytes;
-    if opts.capture_basis_at == Some(stats.iterations) && captured.is_none() {
-        let mut cap = vec![0.0; n];
-        basis.read_column(0, &mut cap);
-        *captured = Some(cap);
-    }
-    ws.g.fill(0.0);
-    ws.g[0] = beta;
+    let mut outcome = CycleOutcome::default();
+    let col_bytes = seed_cycle(basis, ws, beta, opts, stats, captured);
 
     let mut j = 0;
     // Steps 2-15: build the Krylov basis.
@@ -350,8 +327,6 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         // columns that are still finite.
         if !hj1.is_finite() || !omega.is_finite() || ws.h[..=j].iter().any(|v| !v.is_finite()) {
             stats.breakdowns += 1;
-            outcome.breakdown = true;
-            outcome.non_finite = true;
             break;
         }
 
@@ -360,36 +335,11 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
             ws.hess[j * ld + i] = ws.h[i];
         }
         ws.hess[j * ld + j + 1] = hj1;
-
-        // Least-squares update: apply previous rotations, then a new one.
-        for i in 0..j {
-            let (hi, hi1) = (ws.hess[j * ld + i], ws.hess[j * ld + i + 1]);
-            ws.hess[j * ld + i] = ws.cs[i] * hi + ws.sn[i] * hi1;
-            ws.hess[j * ld + i + 1] = -ws.sn[i] * hi + ws.cs[i] * hi1;
-        }
-        let (c, s) = givens(ws.hess[j * ld + j], ws.hess[j * ld + j + 1]);
-        ws.cs[j] = c;
-        ws.sn[j] = s;
-        ws.hess[j * ld + j] = c * ws.hess[j * ld + j] + s * ws.hess[j * ld + j + 1];
-        ws.hess[j * ld + j + 1] = 0.0;
-        ws.g[j + 1] = -s * ws.g[j];
-        ws.g[j] *= c;
-
-        stats.iterations += 1;
-        let implicit_rrn = ws.g[j + 1].abs() / bnorm;
-        outcome.last_implicit_rrn = Some(implicit_rrn);
-        if opts.record_history {
-            history.push(HistoryPoint {
-                iteration: stats.iterations,
-                rrn: implicit_rrn,
-                explicit: false,
-            });
-        }
+        let implicit_rrn = rotate_column(ws, j, bnorm, opts, stats, history, &mut outcome);
 
         j += 1;
         if broke_down {
             stats.breakdowns += 1;
-            outcome.breakdown = true;
             break;
         }
         // The implicit estimate reaching the target only ENDS THE
@@ -404,18 +354,108 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         scale(1.0 / hj1, &mut ws.w);
         basis.write(j, &ws.w);
         stats.basis_bytes_written += col_bytes;
-        if opts.capture_basis_at == Some(stats.iterations) && captured.is_none() {
-            let mut cap = vec![0.0; n];
-            basis.read_column(j, &mut cap);
-            *captured = Some(cap);
-        }
+        capture_column(basis, j, opts, stats, captured);
     }
     outcome.steps = j;
+    finish_cycle(basis, precond, ws, x, j, col_bytes, stats);
+    outcome
+}
 
-    // Step 17: y = argmin ‖beta e1 - H y‖ by back substitution on the
-    // rotated (upper-triangular) Hessenberg, then x += M^-1 (V y).
-    // A cycle that recorded nothing (immediate non-finite breakdown)
-    // has no update to apply.
+/// Step 1 of a cycle: store `v1 = r / beta` (compressed) as basis
+/// column 0 and reset the rotated right-hand side to `g = beta·e1`.
+/// Returns the stored bytes per column, queried after this first
+/// write: round-trip stores only know their achieved rate once a
+/// column has actually been compressed.
+pub(crate) fn seed_cycle<S: ColumnStorage>(
+    basis: &mut Basis<S>,
+    ws: &mut Workspace,
+    beta: f64,
+    opts: &GmresOptions,
+    stats: &mut SolveStats,
+    captured: &mut Option<Vec<f64>>,
+) -> u64 {
+    scale(1.0 / beta, &mut ws.r);
+    basis.write(0, &ws.r);
+    let col_bytes = basis.column_bytes() as u64;
+    stats.basis_bytes_written += col_bytes;
+    capture_column(basis, 0, opts, stats, captured);
+    ws.g.fill(0.0);
+    ws.g[0] = beta;
+    col_bytes
+}
+
+/// Keep basis column `col`, decompressed from storage, when it was
+/// written at the `capture_basis_at` iteration (Fig. 2 histograms).
+pub(crate) fn capture_column<S: ColumnStorage>(
+    basis: &Basis<S>,
+    col: usize,
+    opts: &GmresOptions,
+    stats: &SolveStats,
+    captured: &mut Option<Vec<f64>>,
+) {
+    if opts.capture_basis_at == Some(stats.iterations) && captured.is_none() {
+        let mut cap = vec![0.0; basis.rows()];
+        basis.read_column(col, &mut cap);
+        *captured = Some(cap);
+    }
+}
+
+/// Least-squares update of Hessenberg column `j`, stored unrotated in
+/// `ws.hess`: apply the previous rotations, then a new one that
+/// annihilates the subdiagonal, and rotate `g` with it. Counts the
+/// iteration and records (and returns) the implicit residual estimate
+/// `|g[j+1]| / ‖b‖`.
+pub(crate) fn rotate_column(
+    ws: &mut Workspace,
+    j: usize,
+    bnorm: f64,
+    opts: &GmresOptions,
+    stats: &mut SolveStats,
+    history: &mut Vec<HistoryPoint>,
+    outcome: &mut CycleOutcome,
+) -> f64 {
+    let ld = ws.ld;
+    for i in 0..j {
+        let (hi, hi1) = (ws.hess[j * ld + i], ws.hess[j * ld + i + 1]);
+        ws.hess[j * ld + i] = ws.cs[i] * hi + ws.sn[i] * hi1;
+        ws.hess[j * ld + i + 1] = -ws.sn[i] * hi + ws.cs[i] * hi1;
+    }
+    let (c, s) = givens(ws.hess[j * ld + j], ws.hess[j * ld + j + 1]);
+    ws.cs[j] = c;
+    ws.sn[j] = s;
+    ws.hess[j * ld + j] = c * ws.hess[j * ld + j] + s * ws.hess[j * ld + j + 1];
+    ws.hess[j * ld + j + 1] = 0.0;
+    ws.g[j + 1] = -s * ws.g[j];
+    ws.g[j] *= c;
+
+    stats.iterations += 1;
+    let implicit_rrn = ws.g[j + 1].abs() / bnorm;
+    outcome.last_implicit_rrn = Some(implicit_rrn);
+    if opts.record_history {
+        history.push(HistoryPoint {
+            iteration: stats.iterations,
+            rrn: implicit_rrn,
+            explicit: false,
+        });
+    }
+    implicit_rrn
+}
+
+/// Step 17, closing a cycle of `j` recorded columns:
+/// `y = argmin ‖beta e1 - H y‖` by back substitution on the rotated
+/// (upper-triangular) Hessenberg, then `x += M^-1 (V y)`. A cycle that
+/// recorded nothing (immediate non-finite breakdown) has no update to
+/// apply.
+pub(crate) fn finish_cycle<S: ColumnStorage, P: Preconditioner>(
+    basis: &Basis<S>,
+    precond: &P,
+    ws: &mut Workspace,
+    x: &mut [f64],
+    j: usize,
+    col_bytes: u64,
+    stats: &mut SolveStats,
+) {
+    let ld = ws.ld;
     if j >= 1 {
         let y = &mut ws.y[..j];
         for i in (0..j).rev() {
@@ -435,7 +475,6 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         axpy(1.0, &ws.vj, x);
     }
     stats.restarts += 1;
-    outcome
 }
 
 /// Solve `A x = b` with restarted GMRES, storing the Krylov basis in
@@ -471,12 +510,21 @@ pub fn gmres_with<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>
     make_store: impl FnOnce(usize, usize) -> S,
 ) -> SolveResult {
     let basis = Basis::from_store(make_store(a.rows(), opts.restart + 1));
-    solve_driver(a, b, x0, opts, precond, basis, |_, _, _| {})
+    solve_driver_full(
+        a,
+        b,
+        x0,
+        opts,
+        precond,
+        basis,
+        &mut Scalar,
+        SolveHooks::default(),
+    )
+    .result
 }
 
 /// One per-cycle telemetry record, emitted at every restart boundary of
-/// an *observed* solve ([`crate::basis_format::gmres_dyn_observed`],
-/// [`crate::adaptive::adaptive_gmres_observed`]) just before the next
+/// an *observed* solve ([`SolveHooks::observe`]) just before the next
 /// cycle runs.
 ///
 /// Boundary semantics: the driver checks convergence *before* the hook
@@ -505,26 +553,8 @@ pub struct CycleEvent {
     pub basis_bytes_written: u64,
 }
 
-impl CycleEvent {
-    /// Assemble an event from the driver state at a restart boundary.
-    pub(crate) fn at_boundary<S: ColumnStorage>(
-        boundary: &Boundary,
-        basis: &Basis<S>,
-        stats: &SolveStats,
-    ) -> Self {
-        CycleEvent {
-            cycle: stats.restarts,
-            iterations: stats.iterations,
-            explicit_rrn: boundary.explicit_rrn,
-            format: basis.format_name(),
-            basis_bytes_read: stats.basis_bytes_read,
-            basis_bytes_written: stats.basis_bytes_written,
-        }
-    }
-}
-
-/// Restart-boundary context handed to the [`solve_driver`] hook, for
-/// drivers that adapt between cycles (`adaptive_gmres`).
+/// Restart-boundary context handed to [`CyclePolicy::at_boundary`],
+/// for policies that adapt between cycles (the adaptive ladder).
 pub(crate) struct Boundary {
     /// Explicit `‖b − Ax‖/‖b‖` entering the next cycle.
     pub(crate) explicit_rrn: f64,
@@ -547,11 +577,11 @@ pub(crate) enum BoundaryDecision {
     Continue,
 }
 
-/// The restart-boundary bookkeeping every driver shares — the scalar
-/// [`solve_driver`], the block driver in `block.rs`, and the s-step
-/// driver in `sstep.rs` all call this VERBATIM so their convergence
-/// semantics cannot drift apart (and committed fingerprints stay
-/// byte-identical across refactors).
+/// The restart-boundary bookkeeping every driver shares — the one
+/// single-RHS loop [`solve_driver_full`] and the per-lane boundary of
+/// the block driver in `block.rs` both call this VERBATIM so their
+/// convergence semantics cannot drift apart (and committed
+/// fingerprints stay byte-identical across refactors).
 ///
 /// Given the explicit `‖b − Ax‖/‖b‖` entering the boundary, in this
 /// exact order: stamp `stats.final_rrn`, push the explicit history
@@ -598,108 +628,96 @@ pub struct ControlledSolve {
     pub halted: bool,
 }
 
-/// Freeze the driver state at a restart boundary into a
-/// [`SolveCheckpoint`] (scalar-driver fields; the adaptive and s-step
-/// drivers overwrite their extra state on top).
-pub(crate) fn boundary_checkpoint<S: ColumnStorage>(
-    rrn: f64,
-    x: &[f64],
-    stats: &SolveStats,
-    history: &[HistoryPoint],
-    basis: &Basis<S>,
-) -> SolveCheckpoint {
-    SolveCheckpoint {
-        driver: DriverKind::Scalar,
-        format: basis.format_name(),
-        x: x.to_vec(),
-        explicit_rrn: rrn,
-        iterations: stats.iterations,
-        restarts: stats.restarts,
-        reorthogonalizations: stats.reorthogonalizations,
-        breakdowns: stats.breakdowns,
-        escalations: stats.escalations,
-        de_escalations: stats.de_escalations,
-        spmv_count: stats.spmv_count,
-        basis_bytes_read: stats.basis_bytes_read,
-        basis_bytes_written: stats.basis_bytes_written,
-        basis_dot_sweeps: stats.basis_dot_sweeps,
-        basis_gemv_sweeps: stats.basis_gemv_sweeps,
-        format_trajectory: stats.format_trajectory.clone(),
-        history: history.to_vec(),
-        qualifying_streak: 0,
-        s_cur: 1,
-        loo_breaches: 0,
-        s_per_cycle: Vec::new(),
-        loo_per_cycle: Vec::new(),
+/// What varies between the scalar, s-step, and adaptive solves: how
+/// one restart cycle runs, the decision taken at a boundary, and the
+/// state a checkpoint carries on top of the shared counters. Everything
+/// else — explicit residual, convergence, telemetry, the control probe,
+/// resume replay — is the one loop in [`solve_driver_full`].
+pub(crate) trait CyclePolicy<S: ColumnStorage> {
+    /// Driver identity stamped on captured checkpoints.
+    const DRIVER: DriverKind;
+
+    /// Decide at a restart boundary, after the bookkeeping and before
+    /// the observer and probe see it (the adaptive rung switch).
+    fn at_boundary(
+        &mut self,
+        _boundary: &Boundary,
+        _basis: &mut Basis<S>,
+        _stats: &mut SolveStats,
+    ) {
     }
+
+    /// Run one restart cycle; the default is the scalar [`run_cycle`].
+    #[allow(clippy::too_many_arguments)]
+    fn cycle<P: Preconditioner, A: SparseMatrix + ?Sized>(
+        &mut self,
+        a: &A,
+        precond: &P,
+        opts: &GmresOptions,
+        basis: &mut Basis<S>,
+        ws: &mut Workspace,
+        x: &mut [f64],
+        beta: f64,
+        bnorm: f64,
+        stats: &mut SolveStats,
+        history: &mut Vec<HistoryPoint>,
+        captured: &mut Option<Vec<f64>>,
+    ) -> CycleOutcome {
+        run_cycle(
+            a, precond, opts, basis, ws, x, beta, bnorm, stats, history, captured,
+        )
+    }
+
+    /// Write the policy's own fields into a captured checkpoint.
+    fn capture(&self, _cp: &mut SolveCheckpoint) {}
+
+    /// Read them back from the checkpoint being resumed.
+    fn restore(&mut self, _cp: &SolveCheckpoint) {}
 }
 
-/// Restore the checkpointed counters, trajectory, and residual stamp
-/// into a fresh [`SolveStats`] (shared by every resuming driver).
-pub(crate) fn restore_stats(stats: &mut SolveStats, cp: &SolveCheckpoint) {
-    stats.iterations = cp.iterations;
-    stats.restarts = cp.restarts;
-    stats.reorthogonalizations = cp.reorthogonalizations;
-    stats.breakdowns = cp.breakdowns;
-    stats.escalations = cp.escalations;
-    stats.de_escalations = cp.de_escalations;
-    stats.spmv_count = cp.spmv_count;
-    stats.basis_bytes_read = cp.basis_bytes_read;
-    stats.basis_bytes_written = cp.basis_bytes_written;
-    stats.basis_dot_sweeps = cp.basis_dot_sweeps;
-    stats.basis_gemv_sweeps = cp.basis_gemv_sweeps;
-    stats.format_trajectory = cp.format_trajectory.clone();
-    stats.final_rrn = cp.explicit_rrn;
+/// The fixed-format scalar policy: the paper's Fig. 1 cycle, nothing
+/// decided at boundaries, no extra checkpoint state.
+pub(crate) struct Scalar;
+
+impl<S: ColumnStorage> CyclePolicy<S> for Scalar {
+    const DRIVER: DriverKind = DriverKind::Scalar;
 }
 
-/// The one restarted-GMRES driver loop: explicit residual at every
-/// boundary (the ONLY place `converged` is decided — the implicit
-/// Givens estimate inside a cycle never sets it), then one
-/// [`run_cycle`]. Both public solvers are thin wrappers: `gmres_with`
-/// passes a no-op hook, `adaptive_gmres` a hook that may swap the
-/// basis store at the boundary — so their boundary semantics cannot
-/// drift apart.
-pub(crate) fn solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    opts: &GmresOptions,
-    precond: &P,
-    basis: Basis<S>,
-    on_boundary: impl FnMut(&Boundary, &mut Basis<S>, &mut SolveStats),
-) -> SolveResult {
-    solve_driver_full(a, b, x0, opts, precond, basis, on_boundary, None, None).result
-}
-
-/// [`solve_driver`] plus the fault-tolerance seam: an optional
-/// *control probe* and an optional *resume checkpoint*.
+/// The one restarted-GMRES loop behind every single-RHS solve: explicit
+/// residual at every boundary (the ONLY place `converged` is decided —
+/// the implicit Givens estimate inside a cycle never sets it), the
+/// policy's boundary decision, the hooks, then one policy cycle.
 ///
-/// The probe fires at every restart boundary — after the shared
-/// bookkeeping and the `on_boundary` hook (so the format decision for
+/// The control probe fires at every restart boundary — after the
+/// bookkeeping, the policy decision, and the observer (so the format of
 /// the next cycle is final), before the cycle runs — with a freshly
-/// captured [`SolveCheckpoint`]. Returning [`SolveControl::Halt`]
-/// stops the solve there; the caller keeps the checkpoint and can
-/// resume later. Convergence is decided *before* the probe, so a halt
-/// can never mask a finished solve. With `control = None` no
-/// checkpoint is ever materialized — the plain path pays nothing.
+/// captured [`SolveCheckpoint`]. Returning [`SolveControl::Halt`] stops
+/// the solve there. With `control = None` no checkpoint is ever
+/// materialized — the plain path pays nothing.
 ///
-/// Resuming replays the capture-time boundary: the iterate, counters,
-/// history, and trajectory are restored, the entry residual is
-/// recomputed (its spmv was already counted before capture, so the
-/// counter is NOT incremented again), and the bookkeeping + hook that
-/// ran before capture are skipped. The continuation is bit-identical
-/// to the uninterrupted solve.
+/// Resuming (the checkpoint already validated by
+/// [`SolveCheckpoint::check_resume`]) replays the capture-time
+/// boundary: the iterate, counters, history, trajectory, and policy
+/// state are restored, the entry residual is recomputed (its spmv was
+/// already counted before capture, so the counter is NOT incremented
+/// again), and the bookkeeping, policy decision, and observer that ran
+/// before capture are skipped. The continuation is bit-identical to
+/// the uninterrupted solve.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_driver_full<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
+pub(crate) fn solve_driver_full<
+    S: ColumnStorage,
+    P: Preconditioner,
+    A: SparseMatrix + ?Sized,
+    C: CyclePolicy<S>,
+>(
     a: &A,
     b: &[f64],
     x0: &[f64],
     opts: &GmresOptions,
     precond: &P,
     mut basis: Basis<S>,
-    mut on_boundary: impl FnMut(&Boundary, &mut Basis<S>, &mut SolveStats),
-    mut control: Option<&mut dyn FnMut(&mut SolveCheckpoint) -> SolveControl>,
-    resume: Option<&SolveCheckpoint>,
+    policy: &mut C,
+    mut hooks: SolveHooks<'_>,
 ) -> ControlledSolve {
     let n = a.rows();
     assert_eq!(a.cols(), n, "GMRES needs a square matrix");
@@ -736,64 +754,94 @@ pub(crate) fn solve_driver_full<S: ColumnStorage, P: Preconditioner, A: SparseMa
     let mut prev_explicit_rrn: Option<f64> = None;
     let mut last_implicit_rrn: Option<f64> = None;
     let mut replay = false;
-    if let Some(cp) = resume {
-        assert_eq!(
-            cp.x.len(),
-            n,
-            "checkpoint dimension does not match the operator"
-        );
+    if let Some(cp) = hooks.resume {
         x.copy_from_slice(&cp.x);
-        restore_stats(&mut stats, cp);
+        stats.iterations = cp.iterations;
+        stats.restarts = cp.restarts;
+        stats.reorthogonalizations = cp.reorthogonalizations;
+        stats.breakdowns = cp.breakdowns;
+        stats.escalations = cp.escalations;
+        stats.de_escalations = cp.de_escalations;
+        stats.spmv_count = cp.spmv_count;
+        stats.basis_bytes_read = cp.basis_bytes_read;
+        stats.basis_bytes_written = cp.basis_bytes_written;
+        stats.basis_dot_sweeps = cp.basis_dot_sweeps;
+        stats.basis_gemv_sweeps = cp.basis_gemv_sweeps;
+        stats.format_trajectory = cp.format_trajectory.clone();
+        stats.final_rrn = cp.explicit_rrn;
         history = cp.history.clone();
+        policy.restore(cp);
         replay = true;
     }
     let mut halted = false;
 
     loop {
-        let beta;
-        let rrn;
+        // Step 1 / step 18: explicit residual r = b - A x.
+        let beta = ws.explicit_residual(a, b, &x);
+        let rrn = beta / bnorm;
         if replay {
+            // Replay of the capture-time boundary: the checkpoint
+            // measured this residual (its spmv is already in the restored
+            // counters, so don't count it again); skip everything that
+            // ran before capture.
             replay = false;
-            // Replay of the capture-time boundary: recompute the
-            // residual the checkpoint measured (its spmv is already in
-            // the restored counters, so don't count it again) and skip
-            // the bookkeeping and hook that ran before capture.
-            a.spmv(&x, &mut ws.w);
-            sub(b, &ws.w, &mut ws.r);
-            beta = norm2(&ws.r);
-            rrn = beta / bnorm;
         } else {
-            // Step 1 / step 18: explicit residual r = b - A x, then the
-            // shared boundary bookkeeping (final_rrn, explicit history
-            // point, converged/terminal decision).
-            beta = ws.explicit_residual(a, b, &x, &mut stats);
-            rrn = beta / bnorm;
+            // The shared boundary bookkeeping (final_rrn, explicit
+            // history point, converged/terminal decision).
+            stats.spmv_count += 1;
             match boundary_bookkeeping(rrn, opts, &mut stats, &mut history) {
                 BoundaryDecision::Converged | BoundaryDecision::Terminal => break,
                 BoundaryDecision::Continue => {}
             }
 
-            on_boundary(
-                &Boundary {
+            let boundary = Boundary {
+                explicit_rrn: rrn,
+                prev_explicit_rrn,
+                last_implicit_rrn,
+            };
+            policy.at_boundary(&boundary, &mut basis, &mut stats);
+            if let Some(observe) = hooks.observe.as_mut() {
+                observe(&CycleEvent {
+                    cycle: stats.restarts,
+                    iterations: stats.iterations,
                     explicit_rrn: rrn,
-                    prev_explicit_rrn,
-                    last_implicit_rrn,
-                },
-                &mut basis,
-                &mut stats,
-            );
+                    format: basis.format_name(),
+                    basis_bytes_read: stats.basis_bytes_read,
+                    basis_bytes_written: stats.basis_bytes_written,
+                });
+            }
         }
 
-        if let Some(ctrl) = control.as_mut() {
-            let mut cp = boundary_checkpoint(rrn, &x, &stats, &history, &basis);
-            if matches!(ctrl(&mut cp), SolveControl::Halt) {
+        if let Some(ctrl) = hooks.control.as_mut() {
+            let mut cp = SolveCheckpoint {
+                driver: C::DRIVER,
+                format: basis.format_name(),
+                x: x.clone(),
+                explicit_rrn: rrn,
+                iterations: stats.iterations,
+                restarts: stats.restarts,
+                reorthogonalizations: stats.reorthogonalizations,
+                breakdowns: stats.breakdowns,
+                escalations: stats.escalations,
+                de_escalations: stats.de_escalations,
+                spmv_count: stats.spmv_count,
+                basis_bytes_read: stats.basis_bytes_read,
+                basis_bytes_written: stats.basis_bytes_written,
+                basis_dot_sweeps: stats.basis_dot_sweeps,
+                basis_gemv_sweeps: stats.basis_gemv_sweeps,
+                format_trajectory: stats.format_trajectory.clone(),
+                history: history.clone(),
+                ..SolveCheckpoint::default()
+            };
+            policy.capture(&mut cp);
+            if matches!(ctrl(&cp), SolveControl::Halt) {
                 halted = true;
                 break;
             }
         }
 
         stats.format_trajectory.push(basis.format_name());
-        let out = run_cycle(
+        let out = policy.cycle(
             a,
             precond,
             opts,
@@ -835,53 +883,92 @@ pub(crate) fn solve_driver_full<S: ColumnStorage, P: Preconditioner, A: SparseMa
     }
 }
 
-/// [`gmres_with`] plus the fault-tolerance seam: capture checkpoints
-/// and/or halt at restart boundaries through `control`, and resume a
-/// previous solve bit-identically from `resume`.
+/// Which driver a [`solve`] runs, with the option structs its plain
+/// entry already takes.
+#[derive(Clone, Copy)]
+pub enum SolvePlan<'a> {
+    /// Fixed-format scalar CB-GMRES (the paper's Fig. 1), as
+    /// [`crate::basis_format::gmres_dyn`] runs it.
+    Fixed(&'a dyn BasisFormat, &'a GmresOptions),
+    /// s-step CB-GMRES, as [`crate::sstep::sstep_gmres_dyn`] runs it.
+    SStep(&'a dyn BasisFormat, &'a SStepOptions),
+    /// Adaptive-precision CB-GMRES, as
+    /// [`crate::adaptive::adaptive_gmres`] runs it.
+    Adaptive(&'a AdaptiveOptions),
+}
+
+impl SolvePlan<'_> {
+    /// The driver that runs this plan (and whose checkpoints it
+    /// resumes).
+    pub fn driver(&self) -> DriverKind {
+        match self {
+            SolvePlan::Fixed(..) => DriverKind::Scalar,
+            SolvePlan::SStep(..) => DriverKind::SStep,
+            SolvePlan::Adaptive(_) => DriverKind::Adaptive,
+        }
+    }
+}
+
+/// The optional hooks of a [`solve`]. Every field defaults to `None`,
+/// and a solve without hooks is the plain solve.
+#[derive(Default)]
+pub struct SolveHooks<'a> {
+    /// Telemetry: one [`CycleEvent`] per executed restart cycle,
+    /// emitted at the boundary before the cycle runs (after any
+    /// adaptive rung change). A pure spectator — it cannot influence
+    /// the solve.
+    pub observe: Option<&'a mut dyn FnMut(&CycleEvent)>,
+    /// Control probe: called at every restart boundary with a freshly
+    /// captured [`SolveCheckpoint`]; returning [`SolveControl::Halt`]
+    /// stops the solve there (reported as
+    /// [`ControlledSolve::halted`]). Convergence is decided first, so a
+    /// halt never masks a finished solve.
+    pub control: Option<&'a mut dyn FnMut(&SolveCheckpoint) -> SolveControl>,
+    /// Continue a previous solve from its checkpoint instead of `x0`.
+    pub resume: Option<&'a SolveCheckpoint>,
+}
+
+/// Solve `A x = b` with the driver `plan` names, under optional
+/// `hooks`: the one entry behind every observed, controlled, or resumed
+/// single-RHS solve.
 ///
-/// The resume contract: build the store with the same format the
-/// checkpoint records (`resume.format`) and pass the same `b`, `opts`,
-/// and preconditioner — the continuation then reproduces the
-/// uninterrupted solve bit for bit (solution, history, counters).
-/// `x0` is ignored when resuming (the checkpointed iterate wins).
-/// Panics if the checkpoint came from a different driver.
-#[allow(clippy::too_many_arguments)]
-pub fn gmres_with_controlled<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
+/// Without hooks the result is bit-identical to the plan's plain entry
+/// ([`crate::basis_format::gmres_dyn`], [`crate::sstep::sstep_gmres_dyn`],
+/// [`crate::adaptive::adaptive_gmres`]); observing or probing never
+/// changes a bit.
+///
+/// The resume contract: pass the same `b`, plan, and preconditioner as
+/// the solve that captured the checkpoint, and the continuation
+/// reproduces the uninterrupted solve bit for bit (solution, history,
+/// counters, and the s-step panel / adaptive rung schedule). `x0` is
+/// ignored when resuming, and so is an adaptive plan's `start_format`
+/// (the checkpointed rung wins). A checkpoint from a different system
+/// size, driver, or basis format is refused with
+/// [`CheckpointError::Mismatch`] before any work (see
+/// [`SolveCheckpoint::check_resume`]).
+pub fn solve<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
     x0: &[f64],
-    opts: &GmresOptions,
     precond: &P,
-    make_store: impl FnOnce(usize, usize) -> S,
-    resume: Option<&SolveCheckpoint>,
-    control: Option<&mut dyn FnMut(&SolveCheckpoint) -> SolveControl>,
-) -> ControlledSolve {
-    if let Some(cp) = resume {
-        assert_eq!(
-            cp.driver,
-            DriverKind::Scalar,
-            "a {:?} checkpoint cannot resume the scalar driver",
-            cp.driver
-        );
+    plan: SolvePlan<'_>,
+    hooks: SolveHooks<'_>,
+) -> Result<ControlledSolve, CheckpointError> {
+    if let Some(cp) = hooks.resume {
+        cp.check_resume(a.rows(), &plan)?;
     }
-    let basis = Basis::from_store(make_store(a.rows(), opts.restart + 1));
-    match control {
-        Some(c) => {
-            let mut wrap = |cp: &mut SolveCheckpoint| c(cp);
-            solve_driver_full(
-                a,
-                b,
-                x0,
-                opts,
-                precond,
-                basis,
-                |_, _, _| {},
-                Some(&mut wrap),
-                resume,
-            )
+    Ok(match plan {
+        SolvePlan::Fixed(format, opts) => {
+            let basis = Basis::from_store(format.create(a.rows(), opts.restart + 1));
+            solve_driver_full(a, b, x0, opts, precond, basis, &mut Scalar, hooks)
         }
-        None => solve_driver_full(a, b, x0, opts, precond, basis, |_, _, _| {}, None, resume),
-    }
+        SolvePlan::SStep(format, sopts) => {
+            crate::sstep::sstep_dyn(a, b, x0, sopts, precond, format, hooks).0
+        }
+        SolvePlan::Adaptive(opts) => {
+            crate::adaptive::adaptive_driver(a, b, x0, opts, precond, hooks)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1262,76 +1349,5 @@ mod tests {
 
         let clean = gmres::<DenseStore<f64>, _, _>(&a, &b, &x0, &opts(1e-9), &Identity);
         assert_eq!(clean.stats.breakdowns, 0);
-    }
-
-    #[test]
-    fn halt_and_resume_is_bit_identical_to_uninterrupted() {
-        let a = gen::conv_diff_3d(8, 8, 8, [0.3, 0.2, 0.1], 0.1);
-        let (_, b) = manufactured_rhs(&a);
-        let x0 = vec![0.0; 512];
-        let mut o = opts(1e-10);
-        o.restart = 10;
-        let base = gmres::<Frsz2Store, _, _>(&a, &b, &x0, &o, &Identity);
-        assert!(base.stats.converged);
-        assert!(base.stats.restarts >= 3, "need several cycles to split");
-
-        // Halt at the third boundary, then resume from the captured
-        // checkpoint; the stitched solve must equal the base run bit
-        // for bit, including the residual history and counters.
-        let mut taken: Option<SolveCheckpoint> = None;
-        let mut boundaries = 0usize;
-        let mut probe = |cp: &SolveCheckpoint| {
-            boundaries += 1;
-            if boundaries == 3 {
-                taken = Some(cp.clone());
-                SolveControl::Halt
-            } else {
-                SolveControl::Continue
-            }
-        };
-        let first = gmres_with_controlled(
-            &a,
-            &b,
-            &x0,
-            &o,
-            &Identity,
-            Frsz2Store::with_shape,
-            None,
-            Some(&mut probe),
-        );
-        assert!(first.halted);
-        assert!(!first.result.stats.converged);
-        let cp = taken.expect("checkpoint captured at halt");
-        assert_eq!(cp.driver, DriverKind::Scalar);
-
-        // Round-trip the checkpoint through its byte format too.
-        let bytes = cp.encode(None);
-        let cp = SolveCheckpoint::decode(&bytes, None).expect("decode");
-
-        let resumed = gmres_with_controlled(
-            &a,
-            &b,
-            &vec![0.0; 512],
-            &o,
-            &Identity,
-            Frsz2Store::with_shape,
-            Some(&cp),
-            None,
-        );
-        assert!(!resumed.halted);
-        let r = resumed.result;
-        assert!(r.stats.converged);
-        assert_eq!(r.stats.iterations, base.stats.iterations);
-        assert_eq!(r.stats.restarts, base.stats.restarts);
-        assert_eq!(r.stats.spmv_count, base.stats.spmv_count);
-        assert_eq!(r.history.len(), base.history.len());
-        for (p, q) in r.history.iter().zip(&base.history) {
-            assert_eq!(p.iteration, q.iteration);
-            assert_eq!(p.rrn.to_bits(), q.rrn.to_bits(), "history");
-        }
-        for (u, v) in r.x.iter().zip(&base.x) {
-            assert_eq!(u.to_bits(), v.to_bits(), "solution");
-        }
-        assert_eq!(r.stats.format_trajectory, base.stats.format_trajectory);
     }
 }

@@ -22,7 +22,7 @@
 //! gap — one solver, every storage backend, no false convergence.
 //!
 //! Many right-hand sides against one operator go through [`block`]:
-//! [`block::block_gmres`] grows **one shared compressed Krylov space**
+//! [`block::block_gmres_with`] grows **one shared compressed Krylov space**
 //! for the whole block — each Arnoldi expansion appends b columns,
 //! orthogonalized in a single decode sweep of the basis via the
 //! multi-vector fused kernels — and batches every operator touch
@@ -40,16 +40,23 @@
 //! an intra-panel CholQR with MGS² fallback. A per-restart
 //! loss-of-orthogonality monitor gates `s` per basis format
 //! ([`basis_format::BasisFormat::max_sstep`]) and shrinks it to 1 on
-//! a breach; at `s = 1` the driver delegates to [`gmres::gmres_with`],
-//! bit for bit.
+//! a breach; at a gated `s = 1` it runs the scalar cycle of
+//! [`gmres::gmres_with`], bit for bit.
 //!
-//! Fault tolerance lives in [`checkpoint`] and [`faults`]: every
-//! driver exposes a `*_controlled` entry that can capture a
-//! [`checkpoint::SolveCheckpoint`] at any restart boundary, halt
-//! there, and later resume **bit-identically** to the uninterrupted
-//! solve; [`faults`] provides the deterministic fault-injection
-//! harness (basis bit-flips, NaN Hessenberg entries) that proves the
-//! detection paths fire.
+//! The scalar, s-step, and adaptive solvers are one restart loop with
+//! three cycle policies, so they share one hooked entry:
+//! [`solve`] takes a [`SolvePlan`] (`Fixed`, `SStep`, or `Adaptive`,
+//! over the option structs the plain entries already take) and
+//! [`SolveHooks`] — a per-cycle telemetry observer, a boundary control
+//! probe, a checkpoint to resume. Fault tolerance lives in
+//! [`checkpoint`] and [`faults`]: the probe receives a
+//! [`checkpoint::SolveCheckpoint`] at every restart boundary and can
+//! halt there, and a later [`solve`] resumes from it
+//! **bit-identically** to the uninterrupted solve (a checkpoint from a
+//! different solve is a typed [`CheckpointError::Mismatch`]);
+//! [`faults`] provides the deterministic fault-injection harness
+//! (basis bit-flips, NaN Hessenberg entries) that proves the detection
+//! paths fire.
 
 #![warn(missing_docs)]
 
@@ -64,26 +71,18 @@ pub mod gmres;
 pub mod precond;
 pub mod sstep;
 
-pub use adaptive::{
-    adaptive_gmres, adaptive_gmres_controlled, adaptive_gmres_observed, AdaptiveOptions,
-};
+pub use adaptive::{adaptive_gmres, AdaptiveOptions};
 pub use basis::Basis;
-pub use basis_format::{
-    auto_basis, gmres_dyn_controlled, gmres_dyn_observed, BasisFormat, ESCALATION_LADDER,
-};
+pub use basis_format::{auto_basis, BasisFormat, ESCALATION_LADDER};
 pub use block::{
-    block_gmres, block_gmres_dyn, block_gmres_dyn_observed, block_gmres_with, BlockBasis,
-    BlockSolveResult,
+    block_gmres_dyn, block_gmres_dyn_observed, block_gmres_with, BlockBasis, BlockSolveResult,
 };
 pub use checkpoint::{CheckpointError, DriverKind, SolveCheckpoint, SolveControl};
 pub use diagnostics::{history_summary, HistorySummary};
 pub use faults::{BasisBitFlip, FaultInjectingStore, FaultPlan, FaultSpec, FaultyFormat};
 pub use gmres::{
-    gmres, gmres_with, gmres_with_controlled, ControlledSolve, CycleEvent, GmresOptions,
-    HistoryPoint, SolveResult, SolveStats,
+    gmres, gmres_with, solve, ControlledSolve, CycleEvent, GmresOptions, HistoryPoint, SolveHooks,
+    SolvePlan, SolveResult, SolveStats,
 };
 pub use precond::{BlockJacobi, Identity, Jacobi, PrecondError, Preconditioner};
-pub use sstep::{
-    loo_budget, sstep_gmres_dyn, sstep_gmres_dyn_controlled, sstep_gmres_dyn_observed,
-    sstep_gmres_with, ControlledSStepSolve, SStepOptions, SStepSolveResult,
-};
+pub use sstep::{loo_budget, sstep_gmres_dyn, sstep_gmres_with, SStepOptions, SStepSolveResult};

@@ -53,26 +53,27 @@
 //! [`BasisFormat::max_sstep`], mirroring the measured
 //! `accuracy_floor` table.
 //!
-//! **`s = 1` delegates.** A requested or gated `s` of 1 routes to the
-//! scalar driver outright — bit-for-bit identical to
-//! [`crate::gmres::gmres_with`] / [`crate::basis_format::gmres_dyn`],
-//! the same contract the block solver keeps at width 1 (and enforced
-//! by the committed bench fingerprints).
+//! **One restart loop.** s-step is a cycle policy of the restart loop
+//! every single-RHS solve shares ([`mod@crate::gmres`]): the panel cycle
+//! and the LOO monitor are all this module adds. A requested or gated
+//! `s` of 1 runs the scalar cycle from the first boundary — bit-for-bit
+//! identical to [`crate::gmres::gmres_with`] /
+//! [`crate::basis_format::gmres_dyn`], the same contract the block
+//! solver keeps at width 1 (and enforced by the committed bench
+//! fingerprints).
 
 use crate::basis::{Basis, TARGET_CHUNK};
 use crate::basis_format::BasisFormat;
 use crate::block::{gather_col, mgs2_block, pack_interleaved};
-use crate::checkpoint::{DriverKind, SolveCheckpoint, SolveControl};
+use crate::checkpoint::{DriverKind, SolveCheckpoint};
 use crate::gmres::{
-    boundary_bookkeeping, boundary_checkpoint, givens, restore_stats, solve_driver_full, Boundary,
-    BoundaryDecision, CycleEvent, CycleOutcome, GmresOptions, HistoryPoint, SolveResult,
-    SolveStats, Workspace,
+    capture_column, finish_cycle, rotate_column, run_cycle, seed_cycle, solve_driver_full,
+    ControlledSolve, CycleOutcome, CyclePolicy, GmresOptions, HistoryPoint, SolveHooks,
+    SolveResult, SolveStats, Workspace,
 };
 use crate::precond::Preconditioner;
 use numfmt::ColumnStorage;
-use spla::dense::{axpy, norm2, scale, sub};
 use spla::SparseMatrix;
-use std::time::Instant;
 
 /// Relative Gram-pivot threshold below which CholQR is abandoned for
 /// the corrective-sweep + MGS² fallback: a pivot this far under the
@@ -105,7 +106,7 @@ pub fn loo_budget(floor: f64, rows: usize) -> f64 {
 #[derive(Clone, Debug)]
 pub struct SStepOptions {
     /// Krylov directions generated per outer step (panel width).
-    /// `1` delegates to the scalar driver bit-for-bit; larger values
+    /// `1` runs the scalar cycle bit-for-bit; larger values
     /// are clamped per basis format by [`BasisFormat::max_sstep`] in
     /// the `dyn` entry points.
     pub s: usize,
@@ -134,10 +135,11 @@ pub struct SStepSolveResult {
     /// scalar solver (convergence from the explicit residual only).
     pub solve: SolveResult,
     /// Panel width used by each executed restart cycle, in order
-    /// (all `1`s for a delegated `s = 1` solve).
+    /// (all `1`s for a gated `s = 1` solve).
     pub s_per_cycle: Vec<usize>,
     /// Measured `max |(QᵀQ − I)_{ab}|` after each `s > 1` cycle, in
-    /// order (empty for a delegated solve — the monitor never runs).
+    /// order (empty for a gated `s = 1` solve — the monitor never
+    /// runs).
     pub loo_per_cycle: Vec<f64>,
     /// Number of LOO budget breaches (each shrinks `s` to 1; at most 1
     /// per solve since the width never grows back).
@@ -262,9 +264,8 @@ fn trsm_rows(wpanel: &mut [f64], s: usize, n: usize, rfac: &[f64]) {
 /// One s-step restart cycle: panels of `s_cur` matrix-powers
 /// directions, two-stage orthogonalization, Hessenberg recovery, then
 /// the same least-squares update as the scalar [`crate::gmres`] cycle.
-/// The caller owns the explicit-residual boundary (via
-/// [`boundary_bookkeeping`]); only implicit history points are pushed
-/// here.
+/// The restart loop owns the explicit-residual boundary; only implicit
+/// history points are pushed here.
 #[allow(clippy::too_many_arguments)]
 fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
@@ -284,25 +285,8 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
     let n = x.len();
     let m = ws.m;
     let ld = ws.ld;
-    let mut outcome = CycleOutcome {
-        steps: 0,
-        breakdown: false,
-        non_finite: false,
-        last_implicit_rrn: None,
-    };
-
-    // v1 = r / beta, stored compressed (step 1 of Fig. 1).
-    scale(1.0 / beta, &mut ws.r);
-    basis.write(0, &ws.r);
-    let col_bytes = basis.column_bytes() as u64;
-    stats.basis_bytes_written += col_bytes;
-    if opts.capture_basis_at == Some(stats.iterations) && captured.is_none() {
-        let mut cap = vec![0.0; n];
-        basis.read_column(0, &mut cap);
-        *captured = Some(cap);
-    }
-    ws.g.fill(0.0);
-    ws.g[0] = beta;
+    let mut outcome = CycleOutcome::default();
+    let col_bytes = seed_cycle(basis, ws, beta, opts, stats, captured);
     // The recovery recurrence consumes raw (unrotated) columns of the
     // whole cycle so far; reset per cycle.
     px.hraw.fill(0.0);
@@ -419,7 +403,6 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
                 &mut px.dcol,
             ) {
                 stats.breakdowns += 1;
-                outcome.breakdown = true;
                 break 'outer;
             }
         }
@@ -427,8 +410,6 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
             || px.rfac[..s_eff * s_eff].iter().any(|v| !v.is_finite())
         {
             stats.breakdowns += 1;
-            outcome.breakdown = true;
-            outcome.non_finite = true;
             break 'outer;
         }
 
@@ -479,7 +460,6 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
                     let dvsr = px.rfac[(c - 1) * s_eff + (c - 1)];
                     if dvsr == 0.0 || !dvsr.is_finite() {
                         stats.breakdowns += 1;
-                        outcome.breakdown = true;
                         break 'outer;
                     }
                     let inv = 1.0 / dvsr;
@@ -489,8 +469,6 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
                 }
                 if col.iter().any(|v| !v.is_finite()) {
                     stats.breakdowns += 1;
-                    outcome.breakdown = true;
-                    outcome.non_finite = true;
                     break 'outer;
                 }
             }
@@ -498,32 +476,8 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
 
             // Givens least-squares recurrence, identical to the scalar
             // cycle's step 16.
-            for (row, &hv) in px.pvec[..jc + 2].iter().enumerate() {
-                ws.hess[jc * ld + row] = hv;
-            }
-            for i in 0..jc {
-                let (hi, hi1) = (ws.hess[jc * ld + i], ws.hess[jc * ld + i + 1]);
-                ws.hess[jc * ld + i] = ws.cs[i] * hi + ws.sn[i] * hi1;
-                ws.hess[jc * ld + i + 1] = -ws.sn[i] * hi + ws.cs[i] * hi1;
-            }
-            let (cg, sg) = givens(ws.hess[jc * ld + jc], ws.hess[jc * ld + jc + 1]);
-            ws.cs[jc] = cg;
-            ws.sn[jc] = sg;
-            ws.hess[jc * ld + jc] = cg * ws.hess[jc * ld + jc] + sg * ws.hess[jc * ld + jc + 1];
-            ws.hess[jc * ld + jc + 1] = 0.0;
-            ws.g[jc + 1] = -sg * ws.g[jc];
-            ws.g[jc] *= cg;
-
-            stats.iterations += 1;
-            let implicit_rrn = ws.g[jc + 1].abs() / bnorm;
-            outcome.last_implicit_rrn = Some(implicit_rrn);
-            if opts.record_history {
-                history.push(HistoryPoint {
-                    iteration: stats.iterations,
-                    rrn: implicit_rrn,
-                    explicit: false,
-                });
-            }
+            ws.hess[jc * ld..jc * ld + jc + 2].copy_from_slice(&px.pvec[..jc + 2]);
+            let implicit_rrn = rotate_column(ws, jc, bnorm, opts, stats, history, &mut outcome);
             j = jc + 1;
 
             // The implicit estimate reaching the target only ENDS THE
@@ -540,34 +494,11 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
             gather_col(&px.wpanel[..n * s_eff], s_eff, c, &mut ws.w);
             basis.write(jc + 1, &ws.w);
             stats.basis_bytes_written += col_bytes;
-            if opts.capture_basis_at == Some(stats.iterations) && captured.is_none() {
-                let mut cap = vec![0.0; n];
-                basis.read_column(jc + 1, &mut cap);
-                *captured = Some(cap);
-            }
+            capture_column(basis, jc + 1, opts, stats, captured);
         }
     }
     outcome.steps = j;
-
-    // Least-squares solve + solution update, identical to the scalar
-    // cycle's step 17.
-    if j >= 1 {
-        let y = &mut ws.y[..j];
-        for i in (0..j).rev() {
-            let mut acc = ws.g[i];
-            for (kk, yk) in y.iter().enumerate().skip(i + 1) {
-                acc -= ws.hess[kk * ld + i] * yk;
-            }
-            let d = ws.hess[i * ld + i];
-            y[i] = if d != 0.0 { acc / d } else { 0.0 };
-        }
-        basis.combine(&ws.y[..j], &mut ws.z);
-        stats.basis_bytes_read += j as u64 * col_bytes;
-        stats.basis_gemv_sweeps += 1;
-        precond.apply(&ws.z, &mut ws.vj);
-        axpy(1.0, &ws.vj, x);
-    }
-    stats.restarts += 1;
+    finish_cycle(basis, precond, ws, x, j, col_bytes, stats);
     outcome
 }
 
@@ -601,249 +532,142 @@ fn measure_loo<S: ColumnStorage>(
     worst
 }
 
-/// A [`SStepSolveResult`] plus whether a boundary control probe halted
-/// the solve before its natural end (same contract as
-/// [`crate::gmres::ControlledSolve`]).
-#[derive(Clone, Debug)]
-pub struct ControlledSStepSolve {
-    /// The solve outcome up to the halt (or the full outcome).
-    pub result: SStepSolveResult,
-    /// `true` when the control probe returned [`SolveControl::Halt`].
-    pub halted: bool,
+/// The s-step cycle policy: panel cycles of width `s_cur` followed by
+/// the LOO monitor, which shrinks the width to 1 for the rest of the
+/// solve on a breach (the remaining cycles keep the panel cycle, at
+/// width 1). A gated width of 1 runs the scalar cycle from the first
+/// boundary — bit-for-bit [`crate::gmres::gmres_with`] — while its
+/// checkpoints still carry the s-step identity.
+pub(crate) struct PanelPolicy {
+    /// Panel width admitted for this solve (request clamped by the
+    /// format gate); `px` is sized for it.
+    gated: usize,
+    /// Panel width of the next cycle.
+    s_cur: usize,
+    /// LOO budget a measured cycle must stay within.
+    budget: f64,
+    /// Panel scratch (`None` at a gated width of 1).
+    px: Option<PanelScratch>,
+    s_per_cycle: Vec<usize>,
+    loo_per_cycle: Vec<f64>,
+    loo_breaches: usize,
 }
 
-/// The s-step driver loop: the same boundary structure as the scalar
-/// [`crate::gmres::gmres_with`] driver (explicit residual → shared
-/// bookkeeping → hook → cycle), with the LOO monitor gating `s`
-/// between cycles. `s_init` arrives pre-gated by the caller;
-/// `s_init == 1` delegates to the scalar driver outright, bit-for-bit.
-/// `control` and `resume` are the fault-tolerance seam shared with
-/// [`solve_driver_full`]: the checkpoint additionally carries the LOO
-/// monitor state (`s_cur`, breach count, per-cycle widths and
-/// measures) so a resumed solve reproduces the gating schedule.
+impl PanelPolicy {
+    fn new(rows: usize, m: usize, gated: usize, budget: f64) -> Self {
+        PanelPolicy {
+            gated,
+            s_cur: gated,
+            budget,
+            px: (gated > 1).then(|| PanelScratch::new(rows, m, gated)),
+            s_per_cycle: Vec::new(),
+            loo_per_cycle: Vec::new(),
+            loo_breaches: 0,
+        }
+    }
+
+    /// Attach the panel-width trajectory to the finished solve.
+    pub(crate) fn into_result(self, solve: SolveResult) -> SStepSolveResult {
+        SStepSolveResult {
+            solve,
+            s_per_cycle: self.s_per_cycle,
+            loo_per_cycle: self.loo_per_cycle,
+            loo_breaches: self.loo_breaches,
+        }
+    }
+}
+
+impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
+    const DRIVER: DriverKind = DriverKind::SStep;
+
+    fn cycle<P: Preconditioner, A: SparseMatrix + ?Sized>(
+        &mut self,
+        a: &A,
+        precond: &P,
+        opts: &GmresOptions,
+        basis: &mut Basis<S>,
+        ws: &mut Workspace,
+        x: &mut [f64],
+        beta: f64,
+        bnorm: f64,
+        stats: &mut SolveStats,
+        history: &mut Vec<HistoryPoint>,
+        captured: &mut Option<Vec<f64>>,
+    ) -> CycleOutcome {
+        self.s_per_cycle.push(self.s_cur);
+        let Some(px) = self.px.as_mut() else {
+            return run_cycle(
+                a, precond, opts, basis, ws, x, beta, bnorm, stats, history, captured,
+            );
+        };
+        // Pre-size the shared partial buffer for the widest dots_many
+        // the panel can issue (k ≤ m columns × gated targets) so cycles
+        // never grow it mid-solve.
+        let widest = x.len().div_ceil(TARGET_CHUNK) * (ws.m + 1) * self.gated;
+        if ws.dot_partials.len() < widest {
+            ws.dot_partials.resize(widest, 0.0);
+        }
+        let out = run_sstep_cycle(
+            a, precond, opts, basis, ws, px, x, beta, bnorm, stats, history, captured, self.s_cur,
+        );
+        // LOO monitor: measure the cycle's recorded columns through the
+        // store; one breach shrinks s to 1 for the rest of the solve.
+        if self.s_cur > 1 && out.steps > 0 {
+            let loo = measure_loo(basis, out.steps, ws, px, stats);
+            self.loo_per_cycle.push(loo);
+            // NaN counts as a breach: a non-finite measure means the
+            // stored columns are unusable for a wide panel.
+            if loo.is_nan() || loo > self.budget {
+                self.s_cur = 1;
+                self.loo_breaches += 1;
+            }
+        }
+        out
+    }
+
+    fn capture(&self, cp: &mut SolveCheckpoint) {
+        cp.s_cur = self.s_cur;
+        cp.loo_breaches = self.loo_breaches;
+        cp.s_per_cycle = self.s_per_cycle.clone();
+        cp.loo_per_cycle = self.loo_per_cycle.clone();
+    }
+
+    fn restore(&mut self, cp: &SolveCheckpoint) {
+        self.s_cur = cp.s_cur;
+        self.loo_breaches = cp.loo_breaches;
+        self.s_per_cycle = cp.s_per_cycle.clone();
+        self.loo_per_cycle = cp.loo_per_cycle.clone();
+    }
+}
+
+/// Run the one restart loop over `store` under a [`PanelPolicy`] of
+/// width `gated`, whose LOO budget is the `sopts` override or the one
+/// the storage accuracy `floor` implies.
 #[allow(clippy::too_many_arguments)]
-fn sstep_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
+fn panel_solve<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
     x0: &[f64],
     sopts: &SStepOptions,
     precond: &P,
-    basis: Basis<S>,
-    budget: f64,
-    s_init: usize,
-    on_boundary: impl FnMut(&Boundary, &mut Basis<S>, &mut SolveStats),
-    mut control: Option<&mut dyn FnMut(&mut SolveCheckpoint) -> SolveControl>,
-    resume: Option<&SolveCheckpoint>,
-) -> ControlledSStepSolve {
-    let opts = &sopts.gmres;
-    if s_init <= 1 {
-        let inner = match control {
-            Some(c) => {
-                // Stamp the s-step identity on the scalar capture so a
-                // delegated checkpoint resumes through this driver.
-                let mut wrap = |cp: &mut SolveCheckpoint| {
-                    cp.driver = DriverKind::SStep;
-                    cp.s_cur = 1;
-                    cp.s_per_cycle = vec![1; cp.restarts];
-                    c(cp)
-                };
-                solve_driver_full(
-                    a,
-                    b,
-                    x0,
-                    opts,
-                    precond,
-                    basis,
-                    on_boundary,
-                    Some(&mut wrap),
-                    resume,
-                )
-            }
-            None => solve_driver_full(a, b, x0, opts, precond, basis, on_boundary, None, resume),
-        };
-        let cycles = inner.result.stats.restarts;
-        return ControlledSStepSolve {
-            result: SStepSolveResult {
-                solve: inner.result,
-                s_per_cycle: vec![1; cycles],
-                loo_per_cycle: Vec::new(),
-                loo_breaches: 0,
-            },
-            halted: inner.halted,
-        };
-    }
-    let mut on_boundary = on_boundary;
+    store: S,
+    gated: usize,
+    floor: f64,
+    hooks: SolveHooks<'_>,
+) -> (ControlledSolve, PanelPolicy) {
+    let budget = sopts
+        .loo_budget
+        .unwrap_or_else(|| loo_budget(floor, a.rows()));
+    let mut policy = PanelPolicy::new(a.rows(), sopts.gmres.restart, gated, budget);
+    let basis = Basis::from_store(store);
+    let done = solve_driver_full(a, b, x0, &sopts.gmres, precond, basis, &mut policy, hooks);
+    (done, policy)
+}
 
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "GMRES needs a square matrix");
-    assert_eq!(b.len(), n);
-    assert_eq!(x0.len(), n);
-    assert!(opts.restart >= 1);
-    let m = opts.restart;
-    let mut basis = basis;
-
-    let start = Instant::now();
-    let mut stats = SolveStats::default();
-    let mut history = Vec::new();
-    let mut captured: Option<Vec<f64>> = None;
-    let mut s_per_cycle = Vec::new();
-    let mut loo_per_cycle = Vec::new();
-    let mut loo_breaches = 0usize;
-    stats.format = basis.format_name();
-
-    let bnorm = norm2(b);
-    if bnorm == 0.0 {
-        stats.converged = true;
-        stats.final_rrn = 0.0;
-        stats.wall_time = start.elapsed();
-        return ControlledSStepSolve {
-            result: SStepSolveResult {
-                solve: SolveResult {
-                    x: vec![0.0; n],
-                    stats,
-                    history,
-                    captured_basis_vector: None,
-                },
-                s_per_cycle,
-                loo_per_cycle,
-                loo_breaches,
-            },
-            halted: false,
-        };
-    }
-
-    let mut x = x0.to_vec();
-    let mut ws = Workspace::new(n, m);
-    // Pre-size the shared partial buffer for the widest dots_many the
-    // panel can issue (k ≤ m columns × s_init targets) so cycles never
-    // grow it mid-solve.
-    let max_chunks = n.div_ceil(TARGET_CHUNK);
-    ws.dot_partials.resize(max_chunks * (m + 1) * s_init, 0.0);
-    let mut px = PanelScratch::new(n, m, s_init);
-    let mut s_cur = s_init;
-    let mut prev_explicit_rrn: Option<f64> = None;
-    let mut last_implicit_rrn: Option<f64> = None;
-    let mut replay = false;
-    if let Some(cp) = resume {
-        assert_eq!(
-            cp.x.len(),
-            n,
-            "checkpoint dimension does not match the operator"
-        );
-        x.copy_from_slice(&cp.x);
-        restore_stats(&mut stats, cp);
-        history = cp.history.clone();
-        s_cur = cp.s_cur;
-        loo_breaches = cp.loo_breaches;
-        s_per_cycle = cp.s_per_cycle.clone();
-        loo_per_cycle = cp.loo_per_cycle.clone();
-        replay = true;
-    }
-    let mut halted = false;
-
-    loop {
-        let beta;
-        let rrn;
-        if replay {
-            replay = false;
-            // Replay of the capture-time boundary: recompute the
-            // residual the checkpoint measured (its spmv is already in
-            // the restored counters) and skip the bookkeeping and hook
-            // that ran before capture.
-            a.spmv(&x, &mut ws.w);
-            sub(b, &ws.w, &mut ws.r);
-            beta = norm2(&ws.r);
-            rrn = beta / bnorm;
-        } else {
-            beta = ws.explicit_residual(a, b, &x, &mut stats);
-            rrn = beta / bnorm;
-            match boundary_bookkeeping(rrn, opts, &mut stats, &mut history) {
-                BoundaryDecision::Converged | BoundaryDecision::Terminal => break,
-                BoundaryDecision::Continue => {}
-            }
-
-            on_boundary(
-                &Boundary {
-                    explicit_rrn: rrn,
-                    prev_explicit_rrn,
-                    last_implicit_rrn,
-                },
-                &mut basis,
-                &mut stats,
-            );
-        }
-
-        if let Some(ctrl) = control.as_mut() {
-            let mut cp = boundary_checkpoint(rrn, &x, &stats, &history, &basis);
-            cp.driver = DriverKind::SStep;
-            cp.s_cur = s_cur;
-            cp.loo_breaches = loo_breaches;
-            cp.s_per_cycle = s_per_cycle.clone();
-            cp.loo_per_cycle = loo_per_cycle.clone();
-            if matches!(ctrl(&mut cp), SolveControl::Halt) {
-                halted = true;
-                break;
-            }
-        }
-
-        stats.format_trajectory.push(basis.format_name());
-        s_per_cycle.push(s_cur);
-        let out = run_sstep_cycle(
-            a,
-            precond,
-            opts,
-            &mut basis,
-            &mut ws,
-            &mut px,
-            &mut x,
-            beta,
-            bnorm,
-            &mut stats,
-            &mut history,
-            &mut captured,
-            s_cur,
-        );
-
-        // LOO monitor: measure the cycle's recorded columns through the
-        // store; one breach shrinks s to 1 for the rest of the solve.
-        if s_cur > 1 && out.steps > 0 {
-            let loo = measure_loo(&basis, out.steps, &mut ws, &mut px, &mut stats);
-            loo_per_cycle.push(loo);
-            // NaN counts as a breach: a non-finite measure means the
-            // stored columns are unusable for a wide panel.
-            if loo.is_nan() || loo > budget {
-                s_cur = 1;
-                loo_breaches += 1;
-            }
-        }
-
-        if out.steps == 0 {
-            break;
-        }
-        prev_explicit_rrn = Some(rrn);
-        last_implicit_rrn = out.last_implicit_rrn;
-    }
-
-    stats.basis_bits_per_value = if n > 0 {
-        basis.column_bytes() as f64 * 8.0 / n as f64
-    } else {
-        0.0
-    };
-    stats.wall_time = start.elapsed();
-    ControlledSStepSolve {
-        result: SStepSolveResult {
-            solve: SolveResult {
-                x,
-                stats,
-                history,
-                captured_basis_vector: captured,
-            },
-            s_per_cycle,
-            loo_per_cycle,
-            loo_breaches,
-        },
-        halted,
-    }
+/// The panel width an s-step solve over `format` runs at: the request
+/// clamped (at least 1) by [`BasisFormat::max_sstep`].
+pub(crate) fn gated_width(format: &dyn BasisFormat, sopts: &SStepOptions) -> usize {
+    sopts.s.max(1).min(format.max_sstep().max(1))
 }
 
 /// s-step CB-GMRES with an explicit basis-store factory (the s-step
@@ -860,31 +684,20 @@ pub fn sstep_gmres_with<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
     precond: &P,
     make_store: impl FnOnce(usize, usize) -> S,
 ) -> SStepSolveResult {
-    let basis = Basis::from_store(make_store(a.rows(), sopts.gmres.restart + 1));
-    let budget = sopts
-        .loo_budget
-        .unwrap_or_else(|| loo_budget(f64::powi(2.0, -52), a.rows()));
-    sstep_driver(
-        a,
-        b,
-        x0,
-        sopts,
-        precond,
-        basis,
-        budget,
-        sopts.s.max(1),
-        |_, _, _| {},
-        None,
-        None,
-    )
-    .result
+    let store = make_store(a.rows(), sopts.gmres.restart + 1);
+    let (s, exact) = (sopts.s.max(1), f64::powi(2.0, -52));
+    let hooks = SolveHooks::default();
+    let (done, policy) = panel_solve(a, b, x0, sopts, precond, store, s, exact, hooks);
+    policy.into_result(done.result)
 }
 
 /// s-step CB-GMRES over a runtime-selected basis format: `s` is gated
 /// at [`BasisFormat::max_sstep`] and the LOO budget derives from the
 /// format's [`BasisFormat::accuracy_floor`] (unless overridden). A
 /// requested or gated `s` of 1 is bit-for-bit
-/// [`crate::basis_format::gmres_dyn`].
+/// [`crate::basis_format::gmres_dyn`]. Observed, controlled, and
+/// resumed s-step solves go through [`crate::solve`] with
+/// [`crate::SolvePlan::SStep`].
 pub fn sstep_gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
@@ -893,106 +706,32 @@ pub fn sstep_gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     precond: &P,
     format: &dyn BasisFormat,
 ) -> SStepSolveResult {
-    sstep_gmres_dyn_observed(a, b, x0, sopts, precond, format, |_| {})
+    let (done, policy) = sstep_dyn(a, b, x0, sopts, precond, format, SolveHooks::default());
+    policy.into_result(done.result)
 }
 
-/// [`sstep_gmres_dyn`] with the per-cycle telemetry observer of
-/// [`crate::basis_format::gmres_dyn_observed`]: one [`CycleEvent`] per
-/// executed restart cycle, emitted before the cycle runs. The observer
-/// cannot influence the solve.
-pub fn sstep_gmres_dyn_observed<P: Preconditioner, A: SparseMatrix + ?Sized>(
+/// [`sstep_gmres_dyn`] under `hooks` (the [`crate::SolvePlan::SStep`]
+/// arm of [`crate::solve`]), returning the policy with its panel-width
+/// trajectory alongside the solve.
+pub(crate) fn sstep_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
     x0: &[f64],
     sopts: &SStepOptions,
     precond: &P,
     format: &dyn BasisFormat,
-    observe: impl FnMut(&CycleEvent),
-) -> SStepSolveResult {
-    sstep_gmres_dyn_controlled(a, b, x0, sopts, precond, format, None, None, observe).result
-}
-
-/// [`sstep_gmres_dyn_observed`] plus the fault-tolerance seam: capture
-/// checkpoints and/or halt at restart boundaries through `control`,
-/// and resume bit-identically from `resume` (see
-/// [`crate::gmres::gmres_with_controlled`] for the contract).
-///
-/// s-step extras in the checkpoint: the current panel width `s_cur`,
-/// the breach count, and the per-cycle width/LOO records, so a solve
-/// resumed after a mid-run LOO breach stays shrunk exactly where the
-/// uninterrupted solve would. Panics if the checkpoint came from a
-/// different driver or a different basis format.
-#[allow(clippy::too_many_arguments)]
-pub fn sstep_gmres_dyn_controlled<P: Preconditioner, A: SparseMatrix + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    sopts: &SStepOptions,
-    precond: &P,
-    format: &dyn BasisFormat,
-    resume: Option<&SolveCheckpoint>,
-    control: Option<&mut dyn FnMut(&SolveCheckpoint) -> SolveControl>,
-    mut observe: impl FnMut(&CycleEvent),
-) -> ControlledSStepSolve {
-    let basis = Basis::from_store(format.create(a.rows(), sopts.gmres.restart + 1));
-    if let Some(cp) = resume {
-        assert_eq!(
-            cp.driver,
-            DriverKind::SStep,
-            "a {:?} checkpoint cannot resume the s-step driver",
-            cp.driver
-        );
-        assert_eq!(
-            cp.format,
-            basis.format_name(),
-            "checkpoint format must match the solve format"
-        );
-    }
-    let gated = sopts.s.max(1).min(format.max_sstep().max(1));
-    let budget = sopts
-        .loo_budget
-        .unwrap_or_else(|| loo_budget(format.accuracy_floor(), a.rows()));
-    match control {
-        Some(c) => {
-            let mut wrap = |cp: &mut SolveCheckpoint| c(cp);
-            sstep_driver(
-                a,
-                b,
-                x0,
-                sopts,
-                precond,
-                basis,
-                budget,
-                gated,
-                |boundary, basis, stats| {
-                    observe(&CycleEvent::at_boundary(boundary, basis, stats));
-                },
-                Some(&mut wrap),
-                resume,
-            )
-        }
-        None => sstep_driver(
-            a,
-            b,
-            x0,
-            sopts,
-            precond,
-            basis,
-            budget,
-            gated,
-            |boundary, basis, stats| {
-                observe(&CycleEvent::at_boundary(boundary, basis, stats));
-            },
-            None,
-            resume,
-        ),
-    }
+    hooks: SolveHooks<'_>,
+) -> (ControlledSolve, PanelPolicy) {
+    let store = format.create(a.rows(), sopts.gmres.restart + 1);
+    let (gated, floor) = (gated_width(format, sopts), format.accuracy_floor());
+    panel_solve(a, b, x0, sopts, precond, store, gated, floor, hooks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::basis_format::by_name;
+    use crate::checkpoint::SolveControl;
     use crate::gmres::gmres_with;
     use crate::precond::{Identity, Jacobi};
     use frsz2::{Frsz2Config, Frsz2Store};
@@ -1263,38 +1002,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn observed_matches_unobserved_and_reports_cycles() {
-        let (a, b, x0) = test_system();
-        let sopts = SStepOptions {
-            s: 4,
-            loo_budget: None,
-            gmres: GmresOptions {
-                restart: 20,
-                target_rrn: 1e-8,
-                max_iters: 3000,
-                ..GmresOptions::default()
-            },
-        };
-        let fmt = by_name("frsz2_32").unwrap();
-        let mut events = Vec::new();
-        let observed =
-            sstep_gmres_dyn_observed(&a, &b, &x0, &sopts, &Identity, fmt.as_ref(), |e| {
-                events.push(e.clone())
-            });
-        let plain = sstep_gmres_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref());
-        assert!(observed.solve.stats.converged);
-        assert_eq!(
-            observed.solve.stats.iterations,
-            plain.solve.stats.iterations
-        );
-        for (u, v) in observed.solve.x.iter().zip(&plain.solve.x) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-        assert_eq!(events.len(), observed.solve.stats.restarts);
-        assert!(events.iter().all(|e| e.format == "frsz2_32"));
-    }
-
     /// Halt the wide s-step solve mid-run, resume from the captured
     /// checkpoint, and require the stitched run to reproduce the
     /// uninterrupted solve bit for bit — panel-width schedule included.
@@ -1328,17 +1035,11 @@ mod tests {
                 SolveControl::Continue
             }
         };
-        let first = sstep_gmres_dyn_controlled(
-            &a,
-            &b,
-            &x0,
-            &sopts,
-            &Identity,
-            fmt.as_ref(),
-            None,
-            Some(&mut probe),
-            |_| {},
-        );
+        let hooks = SolveHooks {
+            control: Some(&mut probe),
+            ..SolveHooks::default()
+        };
+        let (first, _) = sstep_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref(), hooks);
         assert!(first.halted);
         let cp = taken.expect("checkpoint captured at halt");
         assert_eq!(cp.driver, DriverKind::SStep);
@@ -1348,19 +1049,14 @@ mod tests {
         let bytes = cp.encode(None);
         let cp = SolveCheckpoint::decode(&bytes, None).expect("decode");
 
-        let resumed = sstep_gmres_dyn_controlled(
-            &a,
-            &b,
-            &vec![0.0; a.rows()],
-            &sopts,
-            &Identity,
-            fmt.as_ref(),
-            Some(&cp),
-            None,
-            |_| {},
-        );
+        let hooks = SolveHooks {
+            resume: Some(&cp),
+            ..SolveHooks::default()
+        };
+        let zeros = vec![0.0; a.rows()];
+        let (resumed, policy) = sstep_dyn(&a, &b, &zeros, &sopts, &Identity, fmt.as_ref(), hooks);
         assert!(!resumed.halted);
-        let r = resumed.result;
+        let r = policy.into_result(resumed.result);
         assert!(r.solve.stats.converged);
         assert_eq!(r.s_per_cycle, base.s_per_cycle);
         assert_eq!(r.loo_breaches, base.loo_breaches);

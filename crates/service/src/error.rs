@@ -5,7 +5,7 @@
 //! here, never a panic: a service survives a bad job; a library call
 //! may not.
 
-use krylov::{PrecondError, SolveCheckpoint};
+use krylov::{CheckpointError, PrecondError, SolveCheckpoint};
 
 /// Why the service refused a registration or a solve job.
 ///
@@ -84,6 +84,18 @@ pub enum ServiceError {
         /// The solve's state at the boundary where it halted.
         checkpoint: Box<SolveCheckpoint>,
     },
+    /// The job's [`JobSpec::resume`] checkpoint was captured by a
+    /// different solve (another dimension, driver, or basis format).
+    /// Refused before admission and never retried: no attempt can
+    /// resume it.
+    ///
+    /// [`JobSpec::resume`]: crate::JobSpec::resume
+    CheckpointMismatch {
+        /// Operator the job targeted.
+        operator: String,
+        /// What does not match.
+        source: CheckpointError,
+    },
     /// The job's solve panicked (every attempt, if retries were
     /// configured). The panic was caught at the job boundary — other
     /// jobs in the batch, and the service itself, are unaffected.
@@ -155,6 +167,12 @@ impl std::fmt::Display for ServiceError {
                  boundary {} (relative residual {:.3e}; resume from the attached checkpoint)",
                 checkpoint.restarts, checkpoint.explicit_rrn
             ),
+            ServiceError::CheckpointMismatch { operator, source } => {
+                write!(
+                    f,
+                    "job on {operator:?} cannot resume its checkpoint: {source}"
+                )
+            }
             ServiceError::JobPanicked {
                 operator,
                 attempts,
@@ -171,6 +189,7 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::PrecondFailed { source, .. } => Some(source),
+            ServiceError::CheckpointMismatch { source, .. } => Some(source),
             _ => None,
         }
     }

@@ -114,8 +114,8 @@ pub struct JobSpec {
     pub threads: usize,
     /// Krylov directions generated per outer step (the s-step panel
     /// width). `1` (the default) runs the scalar driver; larger values
-    /// route `Fixed`/`Auto` jobs through
-    /// [`krylov::sstep_gmres_dyn_observed`], which clamps the request
+    /// route `Fixed`/`Auto` jobs through [`krylov::solve`]'s
+    /// [`krylov::SolvePlan::SStep`] driver, which clamps the request
     /// per basis format
     /// ([`krylov::BasisFormat::max_sstep`](krylov::basis_format::BasisFormat::max_sstep))
     /// and shrinks to 1 on a loss-of-orthogonality breach.
@@ -136,9 +136,11 @@ pub struct JobSpec {
     /// runs exactly one attempt.
     pub retry: Option<RetryPolicy>,
     /// Resume a previous solve from its checkpoint instead of starting
-    /// fresh. The checkpoint's driver kind and basis format must match
-    /// what this spec resolves to (same `basis`/`sstep`/`opts`); the
-    /// resumed solve is bit-identical to the uninterrupted one. A
+    /// fresh. The checkpoint's dimension, driver kind, and basis format
+    /// must match what this spec resolves to (same `basis`/`sstep`/
+    /// `opts`) — otherwise the job fails with
+    /// [`crate::ServiceError::CheckpointMismatch`]; the resumed solve
+    /// is bit-identical to the uninterrupted one. A
     /// retry that escalates away from the checkpoint's format starts
     /// that attempt fresh — the checkpoint's compressed trajectory
     /// belongs to the old format.

@@ -21,7 +21,7 @@
 //!    sweep of the compressed basis is amortized over the whole block.
 //! 3. **Observe** per-cycle telemetry — explicit residual, basis format
 //!    in effect, compressed-basis traffic — through a callback
-//!    ([`SolverService::run_batch_observed`]) or an `mpsc` channel
+//!    ([`SolverService::solve_report_observed`]) or an `mpsc` channel
 //!    ([`SolverService::run_batch_streaming`]).
 //!
 //! # Determinism under concurrency

@@ -6,9 +6,8 @@ use crate::job::{BasisSelection, BlockJobSpec, JobEvent, JobReport, JobSpec, Rhs
 use crate::operator::{AnalyzedOperator, OperatorInfo, PrecondSpec};
 use krylov::basis_format::{self, BasisFormat};
 use krylov::{
-    adaptive_gmres_controlled, adaptive_gmres_observed, block_gmres_dyn_observed,
-    gmres_dyn_controlled, sstep_gmres_dyn_controlled, AdaptiveOptions, BlockSolveResult,
-    CycleEvent, FaultPlan, FaultyFormat, GmresOptions, SStepOptions, SolveCheckpoint, SolveControl,
+    block_gmres_dyn_observed, AdaptiveOptions, BlockSolveResult, CycleEvent, FaultPlan,
+    FaultyFormat, GmresOptions, SStepOptions, SolveCheckpoint, SolveControl, SolveHooks, SolvePlan,
     SolveResult,
 };
 use spla::Csr;
@@ -66,6 +65,53 @@ pub fn estimated_basis_bytes(
         0
     };
     column * (restart as u64 + 1) * width as u64 + panel
+}
+
+/// Resolve a job's basis selection to a registry format (`None` for
+/// the adaptive driver) before anything touches the budget, so every
+/// rejection is typed.
+fn resolve_format(
+    basis: &BasisSelection,
+    opts: &GmresOptions,
+    rows: usize,
+) -> Result<Option<Box<dyn BasisFormat>>, ServiceError> {
+    Ok(match basis {
+        BasisSelection::Fixed(name) => Some(
+            basis_format::by_name(name).ok_or_else(|| ServiceError::UnknownFormat(name.clone()))?,
+        ),
+        BasisSelection::Auto => Some(krylov::auto_basis(opts.target_rrn, rows, opts.restart)),
+        BasisSelection::Adaptive => None,
+    })
+}
+
+/// The option structs a job's [`SolvePlan`] borrows, built from its
+/// solver options and s-step width.
+fn plan_options(opts: &GmresOptions, sstep: usize) -> (SStepOptions, AdaptiveOptions) {
+    let sopts = SStepOptions {
+        s: sstep,
+        loo_budget: None,
+        gmres: opts.clone(),
+    };
+    let aopts = AdaptiveOptions {
+        gmres: opts.clone(),
+        ..AdaptiveOptions::default()
+    };
+    (sopts, aopts)
+}
+
+/// The plan a job runs: the adaptive driver when no format is fixed
+/// (it owns its own cycle policy and ignores the s-step knob), the
+/// s-step driver for `sstep > 1`, the scalar driver otherwise.
+fn job_plan<'a>(
+    format: Option<&'a dyn BasisFormat>,
+    sopts: &'a SStepOptions,
+    aopts: &'a AdaptiveOptions,
+) -> SolvePlan<'a> {
+    match format {
+        Some(f) if sopts.s > 1 => SolvePlan::SStep(f, sopts),
+        Some(f) => SolvePlan::Fixed(f, &sopts.gmres),
+        None => SolvePlan::Adaptive(aopts),
+    }
 }
 
 /// Worst-case basis reservation of an adaptive job: the escalation
@@ -192,13 +238,6 @@ impl SolverService {
 
     /// Run one job to completion on the calling thread (under the job's
     /// own thread pool), without telemetry.
-    pub fn solve(&self, spec: &JobSpec) -> Result<SolveResult, ServiceError> {
-        self.solve_observed(spec, |_| {})
-    }
-
-    /// Run one job to completion, streaming a [`CycleEvent`] to
-    /// `observe` at every restart boundary. The observer is a pure
-    /// spectator: observed and unobserved runs are bit-identical.
     ///
     /// The job is admitted against the basis budget first (a typed
     /// [`ServiceError::BudgetExceeded`] instead of an allocation
@@ -207,12 +246,8 @@ impl SolverService {
     /// the result independent of that thread count, which is what lets
     /// [`SolverService::run_batch`] check concurrent jobs against
     /// sequential reference runs.
-    pub fn solve_observed(
-        &self,
-        spec: &JobSpec,
-        observe: impl FnMut(&CycleEvent),
-    ) -> Result<SolveResult, ServiceError> {
-        self.solve_report_observed(spec, observe).map(|r| r.result)
+    pub fn solve(&self, spec: &JobSpec) -> Result<SolveResult, ServiceError> {
+        self.solve_report_observed(spec, |_| {}).map(|r| r.result)
     }
 
     /// [`SolverService::solve`] returning the full [`JobReport`] —
@@ -223,7 +258,9 @@ impl SolverService {
     }
 
     /// The fault-tolerant solve path: every `solve*` entry funnels
-    /// here. On top of the plain solve it implements
+    /// here, streaming a [`CycleEvent`] to `observe` at every restart
+    /// boundary (a pure spectator: observed and unobserved runs are
+    /// bit-identical). On top of the plain solve it implements
     ///
     /// - **deadlines** ([`JobSpec::deadline`]): checked cooperatively
     ///   at every restart boundary; on breach the solve halts at the
@@ -231,7 +268,10 @@ impl SolverService {
     ///   boundary's [`SolveCheckpoint`] (deadline breaches are never
     ///   retried);
     /// - **resume** ([`JobSpec::resume`]): continue a checkpointed
-    ///   solve bit-identically to the uninterrupted run;
+    ///   solve bit-identically to the uninterrupted run; a checkpoint
+    ///   that does not fit the job (dimension, driver, format) is
+    ///   refused before admission as
+    ///   [`ServiceError::CheckpointMismatch`] and never retried;
     /// - **retry with escalation** ([`JobSpec::retry`]): a
     ///   non-converged attempt (breakdown, stagnation) is retried
     ///   after a bounded exponential backoff with the basis format
@@ -255,41 +295,31 @@ impl SolverService {
     ) -> Result<JobReport, ServiceError> {
         let op = self.operator(&spec.operator)?;
         let rows = op.matrix.rows();
-        for vec in std::iter::once(&spec.b).chain(spec.x0.as_ref()) {
-            if vec.len() != rows {
-                return Err(ServiceError::DimensionMismatch {
-                    operator: spec.operator.clone(),
-                    rows,
-                    got: vec.len(),
-                });
-            }
-        }
-        // Resolve the format (and the reservation it implies) before
-        // touching the budget, so every rejection is typed.
-        let format: Option<Box<dyn BasisFormat>> = match &spec.basis {
-            BasisSelection::Fixed(name) => Some(
-                basis_format::by_name(name)
-                    .ok_or_else(|| ServiceError::UnknownFormat(name.clone()))?,
-            ),
-            BasisSelection::Auto => Some(krylov::auto_basis(
-                spec.opts.target_rrn,
+        let mut lens = std::iter::once(&spec.b).chain(&spec.x0).map(Vec::len);
+        if let Some(got) = lens.find(|&len| len != rows) {
+            return Err(ServiceError::DimensionMismatch {
+                operator: spec.operator.clone(),
                 rows,
-                spec.opts.restart,
-            )),
-            BasisSelection::Adaptive => None,
-        };
+                got,
+            });
+        }
+        let format = resolve_format(&spec.basis, &spec.opts, rows)?;
         let sstep = spec.sstep.max(1);
-        let panel_bytes = if sstep > 1 {
-            2 * 8 * rows as u64 * sstep as u64
-        } else {
-            0
-        };
+        if let Some(cp) = spec.resume.as_deref() {
+            let (sopts, aopts) = plan_options(&spec.opts, sstep);
+            cp.check_resume(rows, &job_plan(format.as_deref(), &sopts, &aopts))
+                .map_err(|source| ServiceError::CheckpointMismatch {
+                    operator: spec.operator.clone(),
+                    source,
+                })?;
+        }
         let requested = match &format {
+            // Retries may escalate all the way to float64: charge the
+            // ladder-top worst case up front (escalation does not change
+            // the panel scratch).
             Some(_) if spec.retry.is_some() => {
-                // Retries may escalate all the way to float64: charge
-                // the ladder-top worst case up front (escalation does
-                // not change the panel scratch).
-                estimated_adaptive_basis_bytes(rows, spec.opts.restart, 1) + panel_bytes
+                let top = basis_format::by_name("float64").expect("float64 is registered");
+                estimated_basis_bytes(top.as_ref(), rows, spec.opts.restart, 1, sstep)
             }
             Some(f) => estimated_basis_bytes(f.as_ref(), rows, spec.opts.restart, 1, sstep),
             // The adaptive driver owns its own cycle policy and ignores
@@ -384,62 +414,24 @@ impl SolverService {
                             _ => SolveControl::Continue,
                         }
                     };
-                    let control: Option<&mut dyn FnMut(&SolveCheckpoint) -> SolveControl> =
-                        if control_armed {
+                    let (sopts, aopts) = plan_options(&opts, sstep);
+                    let hooks = SolveHooks {
+                        observe: Some(&mut observe),
+                        control: if control_armed {
                             Some(&mut probe)
                         } else {
                             None
-                        };
-                    match &attempt_format {
-                        Some(f) if sstep > 1 => {
-                            let r = sstep_gmres_dyn_controlled(
-                                op.matrix.as_ref(),
-                                &spec.b,
-                                x0,
-                                &SStepOptions {
-                                    s: sstep,
-                                    loo_budget: None,
-                                    gmres: opts.clone(),
-                                },
-                                &op.precond,
-                                f.as_ref(),
-                                resume_cp,
-                                control,
-                                &mut observe,
-                            );
-                            (r.result.solve, r.halted)
-                        }
-                        Some(f) => {
-                            let r = gmres_dyn_controlled(
-                                op.matrix.as_ref(),
-                                &spec.b,
-                                x0,
-                                &opts,
-                                &op.precond,
-                                f.as_ref(),
-                                resume_cp,
-                                control,
-                                &mut observe,
-                            );
-                            (r.result, r.halted)
-                        }
-                        None => {
-                            let r = adaptive_gmres_controlled(
-                                op.matrix.as_ref(),
-                                &spec.b,
-                                x0,
-                                &AdaptiveOptions {
-                                    gmres: opts.clone(),
-                                    ..AdaptiveOptions::default()
-                                },
-                                &op.precond,
-                                resume_cp,
-                                control,
-                                &mut observe,
-                            );
-                            (r.result, r.halted)
-                        }
-                    }
+                        },
+                        resume: resume_cp,
+                    };
+                    krylov::solve(
+                        op.matrix.as_ref(),
+                        &spec.b,
+                        x0,
+                        &op.precond,
+                        job_plan(attempt_format.as_deref(), &sopts, &aopts),
+                        hooks,
+                    )
                 })
             }));
 
@@ -459,7 +451,15 @@ impl SolverService {
                         message: panic_message(payload),
                     });
                 }
-                Ok((_, true)) => {
+                // Checked before admission; a retry that escalated
+                // away resumes nothing.
+                Ok(Err(source)) => {
+                    return Err(ServiceError::CheckpointMismatch {
+                        operator: spec.operator.clone(),
+                        source,
+                    });
+                }
+                Ok(Ok(done)) if done.halted => {
                     // Cooperative deadline halt: progress is postponed,
                     // not lost — the checkpoint resumes bit-identically.
                     return Err(ServiceError::DeadlineExceeded {
@@ -470,7 +470,8 @@ impl SolverService {
                         ),
                     });
                 }
-                Ok((result, false)) => {
+                Ok(Ok(done)) => {
+                    let result = done.result;
                     let report = |result| JobReport {
                         result,
                         attempts,
@@ -542,42 +543,23 @@ impl SolverService {
         let op = self.operator(&spec.operator)?;
         let rows = op.matrix.rows();
         let width = spec.rhss.len();
-        if width == 0 {
-            return Err(ServiceError::DimensionMismatch {
-                operator: spec.operator.clone(),
-                rows,
-                got: 0,
-            });
-        }
         let x0_vecs = spec.x0s.as_deref().unwrap_or(&[]);
-        if spec.x0s.is_some() && x0_vecs.len() != width {
-            return Err(ServiceError::DimensionMismatch {
-                operator: spec.operator.clone(),
-                rows,
-                got: x0_vecs.len(),
-            });
-        }
-        for vec in spec.rhss.iter().chain(x0_vecs) {
-            if vec.len() != rows {
-                return Err(ServiceError::DimensionMismatch {
-                    operator: spec.operator.clone(),
-                    rows,
-                    got: vec.len(),
-                });
-            }
-        }
-        let format: Option<Box<dyn BasisFormat>> = match &spec.basis {
-            BasisSelection::Fixed(name) => Some(
-                basis_format::by_name(name)
-                    .ok_or_else(|| ServiceError::UnknownFormat(name.clone()))?,
-            ),
-            BasisSelection::Auto => Some(krylov::auto_basis(
-                spec.opts.target_rrn,
-                rows,
-                spec.opts.restart,
-            )),
-            BasisSelection::Adaptive => None,
+        let mismatch = |got| ServiceError::DimensionMismatch {
+            operator: spec.operator.clone(),
+            rows,
+            got,
         };
+        if width == 0 {
+            return Err(mismatch(0));
+        }
+        if spec.x0s.is_some() && x0_vecs.len() != width {
+            return Err(mismatch(x0_vecs.len()));
+        }
+        let mut lens = spec.rhss.iter().chain(x0_vecs).map(Vec::len);
+        if let Some(got) = lens.find(|&len| len != rows) {
+            return Err(mismatch(got));
+        }
+        let format = resolve_format(&spec.basis, &spec.opts, rows)?;
         let requested = match &format {
             Some(f) => estimated_basis_bytes(f.as_ref(), rows, spec.opts.restart, width, 1),
             None => estimated_adaptive_basis_bytes(rows, spec.opts.restart, width),
@@ -602,6 +584,7 @@ impl SolverService {
             // shared basis cannot express: run them as independent
             // adaptive solves under the one block-sized reservation.
             None => {
+                let (_, aopts) = plan_options(&spec.opts, 1);
                 let zeros = vec![0.0; rows];
                 let mut solutions = Vec::with_capacity(width);
                 let mut stats = Vec::with_capacity(width);
@@ -609,22 +592,26 @@ impl SolverService {
                 let mut operator_sweeps = 0u64;
                 for (rhs, b) in spec.rhss.iter().enumerate() {
                     let x0 = spec.x0s.as_ref().map_or(&zeros[..], |x| &x[rhs]);
-                    let r = adaptive_gmres_observed(
+                    let mut lane_observe = |cycle: &CycleEvent| {
+                        observe(&RhsEvent {
+                            rhs,
+                            cycle: cycle.clone(),
+                        })
+                    };
+                    let hooks = SolveHooks {
+                        observe: Some(&mut lane_observe),
+                        ..SolveHooks::default()
+                    };
+                    let r = krylov::solve(
                         op.matrix.as_ref(),
                         b,
                         x0,
-                        &AdaptiveOptions {
-                            gmres: spec.opts.clone(),
-                            ..AdaptiveOptions::default()
-                        },
                         &op.precond,
-                        |cycle| {
-                            observe(&RhsEvent {
-                                rhs,
-                                cycle: cycle.clone(),
-                            })
-                        },
-                    );
+                        SolvePlan::Adaptive(&aopts),
+                        hooks,
+                    )
+                    .expect("a solve without a checkpoint cannot mismatch one")
+                    .result;
                     operator_sweeps += r.stats.spmv_count;
                     solutions.push(r.x);
                     stats.push(r.stats);
@@ -645,6 +632,11 @@ impl SolverService {
     /// each inside its own [`JobSpec::threads`]-sized pool slice.
     /// Results come back in submission order; each entry is that job's
     /// own outcome (one rejected job does not fail the batch).
+    ///
+    /// A panicking job — whether its solve panicked past the per-job
+    /// isolation or its observer callback panicked — is reported as
+    /// that job's own [`ServiceError::JobPanicked`]; the other jobs
+    /// and the batch are unaffected.
     pub fn run_batch(&self, specs: &[JobSpec]) -> Vec<Result<SolveResult, ServiceError>> {
         self.run_batch_observed(specs, |_| {})
     }
@@ -652,12 +644,7 @@ impl SolverService {
     /// [`SolverService::run_batch`] with telemetry: `on_event` receives
     /// every job's per-cycle [`JobEvent`], interleaved across jobs as
     /// boundaries are reached (events of one job stay in cycle order).
-    ///
-    /// A panicking job — whether its solve panicked past the per-job
-    /// isolation or its observer callback panicked — is reported as
-    /// that job's own [`ServiceError::JobPanicked`]; the other jobs
-    /// and the batch are unaffected.
-    pub fn run_batch_observed(
+    fn run_batch_observed(
         &self,
         specs: &[JobSpec],
         on_event: impl Fn(JobEvent) + Sync,
@@ -669,12 +656,13 @@ impl SolverService {
                 .enumerate()
                 .map(|(job, spec)| {
                     scope.spawn(move || {
-                        self.solve_observed(spec, |cycle| {
+                        self.solve_report_observed(spec, |cycle| {
                             on_event(JobEvent {
                                 job,
                                 cycle: cycle.clone(),
                             })
                         })
+                        .map(|r| r.result)
                     })
                 })
                 .collect();
@@ -1343,6 +1331,68 @@ mod tests {
         let results = service.run_batch(&[batch_member, healthy]);
         assert!(matches!(results[0], Err(ServiceError::JobPanicked { .. })));
         assert!(results[1].as_ref().unwrap().stats.converged);
+    }
+
+    /// A checkpoint from another solve — wrong dimension, wrong driver,
+    /// wrong format, or an adaptive rung the registry does not know —
+    /// is refused as a typed error before admission: no attempt runs
+    /// (the observer never sees a boundary), so retries cannot turn it
+    /// into a string of panics.
+    #[test]
+    fn resume_checkpoint_mismatch_is_typed_and_never_retried() {
+        use crate::job::RetryPolicy;
+        use krylov::{CheckpointError, DriverKind};
+        let (a, b) = smooth();
+        let service = SolverService::with_defaults();
+        service
+            .register_csr("smooth", &a, PrecondSpec::None)
+            .unwrap();
+        let cp = |driver, format: &str, rows: usize| SolveCheckpoint {
+            driver,
+            format: format.into(),
+            x: vec![0.0; rows],
+            ..SolveCheckpoint::default()
+        };
+        let fixed = job("smooth", b.clone(), "frsz2_21", 1e-8);
+        let mut adaptive = JobSpec::new("smooth", b);
+        adaptive.basis = BasisSelection::Adaptive;
+        for (mut spec, checkpoint, expected) in [
+            (
+                fixed.clone(),
+                cp(DriverKind::Scalar, "frsz2_21", 100),
+                "dimension",
+            ),
+            (
+                fixed.clone(),
+                cp(DriverKind::SStep, "frsz2_21", 512),
+                "driver",
+            ),
+            (fixed, cp(DriverKind::Scalar, "float64", 512), "format"),
+            (
+                adaptive,
+                cp(DriverKind::Adaptive, "no_such_format", 512),
+                "format",
+            ),
+        ] {
+            spec.retry = Some(RetryPolicy::quick(2));
+            spec.resume = Some(Box::new(checkpoint));
+            let mut boundaries = 0usize;
+            let err = service
+                .solve_report_observed(&spec, |_| boundaries += 1)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    ServiceError::CheckpointMismatch {
+                        operator,
+                        source: CheckpointError::Mismatch { field, .. },
+                    } if operator == "smooth" && *field == expected
+                ),
+                "expected a {expected} mismatch, got {err:?}"
+            );
+            assert_eq!(boundaries, 0, "{expected}: no attempt may run");
+        }
+        assert_eq!(service.basis_bytes_in_use(), 0);
     }
 
     #[test]

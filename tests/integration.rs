@@ -574,7 +574,7 @@ fn block_solve_end_to_end_per_rhs_convergence_and_width_one_identity() {
 #[test]
 fn checkpoint_round_trip_is_bit_identical_for_every_format() {
     use frsz2_repro::krylov::basis_format::{by_name, names};
-    use frsz2_repro::krylov::{gmres_dyn_controlled, SolveCheckpoint, SolveControl};
+    use frsz2_repro::krylov::{solve, SolveCheckpoint, SolveControl, SolveHooks, SolvePlan};
 
     let a = gen::conv_diff_3d(6, 6, 6, [0.3, 0.2, 0.1], 0.2);
     let (_, b) = manufactured_rhs(&a);
@@ -619,31 +619,21 @@ fn checkpoint_round_trip_is_bit_identical_for_every_format() {
                         SolveControl::Continue
                     }
                 };
-                let first = gmres_dyn_controlled(
-                    &a,
-                    &b,
-                    &x0,
-                    &opts,
-                    &Identity,
-                    fmt.as_ref(),
-                    None,
-                    Some(&mut probe),
-                    |_| {},
-                );
+                let plan = SolvePlan::Fixed(fmt.as_ref(), &opts);
+                let hooks = SolveHooks {
+                    control: Some(&mut probe),
+                    ..SolveHooks::default()
+                };
+                let first = solve(&a, &b, &x0, &Identity, plan, hooks).expect("fresh solve");
                 // ...then resume from the serialized bytes.
                 let bytes = taken.expect("checkpoint captured at halt");
                 let cp = SolveCheckpoint::decode(&bytes, None).expect("checkpoint decodes");
-                let resumed = gmres_dyn_controlled(
-                    &a,
-                    &b,
-                    &vec![0.0; a.rows()],
-                    &opts,
-                    &Identity,
-                    fmt.as_ref(),
-                    Some(&cp),
-                    None,
-                    |_| {},
-                );
+                let hooks = SolveHooks {
+                    resume: Some(&cp),
+                    ..SolveHooks::default()
+                };
+                let zeros = vec![0.0; a.rows()];
+                let resumed = solve(&a, &b, &zeros, &Identity, plan, hooks).expect("same solve");
                 (first, resumed)
             });
             assert!(halted.halted, "{name}/{threads}t: probe must halt");
