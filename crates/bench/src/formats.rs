@@ -25,19 +25,32 @@ pub enum Precond {
     BlockJacobi(BlockJacobi),
 }
 
+type Build = fn(&Csr) -> Precond;
+
 impl Precond {
-    /// Build the named preconditioner from the operator. Accepted
-    /// names: `none` (identity, the paper's §V-C setup), `jacobi`
-    /// (point Jacobi), `block_jacobi` (dense 4×4 diagonal blocks).
-    /// Degenerate rows/blocks degrade gracefully via the infallible
-    /// constructors. Returns `None` for unknown names.
+    /// Every accepted name with its constructor: `none`/`identity` (the
+    /// paper's §V-C setup), `jacobi` (point Jacobi), `block_jacobi`
+    /// (dense 4×4 diagonal blocks). Degenerate rows/blocks degrade
+    /// gracefully via the infallible constructors.
+    const BUILDERS: [(&'static str, Build); 4] = [
+        ("none", |_| Precond::None(Identity)),
+        ("identity", |_| Precond::None(Identity)),
+        ("jacobi", |a| Precond::Jacobi(Jacobi::new(a))),
+        ("block_jacobi", |a| {
+            Precond::BlockJacobi(BlockJacobi::new(a, 4))
+        }),
+    ];
+
+    /// The names [`Precond::parse`] accepts.
+    pub fn names() -> impl Iterator<Item = &'static str> {
+        Self::BUILDERS.iter().map(|(name, _)| *name)
+    }
+
+    /// Build the named preconditioner from the operator. Returns `None`
+    /// for unknown names.
     pub fn parse(name: &str, a: &Csr) -> Option<Precond> {
-        match name {
-            "none" | "identity" => Some(Precond::None(Identity)),
-            "jacobi" => Some(Precond::Jacobi(Jacobi::new(a))),
-            "block_jacobi" => Some(Precond::BlockJacobi(BlockJacobi::new(a, 4))),
-            _ => None,
-        }
+        let (_, build) = Self::BUILDERS.iter().find(|(n, _)| *n == name)?;
+        Some(build(a))
     }
 }
 
@@ -67,10 +80,8 @@ pub enum FormatSpec {
     F32,
     F16,
     BF16,
-    Frsz2 {
-        block_size: u32,
-        bits: u32,
-    },
+    /// FRSZ2 at bit length `l`, in the paper's 32-value blocks.
+    Frsz2(u32),
     /// Table II codec round-trip (by registry name).
     Lossy(String),
     /// Per-block adaptive bit length (`frsz2_ab`): one store, `l`
@@ -93,7 +104,7 @@ impl FormatSpec {
             FormatSpec::F32 => "float32".into(),
             FormatSpec::F16 => "float16".into(),
             FormatSpec::BF16 => "bfloat16".into(),
-            FormatSpec::Frsz2 { bits, .. } => format!("frsz2_{bits}"),
+            FormatSpec::Frsz2(bits) => format!("frsz2_{bits}"),
             FormatSpec::Lossy(n) => n.clone(),
             FormatSpec::Frsz2Adaptive => "frsz2_ab".into(),
             FormatSpec::Adaptive => "adaptive".into(),
@@ -117,10 +128,7 @@ pub fn parse(name: &str) -> Option<FormatSpec> {
     if let Some(bits) = name.strip_prefix("frsz2_") {
         if let Ok(bits) = bits.parse::<u32>() {
             if (2..=64).contains(&bits) {
-                return Some(FormatSpec::Frsz2 {
-                    block_size: 32,
-                    bits,
-                });
+                return Some(FormatSpec::Frsz2(bits));
             }
         }
         return None;
@@ -137,10 +145,7 @@ pub fn standard_formats() -> Vec<FormatSpec> {
         FormatSpec::F64,
         FormatSpec::F32,
         FormatSpec::F16,
-        FormatSpec::Frsz2 {
-            block_size: 32,
-            bits: 32,
-        },
+        FormatSpec::Frsz2(32),
     ]
 }
 
@@ -172,8 +177,8 @@ pub fn solve_precond(
         FormatSpec::F32 => gmres::<DenseStore<f32>, _, _>(a, b, x0, opts, precond),
         FormatSpec::F16 => gmres::<DenseStore<F16>, _, _>(a, b, x0, opts, precond),
         FormatSpec::BF16 => gmres::<DenseStore<BF16>, _, _>(a, b, x0, opts, precond),
-        FormatSpec::Frsz2 { block_size, bits } => {
-            let cfg = Frsz2Config::new(*block_size, *bits);
+        FormatSpec::Frsz2(bits) => {
+            let cfg = Frsz2Config::new(32, *bits);
             gmres_with(a, b, x0, opts, precond, |r, c| {
                 Frsz2Store::with_config(cfg, r, c)
             })
@@ -213,17 +218,8 @@ mod tests {
     fn parse_known_names() {
         assert!(matches!(parse("float64"), Some(FormatSpec::F64)));
         assert!(matches!(parse("float16"), Some(FormatSpec::F16)));
-        assert!(matches!(
-            parse("frsz2_32"),
-            Some(FormatSpec::Frsz2 {
-                block_size: 32,
-                bits: 32
-            })
-        ));
-        assert!(matches!(
-            parse("frsz2_21"),
-            Some(FormatSpec::Frsz2 { bits: 21, .. })
-        ));
+        assert!(matches!(parse("frsz2_32"), Some(FormatSpec::Frsz2(32))));
+        assert!(matches!(parse("frsz2_21"), Some(FormatSpec::Frsz2(21))));
         assert!(matches!(parse("sz3_08"), Some(FormatSpec::Lossy(_))));
         assert!(matches!(parse("zfp_fr_16"), Some(FormatSpec::Lossy(_))));
         assert!(matches!(parse("adaptive"), Some(FormatSpec::Adaptive)));
@@ -252,6 +248,9 @@ mod tests {
             assert!(out.iter().all(|x| x.is_finite()));
         }
         assert!(Precond::parse("ilu", &a).is_none());
+        for name in Precond::names() {
+            assert!(Precond::parse(name, &a).is_some(), "{name}");
+        }
     }
 
     /// The preconditioned path must reach the target in fewer

@@ -1,48 +1,10 @@
-//! Minimal JSON value type, emitter, parser, and the `BENCH_*.json`
-//! schema validator.
+//! Minimal JSON value type, emitter and parser.
 //!
-//! The workspace is fully offline (no serde), so the perf harness
-//! carries its own JSON support. Objects preserve insertion order and
-//! the emitter is deterministic, so the emitted files are
-//! **schema-stable**: the same harness configuration always produces
-//! the same key sequence, making the files diffable across PRs — they
-//! are the perf trajectory CI artifacts are judged against.
-//!
-//! The full schema — every root and per-case key, the case inventory
-//! of all seven suites (`spmv`, `codec`, `solve`, `service`, `block`,
-//! `sstep`, `faults`), and the v1→v8 changelog — lives in
-//! **`docs/bench-schema.md`** at the repository root. That document is
-//! the single source of truth; validator error messages cite it. The
-//! short version:
-//!
-//! ```json
-//! {
-//!   "schema_version": 8,
-//!   "bench": "spmv",                  // suite name
-//!   "quick": false,                   // quick (CI smoke) sizes?
-//!   "threads_available": 8,           // host parallelism at run time
-//!   "config": { "...": "..." },       // suite-specific scalars
-//!   "cases": [                        // one entry per (case, threads)
-//!     {
-//!       "name": "spmv_csr",
-//!       "threads": 4,
-//!       "runs": 5,
-//!       "min_ms": 1.9, "median_ms": 2.0, "mean_ms": 2.1,
-//!       "metrics": { "gbps": 6.3 },   // case-specific numbers
-//!       "fingerprint": "5d1fe0c2…",   // determinism hash (optional)
-//!       "format_trajectory": ["frsz2_16", "float64"]  // optional (v2)
-//!     }
-//!   ],
-//!   "speedup": {                      // optional; present when the
-//!     "case": "spmv_csr",             // harness ran ≥ 2 thread counts
-//!     "threads": 4, "vs": 1, "factor": 2.7
-//!   }
-//! }
-//! ```
-//!
-//! `cases[*].fingerprint` hashes the bit pattern of the case's numeric
-//! output; the harness fails if it differs across thread counts, so CI
-//! enforces the determinism contract, not just the schema.
+//! The workspace is fully offline (no serde), so it carries its own
+//! JSON support; the repository benchmark (`frsz2_bench`) writes its
+//! results and reads its bounds with it. Objects preserve insertion
+//! order and the emitter is deterministic, so the same value always
+//! produces the same text.
 
 use std::fmt;
 
@@ -103,8 +65,7 @@ impl Json {
                     write!(f, "{v}")
                 } else {
                     // JSON has no NaN/Inf; null keeps the file parseable
-                    // and the validator rejects it where a number is
-                    // required.
+                    // and reads back as "not a number".
                     f.write_str("null")
                 }
             }
@@ -350,150 +311,25 @@ impl Parser<'_> {
     }
 }
 
-/// Current `BENCH_*.json` schema version (documented field-by-field in
-/// `docs/bench-schema.md`).
-pub const BENCH_SCHEMA_VERSION: f64 = 8.0;
-
-fn require_num(v: &Json, ctx: &str, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{ctx}: missing \"{key}\""))?
-        .as_f64()
-        .ok_or_else(|| format!("{ctx}: \"{key}\" must be a finite number"))
-}
-
-/// Validate a parsed document against the current bench schema
-/// (documented field-by-field in `docs/bench-schema.md`). Returns the
-/// number of cases.
-pub fn validate_bench(doc: &Json) -> Result<usize, String> {
-    if !matches!(doc, Json::Obj(_)) {
-        return Err("document root must be an object".into());
-    }
-    let version = require_num(doc, "root", "schema_version")?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "unsupported schema_version {version} (this harness validates \
-             version {BENCH_SCHEMA_VERSION}; see docs/bench-schema.md)"
-        ));
-    }
-    let bench = doc
-        .get("bench")
-        .and_then(Json::as_str)
-        .ok_or("root: missing \"bench\" string")?;
-    if bench.is_empty() {
-        return Err("root: \"bench\" must be non-empty".into());
-    }
-    if !matches!(doc.get("quick"), Some(Json::Bool(_))) {
-        return Err("root: missing \"quick\" bool".into());
-    }
-    if require_num(doc, "root", "threads_available")? < 1.0 {
-        return Err("root: \"threads_available\" must be >= 1".into());
-    }
-    if !matches!(doc.get("config"), Some(Json::Obj(_))) {
-        return Err("root: missing \"config\" object".into());
-    }
-    let cases = doc
-        .get("cases")
-        .and_then(Json::as_arr)
-        .ok_or("root: missing \"cases\" array")?;
-    if cases.is_empty() {
-        return Err("\"cases\" must be non-empty".into());
-    }
-    for (i, case) in cases.iter().enumerate() {
-        let ctx = format!("cases[{i}]");
-        case.get("name")
-            .and_then(Json::as_str)
-            .filter(|n| !n.is_empty())
-            .ok_or_else(|| format!("{ctx}: missing \"name\" string"))?;
-        if require_num(case, &ctx, "threads")? < 1.0 {
-            return Err(format!("{ctx}: \"threads\" must be >= 1"));
-        }
-        if require_num(case, &ctx, "runs")? < 1.0 {
-            return Err(format!("{ctx}: \"runs\" must be >= 1"));
-        }
-        for key in ["min_ms", "median_ms", "mean_ms"] {
-            if require_num(case, &ctx, key)? < 0.0 {
-                return Err(format!("{ctx}: \"{key}\" must be >= 0"));
-            }
-        }
-        if let Some(metrics) = case.get("metrics") {
-            let Json::Obj(pairs) = metrics else {
-                return Err(format!("{ctx}: \"metrics\" must be an object"));
-            };
-            for (k, v) in pairs {
-                if v.as_f64().is_none() {
-                    return Err(format!("{ctx}: metric \"{k}\" must be a number"));
-                }
-            }
-        }
-        if let Some(fp) = case.get("fingerprint") {
-            if fp.as_str().is_none() {
-                return Err(format!("{ctx}: \"fingerprint\" must be a string"));
-            }
-        }
-        if let Some(traj) = case.get("format_trajectory") {
-            let entries = traj
-                .as_arr()
-                .ok_or_else(|| format!("{ctx}: \"format_trajectory\" must be an array"))?;
-            for (k, e) in entries.iter().enumerate() {
-                if e.as_str().is_none_or(str::is_empty) {
-                    return Err(format!(
-                        "{ctx}: format_trajectory[{k}] must be a non-empty string"
-                    ));
-                }
-            }
-        }
-    }
-    if let Some(speedup) = doc.get("speedup") {
-        speedup
-            .get("case")
-            .and_then(Json::as_str)
-            .ok_or("speedup: missing \"case\" string")?;
-        for key in ["threads", "vs", "factor"] {
-            require_num(speedup, "speedup", key)?;
-        }
-    }
-    Ok(cases.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A results-style record built in code: nested non-empty objects,
+    /// integer-valued and non-dyadic numbers, strings with spaces.
     fn sample_doc() -> Json {
+        let run = Json::obj(vec![
+            ("latency_ms", Json::Num(1.625)),
+            ("metrics", Json::obj(vec![("gbps", Json::Num(6.25))])),
+            ("fingerprint", Json::Str("00ff".into())),
+            ("note", Json::Null),
+        ]);
         Json::obj(vec![
-            ("schema_version", Json::Num(8.0)),
-            ("bench", Json::Str("spmv".into())),
-            ("quick", Json::Bool(true)),
-            ("threads_available", Json::Num(4.0)),
-            (
-                "config",
-                Json::obj(vec![
-                    ("nnz", Json::Num(1_234_567.0)),
-                    ("matrix", Json::Str("conv_diff 56^3".into())),
-                ]),
-            ),
-            (
-                "cases",
-                Json::Arr(vec![Json::obj(vec![
-                    ("name", Json::Str("spmv_csr".into())),
-                    ("threads", Json::Num(2.0)),
-                    ("runs", Json::Num(3.0)),
-                    ("min_ms", Json::Num(1.25)),
-                    ("median_ms", Json::Num(1.5)),
-                    ("mean_ms", Json::Num(1.625)),
-                    ("metrics", Json::obj(vec![("gbps", Json::Num(6.25))])),
-                    ("fingerprint", Json::Str("00ff".into())),
-                ])]),
-            ),
-            (
-                "speedup",
-                Json::obj(vec![
-                    ("case", Json::Str("spmv_csr".into())),
-                    ("threads", Json::Num(2.0)),
-                    ("vs", Json::Num(1.0)),
-                    ("factor", Json::Num(1.8)),
-                ]),
-            ),
+            ("workload", Json::Str("paper frsz2_21".into())),
+            ("traced", Json::Bool(true)),
+            ("config", Json::obj(vec![("nnz", Json::Num(1_234_567.0))])),
+            ("runs", Json::Arr(vec![run])),
+            ("speedup", Json::obj(vec![("factor", Json::Num(1.8))])),
         ])
     }
 
@@ -503,72 +339,8 @@ mod tests {
         let text = doc.to_string();
         let back = parse(&text).unwrap();
         assert_eq!(back, doc);
-        // Emission is deterministic (schema-stable output).
+        // Emission is deterministic.
         assert_eq!(text, back.to_string());
-    }
-
-    #[test]
-    fn validator_accepts_sample() {
-        assert_eq!(validate_bench(&sample_doc()), Ok(1));
-    }
-
-    #[test]
-    fn validator_checks_format_trajectory_shape() {
-        let add_traj = |traj: Json| {
-            let mut doc = sample_doc();
-            if let Json::Obj(pairs) = &mut doc {
-                for (k, v) in pairs.iter_mut() {
-                    if k == "cases" {
-                        if let Json::Arr(cases) = v {
-                            if let Json::Obj(case) = &mut cases[0] {
-                                case.push(("format_trajectory".into(), traj));
-                            }
-                        }
-                        break;
-                    }
-                }
-            }
-            doc
-        };
-        let good = add_traj(Json::Arr(vec![
-            Json::Str("frsz2_16".into()),
-            Json::Str("float64".into()),
-        ]));
-        assert_eq!(validate_bench(&good), Ok(1));
-        // An empty trajectory is valid (a solve may converge with no cycle).
-        assert_eq!(validate_bench(&add_traj(Json::Arr(vec![]))), Ok(1));
-        assert!(validate_bench(&add_traj(Json::Str("frsz2_16".into()))).is_err());
-        assert!(validate_bench(&add_traj(Json::Arr(vec![Json::Num(1.0)]))).is_err());
-        assert!(validate_bench(&add_traj(Json::Arr(vec![Json::Str(String::new())]))).is_err());
-    }
-
-    #[test]
-    fn validator_rejects_broken_documents() {
-        let mut missing_cases = sample_doc();
-        if let Json::Obj(pairs) = &mut missing_cases {
-            pairs.retain(|(k, _)| k != "cases");
-        }
-        assert!(validate_bench(&missing_cases).is_err());
-
-        let wrong_version = parse(
-            &sample_doc()
-                .to_string()
-                .replace("\"schema_version\": 8", "\"schema_version\": 3"),
-        )
-        .unwrap();
-        let err = validate_bench(&wrong_version).unwrap_err();
-        // Rejections point the reader at the schema document.
-        assert!(err.contains("docs/bench-schema.md"), "{err}");
-
-        let negative_time = parse(
-            &sample_doc()
-                .to_string()
-                .replace("\"min_ms\": 1.25", "\"min_ms\": -1"),
-        )
-        .unwrap();
-        assert!(validate_bench(&negative_time).is_err());
-
-        assert!(validate_bench(&Json::Arr(vec![])).is_err());
     }
 
     #[test]

@@ -13,9 +13,6 @@ use crate::formats::FormatSpec;
 use gpusim::kernels::{stream_base_counters, StreamFormat};
 use gpusim::H100_PCIE;
 use krylov::SolveStats;
-use std::collections::HashMap;
-use std::sync::Mutex;
-use std::sync::OnceLock;
 
 /// Per-value decompression cost of a storage format, measured once from
 /// the simulated streaming kernel.
@@ -37,17 +34,11 @@ fn measure(fmt: StreamFormat) -> FormatCost {
 }
 
 fn cost_for(spec: &FormatSpec) -> FormatCost {
-    static CACHE: OnceLock<Mutex<HashMap<String, FormatCost>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = spec.name();
-    if let Some(c) = cache.lock().unwrap().get(&key) {
-        return *c;
-    }
-    let fmt = match spec {
+    measure(match spec {
         FormatSpec::F64 => StreamFormat::AccF64,
         FormatSpec::F32 => StreamFormat::AccF32,
         FormatSpec::F16 | FormatSpec::BF16 => StreamFormat::AccF16,
-        FormatSpec::Frsz2 { bits, .. } => StreamFormat::Frsz2(*bits),
+        FormatSpec::Frsz2(bits) => StreamFormat::Frsz2(*bits),
         // Round-trip codecs are quality-only in the paper (§V-D); model
         // their traffic as f64 (they are never timed in Fig. 11).
         FormatSpec::Lossy(_) => StreamFormat::AccF64,
@@ -59,10 +50,7 @@ fn cost_for(spec: &FormatSpec) -> FormatCost {
         FormatSpec::Adaptive | FormatSpec::AdaptiveBidir | FormatSpec::Frsz2Adaptive => {
             StreamFormat::Frsz2(32)
         }
-    };
-    let c = measure(fmt);
-    cache.lock().unwrap().insert(key, c);
-    c
+    })
 }
 
 /// Projected H100 execution time in seconds for one solve.
@@ -111,13 +99,7 @@ mod tests {
         };
         let f64t = t(&FormatSpec::F64, 64);
         let f32t = t(&FormatSpec::F32, 32);
-        let z32t = t(
-            &FormatSpec::Frsz2 {
-                block_size: 32,
-                bits: 32,
-            },
-            33,
-        );
+        let z32t = t(&FormatSpec::Frsz2(32), 33);
         assert!(f32t < f64t, "float32 must beat float64");
         assert!(z32t < f64t, "frsz2_32 must beat float64");
         // frsz2_32 within a few percent of float32 (33 vs 32 bits).
@@ -139,15 +121,7 @@ mod tests {
             fake_stats(iters, iters as u64 * cols * per_col, iters as u64 * per_col)
         };
         let f64t = h100_time(&FormatSpec::F64, &mk(400, 64), n, spmv_bytes);
-        let z32t = h100_time(
-            &FormatSpec::Frsz2 {
-                block_size: 32,
-                bits: 32,
-            },
-            &mk(1400, 33),
-            n,
-            spmv_bytes,
-        );
+        let z32t = h100_time(&FormatSpec::Frsz2(32), &mk(1400, 33), n, spmv_bytes);
         assert!(z32t > f64t, "3.5x iterations must overwhelm 2x compression");
     }
 }

@@ -40,18 +40,6 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::
     Ok(path.display().to_string())
 }
 
-/// Write a machine-readable benchmark document as `BENCH_<name>.json`
-/// in the current directory (the workspace root under `cargo run`).
-/// These files are the perf trajectory: schema-stable (see
-/// [`crate::json`]), diffed across PRs, and validated by CI's
-/// `bench-smoke` job. Returns the path written.
-pub fn write_bench_json(name: &str, doc: &crate::json::Json) -> std::io::Result<String> {
-    let path = format!("BENCH_{name}.json");
-    let mut f = std::fs::File::create(&path)?;
-    writeln!(f, "{doc}")?;
-    Ok(path)
-}
-
 /// Format a float compactly for tables.
 pub fn fmt_g(v: f64) -> String {
     if v == 0.0 {

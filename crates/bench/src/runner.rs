@@ -42,40 +42,86 @@ impl Default for Cli {
     }
 }
 
+/// A command line the figure binaries cannot run.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CliError {
+    /// A numeric flag whose value does not parse.
+    BadValue { flag: &'static str, value: String },
+    /// `--matrix` names no suite matrix.
+    UnknownMatrix(String),
+    /// `--precond` names no preconditioner.
+    UnknownPrecond(String),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::BadValue { flag, value } => write!(f, "bad value {value:?} for {flag}"),
+            CliError::UnknownMatrix(name) => write!(
+                f,
+                "unknown matrix {name:?}; the suite has {}",
+                suite::names().join(", ")
+            ),
+            CliError::UnknownPrecond(name) => write!(
+                f,
+                "unknown preconditioner {name:?}; expected one of {}",
+                Precond::names().collect::<Vec<_>>().join(", ")
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
+fn number<T: std::str::FromStr>(flag: &'static str, value: String) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| CliError::BadValue { flag, value })
+}
+
 impl Cli {
     /// Parse `std::env::args`, ignoring unknown flags (each binary may
-    /// add its own).
+    /// add its own). A bad command line prints the error and exits 2.
     pub fn parse() -> Cli {
-        Cli::parse_from(std::env::args().skip(1).collect())
+        Cli::parse_from(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// Parse an explicit argument list (testable).
-    pub fn parse_from(args: Vec<String>) -> Cli {
+    pub fn parse_from(args: Vec<String>) -> Result<Cli, CliError> {
         let mut cli = Cli::default();
         let mut i = 0;
         while i < args.len() {
             let next = args.get(i + 1).cloned();
             let mut took = true;
             match (args[i].as_str(), next) {
-                ("--scale", Some(v)) => cli.scale = v.parse().expect("bad --scale"),
-                ("--runs", Some(v)) => cli.runs = v.parse().expect("bad --runs"),
+                ("--scale", Some(v)) => cli.scale = number("--scale", v)?,
+                ("--runs", Some(v)) => cli.runs = number("--runs", v)?,
+                ("--matrix", Some(v)) if !suite::names().contains(&v.as_str()) => {
+                    return Err(CliError::UnknownMatrix(v))
+                }
                 ("--matrix", Some(v)) => cli.matrix = Some(v),
                 ("--format", Some(v)) => cli.format = Some(v),
                 ("--mtx", Some(v)) => cli.mtx = Some(v),
-                ("--max-iters", Some(v)) => cli.max_iters = v.parse().expect("bad --max-iters"),
-                ("--target", Some(v)) => cli.target = Some(v.parse().expect("bad --target")),
+                ("--max-iters", Some(v)) => cli.max_iters = number("--max-iters", v)?,
+                ("--target", Some(v)) => cli.target = Some(number("--target", v)?),
+                ("--precond", Some(v)) if !Precond::names().any(|n| n == v) => {
+                    return Err(CliError::UnknownPrecond(v))
+                }
                 ("--precond", Some(v)) => cli.precond = Some(v),
                 _ => took = false,
             }
             i += if took { 2 } else { 1 };
         }
-        cli
+        Ok(cli)
     }
 
     /// Matrices selected by this invocation.
-    pub fn matrices(&self) -> Vec<&'static str> {
+    pub fn matrices(&self) -> Vec<&str> {
         match &self.matrix {
-            Some(m) => suite::names().into_iter().filter(|n| *n == m).collect(),
+            Some(m) => vec![m],
             None => suite::names(),
         }
     }
@@ -94,7 +140,7 @@ impl Cli {
     /// when the flag is absent).
     pub fn build_precond(&self, matrix: &Csr) -> Precond {
         let name = self.precond.as_deref().unwrap_or("none");
-        Precond::parse(name, matrix).unwrap_or_else(|| panic!("unknown preconditioner {name}"))
+        Precond::parse(name, matrix).expect("`parse_from` admits only known preconditioners")
     }
 }
 
@@ -155,17 +201,6 @@ pub fn solve_problem(p: &Problem, opts: &GmresOptions, spec: &FormatSpec) -> Sol
     formats::solve(&p.matrix, &p.b, &x0, opts, spec)
 }
 
-/// [`solve_problem`] under an explicit right preconditioner.
-pub fn solve_problem_precond(
-    p: &Problem,
-    opts: &GmresOptions,
-    spec: &FormatSpec,
-    precond: &Precond,
-) -> SolveResult {
-    let x0 = vec![0.0; p.matrix.rows()];
-    formats::solve_precond(&p.matrix, &p.b, &x0, opts, spec, precond)
-}
-
 /// Run `p` once per named format and collect the results (convergence
 /// figures 5/6/9).
 pub fn convergence_histories(
@@ -189,7 +224,8 @@ pub fn convergence_histories_precond(
         .iter()
         .map(|name| {
             let spec = formats::parse(name).unwrap_or_else(|| panic!("unknown format {name}"));
-            let r = solve_problem_precond(p, opts, &spec, precond);
+            let x0 = vec![0.0; p.matrix.rows()];
+            let r = formats::solve_precond(&p.matrix, &p.b, &x0, opts, &spec, precond);
             eprintln!(
                 "  {name}: iters={} converged={} final_rrn={:.2e} bits/value={:.1}",
                 r.stats.iterations,
@@ -267,13 +303,48 @@ mod tests {
         }
     }
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
-    fn cli_matrix_filter() {
-        let cli = Cli {
-            matrix: Some("cfd2".into()),
-            ..Cli::default()
-        };
+    fn cli_parses_every_flag() {
+        let cli = Cli::parse_from(args(
+            "--scale 0.5 --runs 2 --matrix cfd2 --format frsz2_21 --max-iters 40 \
+             --target 1e-6 --precond jacobi --unknown-flag",
+        ))
+        .unwrap();
+        assert_eq!(cli.scale, 0.5);
+        assert_eq!(cli.runs, 2);
         assert_eq!(cli.matrices(), vec!["cfd2"]);
+        assert_eq!(cli.format.as_deref(), Some("frsz2_21"));
+        assert_eq!(cli.max_iters, 40);
+        assert_eq!(cli.target, Some(1e-6));
+        assert_eq!(cli.precond.as_deref(), Some("jacobi"));
+    }
+
+    #[test]
+    fn cli_rejects_bad_numbers() {
+        for flag in ["--scale", "--runs", "--max-iters", "--target"] {
+            let err = Cli::parse_from(args(&format!("{flag} many"))).unwrap_err();
+            assert_eq!(err.to_string(), format!("bad value \"many\" for {flag}"));
+        }
+        assert!(Cli::parse_from(args("--runs -1")).is_err());
+    }
+
+    #[test]
+    fn cli_rejects_an_unknown_matrix_and_lists_the_suite() {
+        let err = Cli::parse_from(args("--matrix nope")).unwrap_err();
+        assert_eq!(err, CliError::UnknownMatrix("nope".into()));
+        assert!(suite::names().iter().all(|n| err.to_string().contains(n)));
+    }
+
+    #[test]
+    fn cli_rejects_an_unknown_preconditioner() {
+        let msg = Cli::parse_from(args("--precond ilu"))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.ends_with("none, identity, jacobi, block_jacobi"));
     }
 
     #[test]

@@ -48,8 +48,9 @@
 //! elements in row order with one accumulator per output, exactly like
 //! the scalar reference loops they replace. Fused results are
 //! therefore bit-identical to decompress-then-BLAS — property-tested
-//! in `tests/fused_kernels.rs` and enforced at run time by the
-//! `bench_json` fused-vs-reference fingerprint groups.
+//! in `tests/fused_kernels.rs`, checked through the solver's basis in
+//! `crates/krylov/tests/fused_ortho.rs`, and pinned at full size by
+//! the `basis_dots`/`basis_gemv` rows of `crates/bench/tests/pinned.rs`.
 
 use crate::codec::{decode_code, encode_bits, Frsz2Config};
 use crate::{bitpack, mask64};

@@ -480,8 +480,8 @@ mod tests {
         opts.de_escalate = true;
         // The 8³ system converges within six cycles; a single qualifying
         // cycle must trigger the step-down for both directions to appear
-        // in so short a trajectory (the two-cycle default needs the
-        // longer 12³ solve exercised by the bench harness).
+        // in so short a trajectory (the two-cycle default needs a
+        // longer solve).
         opts.de_escalation_cycles = 1;
         let r = adaptive_gmres(&a, &b, &x0, &opts, &Identity);
         assert!(

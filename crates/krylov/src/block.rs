@@ -40,8 +40,8 @@
 //! - **b = 1 is the single solver.** The driver delegates width-1
 //!   solves to the restart loop behind [`crate::gmres_with`], so the
 //!   b=1 path is fingerprint-identical by construction (enforced by
-//!   the `block_solve` bench suite against the committed
-//!   `cb_gmres_frsz2_21` case).
+//!   the pinned block rows against the `cb_gmres_frsz2_21`
+//!   fingerprint).
 //! - **Thread-count invariance.** All parallel reductions go through
 //!   the chunk-deterministic basis kernels, so a width-`b` solve is
 //!   bit-identical at any thread count.

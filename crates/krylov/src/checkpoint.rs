@@ -263,8 +263,12 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.remaining() {
             return Err(CheckpointError::Truncated);
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -513,6 +517,13 @@ impl SolveCheckpoint {
             *c = cur.varint()?;
         }
         let n = cur.len()?;
+        // Every entry of `x` takes at least one varint byte, so a count
+        // beyond the remaining payload is corrupt. The checksum does not
+        // vouch for it (FNV-1a catches accidents, not a forged blob), and
+        // it must never size an allocation.
+        if n > cur.remaining() {
+            return Err(CheckpointError::Malformed("dimension exceeds payload"));
+        }
         if let Some(p) = prev {
             if p.x.len() != n {
                 return Err(CheckpointError::MissingPrevious);
@@ -693,6 +704,28 @@ mod tests {
         assert_eq!(
             SolveCheckpoint::decode(&newer, None),
             Err(CheckpointError::UnsupportedVersion(0x00ff))
+        );
+    }
+
+    #[test]
+    fn oversized_dimension_is_a_typed_error_not_an_allocation() {
+        // A hand-built full blob whose `x` length claims 2^61 entries,
+        // sealed with a valid checksum the way a forger would.
+        let mut forged = MAGIC.to_vec();
+        forged.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        forged.push(DriverKind::Scalar.to_u8());
+        forged.push(0);
+        put_str(&mut forged, "frsz2_21");
+        put_f64(&mut forged, 1.0);
+        for _ in 0..14 {
+            put_varint(&mut forged, 0);
+        }
+        put_varint(&mut forged, 1 << 61);
+        let sum = super::fnv1a(&forged);
+        forged.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            SolveCheckpoint::decode(&forged, None),
+            Err(CheckpointError::Malformed("dimension exceeds payload"))
         );
     }
 

@@ -28,8 +28,8 @@
 //! only by the explicit residual `‖b − Ax‖/‖b‖` at restart boundaries,
 //! so a corrupted basis can slow a solve or break it down, but it
 //! cannot make the solver report a converged `x` that does not satisfy
-//! the target — the invariant the `faults` bench suite pins as "zero
-//! undetected corruptions".
+//! the target — the invariant the pinned fault rows check against an
+//! independently recomputed residual.
 
 use crate::basis_format::BasisFormat;
 use numfmt::ColumnStorage;
@@ -195,7 +195,7 @@ impl ColumnStorage for FaultInjectingStore {
 
 /// [`BasisFormat`] wrapper whose stores inject faults per a
 /// [`FaultPlan`]: the entry point for corrupting a dyn-dispatch solve
-/// (`gmres_dyn*`, the service, the bench harness) without touching
+/// (`gmres_dyn*`, the service, tests) without touching
 /// solver code.
 pub struct FaultyFormat {
     inner: Box<dyn BasisFormat>,

@@ -44,7 +44,7 @@ pub struct GmresOptions {
     /// Fault-injection hook (see [`crate::faults`]): poison the
     /// Hessenberg column computed at this global iteration with a NaN.
     /// The non-finite breakdown guard must detect it — this hook
-    /// exists so tests and the robustness bench suite can prove that
+    /// exists so tests and the pinned fault rows can prove that
     /// deterministically. `None` (the default) injects nothing.
     pub fault_nan_hessenberg_at: Option<usize>,
 }
@@ -580,7 +580,7 @@ pub(crate) enum BoundaryDecision {
 /// The restart-boundary bookkeeping every driver shares — the one
 /// single-RHS loop [`solve_driver_full`] and the per-lane boundary of
 /// the block driver in `block.rs` both call this VERBATIM so their
-/// convergence semantics cannot drift apart (and committed
+/// convergence semantics cannot drift apart (and the pinned
 /// fingerprints stay byte-identical across refactors).
 ///
 /// Given the explicit `‖b − Ax‖/‖b‖` entering the boundary, in this

@@ -59,8 +59,8 @@
 //! `s` of 1 runs the scalar cycle from the first boundary — bit-for-bit
 //! identical to [`crate::gmres::gmres_with`] /
 //! [`crate::basis_format::gmres_dyn`], the same contract the block
-//! solver keeps at width 1 (and enforced by the committed bench
-//! fingerprints).
+//! solver keeps at width 1 (and enforced by the pinned fingerprints
+//! in `crates/bench/tests/pinned.rs`).
 
 use crate::basis::{Basis, TARGET_CHUNK};
 use crate::basis_format::BasisFormat;

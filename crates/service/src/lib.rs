@@ -31,7 +31,7 @@
 //! worker-thread count. The service leans on it: each job installs its
 //! own thread pool, so a batch of concurrent jobs returns results
 //! byte-for-byte equal to the same jobs run sequentially on one thread
-//! — the `service` bench suite fingerprint-checks exactly this.
+//! — the pinned `service` rows fingerprint-check exactly this.
 //!
 //! # Admission control
 //!
@@ -66,7 +66,7 @@
 //!   retries are exhausted;
 //! - a **fault plan** ([`FaultSpec`]): deterministic basis bit-flips,
 //!   Hessenberg NaNs, injected panics and per-boundary sleeps, used by
-//!   the tests and the `faults` bench suite to prove every detection
+//!   the tests and the pinned fault rows to prove every detection
 //!   path fires. Detection is structural — convergence is only ever
 //!   decided from the explicit residual `‖b − Ax‖/‖b‖` — so injected
 //!   corruption can slow a solve or fail it, never fake a solution.

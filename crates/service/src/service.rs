@@ -281,7 +281,7 @@ impl SolverService {
     ///   exhausted) and retried at the same rung;
     /// - **fault injection** ([`JobSpec::fault`]): deterministic basis
     ///   bit-flips, Hessenberg NaNs, injected panics and per-boundary
-    ///   sleeps, for tests and the `faults` bench suite.
+    ///   sleeps, for tests and the pinned fault rows.
     ///
     /// A retry-enabled fixed/auto-format job is admitted at the
     /// ladder-top (`float64`) worst case up front, like an adaptive

@@ -227,7 +227,7 @@ pub fn phi_uncorrelated(n: usize, range: u32, seed: u64) -> Vec<i32> {
 /// `range + 2` mantissa bits flushes most of each block and the solve
 /// stagnates at the storage floor instead of restart-refining past it
 /// (§VI-A / Fig. 9b). One definition, shared by the solver tests, the
-/// bench harness's stagnation pair, and the `adaptive_basis` example,
+/// pinned stagnation rows, and the `adaptive_basis` example,
 /// so the "fixed `frsz2_16` must stagnate here" calibration lives in
 /// exactly one place.
 pub fn wide_range_conv_diff(nx: usize, ny: usize, nz: usize, range: u32, seed: u64) -> Csr {
@@ -261,7 +261,7 @@ pub fn phi_correlated_runs(n: usize, range: u32, run: usize, seed: u64) -> Vec<i
 /// `frsz2_21` (22 bits/value): most blocks sit inside one or two scale
 /// plateaus and take short codes, and only the plateau-straddling
 /// minority pays for wide ones. As with [`wide_range_conv_diff`], one
-/// definition shared by solver tests and the bench harness keeps the
+/// definition shared by solver tests and the pinned rows keeps the
 /// calibration in exactly one place.
 pub fn wide_range_conv_diff_runs(
     nx: usize,

@@ -19,8 +19,8 @@
 //! order*. Consequence: `spmv` results are bit-identical across every
 //! format and every thread count, so residual histories of a solve do
 //! not depend on the matrix format backing it — enforced by property
-//! tests in `crates/sparse/tests/proptests.rs` and by the `bench_json`
-//! cross-format fingerprint check.
+//! tests in `crates/sparse/tests/proptests.rs` and by the pinned SpMV
+//! and auto-format solve rows of `crates/bench/tests/pinned.rs`.
 
 /// Rows per parallel work item, shared by all format implementations:
 /// large enough to amortize scheduling (≥ ~7k FLOPs per item on the
