@@ -14,6 +14,12 @@
 //! compressed-basis traffic argument, applied to both of the solver's
 //! memory-bound streams.
 //!
+//! The orthogonalization stages (the block-CGS + DGKS sweep pair and
+//! MGS²) are one copy each in the crate-private `panel.rs`, which the
+//! s-step driver ([`crate::sstep`]) runs too. This module keeps what is
+//! block's own: the SpMM expansion, the MGS² seed of the residual
+//! block, the band-QR carriers, and lane deflation.
+//!
 //! # Shared-space semantics
 //!
 //! Every right-hand side draws its iterate from the same block Krylov
@@ -80,68 +86,12 @@ use crate::gmres::{
     boundary_bookkeeping, givens, solve_driver_full, BoundaryDecision, CycleEvent, GmresOptions,
     HistoryPoint, Scalar, SolveHooks, SolveStats,
 };
+use crate::panel::{charge, gather_col, pack_interleaved, scatter_col, Panel};
 use crate::precond::Preconditioner;
 use numfmt::ColumnStorage;
 use spla::dense::{axpy, norm2};
 use spla::SparseMatrix;
 use std::time::Instant;
-
-/// The shared compressed Krylov basis of a block solve: one
-/// [`ColumnStorage`] holding `width × cols_per_rhs` columns, appended
-/// `width` at a time by block Arnoldi.
-///
-/// One store (not one per RHS) is the point: a single decode sweep of
-/// its columns serves every right-hand side. The capacity is exactly
-/// `width ×` the single-solve basis, which keeps the service layer's
-/// admission estimate (`width ×` the single-basis bytes) exact.
-pub struct BlockBasis<S: ColumnStorage> {
-    basis: Basis<S>,
-    width: usize,
-    cols_per_rhs: usize,
-}
-
-impl<S: ColumnStorage> BlockBasis<S> {
-    /// Build a shared basis for `width` right-hand sides with
-    /// `cols_per_rhs` columns each (`restart + 1` for GMRES) through a
-    /// storage factory (the block analogue of [`crate::gmres_with`]'s
-    /// factory argument; it is called once, for the whole block).
-    ///
-    /// # Panics
-    /// If `width == 0`.
-    pub fn with_factory(
-        width: usize,
-        rows: usize,
-        cols_per_rhs: usize,
-        make_store: impl Fn(usize, usize) -> S,
-    ) -> Self {
-        assert!(width >= 1, "a block basis needs at least one rhs");
-        BlockBasis {
-            basis: Basis::from_store(make_store(rows, cols_per_rhs * width)),
-            width,
-            cols_per_rhs,
-        }
-    }
-
-    /// Block width `b` the basis was sized for.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Column capacity reserved per right-hand side.
-    pub fn cols_per_rhs(&self) -> usize {
-        self.cols_per_rhs
-    }
-
-    /// The shared basis all right-hand sides expand.
-    pub fn shared(&self) -> &Basis<S> {
-        &self.basis
-    }
-
-    fn into_single(self) -> Basis<S> {
-        debug_assert_eq!(self.width, 1);
-        self.basis
-    }
-}
 
 /// Result of a block solve: per-RHS outputs plus the one block-level
 /// quantity single-RHS stats cannot express — how many full sweeps of
@@ -297,8 +247,10 @@ fn block_solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Si
         }
     }
     assert!(opts.restart >= 1);
-    let m = opts.restart;
-    let basis = BlockBasis::with_factory(width, n, m + 1, &make_store);
+    // One shared store of `width × (restart + 1)` columns: exactly
+    // `width ×` the single-solve basis, which keeps the service layer's
+    // admission estimate exact. At width 1 it is the single solve's.
+    let basis = Basis::from_store(make_store(n, (opts.restart + 1) * width));
 
     if width == 1 {
         let zero;
@@ -314,17 +266,7 @@ fn block_solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Si
             observe: Some(&mut observe),
             ..SolveHooks::default()
         };
-        let r = solve_driver_full(
-            a,
-            &bs[0],
-            x0,
-            opts,
-            precond,
-            basis.into_single(),
-            &mut Scalar,
-            hooks,
-        )
-        .result;
+        let r = solve_driver_full(a, &bs[0], x0, opts, precond, basis, &mut Scalar, hooks).result;
         let operator_sweeps = r.stats.spmv_count;
         return BlockSolveResult {
             solutions: vec![r.x],
@@ -337,137 +279,6 @@ fn block_solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Si
     block_arnoldi_driver(a, bs, x0s, opts, precond, basis, &mut on_event)
 }
 
-/// Row window (in buffer elements) for the interleave passes between
-/// per-RHS vectors and the row-major multi-RHS buffers. A window of
-/// `PACK_WINDOW / width` rows keeps the strided side of the copy
-/// inside L1 while every column's pass streams through it; the copy is
-/// pure data movement, so the window size cannot affect any result bit.
-const PACK_WINDOW: usize = 4096;
-
-/// `buf[i * w + slot] = srcs[slot][i]` for all `i < n`, row-windowed.
-pub(crate) fn pack_interleaved(buf: &mut [f64], srcs: &[&[f64]], n: usize) {
-    let w = srcs.len();
-    let rows = (PACK_WINDOW / w).max(1);
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + rows).min(n);
-        for (slot, src) in srcs.iter().enumerate() {
-            for i in i0..i1 {
-                buf[i * w + slot] = src[i];
-            }
-        }
-        i0 = i1;
-    }
-}
-
-/// `out[i] = buf[i * w + slot]`: one column of a row-major block.
-pub(crate) fn gather_col(buf: &[f64], w: usize, slot: usize, out: &mut [f64]) {
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = buf[i * w + slot];
-    }
-}
-
-/// `buf[i * w + slot] = src[i]`: write one column of a row-major block.
-fn scatter_col(buf: &mut [f64], w: usize, slot: usize, src: &[f64]) {
-    for (i, &v) in src.iter().enumerate() {
-        buf[i * w + slot] = v;
-    }
-}
-
-/// Column 2-norms of a row-major `n × w` block, one fused row pass.
-pub(crate) fn col_norms(buf: &[f64], w: usize, n: usize, out: &mut [f64]) {
-    out[..w].fill(0.0);
-    for i in 0..n {
-        let row = &buf[i * w..i * w + w];
-        for (acc, &v) in out[..w].iter_mut().zip(row) {
-            *acc += v * v;
-        }
-    }
-    for v in out[..w].iter_mut() {
-        *v = v.sqrt();
-    }
-}
-
-/// One right-looking modified-Gram-Schmidt pass over a row-major
-/// `n × w` block, in place: normalizes column `s`, then projects it
-/// out of columns `s+1..w` in one fused row pass per pivot. Fills the
-/// upper-triangular factor into `r` (row-major `w × w`,
-/// `r[s*w + t]`). Returns `false` on breakdown (a pivot with zero or
-/// non-finite norm: the block's columns are linearly dependent).
-fn mgs_pass(wv: &mut [f64], w: usize, n: usize, r: &mut [f64], d: &mut [f64]) -> bool {
-    r[..w * w].fill(0.0);
-    for s in 0..w {
-        let mut nrm = 0.0;
-        for i in 0..n {
-            let v = wv[i * w + s];
-            nrm += v * v;
-        }
-        nrm = nrm.sqrt();
-        if nrm == 0.0 || !nrm.is_finite() {
-            return false;
-        }
-        r[s * w + s] = nrm;
-        let inv = 1.0 / nrm;
-        for i in 0..n {
-            wv[i * w + s] *= inv;
-        }
-        if s + 1 == w {
-            continue;
-        }
-        d[s + 1..w].fill(0.0);
-        for i in 0..n {
-            let vs = wv[i * w + s];
-            let row = &wv[i * w..i * w + w];
-            for (t, dt) in d[s + 1..w].iter_mut().enumerate() {
-                *dt += vs * row[s + 1 + t];
-            }
-        }
-        r[s * w + s + 1..(s + 1) * w].copy_from_slice(&d[s + 1..w]);
-        for i in 0..n {
-            let vs = wv[i * w + s];
-            let row = &mut wv[i * w..i * w + w];
-            for (t, &dt) in d[s + 1..w].iter().enumerate() {
-                row[s + 1 + t] -= dt * vs;
-            }
-        }
-    }
-    true
-}
-
-/// Orthonormalize a row-major `n × w` block in place with two MGS
-/// passes (MGS with full reorthogonalization — cheap at block width,
-/// and robust for the nearly-dependent seed blocks deflation
-/// produces), composing the triangular factors: `W = Q·(R₂R₁)` with
-/// the product written into `r`. Returns `false` on breakdown. Also
-/// the conditional CholQR fallback of the s-step panel in `sstep.rs`.
-pub(crate) fn mgs2_block(
-    wv: &mut [f64],
-    w: usize,
-    n: usize,
-    r: &mut [f64],
-    r2: &mut [f64],
-    d: &mut [f64],
-) -> bool {
-    if !mgs_pass(wv, w, n, r, d) {
-        return false;
-    }
-    if !mgs_pass(wv, w, n, r2, d) {
-        return false;
-    }
-    // r ← r2 · r1, upper-triangular product, safely in place: entry
-    // (s, t) only consumes r[u*w + t] with u >= s.
-    for t in 0..w {
-        for s in 0..=t {
-            let mut acc = 0.0;
-            for u in s..=t {
-                acc += r2[s * w + u] * r[u * w + t];
-            }
-            r[s * w + t] = acc;
-        }
-    }
-    true
-}
-
 /// The width > 1 shared-space loop. Restart boundaries mirror
 /// `solve_driver_full` per RHS (explicit residual, deflation, telemetry);
 /// inside a cycle the block Arnoldi recursion replaces the per-RHS
@@ -478,7 +289,7 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
     x0s: Option<&[Vec<f64>]>,
     opts: &GmresOptions,
     precond: &P,
-    mut basis: BlockBasis<S>,
+    mut basis: Basis<S>,
     on_event: &mut impl FnMut(usize, CycleEvent),
 ) -> BlockSolveResult {
     let n = a.rows();
@@ -486,8 +297,7 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
     let m = opts.restart;
     let start = Instant::now();
     let mut operator_sweeps: u64 = 0;
-    let col_bytes = basis.shared().column_bytes() as u64;
-    let format = basis.shared().format_name();
+    let format = basis.format_name();
 
     let mut lanes: Vec<Lane> = (0..width)
         .map(|k| {
@@ -516,29 +326,21 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         .collect();
 
     // Work buffers, sized for the full width once and sliced down as
-    // the block deflates. `ld` is the leading dimension of the rotated
-    // Hessenberg / carrier columns: the shared basis can hold at most
-    // `(m + 1) · width` columns.
+    // the block deflates. The panel's W doubles as the SpMM output of
+    // every operator sweep and the combine target. `ld` is the leading
+    // dimension of the rotated Hessenberg / carrier columns: the shared
+    // basis can hold at most `(m + 1) · width` columns.
     let ld = (m + 1) * width;
     let cmax = m * width;
+    let mut panel = Panel::new(n, cmax, width);
     let mut xbuf = vec![0.0; n * width]; // SpMM input block
-    let mut wbuf = vec![0.0; n * width]; // SpMM output / new columns W
     let mut tmp = vec![0.0; n];
     let mut tmp2 = vec![0.0; n];
-    let mut hproj = vec![0.0; cmax * width]; // projections VᵀW, [jc·wa + t]
-    let mut hcorr = vec![0.0; cmax * width]; // DGKS correction
-    let mut nbuf = vec![0.0; cmax * width]; // negated coefficients
     let mut rmat = vec![0.0; ld * cmax]; // rotated H̄, column c at c·ld
     let mut gmat = vec![0.0; ld * width]; // per-RHS carriers g_k
     let mut rots: Vec<(u32, f64, f64)> = Vec::new();
     let mut hcol = vec![0.0; ld];
     let mut ys = vec![0.0; cmax * width]; // per-RHS y columns, [jc·wa + s]
-    let mut rblk = vec![0.0; width * width];
-    let mut rblk2 = vec![0.0; width * width];
-    let mut dvec = vec![0.0; width];
-    let mut omegas = vec![0.0; width];
-    let mut pnorms = vec![0.0; width];
-    let mut dot_scratch: Vec<f64> = Vec::new();
 
     loop {
         // Restart boundary: batched explicit residual r_k = b_k − A x_k
@@ -553,13 +355,13 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
             let srcs: Vec<&[f64]> = boundary.iter().map(|&k| &lanes[k].x[..]).collect();
             pack_interleaved(&mut xbuf[..n * wb], &srcs, n);
         }
-        a.spmm_into(&xbuf[..n * wb], &mut wbuf[..n * wb], wb);
+        a.spmm_into(&xbuf[..n * wb], &mut panel.w[..n * wb], wb);
         operator_sweeps += 1;
         for (slot, &k) in boundary.iter().enumerate() {
             let lane = &mut lanes[k];
             lane.stats.spmv_count += 1;
-            for i in 0..n {
-                lane.r[i] = bs[k][i] - wbuf[i * wb + slot];
+            for (i, (r, &b)) in lane.r.iter_mut().zip(&bs[k]).enumerate() {
+                *r = b - panel.w[i * wb + slot];
             }
             let rrn = norm2(&lane.r) / lane.bnorm;
             // Shared boundary bookkeeping (identical to `solve_driver_full`):
@@ -599,221 +401,164 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         // is the familiar g = β e₁).
         {
             let srcs: Vec<&[f64]> = act.iter().map(|&k| &lanes[k].r[..]).collect();
-            pack_interleaved(&mut wbuf[..n * wa], &srcs, n);
+            pack_interleaved(&mut panel.w[..n * wa], &srcs, n);
+        }
+        if !panel.mgs2(wa) {
+            // Seed breakdown: exactly dependent residuals. No progress
+            // is possible; every RHS records the breakdown and retires
+            // (a cycle that recorded nothing would replay verbatim).
+            for &k in &act {
+                lanes[k].stats.breakdowns += 1;
+                lanes[k].stats.restarts += 1;
+                lanes[k].retire(start);
+            }
+            continue;
+        }
+        for s in 0..wa {
+            gather_col(&panel.w[..n * wa], wa, s, &mut tmp);
+            basis.write(s, &tmp);
+        }
+        // Queried after the seed writes, like `seed_cycle`: a round-trip
+        // store only knows its rate once it has compressed a column.
+        let col_bytes = basis.column_bytes() as u64;
+        gmat[..ld * wa].fill(0.0);
+        for s in 0..wa {
+            for u in 0..=s {
+                gmat[s * ld + u] = panel.r[u * wa + s];
+            }
+            lanes[act[s]].stats.basis_bytes_written += col_bytes;
         }
         let mut c_end = 0usize; // Hessenberg columns recorded this cycle
         let mut frozen = vec![false; wa];
         let mut qk = vec![0usize; wa];
         rots.clear();
-        let seed_ok = mgs2_block(&mut wbuf[..n * wa], wa, n, &mut rblk, &mut rblk2, &mut dvec);
-        if seed_ok {
+
+        // Block Arnoldi steps: append wa columns per expansion.
+        for j in 0..m {
+            // RHS at their iteration budget freeze (stop counting) but
+            // their slot keeps riding the block to the cycle end.
             for s in 0..wa {
-                gather_col(&wbuf[..n * wa], wa, s, &mut tmp);
-                basis.basis.write(s, &tmp);
-            }
-            gmat[..ld * wa].fill(0.0);
-            for s in 0..wa {
-                for u in 0..=s {
-                    gmat[s * ld + u] = rblk[u * wa + s];
+                if !frozen[s] && lanes[act[s]].stats.iterations >= opts.max_iters {
+                    frozen[s] = true;
+                    qk[s] = c_end;
                 }
-                lanes[act[s]].stats.basis_bytes_written += col_bytes;
+            }
+            if frozen.iter().all(|&f| f) {
+                break;
+            }
+            let q0 = (j + 1) * wa; // columns already in the basis
+
+            // Expansion: W = A · M⁻¹ V_j, one operator sweep for the
+            // whole block.
+            for s in 0..wa {
+                basis.read_column(q0 - wa + s, &mut tmp);
+                precond.apply(&tmp, &mut tmp2);
+                scatter_col(&mut xbuf[..n * wa], wa, s, &tmp2);
+            }
+            a.spmm_into(&xbuf[..n * wa], &mut panel.w[..n * wa], wa);
+            operator_sweeps += 1;
+
+            // Stage 1: ONE decode sweep pair of all q0 shared columns
+            // serves every new vector (plus the panel-wide DGKS pair).
+            // Each RHS is charged its share: its own j + 1 columns.
+            let pairs = panel.project(&basis, q0, wa, opts.reorth_eta);
+            for s in 0..wa {
+                if !frozen[s] {
+                    let st = &mut lanes[act[s]].stats;
+                    st.spmv_count += 1;
+                    st.basis_bytes_read += col_bytes;
+                    charge(st, pairs, j as u64 + 1, col_bytes);
+                }
             }
 
-            // Block Arnoldi steps: append wa columns per expansion.
-            for j in 0..m {
-                // RHS at their iteration budget freeze (stop counting)
-                // but their slot keeps riding the block to the cycle end.
+            // Breakdown / poison guard: a non-finite projection or a
+            // rank-deficient new block ends the cycle at the columns
+            // recorded so far (the boundary's explicit residual still
+            // decides every RHS).
+            let poisoned = panel.pnorms[..wa].iter().any(|v| !v.is_finite())
+                || panel.omegas[..wa].iter().any(|v| !v.is_finite())
+                || panel.h[..q0 * wa].iter().any(|v| !v.is_finite());
+            if poisoned || !panel.mgs2(wa) {
                 for s in 0..wa {
-                    if !frozen[s] && lanes[act[s]].stats.iterations >= opts.max_iters {
+                    if !frozen[s] {
+                        lanes[act[s]].stats.breakdowns += 1;
                         frozen[s] = true;
                         qk[s] = c_end;
                     }
                 }
-                if frozen.iter().all(|&f| f) {
-                    break;
-                }
-                let q0 = (j + 1) * wa; // columns already in the basis
+                break;
+            }
 
-                // Expansion: W = A · M⁻¹ V_j, one operator sweep for
-                // the whole block.
-                for s in 0..wa {
-                    basis.basis.read_column(q0 - wa + s, &mut tmp);
-                    precond.apply(&tmp, &mut tmp2);
-                    scatter_col(&mut xbuf[..n * wa], wa, s, &tmp2);
+            // Store the wa new columns (one compression write each).
+            for s in 0..wa {
+                gather_col(&panel.w[..n * wa], wa, s, &mut tmp);
+                basis.write(q0 + s, &tmp);
+                if !frozen[s] {
+                    lanes[act[s]].stats.basis_bytes_written += col_bytes;
                 }
-                a.spmm_into(&xbuf[..n * wa], &mut wbuf[..n * wa], wa);
-                operator_sweeps += 1;
-                for s in 0..wa {
-                    if !frozen[s] {
-                        let st = &mut lanes[act[s]].stats;
-                        st.spmv_count += 1;
-                        st.basis_bytes_read += col_bytes;
+            }
+
+            // Band QR: each new Hessenberg column gets the stored
+            // rotations, then exactly wa new eliminations of its
+            // subdiagonal band, applied to every carrier too.
+            for t in 0..wa {
+                let c = c_end + t;
+                panel.raw_column(q0, wa, t, &mut hcol);
+                for &(rr, co, si) in rots.iter() {
+                    let r = rr as usize;
+                    let (a0, a1) = (hcol[r - 1], hcol[r]);
+                    hcol[r - 1] = co * a0 + si * a1;
+                    hcol[r] = -si * a0 + co * a1;
+                }
+                for r in ((c + 1)..=(q0 + t)).rev() {
+                    let (co, si) = givens(hcol[r - 1], hcol[r]);
+                    let (a0, a1) = (hcol[r - 1], hcol[r]);
+                    hcol[r - 1] = co * a0 + si * a1;
+                    hcol[r] = 0.0;
+                    rots.push((r as u32, co, si));
+                    // Frozen carriers are safe: these rotations only
+                    // touch rows >= c >= their recorded q_k.
+                    for s in 0..wa {
+                        let g = &mut gmat[s * ld..(s + 1) * ld];
+                        let (g0, g1) = (g[r - 1], g[r]);
+                        g[r - 1] = co * g0 + si * g1;
+                        g[r] = -si * g0 + co * g1;
                     }
                 }
+                rmat[c * ld..c * ld + c + 1].copy_from_slice(&hcol[..c + 1]);
+            }
+            c_end += wa;
 
-                // Block orthogonalization: ONE decode sweep of all q0
-                // shared columns serves every new vector (dots), and
-                // one more applies the update (axpys).
-                col_norms(&wbuf[..n * wa], wa, n, &mut omegas);
-                basis.basis.dots_many_with(
-                    q0,
-                    &wbuf[..n * wa],
-                    wa,
-                    &mut hproj[..q0 * wa],
-                    &mut dot_scratch,
-                );
-                for (nv, &hv) in nbuf[..q0 * wa].iter_mut().zip(&hproj[..q0 * wa]) {
-                    *nv = -hv;
+            // Per-RHS implicit residual from the carrier tail; a target
+            // hit freezes the RHS at its q_k (the next boundary's
+            // explicit residual decides convergence).
+            for s in 0..wa {
+                if frozen[s] {
+                    continue;
                 }
-                basis
-                    .basis
-                    .axpys_many(q0, &nbuf[..q0 * wa], &mut wbuf[..n * wa], wa);
-                col_norms(&wbuf[..n * wa], wa, n, &mut pnorms);
-                for s in 0..wa {
-                    if !frozen[s] {
-                        let st = &mut lanes[act[s]].stats;
-                        st.basis_bytes_read += 2 * (j as u64 + 1) * col_bytes;
-                        st.basis_dot_sweeps += 1;
-                        st.basis_gemv_sweeps += 1;
-                    }
-                }
-
-                // DGKS: if any new column shrank past η, reorthogonalize
-                // the whole block once (one extra pair of decode sweeps).
-                if pnorms[..wa]
+                let lane = &mut lanes[act[s]];
+                lane.stats.iterations += 1;
+                let g = &gmat[s * ld..(s + 1) * ld];
+                let tail: f64 = g[c_end..c_end + wa]
                     .iter()
-                    .zip(&omegas[..wa])
-                    .any(|(&p, &o)| p.is_finite() && o.is_finite() && p < opts.reorth_eta * o)
-                {
-                    basis.basis.dots_many_with(
-                        q0,
-                        &wbuf[..n * wa],
-                        wa,
-                        &mut hcorr[..q0 * wa],
-                        &mut dot_scratch,
-                    );
-                    for jc in 0..q0 * wa {
-                        hproj[jc] += hcorr[jc];
-                        nbuf[jc] = -hcorr[jc];
-                    }
-                    basis
-                        .basis
-                        .axpys_many(q0, &nbuf[..q0 * wa], &mut wbuf[..n * wa], wa);
-                    col_norms(&wbuf[..n * wa], wa, n, &mut pnorms);
-                    for s in 0..wa {
-                        if !frozen[s] {
-                            let st = &mut lanes[act[s]].stats;
-                            st.reorthogonalizations += 1;
-                            st.basis_bytes_read += 2 * (j as u64 + 1) * col_bytes;
-                            st.basis_dot_sweeps += 1;
-                            st.basis_gemv_sweeps += 1;
-                        }
-                    }
+                    .map(|v| v * v)
+                    .sum::<f64>()
+                    .sqrt();
+                let implicit_rrn = tail / lane.bnorm;
+                if opts.record_history {
+                    lane.history.push(HistoryPoint {
+                        iteration: lane.stats.iterations,
+                        rrn: implicit_rrn,
+                        explicit: false,
+                    });
                 }
-
-                // Breakdown / poison guard: a non-finite projection or
-                // a rank-deficient new block ends the cycle at the
-                // columns recorded so far (the boundary's explicit
-                // residual still decides every RHS).
-                let poisoned = pnorms[..wa].iter().any(|v| !v.is_finite())
-                    || omegas[..wa].iter().any(|v| !v.is_finite())
-                    || hproj[..q0 * wa].iter().any(|v| !v.is_finite());
-                let grew = !poisoned
-                    && mgs2_block(&mut wbuf[..n * wa], wa, n, &mut rblk, &mut rblk2, &mut dvec);
-                if !grew {
-                    for s in 0..wa {
-                        if !frozen[s] {
-                            lanes[act[s]].stats.breakdowns += 1;
-                            frozen[s] = true;
-                            qk[s] = c_end;
-                        }
-                    }
-                    break;
-                }
-
-                // Store the wa new columns (one compression write each).
-                for s in 0..wa {
-                    gather_col(&wbuf[..n * wa], wa, s, &mut tmp);
-                    basis.basis.write(q0 + s, &tmp);
-                    if !frozen[s] {
-                        lanes[act[s]].stats.basis_bytes_written += col_bytes;
-                    }
-                }
-
-                // Band QR: each new Hessenberg column gets the stored
-                // rotations, then exactly wa new eliminations of its
-                // subdiagonal band, applied to every carrier too.
-                for t in 0..wa {
-                    let c = c_end + t;
-                    hcol[..q0 + wa].fill(0.0);
-                    for jc in 0..q0 {
-                        hcol[jc] = hproj[jc * wa + t];
-                    }
-                    for u in 0..=t {
-                        hcol[q0 + u] = rblk[u * wa + t];
-                    }
-                    for &(rr, co, si) in rots.iter() {
-                        let r = rr as usize;
-                        let (a0, a1) = (hcol[r - 1], hcol[r]);
-                        hcol[r - 1] = co * a0 + si * a1;
-                        hcol[r] = -si * a0 + co * a1;
-                    }
-                    for r in ((c + 1)..=(q0 + t)).rev() {
-                        let (co, si) = givens(hcol[r - 1], hcol[r]);
-                        let (a0, a1) = (hcol[r - 1], hcol[r]);
-                        hcol[r - 1] = co * a0 + si * a1;
-                        hcol[r] = 0.0;
-                        rots.push((r as u32, co, si));
-                        // Frozen carriers are safe: these rotations only
-                        // touch rows >= c >= their recorded q_k.
-                        for s in 0..wa {
-                            let g = &mut gmat[s * ld..(s + 1) * ld];
-                            let (g0, g1) = (g[r - 1], g[r]);
-                            g[r - 1] = co * g0 + si * g1;
-                            g[r] = -si * g0 + co * g1;
-                        }
-                    }
-                    rmat[c * ld..c * ld + c + 1].copy_from_slice(&hcol[..c + 1]);
-                }
-                c_end += wa;
-
-                // Per-RHS implicit residual from the carrier tail; a
-                // target hit freezes the RHS at its q_k (the next
-                // boundary's explicit residual decides convergence).
-                for s in 0..wa {
-                    if frozen[s] {
-                        continue;
-                    }
-                    let lane = &mut lanes[act[s]];
-                    lane.stats.iterations += 1;
-                    let g = &gmat[s * ld..(s + 1) * ld];
-                    let tail: f64 = g[c_end..c_end + wa]
-                        .iter()
-                        .map(|v| v * v)
-                        .sum::<f64>()
-                        .sqrt();
-                    let implicit_rrn = tail / lane.bnorm;
-                    if opts.record_history {
-                        lane.history.push(HistoryPoint {
-                            iteration: lane.stats.iterations,
-                            rrn: implicit_rrn,
-                            explicit: false,
-                        });
-                    }
-                    if implicit_rrn <= opts.target_rrn || !implicit_rrn.is_finite() {
-                        frozen[s] = true;
-                        qk[s] = c_end;
-                    }
-                }
-                if frozen.iter().all(|&f| f) {
-                    break;
+                if implicit_rrn <= opts.target_rrn || !implicit_rrn.is_finite() {
+                    frozen[s] = true;
+                    qk[s] = c_end;
                 }
             }
-        } else {
-            // Seed breakdown: exactly dependent residuals. No progress
-            // is possible this cycle; every RHS records the breakdown.
-            for &k in &act {
-                lanes[k].stats.breakdowns += 1;
+            if frozen.iter().all(|&f| f) {
+                break;
             }
         }
         for s in 0..wa {
@@ -850,31 +595,31 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
             lane.stats.basis_gemv_sweeps += 1;
         }
         if kmax > 0 {
-            basis
-                .basis
-                .combine_many(kmax, &ys[..kmax * wa], &mut wbuf[..n * wa], wa);
+            basis.combine_many(kmax, &ys[..kmax * wa], &mut panel.w[..n * wa], wa);
             for s in 0..wa {
                 if qk[s] == 0 {
                     continue;
                 }
-                gather_col(&wbuf[..n * wa], wa, s, &mut tmp);
+                gather_col(&panel.w[..n * wa], wa, s, &mut tmp);
                 precond.apply(&tmp, &mut tmp2);
                 axpy(1.0, &tmp2, &mut lanes[act[s]].x);
             }
         }
     }
 
-    for lane in lanes.iter_mut() {
-        lane.stats.basis_bits_per_value = if n > 0 {
-            col_bytes as f64 * 8.0 / n as f64
-        } else {
-            0.0
-        };
-    }
+    // Read from the live store at the end, like the single-RHS loop:
+    // round-trip stores only know their achieved rate after columns
+    // have actually been written.
+    let bits_per_value = if n > 0 {
+        basis.column_bytes() as f64 * 8.0 / n as f64
+    } else {
+        0.0
+    };
     let mut solutions = Vec::with_capacity(width);
     let mut stats = Vec::with_capacity(width);
     let mut histories = Vec::with_capacity(width);
-    for lane in lanes {
+    for mut lane in lanes {
+        lane.stats.basis_bits_per_value = bits_per_value;
         solutions.push(lane.x);
         stats.push(lane.stats);
         histories.push(lane.history);
@@ -1158,15 +903,5 @@ mod tests {
         assert!(r.solutions[0].iter().all(|&v| v == 0.0));
         assert!(r.stats[1].converged);
         assert!(r.stats[1].iterations > 0);
-    }
-
-    #[test]
-    fn block_basis_is_one_shared_store_sized_for_the_whole_block() {
-        let bb: BlockBasis<DenseStore<f64>> =
-            BlockBasis::with_factory(3, 100, 11, DenseStore::with_shape);
-        assert_eq!(bb.width(), 3);
-        assert_eq!(bb.cols_per_rhs(), 11);
-        assert_eq!(bb.shared().rows(), 100);
-        assert_eq!(bb.shared().cols(), 33);
     }
 }

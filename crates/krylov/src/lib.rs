@@ -35,13 +35,19 @@
 //! [`sstep`] amortizes the *per-iteration* decode traffic the same
 //! way [`block`] amortizes the per-RHS traffic: each outer step
 //! expands the space by `s` directions at once via the matrix-powers
-//! kernel (`spla`'s fused `spmv_powers_into`), orthogonalized in two
-//! stages — one fused block-CGS sweep of the compressed basis, then
-//! an intra-panel CholQR with MGS² fallback. A per-restart
+//! kernel (`spla`'s fused `spmv_powers_into`). A per-restart
 //! loss-of-orthogonality monitor gates `s` per basis format
 //! ([`basis_format::BasisFormat::max_sstep`]) and shrinks it to 1 on
 //! a breach; at a gated `s = 1` it runs the scalar cycle of
 //! [`gmres::gmres_with`], bit for bit.
+//!
+//! Both drivers orthogonalize a new panel in the same two stages, one
+//! copy each in the crate-private `panel.rs`: one fused block-CGS
+//! sweep pair of the compressed basis (plus a panel-wide DGKS pair
+//! when a column lost most of its norm), then an intra-panel
+//! factorization — MGS² for block, CholQR with an MGS² fallback for
+//! s-step. Seeds, the stage-2 choice, and the Givens updates stay with
+//! each driver.
 //!
 //! The scalar, s-step, and adaptive solvers are one restart loop with
 //! three cycle policies, so they share one hooked entry:
@@ -68,15 +74,14 @@ pub mod checkpoint;
 pub mod diagnostics;
 pub mod faults;
 pub mod gmres;
+mod panel;
 pub mod precond;
 pub mod sstep;
 
 pub use adaptive::{adaptive_gmres, AdaptiveOptions};
 pub use basis::Basis;
 pub use basis_format::{auto_basis, BasisFormat, ESCALATION_LADDER};
-pub use block::{
-    block_gmres_dyn, block_gmres_dyn_observed, block_gmres_with, BlockBasis, BlockSolveResult,
-};
+pub use block::{block_gmres_dyn, block_gmres_dyn_observed, block_gmres_with, BlockSolveResult};
 pub use checkpoint::{CheckpointError, DriverKind, SolveCheckpoint, SolveControl};
 pub use diagnostics::{history_summary, HistorySummary};
 pub use faults::{BasisBitFlip, FaultInjectingStore, FaultPlan, FaultSpec, FaultyFormat};
@@ -85,4 +90,4 @@ pub use gmres::{
     SolvePlan, SolveResult, SolveStats,
 };
 pub use precond::{BlockJacobi, Identity, Jacobi, PrecondError, Preconditioner};
-pub use sstep::{loo_budget, sstep_gmres_dyn, sstep_gmres_with, SStepOptions, SStepSolveResult};
+pub use sstep::{loo_budget, sstep_gmres_dyn, SStepOptions, SStepSolveResult};

@@ -15,18 +15,24 @@
 //! preconditioner the whole panel comes from the fused
 //! [`spla::SparseMatrix::spmv_powers_into`] kernel.
 //!
-//! Orthogonalization runs in two stages:
+//! Orthogonalization runs in two stages, each one copy in the
+//! crate-private `panel.rs` that the block solver ([`crate::block`])
+//! runs too:
 //!
 //! 1. **Block CGS against the stored basis** — one fused
 //!    `dots_many`/`axpys_many` pair projects the panel against all `k`
 //!    current columns (exactly one dot sweep + one gemv sweep,
-//!    whatever `s` is).
+//!    whatever `s` is), plus one panel-wide DGKS pair when a column
+//!    lost most of its norm.
 //! 2. **Intra-panel CholQR** — a serial `s × s` Gram matrix and its
 //!    Cholesky factor turn the projected panel into orthonormal
 //!    columns. When the Gram pivot collapses (monomial panels lose
 //!    ~one binade of conditioning per power) the driver falls back to
-//!    one corrective block-CGS sweep plus the MGS² factorization
-//!    shared with the block solver ([`crate::block`]).
+//!    one corrective block-CGS sweep plus MGS², the block solver's
+//!    factorization.
+//!
+//! This module keeps what is s-step's own: the matrix-powers
+//! expansion, the Hessenberg recovery, and the LOO monitor.
 //!
 //! The Hessenberg columns are *recovered* from the change-of-basis
 //! coefficients (`hp`, the panel's projection onto the old columns,
@@ -62,25 +68,18 @@
 //! solver keeps at width 1 (and enforced by the pinned fingerprints
 //! in `crates/bench/tests/pinned.rs`).
 
-use crate::basis::{Basis, TARGET_CHUNK};
+use crate::basis::Basis;
 use crate::basis_format::BasisFormat;
-use crate::block::{gather_col, mgs2_block, pack_interleaved};
 use crate::checkpoint::{DriverKind, SolveCheckpoint};
 use crate::gmres::{
     capture_column, finish_cycle, rotate_column, run_cycle, seed_cycle, solve_driver_full,
     ControlledSolve, CycleOutcome, CyclePolicy, GmresOptions, HistoryPoint, SolveHooks,
     SolveResult, SolveStats, Workspace,
 };
+use crate::panel::{charge, gather_col, pack_interleaved, Panel};
 use crate::precond::Preconditioner;
 use numfmt::ColumnStorage;
 use spla::SparseMatrix;
-
-/// Relative Gram-pivot threshold below which CholQR is abandoned for
-/// the corrective-sweep + MGS² fallback: a pivot this far under the
-/// largest diagonal means the panel has lost ≳10 digits of linear
-/// independence and the Cholesky factor would amplify noise into the
-/// recovered Hessenberg.
-const CHOLQR_PIVOT_RTOL: f64 = 1e-10;
 
 /// Headroom factor of [`loo_budget`] over the storage-induced LOO
 /// floor (`floor · √n`): decompression error alone puts every column
@@ -107,8 +106,7 @@ pub fn loo_budget(floor: f64, rows: usize) -> f64 {
 pub struct SStepOptions {
     /// Krylov directions generated per outer step (panel width).
     /// `1` runs the scalar cycle bit-for-bit; larger values
-    /// are clamped per basis format by [`BasisFormat::max_sstep`] in
-    /// the `dyn` entry points.
+    /// are clamped per basis format by [`BasisFormat::max_sstep`].
     pub s: usize,
     /// Loss-of-orthogonality budget override. `None` derives the
     /// format-relative default via [`loo_budget`].
@@ -151,25 +149,8 @@ pub struct SStepSolveResult {
 struct PanelScratch {
     /// Contiguous matrix powers `[Bv; B²v; …]`, `n · s`.
     powers: Vec<f64>,
-    /// Row-major interleaved working panel, `n · s`.
-    wpanel: Vec<f64>,
-    /// Projection of the panel onto the stored columns (`hp[i·s + c] =
-    /// v_iᵀ p_c`), `(m+1) · s`; accumulates the corrective sweep.
-    hp: Vec<f64>,
-    /// Negated coefficients for `axpys_many`, `(m+1) · s`.
-    nbuf: Vec<f64>,
-    /// Intra-panel Gram matrix, `s · s`.
-    gram: Vec<f64>,
-    /// Intra-panel triangular factor `R` (CholQR or composed MGS²).
-    rfac: Vec<f64>,
-    /// Second MGS² factor scratch, `s · s`.
-    r2: Vec<f64>,
-    /// MGS row-pass scratch, `s`.
-    dcol: Vec<f64>,
-    /// Panel column norms entering orthogonalization, `s`.
-    omegas: Vec<f64>,
-    /// Panel column norms after the CGS sweep (DGKS shrink test), `s`.
-    pnorms: Vec<f64>,
+    /// The two-stage orthogonalization: W, `hp = VᵀP`, R.
+    panel: Panel,
     /// Unrotated Hessenberg (column-major, ld = m+1) — the recovery
     /// recurrence needs raw columns, while `ws.hess` holds the
     /// Givens-rotated triangle.
@@ -184,79 +165,11 @@ impl PanelScratch {
     fn new(n: usize, m: usize, s: usize) -> Self {
         PanelScratch {
             powers: vec![0.0; n * s],
-            wpanel: vec![0.0; n * s],
-            hp: vec![0.0; (m + 1) * s],
-            nbuf: vec![0.0; (m + 1) * s],
-            gram: vec![0.0; s * s],
-            rfac: vec![0.0; s * s],
-            r2: vec![0.0; s * s],
-            dcol: vec![0.0; s],
-            omegas: vec![0.0; s],
-            pnorms: vec![0.0; s],
+            // A panel projects against k = j + 1 <= m stored columns.
+            panel: Panel::new(n, m, s),
             hraw: vec![0.0; (m + 1) * m],
             pvec: vec![0.0; m + 1],
             loo: vec![0.0; m + 1],
-        }
-    }
-}
-
-/// Gram + upper-Cholesky factorization of the row-major `n × s` panel.
-/// Fills `rfac` (row-major upper, `rfac[u·s + c]`, `u ≤ c`) and
-/// returns `false` when a pivot falls under `CHOLQR_PIVOT_RTOL` times
-/// the largest Gram diagonal (or anything is non-finite) — the
-/// caller's cue to take the MGS² fallback.
-fn cholqr_factor(wpanel: &[f64], s: usize, n: usize, gram: &mut [f64], rfac: &mut [f64]) -> bool {
-    gram[..s * s].fill(0.0);
-    for i in 0..n {
-        let row = &wpanel[i * s..(i + 1) * s];
-        for a in 0..s {
-            let va = row[a];
-            for b in a..s {
-                gram[a * s + b] += va * row[b];
-            }
-        }
-    }
-    let mut gmax = 0.0f64;
-    for a in 0..s {
-        gmax = gmax.max(gram[a * s + a]);
-    }
-    if gmax == 0.0 || !gmax.is_finite() {
-        return false;
-    }
-    rfac[..s * s].fill(0.0);
-    for c in 0..s {
-        let mut d = gram[c * s + c];
-        for u in 0..c {
-            d -= rfac[u * s + c] * rfac[u * s + c];
-        }
-        if d.is_nan() || d <= gmax * CHOLQR_PIVOT_RTOL {
-            return false;
-        }
-        let dc = d.sqrt();
-        rfac[c * s + c] = dc;
-        let inv = 1.0 / dc;
-        for t in c + 1..s {
-            let mut acc = gram[c * s + t];
-            for u in 0..c {
-                acc -= rfac[u * s + c] * rfac[u * s + t];
-            }
-            rfac[c * s + t] = acc * inv;
-        }
-    }
-    true
-}
-
-/// `W ← W·R⁻¹` in place on the row-major `n × s` panel (row-wise
-/// forward substitution against the upper-triangular `rfac`).
-fn trsm_rows(wpanel: &mut [f64], s: usize, n: usize, rfac: &[f64]) {
-    for i in 0..n {
-        let row = &mut wpanel[i * s..(i + 1) * s];
-        for c in 0..s {
-            let mut acc = row[c];
-            for u in 0..c {
-                acc -= rfac[u * s + c] * row[u];
-            }
-            row[c] = acc / rfac[c * s + c];
         }
     }
 }
@@ -313,101 +226,29 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
             }
         }
         stats.spmv_count += s_eff as u64;
+        let panel = &mut px.panel;
         {
             let refs: Vec<&[f64]> = px.powers[..n * s_eff].chunks(n).collect();
-            pack_interleaved(&mut px.wpanel[..n * s_eff], &refs, n);
+            pack_interleaved(&mut panel.w[..n * s_eff], &refs, n);
         }
 
-        // Stage 1: ONE block-CGS sweep against the stored basis — the
-        // whole point of the s-step formulation: one dot sweep + one
-        // gemv sweep serve all s_eff new directions.
-        crate::block::col_norms(&px.wpanel[..n * s_eff], s_eff, n, &mut px.omegas);
-        basis.dots_many_with(
-            k,
-            &px.wpanel[..n * s_eff],
-            s_eff,
-            &mut px.hp[..k * s_eff],
-            &mut ws.dot_partials,
-        );
-        for (nv, &hv) in px.nbuf[..k * s_eff].iter_mut().zip(&px.hp[..k * s_eff]) {
-            *nv = -hv;
-        }
-        basis.axpys_many(k, &px.nbuf[..k * s_eff], &mut px.wpanel[..n * s_eff], s_eff);
-        stats.basis_bytes_read += 2 * k as u64 * col_bytes;
-        stats.basis_dot_sweeps += 1;
-        stats.basis_gemv_sweeps += 1;
-
-        // DGKS shrink test, panel-wide (same rule as the scalar cycle
-        // and the block driver): if any panel column lost most of its
-        // mass to the projection, one more fused sweep pair — still
-        // amortized over all s_eff directions where the scalar driver
-        // pays it per column.
-        crate::block::col_norms(&px.wpanel[..n * s_eff], s_eff, n, &mut px.pnorms);
-        if px.pnorms[..s_eff]
-            .iter()
-            .zip(&px.omegas[..s_eff])
-            .any(|(&p, &o)| p.is_finite() && o.is_finite() && p < opts.reorth_eta * o)
-        {
-            basis.dots_many_with(
-                k,
-                &px.wpanel[..n * s_eff],
-                s_eff,
-                &mut px.nbuf[..k * s_eff],
-                &mut ws.dot_partials,
-            );
-            for i in 0..k * s_eff {
-                px.hp[i] += px.nbuf[i];
-                px.nbuf[i] = -px.nbuf[i];
-            }
-            basis.axpys_many(k, &px.nbuf[..k * s_eff], &mut px.wpanel[..n * s_eff], s_eff);
-            stats.basis_bytes_read += 2 * k as u64 * col_bytes;
-            stats.basis_dot_sweeps += 1;
-            stats.basis_gemv_sweeps += 1;
-            stats.reorthogonalizations += 1;
-        }
-
-        // Stage 2: intra-panel CholQR; on an ill-conditioned Gram,
-        // one corrective block-CGS sweep (the panel has then also lost
-        // orthogonality to V) followed by MGS².
-        if cholqr_factor(
-            &px.wpanel[..n * s_eff],
-            s_eff,
-            n,
-            &mut px.gram,
-            &mut px.rfac,
-        ) {
-            trsm_rows(&mut px.wpanel[..n * s_eff], s_eff, n, &px.rfac);
-        } else {
-            basis.dots_many_with(
-                k,
-                &px.wpanel[..n * s_eff],
-                s_eff,
-                &mut px.nbuf[..k * s_eff],
-                &mut ws.dot_partials,
-            );
-            for i in 0..k * s_eff {
-                px.hp[i] += px.nbuf[i];
-                px.nbuf[i] = -px.nbuf[i];
-            }
-            basis.axpys_many(k, &px.nbuf[..k * s_eff], &mut px.wpanel[..n * s_eff], s_eff);
-            stats.basis_bytes_read += 2 * k as u64 * col_bytes;
-            stats.basis_dot_sweeps += 1;
-            stats.basis_gemv_sweeps += 1;
-            stats.reorthogonalizations += 1;
-            if !mgs2_block(
-                &mut px.wpanel[..n * s_eff],
-                s_eff,
-                n,
-                &mut px.rfac,
-                &mut px.r2,
-                &mut px.dcol,
-            ) {
-                stats.breakdowns += 1;
-                break 'outer;
-            }
-        }
-        if px.hp[..k * s_eff].iter().any(|v| !v.is_finite())
-            || px.rfac[..s_eff * s_eff].iter().any(|v| !v.is_finite())
+        // Stage 1: ONE block-CGS sweep pair against the stored basis —
+        // the whole point of the s-step formulation: one dot sweep + one
+        // gemv sweep serve all s_eff new directions (the panel-wide DGKS
+        // pair, when it fires, is amortized the same way). Stage 2:
+        // intra-panel CholQR; on an ill-conditioned Gram, one corrective
+        // pair (the panel has then also lost orthogonality to V)
+        // followed by MGS².
+        let mut pairs = panel.project(basis, k, s_eff, opts.reorth_eta);
+        let factored = panel.cholqr(s_eff) || {
+            panel.correct(basis, k, s_eff);
+            pairs += 1;
+            panel.mgs2(s_eff)
+        };
+        charge(stats, pairs, k as u64, col_bytes);
+        if !factored
+            || panel.h[..k * s_eff].iter().any(|v| !v.is_finite())
+            || panel.r[..s_eff * s_eff].iter().any(|v| !v.is_finite())
         {
             stats.breakdowns += 1;
             break 'outer;
@@ -429,16 +270,10 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
             let jc = jbase + c;
             {
                 let col = &mut px.pvec[..jc + 2];
-                col.fill(0.0);
-                for (i, cv) in col.iter_mut().enumerate().take(k) {
-                    *cv = px.hp[i * s_eff + c];
-                }
-                for u in 0..=c {
-                    col[k + u] = px.rfac[u * s_eff + c];
-                }
+                panel.raw_column(k, s_eff, c, col);
                 if c > 0 {
                     for (i, hcol) in px.hraw.chunks(ld).enumerate().take(k) {
-                        let coef = px.hp[i * s_eff + (c - 1)];
+                        let coef = panel.h[i * s_eff + (c - 1)];
                         if coef != 0.0 {
                             for (cv, &hv) in col[..i + 2].iter_mut().zip(&hcol[..i + 2]) {
                                 *cv -= coef * hv;
@@ -446,7 +281,7 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
                         }
                     }
                     for u in 0..c - 1 {
-                        let coef = px.rfac[u * s_eff + (c - 1)];
+                        let coef = panel.r[u * s_eff + (c - 1)];
                         let src = jbase + 1 + u;
                         if coef != 0.0 {
                             for (cv, &hv) in col[..src + 2]
@@ -457,7 +292,7 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
                             }
                         }
                     }
-                    let dvsr = px.rfac[(c - 1) * s_eff + (c - 1)];
+                    let dvsr = panel.r[(c - 1) * s_eff + (c - 1)];
                     if dvsr == 0.0 || !dvsr.is_finite() {
                         stats.breakdowns += 1;
                         break 'outer;
@@ -491,7 +326,7 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
             // Store q_c as basis column jc+1 (compressed write) — the
             // next panel and the final combine read it back through
             // the accessor like every other column.
-            gather_col(&px.wpanel[..n * s_eff], s_eff, c, &mut ws.w);
+            gather_col(&panel.w[..n * s_eff], s_eff, c, &mut ws.w);
             basis.write(jc + 1, &ws.w);
             stats.basis_bytes_written += col_bytes;
             capture_column(basis, jc + 1, opts, stats, captured);
@@ -504,7 +339,7 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
 
 /// Measure `max |(QᵀQ − I)_{ab}|` over the first `k` stored basis
 /// columns, reading each column back through the compressed store.
-/// Diagnostics only: the `k(k+1)/2` column decodes are charged to
+/// Diagnostics only: the `k(k+3)/2` column decodes are charged to
 /// `basis_bytes_read` but NOT to the sweep counters, which count
 /// solver work (the quantity s-step reduces), not monitoring.
 fn measure_loo<S: ColumnStorage>(
@@ -539,10 +374,8 @@ fn measure_loo<S: ColumnStorage>(
 /// boundary — bit-for-bit [`crate::gmres::gmres_with`] — while its
 /// checkpoints still carry the s-step identity.
 pub(crate) struct PanelPolicy {
-    /// Panel width admitted for this solve (request clamped by the
-    /// format gate); `px` is sized for it.
-    gated: usize,
-    /// Panel width of the next cycle.
+    /// Panel width of the next cycle (starts at the width the format
+    /// gate admits, which `px` is sized for).
     s_cur: usize,
     /// LOO budget a measured cycle must stay within.
     budget: f64,
@@ -556,7 +389,6 @@ pub(crate) struct PanelPolicy {
 impl PanelPolicy {
     fn new(rows: usize, m: usize, gated: usize, budget: f64) -> Self {
         PanelPolicy {
-            gated,
             s_cur: gated,
             budget,
             px: (gated > 1).then(|| PanelScratch::new(rows, m, gated)),
@@ -600,13 +432,6 @@ impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
                 a, precond, opts, basis, ws, x, beta, bnorm, stats, history, captured,
             );
         };
-        // Pre-size the shared partial buffer for the widest dots_many
-        // the panel can issue (k ≤ m columns × gated targets) so cycles
-        // never grow it mid-solve.
-        let widest = x.len().div_ceil(TARGET_CHUNK) * (ws.m + 1) * self.gated;
-        if ws.dot_partials.len() < widest {
-            ws.dot_partials.resize(widest, 0.0);
-        }
         let out = run_sstep_cycle(
             a, precond, opts, basis, ws, px, x, beta, bnorm, stats, history, captured, self.s_cur,
         );
@@ -640,55 +465,10 @@ impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
     }
 }
 
-/// Run the one restart loop over `store` under a [`PanelPolicy`] of
-/// width `gated`, whose LOO budget is the `sopts` override or the one
-/// the storage accuracy `floor` implies.
-#[allow(clippy::too_many_arguments)]
-fn panel_solve<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    sopts: &SStepOptions,
-    precond: &P,
-    store: S,
-    gated: usize,
-    floor: f64,
-    hooks: SolveHooks<'_>,
-) -> (ControlledSolve, PanelPolicy) {
-    let budget = sopts
-        .loo_budget
-        .unwrap_or_else(|| loo_budget(floor, a.rows()));
-    let mut policy = PanelPolicy::new(a.rows(), sopts.gmres.restart, gated, budget);
-    let basis = Basis::from_store(store);
-    let done = solve_driver_full(a, b, x0, &sopts.gmres, precond, basis, &mut policy, hooks);
-    (done, policy)
-}
-
 /// The panel width an s-step solve over `format` runs at: the request
 /// clamped (at least 1) by [`BasisFormat::max_sstep`].
 pub(crate) fn gated_width(format: &dyn BasisFormat, sopts: &SStepOptions) -> usize {
     sopts.s.max(1).min(format.max_sstep().max(1))
-}
-
-/// s-step CB-GMRES with an explicit basis-store factory (the s-step
-/// analogue of [`crate::gmres::gmres_with`]). With `sopts.s == 1` the
-/// returned solve is bit-for-bit identical to `gmres_with` on the same
-/// inputs. The default LOO budget assumes exact (f64) storage; pass
-/// `sopts.loo_budget` or use [`sstep_gmres_dyn`] for format-relative
-/// gating.
-pub fn sstep_gmres_with<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    sopts: &SStepOptions,
-    precond: &P,
-    make_store: impl FnOnce(usize, usize) -> S,
-) -> SStepSolveResult {
-    let store = make_store(a.rows(), sopts.gmres.restart + 1);
-    let (s, exact) = (sopts.s.max(1), f64::powi(2.0, -52));
-    let hooks = SolveHooks::default();
-    let (done, policy) = panel_solve(a, b, x0, sopts, precond, store, s, exact, hooks);
-    policy.into_result(done.result)
 }
 
 /// s-step CB-GMRES over a runtime-selected basis format: `s` is gated
@@ -711,8 +491,10 @@ pub fn sstep_gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
 }
 
 /// [`sstep_gmres_dyn`] under `hooks` (the [`crate::SolvePlan::SStep`]
-/// arm of [`crate::solve`]), returning the policy with its panel-width
-/// trajectory alongside the solve.
+/// arm of [`crate::solve`]): the one restart loop under a
+/// [`PanelPolicy`] of the gated width, whose LOO budget is the `sopts`
+/// override or the one the format's accuracy floor implies. Returns the
+/// policy with its panel-width trajectory alongside the solve.
 pub(crate) fn sstep_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
@@ -722,9 +504,14 @@ pub(crate) fn sstep_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     format: &dyn BasisFormat,
     hooks: SolveHooks<'_>,
 ) -> (ControlledSolve, PanelPolicy) {
-    let store = format.create(a.rows(), sopts.gmres.restart + 1);
-    let (gated, floor) = (gated_width(format, sopts), format.accuracy_floor());
-    panel_solve(a, b, x0, sopts, precond, store, gated, floor, hooks)
+    let (n, m) = (a.rows(), sopts.gmres.restart);
+    let budget = sopts
+        .loo_budget
+        .unwrap_or_else(|| loo_budget(format.accuracy_floor(), n));
+    let mut policy = PanelPolicy::new(n, m, gated_width(format, sopts), budget);
+    let basis = Basis::from_store(format.create(n, m + 1));
+    let done = solve_driver_full(a, b, x0, &sopts.gmres, precond, basis, &mut policy, hooks);
+    (done, policy)
 }
 
 #[cfg(test)]
@@ -767,9 +554,9 @@ mod tests {
             loo_budget: None,
             gmres: o,
         };
-        let sstep = sstep_gmres_with(&a, &b, &x0, &sopts, &Identity, |rows, cols| {
-            Frsz2Store::with_config(cfg, rows, cols)
-        });
+        // The registry's frsz2_21 is Frsz2Store::with_config(32, 21).
+        let fmt = by_name("frsz2_21").unwrap();
+        let sstep = sstep_gmres_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref());
         assert!(scalar.stats.converged && sstep.solve.stats.converged);
         assert_eq!(sstep.solve.stats.iterations, scalar.stats.iterations);
         assert_eq!(sstep.solve.history.len(), scalar.history.len());
@@ -834,14 +621,8 @@ mod tests {
             loo_budget: None,
             gmres: o,
         };
-        let r = sstep_gmres_with(
-            &a,
-            &b,
-            &x0,
-            &sopts,
-            &Identity,
-            DenseStore::<f64>::with_shape,
-        );
+        let fmt = by_name("float64").unwrap();
+        let r = sstep_gmres_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref());
         assert!(r.solve.stats.converged);
         assert!(
             r.solve.stats.iterations <= scalar.stats.iterations + 2 * scalar.stats.restarts + 8,
@@ -861,7 +642,8 @@ mod tests {
             loo_budget: None,
             gmres: opts(1e-9),
         };
-        let r = sstep_gmres_with(&a, &b, &x0, &sopts, &jac, DenseStore::<f64>::with_shape);
+        let fmt = by_name("float64").unwrap();
+        let r = sstep_gmres_dyn(&a, &b, &x0, &sopts, &jac, fmt.as_ref());
         assert!(r.solve.stats.converged, "rrn {}", r.solve.stats.final_rrn);
         // The explicit-residual contract holds regardless of precond.
         let last = r.solve.history.last().unwrap();
@@ -878,10 +660,8 @@ mod tests {
             loo_budget: Some(1e-30),
             gmres: opts(1e-9),
         };
-        let cfg = Frsz2Config::new(32, 21);
-        let r = sstep_gmres_with(&a, &b, &x0, &sopts, &Identity, |rows, cols| {
-            Frsz2Store::with_config(cfg, rows, cols)
-        });
+        let fmt = by_name("frsz2_21").unwrap();
+        let r = sstep_gmres_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref());
         assert!(r.loo_breaches >= 1, "budget 1e-30 must breach");
         assert_eq!(r.s_per_cycle[0], 4, "first cycle runs at requested s");
         // After the breach every later cycle runs at s = 1.
@@ -964,14 +744,8 @@ mod tests {
             loo_budget: None,
             gmres: opts(1e-12),
         };
-        let r = sstep_gmres_with(
-            &a,
-            &[0.0; 12],
-            &[1.0; 12],
-            &sopts,
-            &Identity,
-            DenseStore::<f64>::with_shape,
-        );
+        let fmt = by_name("float64").unwrap();
+        let r = sstep_gmres_dyn(&a, &[0.0; 12], &[1.0; 12], &sopts, &Identity, fmt.as_ref());
         assert!(r.solve.stats.converged);
         assert!(r.solve.x.iter().all(|&v| v == 0.0));
         assert_eq!(r.solve.stats.iterations, 0);
