@@ -3,9 +3,10 @@
 //! analogue parameters can be tuned to the paper's qualitative shape.
 //! Not one of the paper's figures — a development tool.
 
-use bench::formats::standard_formats;
+use bench::formats::STANDARD_FORMATS;
 use bench::report::{fmt_g, print_table};
-use bench::runner::{default_opts, prepare, solve_problem, Cli};
+use bench::runner::{default_opts, prepare, solve_formats, Cli};
+use krylov::Identity;
 
 fn main() {
     let cli = Cli::parse();
@@ -13,34 +14,19 @@ fn main() {
     for name in cli.matrices() {
         let p = prepare(name, &cli);
         let opts = default_opts(&p, &cli);
-        for spec in standard_formats() {
-            if let Some(only) = &cli.format {
-                if spec.name() != *only {
-                    continue;
-                }
-            }
-            let r = solve_problem(&p, &opts, &spec);
+        for (format, r) in solve_formats(&p, &opts, &cli.formats(&STANDARD_FORMATS), &Identity) {
             rows.push(vec![
                 name.to_string(),
                 format!("{}", p.matrix.rows()),
-                spec.name(),
+                format,
                 format!("{}", r.stats.iterations),
                 if r.stats.converged { "yes" } else { "NO" }.to_string(),
                 fmt_g(r.stats.final_rrn),
                 fmt_g(p.target_rrn),
                 format!("{:.2}s", r.stats.wall_time.as_secs_f64()),
             ]);
-            println!(
-                "done: {name} {} iters={} conv={} rrn={:.2e} t={:.2}s",
-                r.stats.format,
-                r.stats.iterations,
-                r.stats.converged,
-                r.stats.final_rrn,
-                r.stats.wall_time.as_secs_f64()
-            );
         }
     }
-    println!();
     print_table(
         &[
             "matrix",

@@ -8,7 +8,8 @@
 //! codecs, and frsz2_32 still has the best convergence of all tested
 //! compressors.
 
-use bench::runner::{convergence_histories, default_opts, prepare, report_histories, Cli};
+use bench::runner::{default_opts, prepare, report_histories, solve_formats, Cli};
+use krylov::Identity;
 
 fn main() {
     let mut cli = Cli::parse();
@@ -32,6 +33,6 @@ fn main() {
         "zfp_fr_16",
         "zfp_fr_32",
     ];
-    let runs = convergence_histories(&p, &opts, &formats);
+    let runs = solve_formats(&p, &opts, &formats, &Identity);
     report_histories("fig06_convergence_pwrel", &runs);
 }

@@ -5,9 +5,10 @@
 //! matrix except float16 on PR02R and StocF-1465, where the information
 //! loss is too large.
 
-use bench::formats::standard_formats;
+use bench::formats::STANDARD_FORMATS;
 use bench::report::{fmt_g, print_table, write_csv};
-use bench::runner::{default_opts, prepare, solve_problem, Cli};
+use bench::runner::{default_opts, prepare, solve_formats, Cli};
+use krylov::Identity;
 
 fn main() {
     let mut cli = Cli::parse();
@@ -19,31 +20,17 @@ fn main() {
     for name in cli.matrices() {
         let p = prepare(name, &cli);
         let opts = default_opts(&p, &cli);
-        for spec in standard_formats() {
-            if cli.format.as_deref().is_some_and(|f| f != spec.name()) {
-                continue;
-            }
-            let r = solve_problem(&p, &opts, &spec);
-            eprintln!(
-                "  {name} {}: rrn {:.2e} ({})",
-                spec.name(),
-                r.stats.final_rrn,
-                if r.stats.converged {
-                    "ok"
-                } else {
-                    "MISSED TARGET"
-                }
-            );
+        for (format, r) in solve_formats(&p, &opts, &cli.formats(&STANDARD_FORMATS), &Identity) {
             rows.push(vec![
                 name.to_string(),
-                spec.name(),
+                format.clone(),
                 fmt_g(opts.target_rrn),
                 fmt_g(r.stats.final_rrn),
                 if r.stats.converged { "yes" } else { "NO" }.to_string(),
             ]);
             csv.push(vec![
                 name.to_string(),
-                spec.name(),
+                format,
                 format!("{:e}", opts.target_rrn),
                 format!("{:e}", r.stats.final_rrn),
                 r.stats.converged.to_string(),

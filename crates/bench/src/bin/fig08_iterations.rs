@@ -6,9 +6,10 @@
 //! ~3.5x float64; float16 scores 0 on PR02R and StocF-1465; everything
 //! else barely differs.
 
-use bench::formats::standard_formats;
+use bench::formats::STANDARD_FORMATS;
 use bench::report::{print_table, write_csv};
-use bench::runner::{default_opts, prepare, solve_problem, Cli};
+use bench::runner::{default_opts, prepare, solve_formats, Cli};
+use krylov::Identity;
 
 fn main() {
     let mut cli = Cli::parse();
@@ -20,28 +21,12 @@ fn main() {
     for name in cli.matrices() {
         let p = prepare(name, &cli);
         let opts = default_opts(&p, &cli);
-        let mut f64_iters = None;
-        let mut cells = Vec::new();
-        for spec in standard_formats() {
-            let r = solve_problem(&p, &opts, &spec);
-            eprintln!(
-                "  {name} {}: {} iterations ({})",
-                spec.name(),
-                r.stats.iterations,
-                if r.stats.converged {
-                    "ok"
-                } else {
-                    "no convergence"
-                }
-            );
-            if spec.name() == "float64" {
-                f64_iters = Some(r.stats.iterations);
-            }
-            cells.push((spec.name(), r.stats.converged, r.stats.iterations));
-        }
-        let base = f64_iters.expect("float64 always runs") as f64;
+        // float64, the first standard format, is the reference.
+        let runs = solve_formats(&p, &opts, &STANDARD_FORMATS, &Identity);
+        let base = runs[0].1.stats.iterations as f64;
         let mut row = vec![name.to_string()];
-        for (fmt, converged, iters) in cells {
+        for (fmt, r) in runs {
+            let (converged, iters) = (r.stats.converged, r.stats.iterations);
             // Paper convention: 0 when the target is not reached.
             let rel = if converged { iters as f64 / base } else { 0.0 };
             row.push(format!("{rel:.2}"));

@@ -15,7 +15,7 @@
 //! with a per-matrix `M⁻¹` shared across the series, keeping the
 //! comparison at equal basis traffic.
 
-use bench::runner::{convergence_histories_precond, default_opts, prepare, report_histories, Cli};
+use bench::runner::{default_opts, prepare, report_histories, solve_formats, Cli};
 use krylov::Preconditioner;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         precond_a.name()
     );
     let opts_a = default_opts(&pa, &cli);
-    let runs_a = convergence_histories_precond(&pa, &opts_a, &formats, &precond_a);
+    let runs_a = solve_formats(&pa, &opts_a, &formats, &precond_a);
     report_histories("fig09a_atmosmodm", &runs_a);
 
     // Quantify the restart correction (the Fig. 9a jump).
@@ -53,6 +53,6 @@ fn main() {
         precond_b.name()
     );
     let opts_b = default_opts(&pb, &cli);
-    let runs_b = convergence_histories_precond(&pb, &opts_b, &formats, &precond_b);
+    let runs_b = solve_formats(&pb, &opts_b, &formats, &precond_b);
     report_histories("fig09b_pr02r", &runs_b);
 }

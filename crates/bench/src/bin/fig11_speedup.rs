@@ -15,10 +15,11 @@
 //! below float32's, and excluding PR02R the two averages match
 //! (paper: 1.16 vs 1.09, 1.16 excluding PR02R).
 
-use bench::formats::standard_formats;
+use bench::formats::STANDARD_FORMATS;
 use bench::model::h100_time;
 use bench::report::{mean_std, print_table, write_csv};
-use bench::runner::{default_opts, prepare, solve_problem, Cli};
+use bench::runner::{default_opts, prepare, solve_formats, Cli};
+use krylov::Identity;
 
 fn main() {
     let mut cli = Cli::parse();
@@ -36,28 +37,28 @@ fn main() {
         let spmv_bytes = p.matrix.spmv_bytes();
         let n = p.matrix.rows();
 
-        // Reference: float64.
-        let f64_spec = standard_formats().remove(0);
-        let mut f64_wall = Vec::new();
-        let mut f64_h100 = 0.0;
-        for _ in 0..cli.runs {
-            let r = solve_problem(&p, &opts, &f64_spec);
-            f64_wall.push(r.stats.wall_time.as_secs_f64());
-            f64_h100 = h100_time(&f64_spec, &r.stats, n, spmv_bytes);
-        }
-        let (f64_mean, _) = mean_std(&f64_wall);
+        // Every run solves every standard format; float64, the first,
+        // is the reference.
+        let runs: Vec<_> = (0..cli.runs)
+            .map(|_| solve_formats(&p, &opts, &STANDARD_FORMATS, &Identity))
+            .collect();
+        let walls = |k: usize| -> Vec<f64> {
+            runs.iter()
+                .map(|run| run[k].1.stats.wall_time.as_secs_f64())
+                .collect()
+        };
+        let h100 = |k: usize| {
+            runs.last().map_or(0.0, |run| {
+                h100_time(STANDARD_FORMATS[k], &run[k].1.stats, n, spmv_bytes)
+            })
+        };
+        let (f64_mean, _) = mean_std(&walls(0));
+        let f64_h100 = h100(0);
 
-        for spec in standard_formats().into_iter().skip(1) {
-            let mut walls = Vec::new();
-            let mut h100 = 0.0;
-            let mut converged = true;
-            for _ in 0..cli.runs {
-                let r = solve_problem(&p, &opts, &spec);
-                walls.push(r.stats.wall_time.as_secs_f64());
-                h100 = h100_time(&spec, &r.stats, n, spmv_bytes);
-                converged &= r.stats.converged;
-            }
-            let (w_mean, w_std) = mean_std(&walls);
+        for (k, &format) in STANDARD_FORMATS.iter().enumerate().skip(1) {
+            let (w_mean, w_std) = mean_std(&walls(k));
+            let h100 = h100(k);
+            let converged = runs.iter().all(|run| run[k].1.stats.converged);
             // "The entire bar is removed ... if a storage format does not
             // reach the targeted relative residual norm."
             let (h100_speedup, wall_speedup, wall_err) = if converged {
@@ -70,12 +71,11 @@ fn main() {
                 (0.0, 0.0, 0.0)
             };
             eprintln!(
-                "  {name} {}: modeled-H100 speedup {h100_speedup:.2}, wall {wall_speedup:.2}",
-                spec.name()
+                "  {name} {format}: modeled-H100 speedup {h100_speedup:.2}, wall {wall_speedup:.2}"
             );
             rows.push(vec![
                 name.to_string(),
-                spec.name(),
+                format.to_string(),
                 if converged {
                     format!("{h100_speedup:.2}")
                 } else {
@@ -89,14 +89,14 @@ fn main() {
             ]);
             csv.push(vec![
                 name.to_string(),
-                spec.name(),
+                format.to_string(),
                 format!("{h100_speedup}"),
                 format!("{wall_speedup}"),
                 format!("{wall_err}"),
                 converged.to_string(),
             ]);
             if converged {
-                h100_speedups.push((spec.name(), name.to_string(), h100_speedup));
+                h100_speedups.push((format.to_string(), name.to_string(), h100_speedup));
             }
         }
     }

@@ -1,262 +1,171 @@
-//! Runtime resolution of storage-format names to solver invocations.
+//! The figure binaries' `--format` and `--precond` names.
 //!
-//! Accepted names (paper nomenclature):
-//! `float64`, `float32`, `float16`, `bfloat16`, `frsz2_16`, `frsz2_21`,
-//! `frsz2_32` (any `frsz2_<l>` with `2 <= l <= 64`), and every Table II
-//! compressor configuration (`sz3_06`, `zfp_fr_32`, ...), which run as
-//! LibPressio-style round-trip storage.
+//! A format name is either a `krylov::basis_format` registry name —
+//! `float64`, `float32`, `float16`, `bfloat16`, any `frsz2_<l>` with
+//! `2 <= l <= 64`, `frsz2_ab`, and every Table II compressor
+//! configuration (`sz3_06`, `zfp_fr_32`, ...) — or one of the two
+//! adaptive-precision presets, `adaptive` and `adaptive_bidir`. The
+//! registry is the only table that maps a name to storage; [`solve`]
+//! runs every name through `krylov::solve`.
 
-use frsz2::{Frsz2AdaptiveStore, Frsz2Config, Frsz2Store};
+use krylov::basis_format;
 use krylov::{
-    adaptive_gmres, gmres, gmres_with, AdaptiveOptions, BlockJacobi, GmresOptions, Identity,
-    Jacobi, Preconditioner, SolveResult,
+    AdaptiveOptions, BlockJacobi, GmresOptions, Identity, Jacobi, Preconditioner, SolveHooks,
+    SolvePlan, SolveResult,
 };
-use lossy::RoundTripStore;
-use numfmt::{DenseStore, BF16, F16};
 use spla::Csr;
 
-/// Runtime-selected preconditioner (`--precond`). The solver entry
-/// points are generic over [`Preconditioner`], so the bench wraps the
-/// three supported choices in one enum that delegates `apply`.
-#[derive(Clone, Debug)]
-pub enum Precond {
-    None(Identity),
-    Jacobi(Jacobi),
-    BlockJacobi(BlockJacobi),
-}
-
-type Build = fn(&Csr) -> Precond;
-
-impl Precond {
-    /// Every accepted name with its constructor: `none`/`identity` (the
-    /// paper's §V-C setup), `jacobi` (point Jacobi), `block_jacobi`
-    /// (dense 4×4 diagonal blocks). Degenerate rows/blocks degrade
-    /// gracefully via the infallible constructors.
-    const BUILDERS: [(&'static str, Build); 4] = [
-        ("none", |_| Precond::None(Identity)),
-        ("identity", |_| Precond::None(Identity)),
-        ("jacobi", |a| Precond::Jacobi(Jacobi::new(a))),
-        ("block_jacobi", |a| {
-            Precond::BlockJacobi(BlockJacobi::new(a, 4))
-        }),
-    ];
-
-    /// The names [`Precond::parse`] accepts.
-    pub fn names() -> impl Iterator<Item = &'static str> {
-        Self::BUILDERS.iter().map(|(name, _)| *name)
-    }
-
-    /// Build the named preconditioner from the operator. Returns `None`
-    /// for unknown names.
-    pub fn parse(name: &str, a: &Csr) -> Option<Precond> {
-        let (_, build) = Self::BUILDERS.iter().find(|(n, _)| *n == name)?;
-        Some(build(a))
-    }
-}
-
-impl Preconditioner for Precond {
-    #[inline]
-    fn apply(&self, v: &[f64], out: &mut [f64]) {
-        match self {
-            Precond::None(p) => p.apply(v, out),
-            Precond::Jacobi(p) => p.apply(v, out),
-            Precond::BlockJacobi(p) => p.apply(v, out),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Precond::None(p) => p.name(),
-            Precond::Jacobi(p) => p.name(),
-            Precond::BlockJacobi(p) => p.name(),
-        }
-    }
-}
-
-/// A resolved storage format.
-#[derive(Clone, Debug)]
-pub enum FormatSpec {
-    F64,
-    F32,
-    F16,
-    BF16,
-    /// FRSZ2 at bit length `l`, in the paper's 32-value blocks.
-    Frsz2(u32),
-    /// Table II codec round-trip (by registry name).
-    Lossy(String),
-    /// Per-block adaptive bit length (`frsz2_ab`): one store, `l`
-    /// chosen per 32-value block from the block's exponent spread.
-    Frsz2Adaptive,
-    /// Adaptive-precision basis: start at the bottom of
-    /// `krylov::ESCALATION_LADDER` and escalate on stagnation.
-    Adaptive,
-    /// [`FormatSpec::Adaptive`] with ladder de-escalation enabled
-    /// (single-cycle hysteresis): steps back down after a qualifying
-    /// residual drop, reclaiming bandwidth.
-    AdaptiveBidir,
-}
-
-impl FormatSpec {
-    /// Paper-style display name.
-    pub fn name(&self) -> String {
-        match self {
-            FormatSpec::F64 => "float64".into(),
-            FormatSpec::F32 => "float32".into(),
-            FormatSpec::F16 => "float16".into(),
-            FormatSpec::BF16 => "bfloat16".into(),
-            FormatSpec::Frsz2(bits) => format!("frsz2_{bits}"),
-            FormatSpec::Lossy(n) => n.clone(),
-            FormatSpec::Frsz2Adaptive => "frsz2_ab".into(),
-            FormatSpec::Adaptive => "adaptive".into(),
-            FormatSpec::AdaptiveBidir => "adaptive_bidir".into(),
-        }
-    }
-}
-
-/// Parse a format name. Returns `None` for unknown names.
-pub fn parse(name: &str) -> Option<FormatSpec> {
-    match name {
-        "float64" | "f64" => return Some(FormatSpec::F64),
-        "float32" | "f32" => return Some(FormatSpec::F32),
-        "float16" | "f16" => return Some(FormatSpec::F16),
-        "bfloat16" | "bf16" => return Some(FormatSpec::BF16),
-        "adaptive" => return Some(FormatSpec::Adaptive),
-        "adaptive_bidir" => return Some(FormatSpec::AdaptiveBidir),
-        "frsz2_ab" => return Some(FormatSpec::Frsz2Adaptive),
-        _ => {}
-    }
-    if let Some(bits) = name.strip_prefix("frsz2_") {
-        if let Ok(bits) = bits.parse::<u32>() {
-            if (2..=64).contains(&bits) {
-                return Some(FormatSpec::Frsz2(bits));
-            }
-        }
-        return None;
-    }
-    if lossy::registry::by_name(name).is_some() {
-        return Some(FormatSpec::Lossy(name.to_string()));
-    }
-    None
-}
-
 /// The four storage formats of the paper's Figs. 7/8/11.
-pub fn standard_formats() -> Vec<FormatSpec> {
-    vec![
-        FormatSpec::F64,
-        FormatSpec::F32,
-        FormatSpec::F16,
-        FormatSpec::Frsz2(32),
-    ]
+pub const STANDARD_FORMATS: [&str; 4] = ["float64", "float32", "float16", "frsz2_32"];
+
+type Preset = fn(GmresOptions) -> AdaptiveOptions;
+
+/// The adaptive-precision presets [`solve`] accepts besides the
+/// registry names, each with its options: `adaptive` climbs the
+/// escalation ladder from its bottom rung, and `adaptive_bidir` also
+/// steps back down after a qualifying residual drop (single-cycle
+/// hysteresis).
+const PRESETS: [(&str, Preset); 2] = [
+    ("adaptive", |gmres| AdaptiveOptions {
+        gmres,
+        ..AdaptiveOptions::default()
+    }),
+    ("adaptive_bidir", |gmres| AdaptiveOptions {
+        gmres,
+        de_escalate: true,
+        de_escalation_cycles: 1,
+        ..AdaptiveOptions::default()
+    }),
+];
+
+/// The adaptive preset names.
+pub fn preset_names() -> impl Iterator<Item = &'static str> {
+    PRESETS.iter().map(|(name, _)| *name)
 }
 
-/// Solve `A x = b` from `x0` with the Krylov basis held in `spec`
-/// (unpreconditioned, as in §V-C).
+/// Whether [`solve`] accepts the format `name`.
+pub fn is_known(name: &str) -> bool {
+    preset_names().any(|n| n == name) || basis_format::by_name(name).is_some()
+}
+
+/// Solve `A x = b` from `x0` with the Krylov basis in the format `name`
+/// names, right-preconditioned by `precond`. Returns `None` for an
+/// unknown name.
 pub fn solve(
     a: &Csr,
     b: &[f64],
     x0: &[f64],
     opts: &GmresOptions,
-    spec: &FormatSpec,
-) -> SolveResult {
-    solve_precond(a, b, x0, opts, spec, &Precond::None(Identity))
+    name: &str,
+    precond: &impl Preconditioner,
+) -> Option<SolveResult> {
+    let run = |plan| {
+        krylov::solve(a, b, x0, precond, plan, SolveHooks::default())
+            .expect("a solve without a checkpoint cannot mismatch one")
+            .result
+    };
+    Some(match PRESETS.iter().find(|(n, _)| *n == name) {
+        Some((_, preset)) => run(SolvePlan::Adaptive(&preset(opts.clone()))),
+        None => run(SolvePlan::Fixed(
+            basis_format::by_name(name)?.as_ref(),
+            opts,
+        )),
+    })
 }
 
-/// [`solve`] under an explicit right preconditioner (`--precond`):
-/// compressed-basis formats against Jacobi/BlockJacobi at the same
-/// basis traffic as the unpreconditioned runs.
-pub fn solve_precond(
-    a: &Csr,
-    b: &[f64],
-    x0: &[f64],
-    opts: &GmresOptions,
-    spec: &FormatSpec,
-    precond: &Precond,
-) -> SolveResult {
-    match spec {
-        FormatSpec::F64 => gmres::<DenseStore<f64>, _, _>(a, b, x0, opts, precond),
-        FormatSpec::F32 => gmres::<DenseStore<f32>, _, _>(a, b, x0, opts, precond),
-        FormatSpec::F16 => gmres::<DenseStore<F16>, _, _>(a, b, x0, opts, precond),
-        FormatSpec::BF16 => gmres::<DenseStore<BF16>, _, _>(a, b, x0, opts, precond),
-        FormatSpec::Frsz2(bits) => {
-            let cfg = Frsz2Config::new(32, *bits);
-            gmres_with(a, b, x0, opts, precond, |r, c| {
-                Frsz2Store::with_config(cfg, r, c)
-            })
-        }
-        FormatSpec::Lossy(name) => {
-            let codec =
-                lossy::registry::by_name(name).unwrap_or_else(|| panic!("unknown codec {name}"));
-            gmres_with(a, b, x0, opts, precond, |r, c| {
-                RoundTripStore::new(codec, r, c)
-            })
-        }
-        FormatSpec::Frsz2Adaptive => gmres::<Frsz2AdaptiveStore, _, _>(a, b, x0, opts, precond),
-        FormatSpec::Adaptive => {
-            let aopts = AdaptiveOptions {
-                gmres: opts.clone(),
-                ..AdaptiveOptions::default()
-            };
-            adaptive_gmres(a, b, x0, &aopts, precond)
-        }
-        FormatSpec::AdaptiveBidir => {
-            let aopts = AdaptiveOptions {
-                gmres: opts.clone(),
-                de_escalate: true,
-                de_escalation_cycles: 1,
-                ..AdaptiveOptions::default()
-            };
-            adaptive_gmres(a, b, x0, &aopts, precond)
-        }
-    }
+type Build = fn(&Csr) -> Box<dyn Preconditioner>;
+
+/// Every `--precond` name with its constructor: `none`/`identity` (the
+/// paper's §V-C setup), `jacobi` (point Jacobi), `block_jacobi` (dense
+/// 4×4 diagonal blocks). Degenerate rows/blocks degrade gracefully via
+/// the infallible constructors.
+const PRECONDS: [(&str, Build); 4] = [
+    ("none", |_| Box::new(Identity)),
+    ("identity", |_| Box::new(Identity)),
+    ("jacobi", |a| Box::new(Jacobi::new(a))),
+    ("block_jacobi", |a| Box::new(BlockJacobi::new(a, 4))),
+];
+
+/// The names [`build_precond`] accepts.
+pub fn precond_names() -> impl Iterator<Item = &'static str> {
+    PRECONDS.iter().map(|(name, _)| *name)
+}
+
+/// Build the named preconditioner from the operator. Returns `None`
+/// for unknown names.
+pub fn build_precond(name: &str, a: &Csr) -> Option<Box<dyn Preconditioner>> {
+    let (_, build) = PRECONDS.iter().find(|(n, _)| *n == name)?;
+    Some(build(a))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use krylov::adaptive_gmres;
+    use krylov::basis_format::gmres_dyn;
 
-    #[test]
-    fn parse_known_names() {
-        assert!(matches!(parse("float64"), Some(FormatSpec::F64)));
-        assert!(matches!(parse("float16"), Some(FormatSpec::F16)));
-        assert!(matches!(parse("frsz2_32"), Some(FormatSpec::Frsz2(32))));
-        assert!(matches!(parse("frsz2_21"), Some(FormatSpec::Frsz2(21))));
-        assert!(matches!(parse("sz3_08"), Some(FormatSpec::Lossy(_))));
-        assert!(matches!(parse("zfp_fr_16"), Some(FormatSpec::Lossy(_))));
-        assert!(matches!(parse("adaptive"), Some(FormatSpec::Adaptive)));
-        assert!(matches!(
-            parse("adaptive_bidir"),
-            Some(FormatSpec::AdaptiveBidir)
-        ));
-        assert!(matches!(parse("frsz2_ab"), Some(FormatSpec::Frsz2Adaptive)));
-        assert!(parse("frsz2_99").is_none());
-        assert!(parse("whatever").is_none());
+    fn opts(target_rrn: f64, max_iters: usize) -> GmresOptions {
+        GmresOptions {
+            target_rrn,
+            max_iters,
+            ..GmresOptions::default()
+        }
     }
 
     #[test]
-    fn precond_parse_and_delegation() {
+    fn known_names_are_the_registry_and_the_presets() {
+        for name in basis_format::names() {
+            assert!(is_known(&name), "{name}");
+        }
+        for name in [
+            "frsz2_21",
+            "frsz2_2",
+            "frsz2_64",
+            "adaptive",
+            "adaptive_bidir",
+        ] {
+            assert!(is_known(name), "{name}");
+        }
+        for name in [
+            "frsz2_99",
+            "frsz2_1",
+            "frsz2_",
+            "adaptive_up",
+            "whatever",
+            "",
+        ] {
+            assert!(!is_known(name), "{name}");
+        }
+        let a = spla::gen::conv_diff_3d(3, 3, 3, [0.1, 0.0, 0.0], 0.5);
+        let b = vec![1.0; a.rows()];
+        assert!(solve(&a, &b, &b, &opts(1e-6, 10), "frsz2_99", &Identity).is_none());
+    }
+
+    #[test]
+    fn precond_names_build_and_apply() {
         let a = spla::gen::conv_diff_3d(4, 4, 4, [0.1, 0.0, 0.0], 0.5);
         for (name, reported) in [
             ("none", "none"),
             ("jacobi", "jacobi"),
             ("block_jacobi", "block-jacobi"),
         ] {
-            let p = Precond::parse(name, &a).unwrap();
+            let p = build_precond(name, &a).unwrap();
             assert_eq!(p.name(), reported);
             let v = vec![1.0; a.rows()];
             let mut out = vec![0.0; a.rows()];
             p.apply(&v, &mut out);
             assert!(out.iter().all(|x| x.is_finite()));
         }
-        assert!(Precond::parse("ilu", &a).is_none());
-        for name in Precond::names() {
-            assert!(Precond::parse(name, &a).is_some(), "{name}");
+        assert!(build_precond("ilu", &a).is_none());
+        for name in precond_names() {
+            assert!(build_precond(name, &a).is_some(), "{name}");
         }
     }
 
     /// The preconditioned path must reach the target in fewer
     /// iterations than the identity path on a diagonally-dominant
     /// operator — and the compressed-basis formats must accept any
-    /// `Precond` at the same storage rate as the identity run.
+    /// preconditioner at the same storage rate as the identity run.
     #[test]
     fn preconditioned_solve_converges_faster() {
         let mut a = spla::gen::conv_diff_3d(6, 6, 6, [0.3, 0.1, 0.0], 0.3);
@@ -266,15 +175,12 @@ mod tests {
         let (_, b) = spla::dense::manufactured_rhs(&a);
         let x0 = vec![0.0; a.rows()];
         let opts = GmresOptions {
-            target_rrn: 1e-8,
-            max_iters: 800,
             restart: 40,
-            ..GmresOptions::default()
+            ..opts(1e-8, 800)
         };
-        let spec = parse("frsz2_32").unwrap();
-        let plain = solve(&a, &b, &x0, &opts, &spec);
-        let jac = Precond::parse("jacobi", &a).unwrap();
-        let pre = solve_precond(&a, &b, &x0, &opts, &spec, &jac);
+        let plain = solve(&a, &b, &x0, &opts, "frsz2_32", &Identity).unwrap();
+        let jac = build_precond("jacobi", &a).unwrap();
+        let pre = solve(&a, &b, &x0, &opts, "frsz2_32", &jac).unwrap();
         assert!(pre.stats.converged, "rrn {}", pre.stats.final_rrn);
         assert!(
             pre.stats.iterations <= plain.stats.iterations,
@@ -289,17 +195,15 @@ mod tests {
     }
 
     #[test]
-    fn frsz2_ab_spec_solves_with_per_block_rate() {
+    fn frsz2_ab_solves_with_per_block_rate() {
         let a = spla::gen::wide_range_conv_diff_runs(8, 8, 8, 24, 16, 0x5202);
         let (_, b) = spla::dense::manufactured_rhs(&a);
         let x0 = vec![0.0; a.rows()];
         let opts = GmresOptions {
-            target_rrn: 1e-10,
-            max_iters: 1200,
             restart: 30,
-            ..GmresOptions::default()
+            ..opts(1e-10, 1200)
         };
-        let r = solve(&a, &b, &x0, &opts, &parse("frsz2_ab").unwrap());
+        let r = solve(&a, &b, &x0, &opts, "frsz2_ab", &Identity).unwrap();
         assert!(r.stats.converged, "rrn {}", r.stats.final_rrn);
         assert_eq!(r.stats.format, "frsz2_ab");
         assert!(
@@ -310,37 +214,54 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_spec_solves_and_reports_trajectory() {
+    fn adaptive_solves_and_reports_trajectory() {
         let a = spla::gen::conv_diff_3d(6, 6, 6, [0.3, 0.1, 0.0], 0.3);
         let (_, b) = spla::dense::manufactured_rhs(&a);
         let x0 = vec![0.0; a.rows()];
         let opts = GmresOptions {
-            target_rrn: 1e-8,
-            max_iters: 800,
             restart: 40,
-            ..GmresOptions::default()
+            ..opts(1e-8, 800)
         };
-        let r = solve(&a, &b, &x0, &opts, &FormatSpec::Adaptive);
+        let r = solve(&a, &b, &x0, &opts, "adaptive", &Identity).unwrap();
         assert!(r.stats.converged, "rrn {}", r.stats.final_rrn);
         assert!(r.stats.final_rrn <= 1e-8);
         assert_eq!(r.stats.format_trajectory.len(), r.stats.restarts);
         assert_eq!(r.stats.format_trajectory[0], "frsz2_16");
     }
 
+    /// A fixed name runs `gmres_dyn` over its registry entry and a
+    /// preset runs `adaptive_gmres` with the preset's options, bit for
+    /// bit.
     #[test]
-    fn solve_via_spec_matches_direct_call() {
-        let a = spla::gen::conv_diff_3d(6, 6, 6, [0.3, 0.1, 0.0], 0.3);
+    fn solve_matches_the_plain_krylov_entries() {
+        let a = spla::gen::wide_range_conv_diff(6, 6, 6, 24, 0x5202);
         let (_, b) = spla::dense::manufactured_rhs(&a);
         let x0 = vec![0.0; a.rows()];
         let opts = GmresOptions {
-            target_rrn: 1e-8,
-            max_iters: 500,
-            ..GmresOptions::default()
+            restart: 20,
+            record_history: true,
+            ..opts(1e-10, 600)
         };
-        let via_spec = solve(&a, &b, &x0, &opts, &parse("frsz2_32").unwrap());
-        let direct = gmres::<Frsz2Store, _, _>(&a, &b, &x0, &opts, &Identity);
-        assert_eq!(via_spec.stats.iterations, direct.stats.iterations);
-        assert_eq!(via_spec.stats.format, "frsz2_32");
+        let same = |x: &SolveResult, y: &SolveResult| {
+            let bits = |r: &SolveResult| r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(x), bits(y));
+            assert_eq!(x.history, y.history);
+            assert_eq!(x.stats.format_trajectory, y.stats.format_trajectory);
+        };
+        let fmt = basis_format::by_name("frsz2_32").unwrap();
+        same(
+            &solve(&a, &b, &x0, &opts, "frsz2_32", &Identity).unwrap(),
+            &gmres_dyn(&a, &b, &x0, &opts, &Identity, fmt.as_ref()),
+        );
+        let bidir = AdaptiveOptions {
+            gmres: opts.clone(),
+            de_escalate: true,
+            de_escalation_cycles: 1,
+            ..AdaptiveOptions::default()
+        };
+        let r = solve(&a, &b, &x0, &opts, "adaptive_bidir", &Identity).unwrap();
+        same(&r, &adaptive_gmres(&a, &b, &x0, &bidir, &Identity));
+        assert!(r.stats.escalations > 0, "the preset must walk the ladder");
     }
 
     #[test]
@@ -348,12 +269,7 @@ mod tests {
         let a = spla::gen::conv_diff_3d(6, 6, 6, [0.2, 0.1, 0.0], 0.4);
         let (_, b) = spla::dense::manufactured_rhs(&a);
         let x0 = vec![0.0; a.rows()];
-        let opts = GmresOptions {
-            target_rrn: 1e-6,
-            max_iters: 500,
-            ..GmresOptions::default()
-        };
-        let r = solve(&a, &b, &x0, &opts, &parse("zfp_fr_32").unwrap());
+        let r = solve(&a, &b, &x0, &opts(1e-6, 500), "zfp_fr_32", &Identity).unwrap();
         assert!(
             r.stats.converged,
             "zfp_fr_32 should converge, rrn {}",

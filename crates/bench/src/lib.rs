@@ -1,9 +1,12 @@
 //! Experiment harness shared by the figure/table binaries.
 //!
-//! * [`formats`] — resolves the paper's storage-format names
-//!   (`float64`, `float32`, `float16`, `frsz2_32`, Table II compressor
-//!   configs) to concrete solver invocations,
-//! * [`runner`] — CLI options, suite problem setup, solve loops,
+//! * [`formats`] — the `--format` and `--precond` names: every
+//!   `krylov::basis_format` registry name plus the `adaptive` and
+//!   `adaptive_bidir` presets, solved through `krylov::solve`, and the
+//!   preconditioner constructors,
+//! * [`runner`] — CLI options, suite problem setup, the one solve loop
+//!   every solving figure runs,
+//! * [`model`] — the H100 time projection Fig. 11 reports,
 //! * [`report`] — aligned-column console tables and CSV emission into
 //!   `results/`,
 //! * [`json`] — the offline JSON value, emitter and parser that the

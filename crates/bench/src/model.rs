@@ -9,10 +9,9 @@
 //! kernels, with the decompression instruction cost per value *measured*
 //! from the simulated kernel of `gpusim::kernels`.
 
-use crate::formats::FormatSpec;
 use gpusim::kernels::{stream_base_counters, StreamFormat};
 use gpusim::H100_PCIE;
-use krylov::SolveStats;
+use krylov::{basis_format, SolveStats};
 
 /// Per-value decompression cost of a storage format, measured once from
 /// the simulated streaming kernel.
@@ -33,32 +32,40 @@ fn measure(fmt: StreamFormat) -> FormatCost {
     }
 }
 
-fn cost_for(spec: &FormatSpec) -> FormatCost {
-    measure(match spec {
-        FormatSpec::F64 => StreamFormat::AccF64,
-        FormatSpec::F32 => StreamFormat::AccF32,
-        FormatSpec::F16 | FormatSpec::BF16 => StreamFormat::AccF16,
-        FormatSpec::Frsz2(bits) => StreamFormat::Frsz2(*bits),
-        // Round-trip codecs are quality-only in the paper (§V-D); model
-        // their traffic as f64 (they are never timed in Fig. 11).
-        FormatSpec::Lossy(_) => StreamFormat::AccF64,
-        // An adaptive solve mixes ladder formats across cycles (and the
-        // per-block store mixes them across blocks); the byte counters
-        // already carry the real traffic, so only the per-value decode
-        // cost needs a representative — frsz2_32, the rung/length where
-        // these solves spend most decompression work.
-        FormatSpec::Adaptive | FormatSpec::AdaptiveBidir | FormatSpec::Frsz2Adaptive => {
-            StreamFormat::Frsz2(32)
-        }
-    })
+/// The simulated streaming kernel standing in for the basis format
+/// `format` names (a `--format` name: a registry name or an adaptive
+/// preset).
+fn stream_format(format: &str) -> StreamFormat {
+    // An adaptive solve mixes ladder formats across cycles (and the
+    // per-block store mixes them across blocks); the byte counters
+    // already carry the real traffic, so only the per-value decode
+    // cost needs a representative — frsz2_32, the rung/length where
+    // these solves spend most decompression work.
+    let Some(fmt) = basis_format::by_name(format) else {
+        return StreamFormat::Frsz2(32);
+    };
+    match fmt.name().as_str() {
+        "float64" => StreamFormat::AccF64,
+        "float32" => StreamFormat::AccF32,
+        "float16" | "bfloat16" => StreamFormat::AccF16,
+        "frsz2_ab" => StreamFormat::Frsz2(32),
+        name => match name.strip_prefix("frsz2_").and_then(|l| l.parse().ok()) {
+            Some(bits) => StreamFormat::Frsz2(bits),
+            // Round-trip codecs are quality-only in the paper (§V-D);
+            // model their traffic as f64 (they are never timed in
+            // Fig. 11).
+            None => StreamFormat::AccF64,
+        },
+    }
 }
 
-/// Projected H100 execution time in seconds for one solve.
+/// Projected H100 execution time in seconds for one solve with the
+/// basis format `format`.
 ///
 /// `n` is the problem dimension, `spmv_bytes` the per-SpMV traffic of
 /// the operator (values + indices + vectors).
-pub fn h100_time(spec: &FormatSpec, stats: &SolveStats, n: usize, spmv_bytes: usize) -> f64 {
-    let c = cost_for(spec);
+pub fn h100_time(format: &str, stats: &SolveStats, n: usize, spmv_bytes: usize) -> f64 {
+    let c = measure(stream_format(format));
     // Memory traffic: compressed basis + SpMV sweeps + the ~6 auxiliary
     // f64 n-vector passes per iteration (w/z/v reads and writes, dots).
     let basis_bytes = (stats.basis_bytes_read + stats.basis_bytes_written) as f64;
@@ -92,14 +99,14 @@ mod tests {
         // Same iteration count, traffic proportional to storage width.
         let iters = 300;
         let cols = 50u64; // average columns streamed per iteration
-        let t = |spec: &FormatSpec, bits: u64| {
+        let t = |format: &str, bits: u64| {
             let per_col = n as u64 * bits / 8;
             let stats = fake_stats(iters, iters as u64 * cols * per_col, iters as u64 * per_col);
-            h100_time(spec, &stats, n, spmv_bytes)
+            h100_time(format, &stats, n, spmv_bytes)
         };
-        let f64t = t(&FormatSpec::F64, 64);
-        let f32t = t(&FormatSpec::F32, 32);
-        let z32t = t(&FormatSpec::Frsz2(32), 33);
+        let f64t = t("float64", 64);
+        let f32t = t("float32", 32);
+        let z32t = t("frsz2_32", 33);
         assert!(f32t < f64t, "float32 must beat float64");
         assert!(z32t < f64t, "frsz2_32 must beat float64");
         // frsz2_32 within a few percent of float32 (33 vs 32 bits).
@@ -120,8 +127,8 @@ mod tests {
             let per_col = n as u64 * bits / 8;
             fake_stats(iters, iters as u64 * cols * per_col, iters as u64 * per_col)
         };
-        let f64t = h100_time(&FormatSpec::F64, &mk(400, 64), n, spmv_bytes);
-        let z32t = h100_time(&FormatSpec::Frsz2(32), &mk(1400, 33), n, spmv_bytes);
+        let f64t = h100_time("float64", &mk(400, 64), n, spmv_bytes);
+        let z32t = h100_time("frsz2_32", &mk(1400, 33), n, spmv_bytes);
         assert!(z32t > f64t, "3.5x iterations must overwhelm 2x compression");
     }
 }

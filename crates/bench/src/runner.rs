@@ -1,7 +1,7 @@
 //! Shared experiment plumbing: CLI options, problem setup, solve loops.
 
-use crate::formats::{self, FormatSpec, Precond};
-use krylov::{GmresOptions, SolveResult};
+use crate::formats;
+use krylov::{basis_format, GmresOptions, Preconditioner, SolveResult};
 use spla::dense::manufactured_rhs;
 use spla::suite::{self, SuiteMatrix};
 use spla::Csr;
@@ -10,9 +10,11 @@ use spla::Csr;
 ///
 /// `--scale S` linear-dimension scale of the synthetic analogues
 /// (default 1.0), `--runs N` repetitions for timing figures, `--matrix
-/// NAME` restrict to one matrix, `--format NAME` restrict to one format,
-/// `--mtx PATH` load a real MatrixMarket file instead of the analogue,
-/// `--max-iters N` iteration cap, `--precond NAME` right preconditioner
+/// NAME` restrict to one matrix, `--format NAME` replace the figure's
+/// format series with one format (a `krylov::basis_format` registry name
+/// or an adaptive preset, see [`formats`]), `--mtx PATH` load a real
+/// MatrixMarket file instead of the analogue, `--max-iters N` iteration
+/// cap, `--precond NAME` right preconditioner
 /// (`none`/`jacobi`/`block_jacobi`; figures 5 and 9).
 #[derive(Clone, Debug)]
 pub struct Cli {
@@ -49,6 +51,9 @@ pub enum CliError {
     BadValue { flag: &'static str, value: String },
     /// `--matrix` names no suite matrix.
     UnknownMatrix(String),
+    /// `--format` names neither a registered basis format nor an
+    /// adaptive preset.
+    UnknownFormat(String),
     /// `--precond` names no preconditioner.
     UnknownPrecond(String),
 }
@@ -62,10 +67,16 @@ impl std::fmt::Display for CliError {
                 "unknown matrix {name:?}; the suite has {}",
                 suite::names().join(", ")
             ),
+            CliError::UnknownFormat(name) => write!(
+                f,
+                "unknown format {name:?}; expected one of {}, frsz2_<l> with 2 <= l <= 64, {}",
+                basis_format::names().join(", "),
+                formats::preset_names().collect::<Vec<_>>().join(", ")
+            ),
             CliError::UnknownPrecond(name) => write!(
                 f,
                 "unknown preconditioner {name:?}; expected one of {}",
-                Precond::names().collect::<Vec<_>>().join(", ")
+                formats::precond_names().collect::<Vec<_>>().join(", ")
             ),
         }
     }
@@ -103,11 +114,14 @@ impl Cli {
                     return Err(CliError::UnknownMatrix(v))
                 }
                 ("--matrix", Some(v)) => cli.matrix = Some(v),
+                ("--format", Some(v)) if !formats::is_known(&v) => {
+                    return Err(CliError::UnknownFormat(v))
+                }
                 ("--format", Some(v)) => cli.format = Some(v),
                 ("--mtx", Some(v)) => cli.mtx = Some(v),
                 ("--max-iters", Some(v)) => cli.max_iters = number("--max-iters", v)?,
                 ("--target", Some(v)) => cli.target = Some(number("--target", v)?),
-                ("--precond", Some(v)) if !Precond::names().any(|n| n == v) => {
+                ("--precond", Some(v)) if !formats::precond_names().any(|n| n == v) => {
                     return Err(CliError::UnknownPrecond(v))
                 }
                 ("--precond", Some(v)) => cli.precond = Some(v),
@@ -138,9 +152,10 @@ impl Cli {
 
     /// Build the `--precond` preconditioner for `matrix` (identity
     /// when the flag is absent).
-    pub fn build_precond(&self, matrix: &Csr) -> Precond {
+    pub fn build_precond(&self, matrix: &Csr) -> Box<dyn Preconditioner> {
         let name = self.precond.as_deref().unwrap_or("none");
-        Precond::parse(name, matrix).expect("`parse_from` admits only known preconditioners")
+        formats::build_precond(name, matrix)
+            .expect("`parse_from` admits only known preconditioners")
     }
 }
 
@@ -195,39 +210,25 @@ pub fn default_opts(p: &Problem, cli: &Cli) -> GmresOptions {
     }
 }
 
-/// Solve `p` with the given format.
-pub fn solve_problem(p: &Problem, opts: &GmresOptions, spec: &FormatSpec) -> SolveResult {
+/// Solve `p` once per named format, every format against the same
+/// `precond` — so the series differ only in basis storage, the
+/// equal-traffic comparison `--precond` asks for — and print a progress
+/// line per solve.
+pub fn solve_formats(
+    p: &Problem,
+    opts: &GmresOptions,
+    format_names: &[&str],
+    precond: &impl Preconditioner,
+) -> Vec<(String, SolveResult)> {
     let x0 = vec![0.0; p.matrix.rows()];
-    formats::solve(&p.matrix, &p.b, &x0, opts, spec)
-}
-
-/// Run `p` once per named format and collect the results (convergence
-/// figures 5/6/9).
-pub fn convergence_histories(
-    p: &Problem,
-    opts: &GmresOptions,
-    format_names: &[&str],
-) -> Vec<(String, SolveResult)> {
-    convergence_histories_precond(p, opts, format_names, &Precond::None(krylov::Identity))
-}
-
-/// [`convergence_histories`] with a shared preconditioner: every
-/// format runs against the *same* `M⁻¹`, so the series differ only in
-/// basis storage — the equal-traffic comparison `--precond` asks for.
-pub fn convergence_histories_precond(
-    p: &Problem,
-    opts: &GmresOptions,
-    format_names: &[&str],
-    precond: &Precond,
-) -> Vec<(String, SolveResult)> {
     format_names
         .iter()
-        .map(|name| {
-            let spec = formats::parse(name).unwrap_or_else(|| panic!("unknown format {name}"));
-            let x0 = vec![0.0; p.matrix.rows()];
-            let r = formats::solve_precond(&p.matrix, &p.b, &x0, opts, &spec, precond);
+        .map(|&name| {
+            let r = formats::solve(&p.matrix, &p.b, &x0, opts, name, precond)
+                .unwrap_or_else(|| panic!("unknown format {name}"));
             eprintln!(
-                "  {name}: iters={} converged={} final_rrn={:.2e} bits/value={:.1}",
+                "  {} {name}: iters={} converged={} final_rrn={:.2e} bits/value={:.1}",
+                p.name,
                 r.stats.iterations,
                 r.stats.converged,
                 r.stats.final_rrn,
@@ -340,6 +341,25 @@ mod tests {
     }
 
     #[test]
+    fn cli_rejects_an_unknown_format_and_lists_the_accepted_names() {
+        let err = Cli::parse_from(args("--format nope")).unwrap_err();
+        assert_eq!(err, CliError::UnknownFormat("nope".into()));
+        let msg = err.to_string();
+        for name in basis_format::names() {
+            assert!(msg.contains(&name), "{name} missing from {msg}");
+        }
+        assert!(msg.contains("frsz2_<l>") && msg.ends_with("adaptive, adaptive_bidir"));
+        for bad in ["frsz2_99", "frsz2_ab2", "Float64"] {
+            let err = Cli::parse_from(args(&format!("--format {bad}"))).unwrap_err();
+            assert_eq!(err, CliError::UnknownFormat(bad.into()));
+        }
+        for good in ["f64", "frsz2_16", "frsz2_ab", "sz3_08", "adaptive_bidir"] {
+            let cli = Cli::parse_from(args(&format!("--format {good}"))).unwrap();
+            assert_eq!(cli.formats(&[]), vec![good]);
+        }
+    }
+
+    #[test]
     fn cli_rejects_an_unknown_preconditioner() {
         let msg = Cli::parse_from(args("--precond ilu"))
             .unwrap_err()
@@ -363,10 +383,9 @@ mod tests {
             max_iters: 300,
             ..GmresOptions::default()
         };
-        let spec = crate::formats::parse("frsz2_32").unwrap();
-        let r = solve_problem(&p, &opts, &spec);
-        assert!(r.history.is_empty());
-        report_histories("test_empty_history", &[("frsz2_32".into(), r)]);
+        let runs = solve_formats(&p, &opts, &["frsz2_32"], &krylov::Identity);
+        assert!(runs[0].1.history.is_empty());
+        report_histories("test_empty_history", &runs);
         let _ = std::fs::remove_file("results/test_empty_history.csv");
     }
 }

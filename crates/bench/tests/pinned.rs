@@ -175,8 +175,7 @@ fn job_fp(r: &SolveResult) -> String {
 /// Solve `system` with the basis format `format` names, as the figure
 /// binaries resolve it.
 fn solve_as(s: &System, format: &str) -> SolveResult {
-    let spec = bench::formats::parse(format).expect("a known format");
-    bench::formats::solve(&s.a, &s.b, &s.x0, &s.opts, &spec)
+    bench::formats::solve(&s.a, &s.b, &s.x0, &s.opts, format, &Identity).expect("a known format")
 }
 
 /// An operator with its manufactured right-hand side, a zero initial

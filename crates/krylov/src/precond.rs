@@ -64,6 +64,24 @@ pub trait Preconditioner: Send + Sync {
     }
 }
 
+/// A preconditioner chosen at run time (`Box<dyn Preconditioner>`)
+/// runs through the generic solve entries; every method, `is_identity`
+/// included, forwards to the boxed value.
+impl<P: Preconditioner + ?Sized> Preconditioner for Box<P> {
+    #[inline]
+    fn apply(&self, v: &[f64], out: &mut [f64]) {
+        (**self).apply(v, out)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn is_identity(&self) -> bool {
+        (**self).is_identity()
+    }
+}
+
 /// No preconditioning (`M = I`) — the paper's configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Identity;
@@ -316,6 +334,28 @@ mod tests {
         let mut out = vec![0.0; 3];
         p.apply(&v, &mut out);
         assert_eq!(out, v);
+    }
+
+    #[test]
+    fn boxed_preconditioner_forwards_every_method() {
+        // What a generic solve entry sees of `p`.
+        fn seen<P: Preconditioner>(p: &P, v: &[f64]) -> (Vec<u64>, &'static str, bool) {
+            let mut out = vec![0.0; v.len()];
+            p.apply(v, &mut out);
+            let bits = out.iter().map(|x| x.to_bits()).collect();
+            (bits, p.name(), p.is_identity())
+        }
+        fn check<P: Preconditioner + Clone + 'static>(p: P, v: &[f64], identity: bool) {
+            let boxed: Box<dyn Preconditioner> = Box::new(p.clone());
+            let got = seen(&boxed, v);
+            assert_eq!(got, seen(&p, v), "{}", p.name());
+            assert_eq!(got.2, identity, "{}", p.name());
+        }
+        let a = spla::gen::conv_diff_3d(4, 4, 3, [0.3, 0.2, 0.1], 0.4);
+        let v: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.37).sin()).collect();
+        check(Identity, &v, true);
+        check(Jacobi::new(&a), &v, false);
+        check(BlockJacobi::new(&a, 4), &v, false);
     }
 
     #[test]

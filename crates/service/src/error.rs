@@ -18,6 +18,22 @@ pub enum ServiceError {
     /// An operator with this name is already registered (re-registering
     /// would silently invalidate cached analysis other jobs rely on).
     DuplicateOperator(String),
+    /// The matrix offered for registration is not square; GMRES solves
+    /// `A x = b` for square `A` only.
+    NonSquareOperator {
+        /// Name the registration asked for.
+        operator: String,
+        /// The matrix's row count.
+        rows: usize,
+        /// The matrix's column count.
+        cols: usize,
+    },
+    /// The job's `opts.restart` is 0: a restart cycle could store no
+    /// Krylov column. Refused before admission.
+    ZeroRestart {
+        /// Operator the job targeted.
+        operator: String,
+    },
     /// The job's fixed basis format is not in the
     /// `krylov::basis_format` registry.
     UnknownFormat(String),
@@ -118,6 +134,17 @@ impl std::fmt::Display for ServiceError {
             ServiceError::DuplicateOperator(name) => {
                 write!(f, "operator {name:?} is already registered")
             }
+            ServiceError::NonSquareOperator {
+                operator,
+                rows,
+                cols,
+            } => write!(
+                f,
+                "operator {operator:?} is {rows}×{cols}; GMRES needs a square matrix"
+            ),
+            ServiceError::ZeroRestart { operator } => {
+                write!(f, "job on {operator:?} has restart length 0")
+            }
             ServiceError::UnknownFormat(name) => {
                 write!(f, "unknown basis format {name:?}")
             }
@@ -204,6 +231,16 @@ mod tests {
         assert!(ServiceError::UnknownOperator("pr02r".into())
             .to_string()
             .contains("pr02r"));
+        let e = ServiceError::NonSquareOperator {
+            operator: "wide".into(),
+            rows: 3,
+            cols: 4,
+        };
+        assert!(e.to_string().contains("\"wide\" is 3×4"));
+        let e = ServiceError::ZeroRestart {
+            operator: "flat".into(),
+        };
+        assert!(e.to_string().contains("\"flat\" has restart length 0"));
         let e = ServiceError::BudgetExceeded {
             operator: "big".into(),
             requested: 900,

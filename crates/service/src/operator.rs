@@ -26,33 +26,6 @@ pub enum PrecondSpec {
     },
 }
 
-/// The factorized preconditioner cached with an operator (one enum so
-/// the hot path dispatches without a heap indirection).
-#[derive(Clone, Debug)]
-pub(crate) enum CachedPrecond {
-    Identity(Identity),
-    Jacobi(Jacobi),
-    Block(BlockJacobi),
-}
-
-impl Preconditioner for CachedPrecond {
-    fn apply(&self, v: &[f64], out: &mut [f64]) {
-        match self {
-            CachedPrecond::Identity(p) => p.apply(v, out),
-            CachedPrecond::Jacobi(p) => p.apply(v, out),
-            CachedPrecond::Block(p) => p.apply(v, out),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            CachedPrecond::Identity(p) => p.name(),
-            CachedPrecond::Jacobi(p) => p.name(),
-            CachedPrecond::Block(p) => p.name(),
-        }
-    }
-}
-
 /// One registered operator: the auto-selected sparse matrix plus every
 /// analysis product jobs reuse.
 pub(crate) struct AnalyzedOperator {
@@ -62,7 +35,8 @@ pub(crate) struct AnalyzedOperator {
     pub(crate) matrix: Box<dyn SparseMatrix>,
     pub(crate) row_stats: RowLengthStats,
     pub(crate) sparse_format: &'static str,
-    pub(crate) precond: CachedPrecond,
+    /// The factorized preconditioner, shared read-only like `matrix`.
+    pub(crate) precond: Box<dyn Preconditioner>,
 }
 
 impl AnalyzedOperator {
@@ -70,21 +44,15 @@ impl AnalyzedOperator {
     /// selection, row statistics, preconditioner factorization.
     pub(crate) fn analyze(name: &str, a: &Csr, precond: PrecondSpec) -> Result<Self, ServiceError> {
         let choice = auto_format(a);
-        let precond = match precond {
-            PrecondSpec::None => CachedPrecond::Identity(Identity),
-            PrecondSpec::Jacobi => CachedPrecond::Jacobi(Jacobi::try_new(a).map_err(|source| {
-                ServiceError::PrecondFailed {
-                    operator: name.to_string(),
-                    source,
-                }
-            })?),
+        let failed = |source| ServiceError::PrecondFailed {
+            operator: name.to_string(),
+            source,
+        };
+        let precond: Box<dyn Preconditioner> = match precond {
+            PrecondSpec::None => Box::new(Identity),
+            PrecondSpec::Jacobi => Box::new(Jacobi::try_new(a).map_err(failed)?),
             PrecondSpec::BlockJacobi { block_size } => {
-                CachedPrecond::Block(BlockJacobi::try_new(a, block_size).map_err(|source| {
-                    ServiceError::PrecondFailed {
-                        operator: name.to_string(),
-                        source,
-                    }
-                })?)
+                Box::new(BlockJacobi::try_new(a, block_size).map_err(failed)?)
             }
         };
         Ok(AnalyzedOperator {

@@ -99,6 +99,16 @@ fn plan_options(opts: &GmresOptions, sstep: usize) -> (SStepOptions, AdaptiveOpt
     (sopts, aopts)
 }
 
+/// Refuse a job whose restart cycle could store no Krylov column.
+fn check_restart(operator: &str, opts: &GmresOptions) -> Result<(), ServiceError> {
+    if opts.restart == 0 {
+        return Err(ServiceError::ZeroRestart {
+            operator: operator.to_string(),
+        });
+    }
+    Ok(())
+}
+
 /// The plan a job runs: the adaptive driver when no format is fixed
 /// (it owns its own cycle policy and ignores the s-step knob), the
 /// s-step driver for `sstep > 1`, the scalar driver otherwise.
@@ -165,6 +175,7 @@ impl SolverService {
     /// per-operator analysis once: sparse-format auto-selection,
     /// row-length statistics, preconditioner factorization. Returns the
     /// cached analysis snapshot. Fails with
+    /// [`ServiceError::NonSquareOperator`] for a non-square matrix,
     /// [`ServiceError::DuplicateOperator`] if the name is taken and
     /// [`ServiceError::PrecondFailed`] if the factorization rejects the
     /// operator.
@@ -174,6 +185,13 @@ impl SolverService {
         a: &Csr,
         precond: PrecondSpec,
     ) -> Result<OperatorInfo, ServiceError> {
+        if a.rows() != a.cols() {
+            return Err(ServiceError::NonSquareOperator {
+                operator: name.to_string(),
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
         if self
             .operators
             .read()
@@ -287,7 +305,8 @@ impl SolverService {
     /// ladder-top (`float64`) worst case up front, like an adaptive
     /// job: escalating mid-job must not be able to OOM past the
     /// budget, and re-admitting between attempts could deadlock a
-    /// queued batch.
+    /// queued batch. A job with `restart = 0` is refused before
+    /// admission as [`ServiceError::ZeroRestart`].
     pub fn solve_report_observed(
         &self,
         spec: &JobSpec,
@@ -303,6 +322,7 @@ impl SolverService {
                 got,
             });
         }
+        check_restart(&spec.operator, &spec.opts)?;
         let format = resolve_format(&spec.basis, &spec.opts, rows)?;
         let sstep = spec.sstep.max(1);
         if let Some(cp) = spec.resume.as_deref() {
@@ -534,7 +554,9 @@ impl SolverService {
     /// at the adaptive worst case `8 · rows · (restart + 1) · width`.
     ///
     /// An empty `rhss` is rejected as a
-    /// [`ServiceError::DimensionMismatch`] with `got = 0`.
+    /// [`ServiceError::DimensionMismatch`] with `got = 0`, and
+    /// `restart = 0` as [`ServiceError::ZeroRestart`], both before
+    /// admission.
     pub fn solve_block_observed(
         &self,
         spec: &BlockJobSpec,
@@ -559,6 +581,7 @@ impl SolverService {
         if let Some(got) = lens.find(|&len| len != rows) {
             return Err(mismatch(got));
         }
+        check_restart(&spec.operator, &spec.opts)?;
         let format = resolve_format(&spec.basis, &spec.opts, rows)?;
         let requested = match &format {
             Some(f) => estimated_basis_bytes(f.as_ref(), rows, spec.opts.restart, width, 1),
@@ -752,6 +775,101 @@ mod tests {
         );
         assert_eq!(service.operator_names(), vec!["smooth".to_string()]);
         assert_eq!(service.operator_info("smooth").unwrap(), info);
+    }
+
+    #[test]
+    fn cached_preconditioner_keeps_its_identity_flag() {
+        // The solver's view of the cached preconditioner: `is_identity`
+        // routes s-step jobs through the fused matrix-powers kernel.
+        fn is_identity<P: krylov::Preconditioner>(p: &P) -> bool {
+            p.is_identity()
+        }
+        let service = SolverService::with_defaults();
+        let (a, _) = smooth();
+        service
+            .register_csr("plain", &a, PrecondSpec::None)
+            .unwrap();
+        service
+            .register_csr("jacobi", &a, PrecondSpec::Jacobi)
+            .unwrap();
+        assert!(is_identity(&service.operator("plain").unwrap().precond));
+        assert!(!is_identity(&service.operator("jacobi").unwrap().precond));
+    }
+
+    #[test]
+    fn non_square_operator_is_refused_at_registration() {
+        let service = SolverService::with_defaults();
+        let mut coo = spla::Coo::new(3, 4);
+        for i in 0..3 {
+            coo.push(i, i, 2.0);
+            coo.push(i, 3, 1.0);
+        }
+        assert_eq!(
+            service.register_csr("wide", &coo.to_csr(), PrecondSpec::None),
+            Err(ServiceError::NonSquareOperator {
+                operator: "wide".into(),
+                rows: 3,
+                cols: 4,
+            })
+        );
+        assert!(service.operator_names().is_empty());
+        // Neither job path can reach the refused matrix.
+        let mut boundaries = 0;
+        let job = JobSpec::new("wide", vec![1.0; 3]);
+        assert!(matches!(
+            service.solve_report_observed(&job, |_| boundaries += 1),
+            Err(ServiceError::UnknownOperator(_))
+        ));
+        let block = BlockJobSpec::new("wide", vec![vec![1.0; 3]]);
+        assert!(matches!(
+            service.solve_block_observed(&block, |_| boundaries += 1),
+            Err(ServiceError::UnknownOperator(_))
+        ));
+        assert_eq!(boundaries, 0);
+        assert_eq!(service.basis_bytes_in_use(), 0);
+    }
+
+    #[test]
+    fn zero_restart_is_refused_before_admission() {
+        let (a, b) = smooth();
+        // A one-byte budget: any job that reached admission would be
+        // refused as `BudgetExceeded` instead.
+        let service = SolverService::new(ServiceConfig {
+            basis_budget_bytes: Some(1),
+            admission: AdmissionPolicy::Reject,
+        });
+        service
+            .register_csr("smooth", &a, PrecondSpec::None)
+            .unwrap();
+        let refused = ServiceError::ZeroRestart {
+            operator: "smooth".into(),
+        };
+        let mut boundaries = 0;
+        for (basis, sstep) in [
+            (BasisSelection::Fixed("frsz2_21".into()), 1),
+            (BasisSelection::Fixed("frsz2_21".into()), 4),
+            (BasisSelection::Auto, 1),
+            (BasisSelection::Adaptive, 1),
+        ] {
+            let mut job = JobSpec::new("smooth", b.clone());
+            job.basis = basis.clone();
+            job.sstep = sstep;
+            job.opts.restart = 0;
+            let err = service
+                .solve_report_observed(&job, |_| boundaries += 1)
+                .unwrap_err();
+            assert_eq!(err, refused, "{basis:?} s={sstep}");
+
+            let mut block = BlockJobSpec::new("smooth", vec![b.clone(), b.clone()]);
+            block.basis = basis;
+            block.opts.restart = 0;
+            let err = service
+                .solve_block_observed(&block, |_| boundaries += 1)
+                .unwrap_err();
+            assert_eq!(err, refused);
+        }
+        assert_eq!(boundaries, 0);
+        assert_eq!(service.basis_bytes_in_use(), 0);
     }
 
     #[test]
