@@ -56,6 +56,9 @@ pub enum CliError {
     UnknownFormat(String),
     /// `--precond` names no preconditioner.
     UnknownPrecond(String),
+    /// `--mtx` names a file that cannot be read as a MatrixMarket
+    /// matrix.
+    BadMtx { path: String, error: String },
 }
 
 impl std::fmt::Display for CliError {
@@ -78,11 +81,19 @@ impl std::fmt::Display for CliError {
                 "unknown preconditioner {name:?}; expected one of {}",
                 formats::precond_names().collect::<Vec<_>>().join(", ")
             ),
+            CliError::BadMtx { path, error } => write!(f, "cannot read --mtx {path:?}: {error}"),
         }
     }
 }
 
 impl std::error::Error for CliError {}
+
+/// Print a command-line error and exit 2: how every figure binary
+/// refuses a run it cannot do.
+fn refuse(e: CliError) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2)
+}
 
 fn number<T: std::str::FromStr>(flag: &'static str, value: String) -> Result<T, CliError> {
     value
@@ -94,10 +105,7 @@ impl Cli {
     /// Parse `std::env::args`, ignoring unknown flags (each binary may
     /// add its own). A bad command line prints the error and exits 2.
     pub fn parse() -> Cli {
-        Cli::parse_from(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        })
+        Cli::parse_from(std::env::args().skip(1).collect()).unwrap_or_else(|e| refuse(e))
     }
 
     /// Parse an explicit argument list (testable).
@@ -168,17 +176,26 @@ pub struct Problem {
     pub target_rrn: f64,
 }
 
+/// Read a MatrixMarket file; an unreadable or malformed one is a
+/// [`CliError::BadMtx`].
+pub fn load_mtx(path: &str) -> Result<Csr, CliError> {
+    std::fs::File::open(path)
+        .and_then(|file| spla::io::read_matrix_market(std::io::BufReader::new(file)))
+        .map(|coo| coo.to_csr())
+        .map_err(|e| CliError::BadMtx {
+            path: path.to_string(),
+            error: e.to_string(),
+        })
+}
+
 /// Build a suite problem (or load `--mtx`) with the §V-B deterministic
-/// right-hand side.
+/// right-hand side. A `--mtx` file that cannot be read is refused like
+/// a bad flag: the error is printed and the process exits 2.
 pub fn prepare(name: &str, cli: &Cli) -> Problem {
     let (matrix, target_rrn) = match &cli.mtx {
         Some(path) => {
-            let file =
-                std::fs::File::open(path).unwrap_or_else(|e| panic!("cannot open {path}: {e}"));
-            let coo = spla::io::read_matrix_market(std::io::BufReader::new(file))
-                .unwrap_or_else(|e| panic!("cannot parse {path}: {e}"));
             let t = suite::entry(name).map(|e| e.target_rrn).unwrap_or(1e-10);
-            (coo.to_csr(), t)
+            (load_mtx(path).unwrap_or_else(|e| refuse(e)), t)
         }
         None => {
             let SuiteMatrix { entry, matrix } =
@@ -365,6 +382,28 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(msg.ends_with("none, identity, jacobi, block_jacobi"));
+    }
+
+    #[test]
+    fn an_unreadable_or_malformed_mtx_is_a_typed_error() {
+        let missing = "results/no_such_matrix.mtx";
+        let err = load_mtx(missing).unwrap_err();
+        assert!(matches!(&err, CliError::BadMtx { path, .. } if path == missing));
+        // A header promising 10^14 entries must fail on the count, not
+        // abort on an allocation sized from it.
+        std::fs::create_dir_all("results").unwrap();
+        let path = "results/test_huge_header.mtx";
+        std::fs::write(
+            path,
+            "%%MatrixMarket matrix coordinate real general\n3 3 100000000000000\n1 1 1.0\n",
+        )
+        .unwrap();
+        let msg = load_mtx(path).unwrap_err().to_string();
+        let _ = std::fs::remove_file(path);
+        assert!(
+            msg.ends_with("expected 100000000000000 entries, found 1"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -438,7 +438,7 @@ fn service_suite() -> &'static (SolverService, Vec<JobSpec>, Vec<String>) {
         ];
         let reference = specs
             .iter()
-            .map(|spec| service.solve(spec).expect("reference solve"))
+            .map(|spec| service.solve_report(spec).expect("reference solve").result)
             .inspect(|r| assert!(r.stats.converged, "rrn {:.2e}", r.stats.final_rrn))
             .map(|r| job_fp(&r))
             .collect();
@@ -456,11 +456,16 @@ fn service_jobs(streaming: bool) -> String {
     specs.iter_mut().for_each(|spec| spec.threads = threads);
     let results = if streaming {
         let (tx, rx) = std::sync::mpsc::channel();
-        let results = service.run_batch_streaming(&specs, tx);
+        let results = service.run_batch(&specs, move |e| {
+            let _ = tx.send(e);
+        });
         assert!(rx.try_iter().count() > 0, "the batch streamed no telemetry");
         results
     } else {
-        specs.iter().map(|spec| service.solve(spec)).collect()
+        specs
+            .iter()
+            .map(|spec| service.solve_report(spec).map(|r| r.result))
+            .collect()
     };
     let fps: Vec<String> = results
         .into_iter()
@@ -487,12 +492,14 @@ fn service_refuses_the_over_budget_job() {
     budgeted
         .register_csr("smooth", &smooth, PrecondSpec::Jacobi)
         .expect("register under budget");
-    match budgeted.solve(&service_job("smooth", &b, Some("float64"), 1e-10)) {
+    match budgeted.solve_report(&service_job("smooth", &b, Some("float64"), 1e-10)) {
         Err(ServiceError::BudgetExceeded { requested, .. }) => assert_eq!(requested, cost),
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }
-    let admitted = budgeted.solve(&service_job("smooth", &b, Some("frsz2_21"), 1e-3));
-    assert!(admitted.expect("a compressed job fits").stats.converged);
+    let admitted = budgeted
+        .solve_report(&service_job("smooth", &b, Some("frsz2_21"), 1e-3))
+        .expect("a compressed job fits");
+    assert!(admitted.result.stats.converged);
 }
 
 /// The smooth 10³ and wide-range 6³ operators behind one service.
@@ -567,7 +574,7 @@ fn fault_nan() -> String {
         nan_hessenberg_at: Some(7),
         ..FaultSpec::default()
     });
-    let r = fault_service().solve(&spec).expect("NaN job");
+    let r = fault_service().solve_report(&spec).expect("NaN job").result;
     assert!(r.stats.breakdowns >= 1 && r.stats.converged);
     judge(&spec, &r)
 }
@@ -592,7 +599,7 @@ fn fault_panic() -> String {
         panic_on_attempt: Some(0),
         ..FaultSpec::default()
     });
-    match fault_service().solve(&spec) {
+    match fault_service().solve_report(&spec) {
         Err(ServiceError::JobPanicked { attempts: 1, .. }) => {}
         other => panic!("expected JobPanicked, got {other:?}"),
     }
@@ -608,7 +615,10 @@ fn fault_panic() -> String {
 /// round-trips through its byte encoding and resumes bit-identically.
 fn fault_resume() -> String {
     let plain = fault_job("smooth", "frsz2_21", 1e-8);
-    let reference = fault_service().solve(&plain).expect("reference solve");
+    let reference = fault_service()
+        .solve_report(&plain)
+        .expect("reference solve")
+        .result;
     assert!(reference.stats.restarts >= 2, "need several boundaries");
     let mut rushed = plain.clone();
     rushed.deadline = Some(Duration::ZERO);
@@ -616,17 +626,21 @@ fn fault_resume() -> String {
         sleep_per_boundary_ms: 1,
         ..FaultSpec::default()
     });
-    let Err(ServiceError::DeadlineExceeded { checkpoint, .. }) = fault_service().solve(&rushed)
+    let Err(ServiceError::DeadlineExceeded { checkpoint, .. }) =
+        fault_service().solve_report(&rushed)
     else {
         panic!("expected DeadlineExceeded");
     };
     assert_eq!(checkpoint.restarts, 0, "halted at the entry boundary");
-    let bytes = checkpoint.encode(None);
-    assert_eq!(bytes.len(), 1067, "checkpoint encoding size");
+    let bytes = checkpoint.encode();
+    assert_eq!(bytes.len(), 1062, "checkpoint encoding size");
     let mut resumed = plain.clone();
-    let restored = SolveCheckpoint::decode(&bytes, None).expect("decode");
+    let restored = SolveCheckpoint::decode(&bytes).expect("decode");
     resumed.resume = Some(Box::new(restored));
-    let r = fault_service().solve(&resumed).expect("resumed solve");
+    let r = fault_service()
+        .solve_report(&resumed)
+        .expect("resumed solve")
+        .result;
     let fp = judge(&resumed, &r);
     assert_eq!(fp, judge(&plain, &reference), "resume diverged");
     fp
@@ -637,6 +651,9 @@ fn fault_resume() -> String {
 fn fault_probe() -> String {
     let mut probed = fault_job("smooth", "frsz2_21", 1e-8);
     probed.deadline = Some(Duration::from_secs(3600));
-    let r = fault_service().solve(&probed).expect("probed solve");
+    let r = fault_service()
+        .solve_report(&probed)
+        .expect("probed solve")
+        .result;
     judge(&probed, &r)
 }

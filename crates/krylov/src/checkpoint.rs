@@ -13,14 +13,12 @@
 //! contract every kernel in this workspace honors for thread counts
 //! and storage formats).
 //!
-//! Checkpoints serialize to a compact versioned byte format
-//! ([`SolveCheckpoint::encode`]): consecutive checkpoints of one solve
-//! differ mostly in `x`, so encoding against the previous checkpoint
-//! XORs the f64 bit patterns (similar doubles share high bits, so the
-//! XOR is a small integer) and stores history/trajectory as shared
-//! prefix + new suffix, all through LEB128 varints. A trailing FNV-1a
-//! checksum turns torn or corrupted blobs into typed
-//! [`CheckpointError`]s instead of silent garbage.
+//! Checkpoints serialize to one compact versioned byte format
+//! ([`SolveCheckpoint::encode`]): LEB128 varints and length-prefixed
+//! lists, sealed by an FNV-1a checksum that turns torn or corrupted
+//! blobs into typed [`CheckpointError`]s instead of silent garbage. The
+//! checksum catches accidents, not forgery, so the decoder never sizes
+//! an allocation from a length the remaining bytes cannot hold.
 
 use crate::basis_format;
 use crate::gmres::{HistoryPoint, SolvePlan};
@@ -175,9 +173,6 @@ pub enum CheckpointError {
     ChecksumMismatch,
     /// A field decoded to an impossible value (context in the payload).
     Malformed(&'static str),
-    /// The blob was delta-encoded but no (or a mismatched) previous
-    /// checkpoint was supplied.
-    MissingPrevious,
     /// The checkpoint cannot resume the solve it was handed to (see
     /// [`SolveCheckpoint::check_resume`]).
     Mismatch {
@@ -201,12 +196,6 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
             CheckpointError::Malformed(what) => write!(f, "malformed checkpoint field: {what}"),
-            CheckpointError::MissingPrevious => {
-                write!(
-                    f,
-                    "delta checkpoint needs its previous checkpoint to decode"
-                )
-            }
             CheckpointError::Mismatch {
                 field,
                 expected,
@@ -222,10 +211,9 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Serialization format version written by [`SolveCheckpoint::encode`].
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 const MAGIC: [u8; 4] = *b"FZCK";
-const FLAG_DELTA: u8 = 1;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -255,6 +243,14 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Emit `list` as its length followed by each entry through `put`.
+fn put_list<T>(out: &mut Vec<u8>, list: &[T], put: impl Fn(&mut Vec<u8>, &T)) {
+    put_varint(out, list.len() as u64);
+    for v in list {
+        put(out, v);
+    }
 }
 
 struct Cursor<'a> {
@@ -308,44 +304,20 @@ impl<'a> Cursor<'a> {
         String::from_utf8(raw.to_vec())
             .map_err(|_| CheckpointError::Malformed("string is not UTF-8"))
     }
-}
 
-/// Emit `list` as the length of the prefix it shares with `prev` (the
-/// part a delta encoding can reference instead of re-emitting), the
-/// count of fresh entries, and the fresh entries through `put`.
-fn put_suffix<T: PartialEq>(
-    out: &mut Vec<u8>,
-    list: &[T],
-    prev: Option<&[T]>,
-    put: impl Fn(&mut Vec<u8>, &T),
-) {
-    let shared = prev.map_or(0, |p| {
-        list.iter().zip(p).take_while(|(a, b)| a == b).count()
-    });
-    put_varint(out, shared as u64);
-    put_varint(out, (list.len() - shared) as u64);
-    for v in &list[shared..] {
-        put(out, v);
+    /// Read a list written by [`put_list`], pushing each entry as it
+    /// decodes: a forged length runs out of payload, never memory.
+    fn list<T>(
+        &mut self,
+        read: impl Fn(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.len()?;
+        let mut v = Vec::new();
+        for _ in 0..n {
+            v.push(read(self)?);
+        }
+        Ok(v)
     }
-}
-
-/// Read a list written by [`put_suffix`] against `base` (the previous
-/// checkpoint's list; empty for a full blob).
-fn suffix<'a, T: Clone>(
-    cur: &mut Cursor<'a>,
-    base: &[T],
-    read: impl Fn(&mut Cursor<'a>) -> Result<T, CheckpointError>,
-) -> Result<Vec<T>, CheckpointError> {
-    let shared = cur.len()?;
-    let fresh = cur.len()?;
-    if shared > base.len() {
-        return Err(CheckpointError::Malformed("shared prefix beyond previous"));
-    }
-    let mut v = base[..shared].to_vec();
-    for _ in 0..fresh {
-        v.push(read(cur)?);
-    }
-    Ok(v)
 }
 
 impl SolveCheckpoint {
@@ -403,19 +375,11 @@ impl SolveCheckpoint {
     }
 
     /// Serialize to the compact versioned byte format.
-    ///
-    /// Pass the solve's previous checkpoint as `prev` to delta-encode
-    /// against it: `x` is stored as XOR of f64 bit patterns (short
-    /// varints when the iterate moved little) and history/trajectory
-    /// as shared prefix + suffix. `prev` with a different dimension is
-    /// ignored (full encoding). Decode with the same `prev`.
-    pub fn encode(&self, prev: Option<&SolveCheckpoint>) -> Vec<u8> {
-        let prev = prev.filter(|p| p.x.len() == self.x.len());
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 9 * self.x.len() / 8);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         out.push(self.driver.to_u8());
-        out.push(if prev.is_some() { FLAG_DELTA } else { 0 });
         put_str(&mut out, &self.format);
         put_f64(&mut out, self.explicit_rrn);
         for v in [
@@ -436,50 +400,25 @@ impl SolveCheckpoint {
         ] {
             put_varint(&mut out, v);
         }
-        put_varint(&mut out, self.x.len() as u64);
-        for (i, &xi) in self.x.iter().enumerate() {
-            let base = prev.map_or(0, |p| p.x[i].to_bits());
-            put_varint(&mut out, xi.to_bits() ^ base);
-        }
-        let trajectory = prev.map(|p| &p.format_trajectory[..]);
-        put_suffix(&mut out, &self.format_trajectory, trajectory, |o, s| {
-            put_str(o, s)
+        put_list(&mut out, &self.x, |o, x| put_varint(o, x.to_bits()));
+        put_list(&mut out, &self.format_trajectory, |o, s| put_str(o, s));
+        put_list(&mut out, &self.history, |o, p| {
+            put_varint(o, p.iteration as u64);
+            put_f64(o, p.rrn);
+            o.push(p.explicit as u8);
         });
-        put_suffix(
-            &mut out,
-            &self.history,
-            prev.map(|p| &p.history[..]),
-            |o, p| {
-                put_varint(o, p.iteration as u64);
-                put_f64(o, p.rrn);
-                o.push(p.explicit as u8);
-            },
-        );
-        put_suffix(
-            &mut out,
-            &self.s_per_cycle,
-            prev.map(|p| &p.s_per_cycle[..]),
-            |o, &s| put_varint(o, s as u64),
-        );
-        put_suffix(
-            &mut out,
-            &self.loo_per_cycle,
-            prev.map(|p| &p.loo_per_cycle[..]),
-            |o, &l| put_f64(o, l),
-        );
+        put_list(&mut out, &self.s_per_cycle, |o, &s| put_varint(o, s as u64));
+        put_list(&mut out, &self.loo_per_cycle, |o, &l| put_f64(o, l));
         let sum = fnv1a(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
 
-    /// Decode a blob produced by [`SolveCheckpoint::encode`].
-    ///
-    /// A delta-encoded blob needs the same `prev` it was encoded
-    /// against; a full blob ignores `prev`.
-    pub fn decode(
-        bytes: &[u8],
-        prev: Option<&SolveCheckpoint>,
-    ) -> Result<SolveCheckpoint, CheckpointError> {
+    /// Decode a blob produced by [`SolveCheckpoint::encode`]. The
+    /// version is checked before the checksum, so a blob of another
+    /// version is [`CheckpointError::UnsupportedVersion`] whatever its
+    /// layout.
+    pub fn decode(bytes: &[u8]) -> Result<SolveCheckpoint, CheckpointError> {
         if bytes.len() < MAGIC.len() + 2 {
             return Err(CheckpointError::Truncated);
         }
@@ -504,12 +443,6 @@ impl SolveCheckpoint {
         };
         let driver = DriverKind::from_u8(cur.u8()?)
             .ok_or(CheckpointError::Malformed("unknown driver kind"))?;
-        let delta = cur.u8()? & FLAG_DELTA != 0;
-        let prev = if delta {
-            Some(prev.ok_or(CheckpointError::MissingPrevious)?)
-        } else {
-            None
-        };
         let format = cur.str()?;
         let explicit_rrn = cur.f64()?;
         let mut counters = [0u64; 14];
@@ -517,26 +450,17 @@ impl SolveCheckpoint {
             *c = cur.varint()?;
         }
         let n = cur.len()?;
-        // Every entry of `x` takes at least one varint byte, so a count
-        // beyond the remaining payload is corrupt. The checksum does not
-        // vouch for it (FNV-1a catches accidents, not a forged blob), and
-        // it must never size an allocation.
+        // Every entry of `x` takes at least one byte, so a count beyond
+        // the payload is corrupt or forged and must not size `x`.
         if n > cur.remaining() {
             return Err(CheckpointError::Malformed("dimension exceeds payload"));
         }
-        if let Some(p) = prev {
-            if p.x.len() != n {
-                return Err(CheckpointError::MissingPrevious);
-            }
-        }
         let mut x = Vec::with_capacity(n);
-        for i in 0..n {
-            let base = prev.map_or(0, |p| p.x[i].to_bits());
-            x.push(f64::from_bits(cur.varint()? ^ base));
+        for _ in 0..n {
+            x.push(f64::from_bits(cur.varint()?));
         }
-        let trajectory = prev.map_or(&[][..], |p| &p.format_trajectory);
-        let format_trajectory = suffix(&mut cur, trajectory, Cursor::str)?;
-        let history = suffix(&mut cur, prev.map_or(&[][..], |p| &p.history), |cur| {
+        let format_trajectory = cur.list(Cursor::str)?;
+        let history = cur.list(|cur| {
             let iteration = cur.len()?;
             let rrn = cur.f64()?;
             let explicit = match cur.u8()? {
@@ -550,13 +474,8 @@ impl SolveCheckpoint {
                 explicit,
             })
         })?;
-        let s_per_cycle = suffix(
-            &mut cur,
-            prev.map_or(&[][..], |p| &p.s_per_cycle),
-            Cursor::len,
-        )?;
-        let loo_base = prev.map_or(&[][..], |p| &p.loo_per_cycle);
-        let loo_per_cycle = suffix(&mut cur, loo_base, Cursor::f64)?;
+        let s_per_cycle = cur.list(Cursor::len)?;
+        let loo_per_cycle = cur.list(Cursor::f64)?;
         if cur.pos != payload.len() {
             return Err(CheckpointError::Malformed("trailing bytes"));
         }
@@ -627,71 +546,38 @@ mod tests {
     #[test]
     fn full_round_trip_is_exact() {
         let cp = sample(3);
-        let blob = cp.encode(None);
-        let back = SolveCheckpoint::decode(&blob, None).unwrap();
+        let blob = cp.encode();
+        let back = SolveCheckpoint::decode(&blob).unwrap();
         assert_eq!(cp, back);
     }
 
     #[test]
-    fn delta_round_trip_is_exact_and_smaller() {
-        let prev = sample(3);
-        let mut next = sample(4);
-        // Nudge x the way one more cycle would.
-        for (i, xi) in next.x.iter_mut().enumerate() {
-            *xi += 1e-9 * (i as f64 + 1.0);
-        }
-        let full = next.encode(None);
-        let delta = next.encode(Some(&prev));
-        assert!(
-            delta.len() < full.len(),
-            "delta {} >= full {}",
-            delta.len(),
-            full.len()
-        );
-        let back = SolveCheckpoint::decode(&delta, Some(&prev)).unwrap();
-        assert_eq!(next, back);
-        // A full blob ignores prev entirely.
-        let back_full = SolveCheckpoint::decode(&full, Some(&prev)).unwrap();
-        assert_eq!(next, back_full);
-    }
-
-    #[test]
-    fn delta_without_previous_is_a_typed_error() {
-        let prev = sample(2);
-        let blob = sample(3).encode(Some(&prev));
-        assert_eq!(
-            SolveCheckpoint::decode(&blob, None),
-            Err(CheckpointError::MissingPrevious)
-        );
-    }
-
-    #[test]
     fn corruption_is_detected_by_the_checksum() {
-        let mut blob = sample(2).encode(None);
+        let mut blob = sample(2).encode();
         let mid = blob.len() / 2;
         blob[mid] ^= 0x40;
         assert_eq!(
-            SolveCheckpoint::decode(&blob, None),
+            SolveCheckpoint::decode(&blob),
             Err(CheckpointError::ChecksumMismatch)
         );
     }
 
     #[test]
     fn truncation_magic_and_version_are_typed_errors() {
-        let blob = sample(1).encode(None);
+        let blob = sample(1).encode();
         assert_eq!(
-            SolveCheckpoint::decode(&blob[..blob.len() - 3], None),
+            SolveCheckpoint::decode(&blob[..blob.len() - 3]),
             Err(CheckpointError::ChecksumMismatch),
             "losing tail bytes breaks the checksum"
         );
         assert_eq!(
-            SolveCheckpoint::decode(&blob[..3], None),
+            SolveCheckpoint::decode(&blob[..3]),
             Err(CheckpointError::Truncated)
         );
         let mut bad = blob.clone();
         bad[0] = b'X';
         assert_eq!(
-            SolveCheckpoint::decode(&bad, None),
+            SolveCheckpoint::decode(&bad),
             Err(CheckpointError::BadMagic)
         );
         let mut newer = blob.clone();
@@ -702,8 +588,21 @@ mod tests {
         let sum = super::fnv1a(&newer[..len - 8]);
         newer[len - 8..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            SolveCheckpoint::decode(&newer, None),
+            SolveCheckpoint::decode(&newer),
             Err(CheckpointError::UnsupportedVersion(0x00ff))
+        );
+    }
+
+    #[test]
+    fn version_one_blob_is_unsupported_before_its_checksum_is_read() {
+        // The version-1 layout carried a delta flag byte, so a blob
+        // relabelled as version 1 no longer matches its checksum: the
+        // version check must come first.
+        let mut old = sample(1).encode();
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            SolveCheckpoint::decode(&old),
+            Err(CheckpointError::UnsupportedVersion(1))
         );
     }
 
@@ -714,7 +613,6 @@ mod tests {
         let mut forged = MAGIC.to_vec();
         forged.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         forged.push(DriverKind::Scalar.to_u8());
-        forged.push(0);
         put_str(&mut forged, "frsz2_21");
         put_f64(&mut forged, 1.0);
         for _ in 0..14 {
@@ -724,19 +622,71 @@ mod tests {
         let sum = super::fnv1a(&forged);
         forged.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            SolveCheckpoint::decode(&forged, None),
+            SolveCheckpoint::decode(&forged),
             Err(CheckpointError::Malformed("dimension exceeds payload"))
         );
     }
 
+    /// Append the checksum of `payload`, the way a writer seals a blob.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut blob = payload.to_vec();
+        blob.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        blob
+    }
+
+    /// Mutation check of the decoder: every single-bit flip of a valid
+    /// blob (re-sealed, so field parsing runs past the checksum) and
+    /// every truncation (raw and re-sealed) decodes to `Ok` or a typed
+    /// error, never a panic. Every accepted mutant re-encodes to bytes
+    /// that decode to the same checkpoint.
     #[test]
-    fn mismatched_previous_dimension_falls_back_to_full_encoding() {
-        let mut prev = sample(2);
-        prev.x.truncate(10);
-        let cp = sample(3);
-        let blob = cp.encode(Some(&prev));
-        // Encoder ignored the mismatched prev, so decode without one.
-        let back = SolveCheckpoint::decode(&blob, None).unwrap();
-        assert_eq!(cp, back);
+    fn every_bit_flip_and_truncation_is_ok_or_typed() {
+        let blob = sample(3).encode();
+        let payload = &blob[..blob.len() - 8];
+        let mut accepted = 0usize;
+        for byte in 0..payload.len() {
+            for bit in 0..8 {
+                let mut mutant = payload.to_vec();
+                mutant[byte] ^= 1 << bit;
+                match (byte, SolveCheckpoint::decode(&sealed(&mutant))) {
+                    (0..=3, outcome) => assert_eq!(outcome, Err(CheckpointError::BadMagic)),
+                    (4..=5, outcome) => assert!(
+                        matches!(outcome, Err(CheckpointError::UnsupportedVersion(_))),
+                        "flip {byte}:{bit}: {outcome:?}"
+                    ),
+                    (_, Ok(cp)) => {
+                        accepted += 1;
+                        let again = cp.encode();
+                        let back = SolveCheckpoint::decode(&again).expect("re-encoded mutant");
+                        assert_eq!(back.encode(), again, "flip {byte}:{bit}");
+                    }
+                    (
+                        _,
+                        Err(
+                            e @ (CheckpointError::ChecksumMismatch
+                            | CheckpointError::Mismatch { .. }),
+                        ),
+                    ) => {
+                        panic!("flip {byte}:{bit}: a re-sealed blob decoded to {e:?}")
+                    }
+                    (_, Err(_)) => {}
+                }
+            }
+        }
+        // Flips inside the iterate's and the residuals' bits still
+        // parse; a checkpoint is only as trustworthy as its checksum.
+        assert!(accepted > 0, "no single-bit mutant decoded");
+        for len in 0..blob.len() {
+            assert!(
+                SolveCheckpoint::decode(&blob[..len]).is_err(),
+                "cut at {len}"
+            );
+            if len < payload.len() {
+                assert!(
+                    SolveCheckpoint::decode(&sealed(&payload[..len])).is_err(),
+                    "re-sealed cut at {len}"
+                );
+            }
+        }
     }
 }

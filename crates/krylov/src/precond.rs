@@ -29,6 +29,8 @@ pub enum PrecondError {
         /// Index of the singular diagonal block.
         block: usize,
     },
+    /// Block-Jacobi was asked for blocks of zero rows.
+    ZeroBlockSize,
 }
 
 impl std::fmt::Display for PrecondError {
@@ -39,6 +41,9 @@ impl std::fmt::Display for PrecondError {
             }
             PrecondError::SingularBlock { block } => {
                 write!(f, "singular diagonal block {block}: BlockJacobi undefined")
+            }
+            PrecondError::ZeroBlockSize => {
+                write!(f, "BlockJacobi needs a block size of at least 1")
             }
         }
     }
@@ -183,12 +188,15 @@ pub struct BlockJacobi {
 }
 
 impl BlockJacobi {
-    /// Extract and factorize the block diagonal of `a`, rejecting
-    /// numerically singular blocks.
+    /// Extract and factorize the block diagonal of `a`, rejecting a
+    /// zero `block_size` and numerically singular blocks.
     pub fn try_new(
         a: &(impl SparseMatrix + ?Sized),
         block_size: usize,
     ) -> Result<Self, PrecondError> {
+        if block_size == 0 {
+            return Err(PrecondError::ZeroBlockSize);
+        }
         let p = Self::build(a, block_size);
         if let Some(block) = p.lu.iter().position(Option::is_none) {
             return Err(PrecondError::SingularBlock { block });

@@ -820,8 +820,8 @@ mod tests {
         assert_eq!(cp.s_per_cycle.len(), 2, "two cycles completed at halt");
 
         // Round-trip through the byte format.
-        let bytes = cp.encode(None);
-        let cp = SolveCheckpoint::decode(&bytes, None).expect("decode");
+        let bytes = cp.encode();
+        let cp = SolveCheckpoint::decode(&bytes).expect("decode");
 
         let hooks = SolveHooks {
             resume: Some(&cp),

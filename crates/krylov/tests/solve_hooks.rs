@@ -281,7 +281,7 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                 if let Kind::SStep = kind {
                     assert_eq!(cp.s_per_cycle.len(), case.halt_at - 1, "{label}");
                 }
-                let decoded = SolveCheckpoint::decode(&cp.encode(None), None).expect("decode");
+                let decoded = SolveCheckpoint::decode(&cp.encode()).expect("decode");
                 assert_eq!(decoded, cp, "{label}: byte round trip");
                 let resumed = case.solve(SolveHooks {
                     resume: Some(&decoded),

@@ -112,9 +112,10 @@ pub enum ServiceError {
         /// What does not match.
         source: CheckpointError,
     },
-    /// The job's solve panicked (every attempt, if retries were
-    /// configured). The panic was caught at the job boundary — other
-    /// jobs in the batch, and the service itself, are unaffected.
+    /// The job's solve or its observer panicked (every attempt, if
+    /// retries were configured). The panic was caught at the job
+    /// boundary — other jobs in the batch, and the service itself, are
+    /// unaffected.
     JobPanicked {
         /// Operator the panicked job targeted.
         operator: String,

@@ -177,6 +177,8 @@ impl JobSpec {
 /// amortized over the block. Admission control charges the basis
 /// reservation for the whole shared space — `width ×` the single-RHS
 /// estimate, exactly the shared basis's `width · (restart+1)` columns.
+/// It runs the lifecycle of a [`JobSpec`], panic isolation included,
+/// without `sstep`, `deadline`, `retry`, `resume` or `fault`.
 #[derive(Clone, Debug)]
 pub struct BlockJobSpec {
     /// Name of the registered operator to solve against.
@@ -187,7 +189,7 @@ pub struct BlockJobSpec {
     /// Per-RHS initial guesses; `None` starts every RHS from zero.
     pub x0s: Option<Vec<Vec<f64>>>,
     /// Basis-format selection, applied to every lane.
-    /// [`BasisSelection::Adaptive`] falls back to independent per-RHS
+    /// [`BasisSelection::Adaptive`] runs the lanes as independent
     /// adaptive solves (each lane may escalate at its own pace, which
     /// a single shared basis cannot express), still admitted as one
     /// job at the block-scaled worst case.

@@ -11,8 +11,8 @@
 //!    factorized preconditioner are cached behind an `Arc` and shared
 //!    read-only by every later job.
 //! 2. **Submit** solve jobs ([`JobSpec`]) against registered operators,
-//!    one at a time ([`SolverService::solve`]) or as a concurrent batch
-//!    ([`SolverService::run_batch`]). Each job picks a basis format
+//!    one at a time ([`SolverService::solve_report`]) or as a concurrent
+//!    batch ([`SolverService::run_batch`]). Each job picks a basis format
 //!    ([`BasisSelection`]): a fixed registry name, the accuracy-floor
 //!    `Auto` pick, or the bidirectionally `Adaptive` ladder. Many
 //!    right-hand sides against one operator go in as a single
@@ -21,8 +21,9 @@
 //!    sweep of the compressed basis is amortized over the whole block.
 //! 3. **Observe** per-cycle telemetry — explicit residual, basis format
 //!    in effect, compressed-basis traffic — through a callback
-//!    ([`SolverService::solve_report_observed`]) or an `mpsc` channel
-//!    ([`SolverService::run_batch_streaming`]).
+//!    ([`SolverService::solve_report_observed`],
+//!    [`SolverService::solve_block_observed`], or the `on_event` of
+//!    [`SolverService::run_batch`], which an `mpsc` sender can back).
 //!
 //! # Determinism under concurrency
 //!
@@ -49,8 +50,9 @@
 //!
 //! # Fault tolerance
 //!
-//! A resident solver outlives individual failures. Each [`JobSpec`]
-//! can carry
+//! A resident solver outlives individual failures. A panic in any
+//! job's solve or observer — single or block — is caught at the job
+//! boundary. Each [`JobSpec`] can also carry
 //!
 //! - a **deadline** ([`JobSpec::deadline`]): checked cooperatively at
 //!   every restart boundary; on breach the job returns
@@ -86,7 +88,7 @@
 //! let (_, b) = manufactured_rhs(&a);
 //! let mut spec = JobSpec::new("demo", b); // Auto basis, 1 thread
 //! spec.opts.target_rrn = 1e-8;
-//! let result = service.solve(&spec)?;
+//! let result = service.solve_report(&spec)?.result;
 //! assert!(result.stats.converged);
 //! # Ok::<(), solver_service::ServiceError>(())
 //! ```

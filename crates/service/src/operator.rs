@@ -21,7 +21,8 @@ pub enum PrecondSpec {
     /// Block-Jacobi with dense LU-factorized diagonal blocks of this
     /// size.
     BlockJacobi {
-        /// Diagonal block edge length (rows per block).
+        /// Diagonal block edge length (rows per block); 0 is refused
+        /// at registration as [`crate::ServiceError::PrecondFailed`].
         block_size: usize,
     },
 }

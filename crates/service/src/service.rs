@@ -2,20 +2,21 @@
 
 use crate::admission::{AdmissionPolicy, Ledger};
 use crate::error::ServiceError;
-use crate::job::{BasisSelection, BlockJobSpec, JobEvent, JobReport, JobSpec, RhsEvent};
+use crate::job::{
+    BasisSelection, BlockJobSpec, JobEvent, JobReport, JobSpec, RetryPolicy, RhsEvent,
+};
 use crate::operator::{AnalyzedOperator, OperatorInfo, PrecondSpec};
 use krylov::basis_format::{self, BasisFormat};
 use krylov::{
-    block_gmres_dyn_observed, AdaptiveOptions, BlockSolveResult, CycleEvent, FaultPlan,
+    block_gmres_dyn_observed, AdaptiveOptions, BlockSolveResult, CycleEvent, FaultPlan, FaultSpec,
     FaultyFormat, GmresOptions, SStepOptions, SolveCheckpoint, SolveControl, SolveHooks, SolvePlan,
     SolveResult,
 };
 use spla::Csr;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Best-effort string form of a caught panic payload.
@@ -99,16 +100,6 @@ fn plan_options(opts: &GmresOptions, sstep: usize) -> (SStepOptions, AdaptiveOpt
     (sopts, aopts)
 }
 
-/// Refuse a job whose restart cycle could store no Krylov column.
-fn check_restart(operator: &str, opts: &GmresOptions) -> Result<(), ServiceError> {
-    if opts.restart == 0 {
-        return Err(ServiceError::ZeroRestart {
-            operator: operator.to_string(),
-        });
-    }
-    Ok(())
-}
-
 /// The plan a job runs: the adaptive driver when no format is fixed
 /// (it owns its own cycle policy and ignores the s-step knob), the
 /// s-step driver for `sstep > 1`, the scalar driver otherwise.
@@ -122,6 +113,47 @@ fn job_plan<'a>(
         Some(f) => SolvePlan::Fixed(f, &sopts.gmres),
         None => SolvePlan::Adaptive(aopts),
     }
+}
+
+/// A job as the lifecycle runs it: a single job is one lane, a block
+/// job one lane per right-hand side.
+struct Job<'a> {
+    operator: &'a str,
+    rhss: &'a [Vec<f64>],
+    x0s: Option<&'a [Vec<f64>]>,
+    basis: &'a BasisSelection,
+    opts: &'a GmresOptions,
+    threads: usize,
+    sstep: usize,
+    deadline: Option<Duration>,
+    retry: Option<RetryPolicy>,
+    resume: Option<&'a SolveCheckpoint>,
+    fault: Option<&'a FaultSpec>,
+}
+
+/// What one attempt solved: the shared-space block driver's result, or
+/// one [`krylov::solve`] result per lane.
+enum Solved {
+    Block(BlockSolveResult),
+    Lanes(Vec<SolveResult>),
+}
+
+impl Solved {
+    fn converged(&self) -> bool {
+        match self {
+            Solved::Block(r) => r.all_converged(),
+            Solved::Lanes(lanes) => lanes.iter().all(|r| r.stats.converged),
+        }
+    }
+}
+
+/// A finished job: its last attempt plus the retry trail a
+/// [`JobReport`] carries.
+struct Finished {
+    solved: Solved,
+    attempts: usize,
+    formats_tried: Vec<String>,
+    faults_injected: u64,
 }
 
 /// Worst-case basis reservation of an adaptive job: the escalation
@@ -254,31 +286,22 @@ impl SolverService {
             .ok_or_else(|| ServiceError::UnknownOperator(name.to_string()))
     }
 
-    /// Run one job to completion on the calling thread (under the job's
-    /// own thread pool), without telemetry.
-    ///
-    /// The job is admitted against the basis budget first (a typed
-    /// [`ServiceError::BudgetExceeded`] instead of an allocation
-    /// failure), then solved inside a dedicated pool of
-    /// [`JobSpec::threads`] workers. The bit-identity contract makes
-    /// the result independent of that thread count, which is what lets
-    /// [`SolverService::run_batch`] check concurrent jobs against
-    /// sequential reference runs.
-    pub fn solve(&self, spec: &JobSpec) -> Result<SolveResult, ServiceError> {
-        self.solve_report_observed(spec, |_| {}).map(|r| r.result)
-    }
-
-    /// [`SolverService::solve`] returning the full [`JobReport`] —
-    /// the result plus the retry trail (attempt count, the basis
-    /// format each attempt started in, faults injected).
+    /// Run one job to completion on the calling thread, without
+    /// telemetry: the result plus the retry trail (attempt count, the
+    /// basis format each attempt started in, faults injected). See
+    /// [`SolverService::solve_report_observed`].
     pub fn solve_report(&self, spec: &JobSpec) -> Result<JobReport, ServiceError> {
         self.solve_report_observed(spec, |_| {})
     }
 
-    /// The fault-tolerant solve path: every `solve*` entry funnels
-    /// here, streaming a [`CycleEvent`] to `observe` at every restart
-    /// boundary (a pure spectator: observed and unobserved runs are
-    /// bit-identical). On top of the plain solve it implements
+    /// Run one job to completion, streaming a [`CycleEvent`] to
+    /// `observe` at every restart boundary (a pure spectator: observed
+    /// and unobserved runs are bit-identical). The job is admitted
+    /// against the basis budget (a typed
+    /// [`ServiceError::BudgetExceeded`] instead of an allocation
+    /// failure), then solved in its own pool of [`JobSpec::threads`]
+    /// workers, bit-identically for any thread count. On top of the
+    /// plain solve the job lifecycle implements
     ///
     /// - **deadlines** ([`JobSpec::deadline`]): checked cooperatively
     ///   at every restart boundary; on breach the solve halts at the
@@ -294,9 +317,10 @@ impl SolverService {
     ///   non-converged attempt (breakdown, stagnation) is retried
     ///   after a bounded exponential backoff with the basis format
     ///   escalated one ladder rung
-    ///   ([`krylov::basis_format::escalate`]); a panicked attempt is
-    ///   caught ([`ServiceError::JobPanicked`] once retries are
-    ///   exhausted) and retried at the same rung;
+    ///   ([`krylov::basis_format::escalate`]); a panicked attempt —
+    ///   in the solve or in `observe` — is caught
+    ///   ([`ServiceError::JobPanicked`] once retries are exhausted) and
+    ///   retried at the same rung;
     /// - **fault injection** ([`JobSpec::fault`]): deterministic basis
     ///   bit-flips, Hessenberg NaNs, injected panics and per-boundary
     ///   sleeps, for tests and the pinned fault rows.
@@ -312,82 +336,191 @@ impl SolverService {
         spec: &JobSpec,
         mut observe: impl FnMut(&CycleEvent),
     ) -> Result<JobReport, ServiceError> {
-        let op = self.operator(&spec.operator)?;
+        let job = Job {
+            operator: &spec.operator,
+            rhss: std::slice::from_ref(&spec.b),
+            x0s: spec.x0.as_ref().map(std::slice::from_ref),
+            basis: &spec.basis,
+            opts: &spec.opts,
+            threads: spec.threads,
+            sstep: spec.sstep,
+            deadline: spec.deadline,
+            retry: spec.retry,
+            resume: spec.resume.as_deref(),
+            fault: spec.fault.as_ref(),
+        };
+        let done = self.run_job(&job, &mut |_, cycle| observe(cycle))?;
+        let Solved::Lanes(mut lanes) = done.solved else {
+            unreachable!("a one-lane job runs one krylov::solve")
+        };
+        Ok(JobReport {
+            result: lanes.pop().expect("one lane"),
+            attempts: done.attempts,
+            formats_tried: done.formats_tried,
+            faults_injected: done.faults_injected,
+        })
+    }
+
+    /// Run one multi-RHS (block) job to completion on the calling
+    /// thread, without telemetry. See
+    /// [`SolverService::solve_block_observed`].
+    pub fn solve_block(&self, spec: &BlockJobSpec) -> Result<BlockSolveResult, ServiceError> {
+        self.solve_block_observed(spec, |_| {})
+    }
+
+    /// Run one multi-RHS (block) job through the lifecycle of
+    /// [`SolverService::solve_report_observed`], streaming an
+    /// [`RhsEvent`] to `observe` at every restart boundary of every
+    /// RHS (the shared space restarts all active RHS together; one
+    /// RHS's events stay in cycle order). A block job runs scalar
+    /// cycles in one attempt; a panic in its solve or in `observe` is
+    /// [`ServiceError::JobPanicked`].
+    ///
+    /// The whole block is admitted as ONE reservation scaled by the
+    /// block width — `width ×` the per-RHS estimate, which is exactly
+    /// the shared basis's `width · (restart + 1)` columns — so a block
+    /// that would blow the budget is rejected with a typed
+    /// [`ServiceError::BudgetExceeded`] before any allocation.
+    /// `Fixed`/`Auto` selections of width > 1 run the shared-space
+    /// [`krylov::block_gmres_dyn_observed`] driver; width 1 and
+    /// [`BasisSelection::Adaptive`] run one [`krylov::solve`] per RHS
+    /// (see [`BlockJobSpec::basis`]), adaptive lanes charged at the
+    /// worst case `8 · rows · (restart + 1) · width`. An empty `rhss`
+    /// is a [`ServiceError::DimensionMismatch`] with `got = 0`.
+    pub fn solve_block_observed(
+        &self,
+        spec: &BlockJobSpec,
+        mut observe: impl FnMut(&RhsEvent),
+    ) -> Result<BlockSolveResult, ServiceError> {
+        let job = Job {
+            operator: &spec.operator,
+            rhss: &spec.rhss,
+            x0s: spec.x0s.as_deref(),
+            basis: &spec.basis,
+            opts: &spec.opts,
+            threads: spec.threads,
+            sstep: 1,
+            deadline: None,
+            retry: None,
+            resume: None,
+            fault: None,
+        };
+        let done = self.run_job(&job, &mut |rhs, cycle| {
+            observe(&RhsEvent {
+                rhs,
+                cycle: cycle.clone(),
+            })
+        })?;
+        let lanes = match done.solved {
+            Solved::Block(result) => return Ok(result),
+            Solved::Lanes(lanes) => lanes,
+        };
+        let operator_sweeps = lanes.iter().map(|r| r.stats.spmv_count).sum();
+        let (solutions, rest): (_, Vec<_>) = lanes
+            .into_iter()
+            .map(|r| (r.x, (r.stats, r.history)))
+            .unzip();
+        let (stats, histories) = rest.into_iter().unzip();
+        Ok(BlockSolveResult {
+            solutions,
+            stats,
+            histories,
+            operator_sweeps,
+        })
+    }
+
+    /// The one job lifecycle: validate, resolve the format, check the
+    /// resume checkpoint, admit, build the job's pool, then run
+    /// attempts under `catch_unwind` with retry, escalation, deadline
+    /// and faults. `observe` receives each lane's boundary events.
+    fn run_job(
+        &self,
+        job: &Job<'_>,
+        observe: &mut dyn FnMut(usize, &CycleEvent),
+    ) -> Result<Finished, ServiceError> {
+        let op = self.operator(job.operator)?;
         let rows = op.matrix.rows();
-        let mut lens = std::iter::once(&spec.b).chain(&spec.x0).map(Vec::len);
+        let width = job.rhss.len();
+        let x0s = job.x0s.unwrap_or(&[]);
+        let mismatch = |got| ServiceError::DimensionMismatch {
+            operator: job.operator.to_string(),
+            rows,
+            got,
+        };
+        if width == 0 {
+            return Err(mismatch(0));
+        }
+        if job.x0s.is_some() && x0s.len() != width {
+            return Err(mismatch(x0s.len()));
+        }
+        let mut lens = job.rhss.iter().chain(x0s).map(Vec::len);
         if let Some(got) = lens.find(|&len| len != rows) {
-            return Err(ServiceError::DimensionMismatch {
-                operator: spec.operator.clone(),
-                rows,
-                got,
+            return Err(mismatch(got));
+        }
+        if job.opts.restart == 0 {
+            return Err(ServiceError::ZeroRestart {
+                operator: job.operator.to_string(),
             });
         }
-        check_restart(&spec.operator, &spec.opts)?;
-        let format = resolve_format(&spec.basis, &spec.opts, rows)?;
-        let sstep = spec.sstep.max(1);
-        if let Some(cp) = spec.resume.as_deref() {
-            let (sopts, aopts) = plan_options(&spec.opts, sstep);
+        let format = resolve_format(job.basis, job.opts, rows)?;
+        let sstep = job.sstep.max(1);
+        if let Some(cp) = job.resume {
+            let (sopts, aopts) = plan_options(job.opts, sstep);
             cp.check_resume(rows, &job_plan(format.as_deref(), &sopts, &aopts))
                 .map_err(|source| ServiceError::CheckpointMismatch {
-                    operator: spec.operator.clone(),
+                    operator: job.operator.to_string(),
                     source,
                 })?;
         }
-        let requested = match &format {
+        let requested = match format.as_deref() {
             // Retries may escalate all the way to float64: charge the
             // ladder-top worst case up front (escalation does not change
             // the panel scratch).
-            Some(_) if spec.retry.is_some() => {
+            Some(_) if job.retry.is_some() => {
                 let top = basis_format::by_name("float64").expect("float64 is registered");
-                estimated_basis_bytes(top.as_ref(), rows, spec.opts.restart, 1, sstep)
+                estimated_basis_bytes(top.as_ref(), rows, job.opts.restart, width, sstep)
             }
-            Some(f) => estimated_basis_bytes(f.as_ref(), rows, spec.opts.restart, 1, sstep),
+            Some(f) => estimated_basis_bytes(f, rows, job.opts.restart, width, sstep),
             // The adaptive driver owns its own cycle policy and ignores
             // the s-step knob, so no panel scratch is charged.
-            None => estimated_adaptive_basis_bytes(rows, spec.opts.restart, 1),
+            None => estimated_adaptive_basis_bytes(rows, job.opts.restart, width),
         };
-        let _reservation = self.ledger.admit(&spec.operator, requested)?;
-
-        let zeros;
-        let x0: &[f64] = match &spec.x0 {
-            Some(x0) => x0,
-            None => {
-                zeros = vec![0.0; rows];
-                &zeros
-            }
-        };
+        let _reservation = self.ledger.admit(job.operator, requested)?;
         let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(spec.threads.max(1))
+            .num_threads(job.threads.max(1))
             .build()
             .expect("job thread pool");
 
         // The deadline clock spans the whole job: retries and their
         // backoffs burn the same budget as the first attempt.
         let job_start = Instant::now();
-        let deadline = spec.deadline;
-        let fault = spec.fault.as_ref();
+        let fault = job.fault;
         let sleep_per_boundary = fault.map_or(0, |f| f.sleep_per_boundary_ms);
         let fault_fired = Arc::new(AtomicU64::new(0));
-        let max_retries = spec.retry.map_or(0, |r| r.max_retries);
+        // Only pay for the boundary probe when something is armed.
+        let control_armed = job.deadline.is_some() || sleep_per_boundary > 0;
+        let max_retries = job.retry.map_or(0, |r| r.max_retries);
+        let backoff = |attempt| {
+            let pause = job.retry.map_or(Duration::ZERO, |r| r.backoff(attempt));
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
+            }
+        };
 
         let mut attempts = 0usize;
         let mut formats_tried: Vec<String> = Vec::new();
         // The current rung: retries escalate this one step at a time.
         let mut format_name: Option<String> = format.as_ref().map(|f| f.name());
         let mut escalated = false;
-        loop {
+        let solved = loop {
             attempts += 1;
-            formats_tried.push(
-                format_name
-                    .clone()
-                    .unwrap_or_else(|| "adaptive".to_string()),
-            );
+            let rung = format_name.as_deref().unwrap_or("adaptive");
+            formats_tried.push(rung.to_string());
             // Numerical faults are format-gated: after an escalation
             // moves past `only_in_format`, they stop firing — which is
             // what makes retry-until-recovered deterministic.
-            let faults_apply = fault
-                .is_some_and(|f| f.applies_to_format(format_name.as_deref().unwrap_or("adaptive")));
-            let mut opts = spec.opts.clone();
+            let faults_apply = fault.is_some_and(|f| f.applies_to_format(rung));
+            let mut opts = job.opts.clone();
             if faults_apply {
                 opts.fault_nan_hessenberg_at = fault.and_then(|f| f.nan_hessenberg_at);
             }
@@ -407,51 +540,69 @@ impl SolverService {
             // A checkpoint only resumes the format (and driver) it was
             // captured in: once a retry escalates away, attempts start
             // fresh.
-            let resume_cp: Option<&SolveCheckpoint> = if escalated {
-                None
-            } else {
-                spec.resume.as_deref()
-            };
+            let resume_cp = job.resume.filter(|_| !escalated);
             let panic_now = fault.is_some_and(|f| f.panic_on_attempt == Some(attempts - 1));
-            // Only pay for the boundary probe when something is armed.
-            let control_armed = deadline.is_some() || sleep_per_boundary > 0;
             let mut halted_cp: Option<SolveCheckpoint> = None;
 
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if panic_now {
                     panic!("injected job panic (attempt {})", attempts - 1);
                 }
-                pool.install(|| {
-                    let mut probe = |cp: &SolveCheckpoint| {
-                        if sleep_per_boundary > 0 {
-                            std::thread::sleep(Duration::from_millis(sleep_per_boundary));
-                        }
-                        match deadline {
-                            Some(d) if job_start.elapsed() >= d => {
-                                halted_cp = Some(cp.clone());
-                                SolveControl::Halt
-                            }
-                            _ => SolveControl::Continue,
-                        }
-                    };
-                    let (sopts, aopts) = plan_options(&opts, sstep);
-                    let hooks = SolveHooks {
-                        observe: Some(&mut observe),
-                        control: if control_armed {
-                            Some(&mut probe)
-                        } else {
-                            None
-                        },
-                        resume: resume_cp,
-                    };
-                    krylov::solve(
+                pool.install(|| match attempt_format.as_deref() {
+                    Some(f) if width > 1 => Ok(Solved::Block(block_gmres_dyn_observed(
                         op.matrix.as_ref(),
-                        &spec.b,
-                        x0,
+                        job.rhss,
+                        job.x0s,
+                        &opts,
                         &op.precond,
-                        job_plan(attempt_format.as_deref(), &sopts, &aopts),
-                        hooks,
-                    )
+                        f,
+                        |rhs, cycle| observe(rhs, &cycle),
+                    ))),
+                    // One `krylov::solve` per lane: a single job, or the
+                    // lanes of an adaptive block, which escalate at their
+                    // own pace where one shared basis cannot.
+                    f => {
+                        let mut probe = |cp: &SolveCheckpoint| {
+                            if sleep_per_boundary > 0 {
+                                std::thread::sleep(Duration::from_millis(sleep_per_boundary));
+                            }
+                            match job.deadline {
+                                Some(d) if job_start.elapsed() >= d => {
+                                    halted_cp = Some(cp.clone());
+                                    SolveControl::Halt
+                                }
+                                _ => SolveControl::Continue,
+                            }
+                        };
+                        let (sopts, aopts) = plan_options(&opts, sstep);
+                        let zeros = vec![0.0; rows];
+                        let mut lanes = Vec::with_capacity(width);
+                        for (lane, b) in job.rhss.iter().enumerate() {
+                            let mut lane_observe = |cycle: &CycleEvent| observe(lane, cycle);
+                            let hooks = SolveHooks {
+                                observe: Some(&mut lane_observe),
+                                control: if control_armed {
+                                    Some(&mut probe)
+                                } else {
+                                    None
+                                },
+                                resume: resume_cp,
+                            };
+                            let done = krylov::solve(
+                                op.matrix.as_ref(),
+                                b,
+                                job.x0s.map_or(&zeros, |x0s| &x0s[lane]),
+                                &op.precond,
+                                job_plan(f, &sopts, &aopts),
+                                hooks,
+                            )?;
+                            lanes.push(done.result);
+                            if done.halted {
+                                break;
+                            }
+                        }
+                        Ok(Solved::Lanes(lanes))
+                    }
                 })
             }));
 
@@ -462,11 +613,11 @@ impl SolverService {
                     // no evidence against the format, so retries stay
                     // on the same rung.
                     if attempts <= max_retries {
-                        self.backoff(spec, attempts);
+                        backoff(attempts);
                         continue;
                     }
                     return Err(ServiceError::JobPanicked {
-                        operator: spec.operator.clone(),
+                        operator: job.operator.to_string(),
                         attempts,
                         message: panic_message(payload),
                     });
@@ -475,31 +626,23 @@ impl SolverService {
                 // away resumes nothing.
                 Ok(Err(source)) => {
                     return Err(ServiceError::CheckpointMismatch {
-                        operator: spec.operator.clone(),
+                        operator: job.operator.to_string(),
                         source,
                     });
                 }
-                Ok(Ok(done)) if done.halted => {
-                    // Cooperative deadline halt: progress is postponed,
-                    // not lost — the checkpoint resumes bit-identically.
-                    return Err(ServiceError::DeadlineExceeded {
-                        operator: spec.operator.clone(),
-                        deadline_ms: deadline.map_or(0, |d| d.as_millis() as u64),
-                        checkpoint: Box::new(
-                            halted_cp.expect("a halted solve captured its boundary checkpoint"),
-                        ),
-                    });
-                }
-                Ok(Ok(done)) => {
-                    let result = done.result;
-                    let report = |result| JobReport {
-                        result,
-                        attempts,
-                        formats_tried: formats_tried.clone(),
-                        faults_injected: fault_fired.load(Ordering::Relaxed),
-                    };
-                    if result.stats.converged || attempts > max_retries {
-                        return Ok(report(result));
+                Ok(Ok(solved)) => {
+                    if let Some(checkpoint) = halted_cp {
+                        // Cooperative deadline halt: progress is
+                        // postponed, not lost — the checkpoint resumes
+                        // bit-identically.
+                        return Err(ServiceError::DeadlineExceeded {
+                            operator: job.operator.to_string(),
+                            deadline_ms: job.deadline.map_or(0, |d| d.as_millis() as u64),
+                            checkpoint: Box::new(checkpoint),
+                        });
+                    }
+                    if solved.converged() || attempts > max_retries {
+                        break solved;
                     }
                     // Numerical failure (breakdown or stagnation):
                     // spend more bytes per basis value and try again.
@@ -510,145 +653,18 @@ impl SolverService {
                         }
                         // Already at the ladder top (or adaptive, which
                         // escalates internally): nothing smarter to try.
-                        None => return Ok(report(result)),
+                        None => break solved,
                     }
-                    self.backoff(spec, attempts);
+                    backoff(attempts);
                 }
             }
-        }
-    }
-
-    /// Sleep the bounded exponential backoff before 1-based retry
-    /// `attempt` of `spec`.
-    fn backoff(&self, spec: &JobSpec, attempt: usize) {
-        if let Some(policy) = spec.retry {
-            let pause = policy.backoff(attempt);
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-        }
-    }
-
-    /// Run one multi-RHS (block) job to completion on the calling
-    /// thread, without telemetry. See
-    /// [`SolverService::solve_block_observed`].
-    pub fn solve_block(&self, spec: &BlockJobSpec) -> Result<BlockSolveResult, ServiceError> {
-        self.solve_block_observed(spec, |_| {})
-    }
-
-    /// Run one multi-RHS (block) job to completion, streaming an
-    /// [`RhsEvent`] to `observe` at every restart boundary of every
-    /// RHS (the shared space restarts all active RHS together; one
-    /// RHS's events stay in cycle order). The observer is a pure
-    /// spectator.
-    ///
-    /// The whole block is admitted as ONE reservation scaled by the
-    /// block width — `width ×` the per-RHS estimate, which is exactly
-    /// the shared basis's `width · (restart + 1)` columns — so a block
-    /// that would blow the budget is rejected with a typed
-    /// [`ServiceError::BudgetExceeded`] before any allocation.
-    /// `Fixed`/`Auto` selections route to the shared-space
-    /// [`krylov::block_gmres_dyn_observed`] driver;
-    /// [`BasisSelection::Adaptive`] falls back to independent per-RHS
-    /// adaptive solves (documented on [`BlockJobSpec::basis`]), charged
-    /// at the adaptive worst case `8 · rows · (restart + 1) · width`.
-    ///
-    /// An empty `rhss` is rejected as a
-    /// [`ServiceError::DimensionMismatch`] with `got = 0`, and
-    /// `restart = 0` as [`ServiceError::ZeroRestart`], both before
-    /// admission.
-    pub fn solve_block_observed(
-        &self,
-        spec: &BlockJobSpec,
-        mut observe: impl FnMut(&RhsEvent),
-    ) -> Result<BlockSolveResult, ServiceError> {
-        let op = self.operator(&spec.operator)?;
-        let rows = op.matrix.rows();
-        let width = spec.rhss.len();
-        let x0_vecs = spec.x0s.as_deref().unwrap_or(&[]);
-        let mismatch = |got| ServiceError::DimensionMismatch {
-            operator: spec.operator.clone(),
-            rows,
-            got,
         };
-        if width == 0 {
-            return Err(mismatch(0));
-        }
-        if spec.x0s.is_some() && x0_vecs.len() != width {
-            return Err(mismatch(x0_vecs.len()));
-        }
-        let mut lens = spec.rhss.iter().chain(x0_vecs).map(Vec::len);
-        if let Some(got) = lens.find(|&len| len != rows) {
-            return Err(mismatch(got));
-        }
-        check_restart(&spec.operator, &spec.opts)?;
-        let format = resolve_format(&spec.basis, &spec.opts, rows)?;
-        let requested = match &format {
-            Some(f) => estimated_basis_bytes(f.as_ref(), rows, spec.opts.restart, width, 1),
-            None => estimated_adaptive_basis_bytes(rows, spec.opts.restart, width),
-        };
-        let _reservation = self.ledger.admit(&spec.operator, requested)?;
-
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(spec.threads.max(1))
-            .build()
-            .expect("job thread pool");
-        let result = pool.install(|| match &format {
-            Some(f) => block_gmres_dyn_observed(
-                op.matrix.as_ref(),
-                &spec.rhss,
-                spec.x0s.as_deref(),
-                &spec.opts,
-                &op.precond,
-                f.as_ref(),
-                |rhs, cycle| observe(&RhsEvent { rhs, cycle }),
-            ),
-            // Adaptive lanes escalate at their own pace, which one
-            // shared basis cannot express: run them as independent
-            // adaptive solves under the one block-sized reservation.
-            None => {
-                let (_, aopts) = plan_options(&spec.opts, 1);
-                let zeros = vec![0.0; rows];
-                let mut solutions = Vec::with_capacity(width);
-                let mut stats = Vec::with_capacity(width);
-                let mut histories = Vec::with_capacity(width);
-                let mut operator_sweeps = 0u64;
-                for (rhs, b) in spec.rhss.iter().enumerate() {
-                    let x0 = spec.x0s.as_ref().map_or(&zeros[..], |x| &x[rhs]);
-                    let mut lane_observe = |cycle: &CycleEvent| {
-                        observe(&RhsEvent {
-                            rhs,
-                            cycle: cycle.clone(),
-                        })
-                    };
-                    let hooks = SolveHooks {
-                        observe: Some(&mut lane_observe),
-                        ..SolveHooks::default()
-                    };
-                    let r = krylov::solve(
-                        op.matrix.as_ref(),
-                        b,
-                        x0,
-                        &op.precond,
-                        SolvePlan::Adaptive(&aopts),
-                        hooks,
-                    )
-                    .expect("a solve without a checkpoint cannot mismatch one")
-                    .result;
-                    operator_sweeps += r.stats.spmv_count;
-                    solutions.push(r.x);
-                    stats.push(r.stats);
-                    histories.push(r.history);
-                }
-                BlockSolveResult {
-                    solutions,
-                    stats,
-                    histories,
-                    operator_sweeps,
-                }
-            }
-        });
-        Ok(result)
+        Ok(Finished {
+            solved,
+            attempts,
+            formats_tried,
+            faults_injected: fault_fired.load(Ordering::Relaxed),
+        })
     }
 
     /// Run a batch of jobs **concurrently**, one OS thread per job,
@@ -656,18 +672,17 @@ impl SolverService {
     /// Results come back in submission order; each entry is that job's
     /// own outcome (one rejected job does not fail the batch).
     ///
-    /// A panicking job — whether its solve panicked past the per-job
-    /// isolation or its observer callback panicked — is reported as
-    /// that job's own [`ServiceError::JobPanicked`]; the other jobs
-    /// and the batch are unaffected.
-    pub fn run_batch(&self, specs: &[JobSpec]) -> Vec<Result<SolveResult, ServiceError>> {
-        self.run_batch_observed(specs, |_| {})
-    }
-
-    /// [`SolverService::run_batch`] with telemetry: `on_event` receives
-    /// every job's per-cycle [`JobEvent`], interleaved across jobs as
-    /// boundaries are reached (events of one job stay in cycle order).
-    fn run_batch_observed(
+    /// `on_event` receives every job's per-cycle [`JobEvent`],
+    /// interleaved across jobs as boundaries are reached (events of
+    /// one job stay in cycle order); pass `|_| {}` to run unobserved.
+    /// An `mpsc` channel is one such observer,
+    /// `move |e| { let _ = tx.send(e); }`: a dropped receiver then
+    /// costs a failed send per event and never disturbs the jobs.
+    ///
+    /// A panicking job — whether its solve or `on_event` panicked — is
+    /// reported as that job's own [`ServiceError::JobPanicked`]; the
+    /// other jobs and the batch are unaffected.
+    pub fn run_batch(
         &self,
         specs: &[JobSpec],
         on_event: impl Fn(JobEvent) + Sync,
@@ -702,35 +717,6 @@ impl SolverService {
                     })
                 })
                 .collect()
-        })
-    }
-
-    /// [`SolverService::run_batch`] streaming telemetry through a
-    /// channel instead of a callback — the ergonomic form when the
-    /// consumer lives on another thread. Telemetry is best-effort, the
-    /// solve is not: when the receiver is dropped mid-batch, the first
-    /// failed send flips a disconnected flag, every later event is
-    /// discarded without touching the channel (or the sender lock),
-    /// and the jobs run to completion as if unobserved.
-    pub fn run_batch_streaming(
-        &self,
-        specs: &[JobSpec],
-        events: Sender<JobEvent>,
-    ) -> Vec<Result<SolveResult, ServiceError>> {
-        let events = Mutex::new(events);
-        let disconnected = AtomicBool::new(false);
-        self.run_batch_observed(specs, move |event| {
-            if disconnected.load(Ordering::Relaxed) {
-                return;
-            }
-            if events
-                .lock()
-                .expect("event sender lock")
-                .send(event)
-                .is_err()
-            {
-                disconnected.store(true, Ordering::Relaxed);
-            }
         })
     }
 }
@@ -877,7 +863,7 @@ mod tests {
         let service = SolverService::with_defaults();
         let (a, b) = smooth();
         assert!(matches!(
-            service.solve(&JobSpec::new("ghost", b.clone())),
+            service.solve_report(&JobSpec::new("ghost", b.clone())),
             Err(ServiceError::UnknownOperator(_))
         ));
         assert!(matches!(
@@ -888,7 +874,9 @@ mod tests {
             .register_csr("smooth", &a, PrecondSpec::None)
             .unwrap();
         assert_eq!(
-            service.solve(&job("smooth", b, "frsz2_99", 1e-6)).err(),
+            service
+                .solve_report(&job("smooth", b, "frsz2_99", 1e-6))
+                .err(),
             Some(ServiceError::UnknownFormat("frsz2_99".into()))
         );
     }
@@ -901,7 +889,7 @@ mod tests {
             .register_csr("smooth", &a, PrecondSpec::None)
             .unwrap();
         assert!(matches!(
-            service.solve(&JobSpec::new("smooth", vec![1.0; 10])),
+            service.solve_report(&JobSpec::new("smooth", vec![1.0; 10])),
             Err(ServiceError::DimensionMismatch {
                 rows: 512,
                 got: 10,
@@ -911,7 +899,7 @@ mod tests {
         let mut spec = JobSpec::new("smooth", b);
         spec.x0 = Some(vec![0.0; 100]);
         assert!(matches!(
-            service.solve(&spec),
+            service.solve_report(&spec),
             Err(ServiceError::DimensionMismatch { got: 100, .. })
         ));
     }
@@ -928,7 +916,22 @@ mod tests {
             .register_csr("bad", &coo.to_csr(), PrecondSpec::Jacobi)
             .unwrap_err();
         assert!(matches!(err, ServiceError::PrecondFailed { .. }));
-        // The failed registration left nothing behind.
+        // A zero block size is refused, not asserted on.
+        let err = service
+            .register_csr(
+                "bad",
+                &Csr::identity(3),
+                PrecondSpec::BlockJacobi { block_size: 0 },
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ServiceError::PrecondFailed {
+                operator: "bad".into(),
+                source: krylov::PrecondError::ZeroBlockSize,
+            }
+        );
+        // The failed registrations left nothing behind.
         assert!(service.operator_names().is_empty());
     }
 
@@ -946,7 +949,7 @@ mod tests {
             .register_csr("smooth", &a, PrecondSpec::None)
             .unwrap();
         let denied = service
-            .solve(&job("smooth", b.clone(), "float64", 1e-8))
+            .solve_report(&job("smooth", b.clone(), "float64", 1e-8))
             .unwrap_err();
         assert!(matches!(
             denied,
@@ -954,7 +957,10 @@ mod tests {
                 if requested == needed && budget == needed - 1
         ));
         // A compressed-basis job fits the same budget comfortably.
-        let ok = service.solve(&job("smooth", b, "frsz2_21", 1e-6)).unwrap();
+        let ok = service
+            .solve_report(&job("smooth", b, "frsz2_21", 1e-6))
+            .unwrap()
+            .result;
         assert!(ok.stats.converged);
         assert_eq!(service.basis_bytes_in_use(), 0);
     }
@@ -979,14 +985,17 @@ mod tests {
             .unwrap();
         let mut wide = job("smooth", b.clone(), "frsz2_21", 1e-6);
         wide.sstep = 8;
-        let denied = service.solve(&wide).unwrap_err();
+        let denied = service.solve_report(&wide).unwrap_err();
         assert!(matches!(
             denied,
             ServiceError::BudgetExceeded { requested, budget, .. }
                 if requested == panel && budget == scalar
         ));
         // The same job at sstep = 1 is admitted and converges.
-        let ok = service.solve(&job("smooth", b, "frsz2_21", 1e-6)).unwrap();
+        let ok = service
+            .solve_report(&job("smooth", b, "frsz2_21", 1e-6))
+            .unwrap()
+            .result;
         assert!(ok.stats.converged);
         assert_eq!(service.basis_bytes_in_use(), 0);
     }
@@ -999,11 +1008,12 @@ mod tests {
             .register_csr("smooth", &a, PrecondSpec::None)
             .unwrap();
         let scalar = service
-            .solve(&job("smooth", b.clone(), "frsz2_21", 1e-8))
-            .unwrap();
+            .solve_report(&job("smooth", b.clone(), "frsz2_21", 1e-8))
+            .unwrap()
+            .result;
         let mut fast = job("smooth", b, "frsz2_21", 1e-8);
         fast.sstep = 4;
-        let sstep = service.solve(&fast).unwrap();
+        let sstep = service.solve_report(&fast).unwrap().result;
         assert!(scalar.stats.converged && sstep.stats.converged);
         assert!(
             sstep.stats.basis_dot_sweeps < scalar.stats.basis_dot_sweeps,
@@ -1030,7 +1040,7 @@ mod tests {
         let specs: Vec<JobSpec> = (0..3)
             .map(|_| job("smooth", b.clone(), "frsz2_21", 1e-6))
             .collect();
-        let results = service.run_batch(&specs);
+        let results = service.run_batch(&specs, |_| {});
         for r in &results {
             assert!(r.as_ref().unwrap().stats.converged);
         }
@@ -1064,12 +1074,15 @@ mod tests {
             },
         ];
         // Sequential reference: one job at a time, single-threaded.
-        let reference: Vec<SolveResult> = specs.iter().map(|s| service.solve(s).unwrap()).collect();
+        let reference: Vec<SolveResult> = specs
+            .iter()
+            .map(|s| service.solve_report(s).unwrap().result)
+            .collect();
         // Concurrent: all jobs at once, two workers each.
         for s in &mut specs {
             s.threads = 2;
         }
-        let concurrent = service.run_batch(&specs);
+        let concurrent = service.run_batch(&specs, |_| {});
         for (r, c) in reference.iter().zip(&concurrent) {
             let c = c.as_ref().unwrap();
             assert_eq!(r.stats.iterations, c.stats.iterations);
@@ -1099,7 +1112,9 @@ mod tests {
             s.opts.restart = 20; // force several cycles → several events
         }
         let (tx, rx) = std::sync::mpsc::channel();
-        let results = service.run_batch_streaming(&specs, tx);
+        let results = service.run_batch(&specs, move |e| {
+            let _ = tx.send(e);
+        });
         let events: Vec<JobEvent> = rx.try_iter().collect();
         for (job_idx, result) in results.iter().enumerate() {
             let result = result.as_ref().unwrap();
@@ -1211,8 +1226,9 @@ mod tests {
             .register_csr("smooth", &a, PrecondSpec::None)
             .unwrap();
         let single = service
-            .solve(&job("smooth", b.clone(), "frsz2_21", 1e-8))
-            .unwrap();
+            .solve_report(&job("smooth", b.clone(), "frsz2_21", 1e-8))
+            .unwrap()
+            .result;
         let block = service
             .solve_block(&block_job("smooth", vec![b], "frsz2_21", 1e-8))
             .unwrap();
@@ -1246,7 +1262,7 @@ mod tests {
             let mut single = JobSpec::new("wide", b);
             single.basis = BasisSelection::Adaptive;
             single.opts = spec.opts.clone();
-            let r = service.solve(&single).unwrap();
+            let r = service.solve_report(&single).unwrap().result;
             sweep_sum += r.stats.spmv_count;
             assert_eq!(block.stats[k].iterations, r.stats.iterations);
             assert_eq!(block.stats[k].format_trajectory, r.stats.format_trajectory);
@@ -1255,6 +1271,44 @@ mod tests {
             }
         }
         assert_eq!(block.operator_sweeps, sweep_sum);
+    }
+
+    #[test]
+    fn block_job_panic_is_a_typed_error_and_frees_its_reservation() {
+        let (a, _) = smooth();
+        // A budget, so the ledger books the block's reservation.
+        let service = SolverService::new(ServiceConfig {
+            basis_budget_bytes: Some(1 << 30),
+            admission: AdmissionPolicy::Reject,
+        });
+        service
+            .register_csr("smooth", &a, PrecondSpec::None)
+            .unwrap();
+        // The shared-space driver and the per-lane adaptive solves.
+        for basis in [
+            BasisSelection::Fixed("frsz2_21".into()),
+            BasisSelection::Adaptive,
+        ] {
+            let mut spec = block_job("smooth", rhs_family(&a, 4), "frsz2_21", 1e-8);
+            spec.basis = basis.clone();
+            let mut reserved = 0;
+            let err = service
+                .solve_block_observed(&spec, |_| {
+                    reserved = service.basis_bytes_in_use();
+                    panic!("observer gave up");
+                })
+                .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    ServiceError::JobPanicked { operator, attempts: 1, message }
+                        if operator == "smooth" && message == "observer gave up"
+                ),
+                "{basis:?}: {err:?}"
+            );
+            assert!(reserved > 0, "{basis:?}: the job ran under a reservation");
+            assert_eq!(service.basis_bytes_in_use(), 0, "{basis:?}");
+        }
     }
 
     #[test]
@@ -1293,7 +1347,7 @@ mod tests {
             .unwrap();
         let mut base = job("smooth", b, "frsz2_21", 1e-8);
         base.opts.restart = 10; // several cycles → several boundaries
-        let reference = service.solve(&base).unwrap();
+        let reference = service.solve_report(&base).unwrap().result;
         assert!(reference.stats.converged);
         assert!(reference.stats.restarts >= 2);
 
@@ -1306,7 +1360,7 @@ mod tests {
             sleep_per_boundary_ms: 1,
             ..FaultSpec::default()
         });
-        let err = service.solve(&rushed).unwrap_err();
+        let err = service.solve_report(&rushed).unwrap_err();
         let ServiceError::DeadlineExceeded {
             operator,
             deadline_ms,
@@ -1321,11 +1375,11 @@ mod tests {
 
         // The checkpoint survives its wire format and resumes
         // bit-identically to the uninterrupted reference.
-        let bytes = checkpoint.encode(None);
-        let restored = krylov::SolveCheckpoint::decode(&bytes, None).unwrap();
+        let bytes = checkpoint.encode();
+        let restored = krylov::SolveCheckpoint::decode(&bytes).unwrap();
         let mut resumed = base.clone();
         resumed.resume = Some(Box::new(restored));
-        let result = service.solve(&resumed).unwrap();
+        let result = service.solve_report(&resumed).unwrap().result;
         assert!(result.stats.converged);
         assert_eq!(result.stats.iterations, reference.stats.iterations);
         assert_eq!(result.stats.spmv_count, reference.stats.spmv_count);
@@ -1425,7 +1479,7 @@ mod tests {
             panic_on_attempt: Some(0),
             ..FaultSpec::default()
         });
-        let err = service.solve(&doomed).unwrap_err();
+        let err = service.solve_report(&doomed).unwrap_err();
         assert!(matches!(
             &err,
             ServiceError::JobPanicked { operator, attempts: 1, message }
@@ -1446,7 +1500,7 @@ mod tests {
             panic_on_attempt: Some(0),
             ..FaultSpec::default()
         });
-        let results = service.run_batch(&[batch_member, healthy]);
+        let results = service.run_batch(&[batch_member, healthy], |_| {});
         assert!(matches!(results[0], Err(ServiceError::JobPanicked { .. })));
         assert!(results[1].as_ref().unwrap().stats.converged);
     }
@@ -1529,8 +1583,13 @@ mod tests {
         }
         let (tx, rx) = std::sync::mpsc::channel();
         drop(rx); // receiver gone before the first event
-        let results = service.run_batch_streaming(&specs, tx);
-        let reference: Vec<SolveResult> = specs.iter().map(|s| service.solve(s).unwrap()).collect();
+        let results = service.run_batch(&specs, move |e| {
+            let _ = tx.send(e);
+        });
+        let reference: Vec<SolveResult> = specs
+            .iter()
+            .map(|s| service.solve_report(s).unwrap().result)
+            .collect();
         for (r, q) in results.iter().zip(&reference) {
             let r = r.as_ref().unwrap();
             assert!(r.stats.converged);

@@ -56,8 +56,15 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> std::io::Result<Coo> {
         return Err(bad("size line must be 'rows cols nnz'"));
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
+    if rows > u32::MAX as usize || cols > u32::MAX as usize {
+        return Err(bad(&format!(
+            "{rows}×{cols} exceeds the 32-bit index range"
+        )));
+    }
 
-    let mut coo = Coo::with_capacity(rows, cols, if symmetric { 2 * nnz } else { nnz });
+    // The header's entry count is untrusted: the entries grow the
+    // matrix as they arrive, and the count is only checked at the end.
+    let mut coo = Coo::new(rows, cols);
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -271,6 +278,10 @@ mod tests {
             // (1,2) entry would be mirrored into the wrong matrix.
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 1.0\n",
             "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n1 3 0.5\n",
+            // Headers that must not size an allocation or overflow.
+            "%%MatrixMarket matrix coordinate real general\n3 3 100000000000000\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n5000000000 5000000000 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 18446744073709551615\n1 1 1.0\n",
         ] {
             assert!(
                 read_matrix_market(BufReader::new(text.as_bytes())).is_err(),

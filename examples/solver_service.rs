@@ -84,7 +84,7 @@ fn main() {
         .map(|spec| {
             let mut spec = spec.clone();
             spec.threads = 1;
-            service.solve(&spec).expect("reference solve")
+            service.solve_report(&spec).expect("reference solve").result
         })
         .collect();
     let sequential_s = t.elapsed().as_secs_f64();
@@ -92,7 +92,9 @@ fn main() {
     // Concurrent batch with per-cycle telemetry through a channel.
     let (tx, rx) = std::sync::mpsc::channel();
     let t = Instant::now();
-    let results = service.run_batch_streaming(&batch, tx);
+    let results = service.run_batch(&batch, move |e| {
+        let _ = tx.send(e);
+    });
     let concurrent_s = t.elapsed().as_secs_f64();
     let events: Vec<_> = rx.try_iter().collect();
 
@@ -157,13 +159,14 @@ fn main() {
         .register_csr("smooth", &smooth, PrecondSpec::Jacobi)
         .expect("register");
     println!("\n== admission control (budget {} bytes) ==", f64_cost - 1);
-    match budgeted.solve(&job("smooth", &b_smooth, fixed("float64"), 1e-10, 1)) {
+    match budgeted.solve_report(&job("smooth", &b_smooth, fixed("float64"), 1e-10, 1)) {
         Err(e @ ServiceError::BudgetExceeded { .. }) => println!("float64 job rejected: {e}"),
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }
     let r = budgeted
-        .solve(&job("smooth", &b_smooth, fixed("frsz2_21"), 1e-3, 1))
-        .expect("compressed job fits");
+        .solve_report(&job("smooth", &b_smooth, fixed("frsz2_21"), 1e-3, 1))
+        .expect("compressed job fits")
+        .result;
     println!(
         "frsz2_21 job admitted under the same budget and converged ({} iters, rrn {:.2e})",
         r.stats.iterations, r.stats.final_rrn
@@ -182,18 +185,21 @@ fn main() {
     println!("\n== surviving failures ==");
     let mut plain = job("smooth", &b_smooth, fixed("frsz2_21"), 1e-8, 1);
     plain.opts.restart = 10; // several boundaries on this easy operator
-    let uninterrupted = service.solve(&plain).expect("reference solve");
+    let uninterrupted = service
+        .solve_report(&plain)
+        .expect("reference solve")
+        .result;
     let mut rushed = plain.clone();
     rushed.deadline = Some(Duration::ZERO);
     rushed.fault = Some(FaultSpec {
         sleep_per_boundary_ms: 1,
         ..FaultSpec::default()
     });
-    let checkpoint = match service.solve(&rushed) {
+    let checkpoint = match service.solve_report(&rushed) {
         Err(ServiceError::DeadlineExceeded { checkpoint, .. }) => checkpoint,
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     };
-    let bytes = checkpoint.encode(None);
+    let bytes = checkpoint.encode();
     println!(
         "deadline hit at restart boundary {} (rrn {:.2e}); checkpoint = {} bytes",
         checkpoint.restarts,
@@ -202,9 +208,12 @@ fn main() {
     );
     let mut resumed_spec = plain.clone();
     resumed_spec.resume = Some(Box::new(
-        SolveCheckpoint::decode(&bytes, None).expect("decode checkpoint"),
+        SolveCheckpoint::decode(&bytes).expect("decode checkpoint"),
     ));
-    let resumed = service.solve(&resumed_spec).expect("resumed solve");
+    let resumed = service
+        .solve_report(&resumed_spec)
+        .expect("resumed solve")
+        .result;
     assert!(
         resumed.x.len() == uninterrupted.x.len()
             && resumed

@@ -613,7 +613,7 @@ fn checkpoint_round_trip_is_bit_identical_for_every_format() {
                 let mut probe = |cp: &SolveCheckpoint| {
                     boundaries += 1;
                     if boundaries == 2 {
-                        taken = Some(cp.encode(None));
+                        taken = Some(cp.encode());
                         SolveControl::Halt
                     } else {
                         SolveControl::Continue
@@ -627,7 +627,7 @@ fn checkpoint_round_trip_is_bit_identical_for_every_format() {
                 let first = solve(&a, &b, &x0, &Identity, plan, hooks).expect("fresh solve");
                 // ...then resume from the serialized bytes.
                 let bytes = taken.expect("checkpoint captured at halt");
-                let cp = SolveCheckpoint::decode(&bytes, None).expect("checkpoint decodes");
+                let cp = SolveCheckpoint::decode(&bytes).expect("checkpoint decodes");
                 let hooks = SolveHooks {
                     resume: Some(&cp),
                     ..SolveHooks::default()
