@@ -19,13 +19,15 @@
 //! traffic — and the reported [`ColumnStorage::bits_per_value`] — track
 //! the actual per-column rate, not the worst-case capacity.
 //!
-//! All fused accessors reuse the word-granular per-block kernels (any
-//! `l ≤ 64`) and keep the accessor contracts: single accumulator in row
-//! order for dots, ascending-`j` column application with zero-alpha
-//! skip for gemv — bit-identical to decode-then-BLAS.
+//! The store answers the crate's per-block view (`block(j, b)` reads
+//! the block's `(l, offset, emax)` metadata), and every read accessor
+//! is one call into the shared chunk drivers that also serve the
+//! uniform store. The per-block kernels under them dispatch on each
+//! block's own `l ≤ 64` and keep the accessor contracts: single
+//! accumulator in row order for dots, ascending-`j` column application
+//! with zero-alpha skip for gemv — bit-identical to decode-then-BLAS.
 
-use crate::codec::{decode_code, encode_bits};
-use crate::kernels;
+use crate::kernels::{self, Blocks};
 use crate::reference::ZERO_BLOCK_EXPONENT;
 use numfmt::ColumnStorage;
 
@@ -128,20 +130,22 @@ impl Frsz2AdaptiveStore {
     pub fn column_words(&self, j: usize) -> &[u32] {
         &self.words[j * self.col_words_cap..j * self.col_words_cap + self.used[j] as usize]
     }
+}
 
-    /// `(l, word offset, emax)` of block `b` in column `j`.
+/// Blocks are packed back-to-back at their own width, so the view
+/// answers from the per-block `(l, offset, emax)` metadata.
+impl Blocks for Frsz2AdaptiveStore {
     #[inline(always)]
-    fn block_meta(&self, j: usize, b: usize) -> (u32, usize, u32) {
-        let p = j * self.col_blocks + b;
-        (self.ls[p] as u32, self.offs[p] as usize, self.exps[p])
+    fn block_size(&self) -> usize {
+        BS
     }
 
-    /// Packed words of block `b` in column `j`.
     #[inline(always)]
-    fn block_span(&self, j: usize, b: usize) -> (u32, &[u32], u32) {
-        let (l, off, emax) = self.block_meta(j, b);
-        let base = j * self.col_words_cap + off;
-        (l, &self.words[base..base + block_words(l)], emax)
+    fn block(&self, j: usize, b: usize) -> (u32, &[u32], u32) {
+        let p = j * self.col_blocks + b;
+        let l = self.ls[p] as u32;
+        let base = j * self.col_words_cap + self.offs[p] as usize;
+        (l, &self.words[base..base + block_words(l)], self.exps[p])
     }
 }
 
@@ -191,15 +195,7 @@ impl ColumnStorage for Frsz2AdaptiveStore {
             if chunk.len() < BS {
                 bw.fill(0);
             }
-            if l == 64 {
-                for (i, &v) in chunk.iter().enumerate() {
-                    let c = encode_bits(v.to_bits(), emax, 64, false);
-                    bw[2 * i] = c as u32;
-                    bw[2 * i + 1] = (c >> 32) as u32;
-                }
-            } else {
-                kernels::pack_block(l, emax, false, chunk, bw);
-            }
+            kernels::pack_block(l, emax, false, chunk, bw);
             off += block_words(l);
         }
         self.used[j] = off as u32;
@@ -207,32 +203,12 @@ impl ColumnStorage for Frsz2AdaptiveStore {
 
     #[inline]
     fn read_chunk(&self, j: usize, row_start: usize, out: &mut [f64]) {
-        if out.is_empty() {
-            return;
-        }
-        assert!(
-            row_start.is_multiple_of(BS),
-            "row_start must be block-aligned"
-        );
-        assert!(row_start + out.len() <= self.rows, "range beyond column");
-        let first_block = row_start / BS;
-        for (ob, chunk) in out.chunks_mut(BS).enumerate() {
-            let (l, bw, emax) = self.block_span(j, first_block + ob);
-            kernels::decode_block(l, bw, emax, chunk);
-        }
+        kernels::decode_range(self, j, self.rows, row_start, out);
     }
 
     #[inline]
     fn load(&self, i: usize, j: usize) -> f64 {
-        let (l, bw, emax) = self.block_span(j, i / BS);
-        let idx = i % BS;
-        let c = match l {
-            32 => bw[idx] as u64,
-            16 => ((bw[idx / 2] >> (((idx & 1) as u32) * 16)) & 0xFFFF) as u64,
-            64 => bw[2 * idx] as u64 | ((bw[2 * idx + 1] as u64) << 32),
-            l => crate::bitpack::read_bits(bw, idx * l as usize, l),
-        };
-        decode_code(c, emax, l)
+        kernels::load(self, i, j)
     }
 
     fn chunk_align(&self) -> usize {
@@ -240,99 +216,38 @@ impl ColumnStorage for Frsz2AdaptiveStore {
     }
 
     /// Fused decompress-and-dot straight off the packed words, each
-    /// block at its own bit length. Single accumulator, row order.
+    /// block at its own bit length. Overridden like
+    /// `Frsz2Store::dot_chunk`: the trait's default tiles through
+    /// `read_chunk` instead of decoding in registers.
     fn dot_chunk(&self, j: usize, row_start: usize, w: &[f64]) -> f64 {
-        debug_assert!(row_start.is_multiple_of(BS));
-        let first_block = row_start / BS;
-        let mut acc = 0.0;
-        for (ob, wc) in w.chunks(BS).enumerate() {
-            let (l, bw, emax) = self.block_span(j, first_block + ob);
-            kernels::dot_block(l, bw, emax, wc, &mut acc);
-        }
-        acc
+        kernels::dot_chunk(self, j, row_start, w)
     }
 
     /// Fused decompress-and-axpy; see [`Frsz2AdaptiveStore::dot_chunk`].
     fn axpy_chunk(&self, j: usize, row_start: usize, alpha: f64, w: &mut [f64]) {
-        debug_assert!(row_start.is_multiple_of(BS));
-        let first_block = row_start / BS;
-        for (ob, wc) in w.chunks_mut(BS).enumerate() {
-            let (l, bw, emax) = self.block_span(j, first_block + ob);
-            kernels::axpy_block(l, bw, emax, alpha, wc);
-        }
+        kernels::axpy_chunk(self, j, row_start, alpha, w);
     }
 
     /// Multi-column fused dots: all `k` columns swept per block so each
-    /// block of `w` is loaded once. Bit-identical to `k` independent
-    /// [`Frsz2AdaptiveStore::dot_chunk`] calls.
+    /// block of `w` is loaded once.
     fn dots_chunk(&self, k: usize, row_start: usize, w: &[f64], out: &mut [f64]) {
-        debug_assert!(k <= self.cols);
-        debug_assert!(row_start.is_multiple_of(BS));
-        let first_block = row_start / BS;
-        out[..k].fill(0.0);
-        for (ob, wc) in w.chunks(BS).enumerate() {
-            let b = first_block + ob;
-            for (j, acc) in out[..k].iter_mut().enumerate() {
-                let (l, bw, emax) = self.block_span(j, b);
-                kernels::dot_block(l, bw, emax, wc, acc);
-            }
-        }
+        kernels::dots_chunk(self, k, row_start, w, out);
     }
 
     /// Multi-column fused update with the accessor's zero-alpha skip
-    /// (signed zeros survive). Bit-identical to `k` sequential
-    /// [`Frsz2AdaptiveStore::axpy_chunk`] calls.
+    /// (signed zeros survive).
     fn gemv_chunk(&self, k: usize, row_start: usize, alphas: &[f64], w: &mut [f64]) {
-        debug_assert!(k <= self.cols);
-        debug_assert!(row_start.is_multiple_of(BS));
-        let first_block = row_start / BS;
-        for (ob, wc) in w.chunks_mut(BS).enumerate() {
-            let b = first_block + ob;
-            for (j, &a) in alphas.iter().enumerate().take(k) {
-                if a == 0.0 {
-                    continue;
-                }
-                let (l, bw, emax) = self.block_span(j, b);
-                kernels::axpy_block(l, bw, emax, a, wc);
-            }
-        }
+        kernels::gemv_chunk(self, k, row_start, alphas, w);
     }
 
     /// Multi-column, multi-RHS fused dots: each block is decoded once
     /// (at its own bit length) for all `nw` interleaved vectors.
-    /// Bit-identical to `nw` independent
-    /// [`Frsz2AdaptiveStore::dots_chunk`] calls on deinterleaved
-    /// vectors.
     fn dots_many_chunk(&self, k: usize, row_start: usize, ws: &[f64], nw: usize, out: &mut [f64]) {
-        debug_assert!(k <= self.cols);
-        debug_assert!(row_start.is_multiple_of(BS));
-        debug_assert_eq!(ws.len() % nw, 0);
-        let len = ws.len() / nw;
-        let first_block = row_start / BS;
-        out[..k * nw].fill(0.0);
-        let mut off = 0usize;
-        while off < len {
-            let count = BS.min(len - off);
-            let b = first_block + off / BS;
-            for j in 0..k {
-                let (l, bw, emax) = self.block_span(j, b);
-                kernels::dot_many_block(
-                    l,
-                    bw,
-                    emax,
-                    &ws[off * nw..],
-                    nw,
-                    count,
-                    &mut out[j * nw..(j + 1) * nw],
-                );
-            }
-            off += count;
-        }
+        kernels::dots_many_chunk(self, k, row_start, ws, nw, out);
     }
 
     /// Multi-column, multi-RHS fused update with the accessor's
-    /// per-`(column, vector)` zero-coefficient skip. Bit-identical to
-    /// `nw` independent [`Frsz2AdaptiveStore::gemv_chunk`] calls.
+    /// per-`(column, vector)` zero-coefficient skip.
     fn gemv_many_chunk(
         &self,
         k: usize,
@@ -341,25 +256,7 @@ impl ColumnStorage for Frsz2AdaptiveStore {
         nw: usize,
         ws: &mut [f64],
     ) {
-        debug_assert!(k <= self.cols);
-        debug_assert!(row_start.is_multiple_of(BS));
-        debug_assert_eq!(ws.len() % nw, 0);
-        let len = ws.len() / nw;
-        let first_block = row_start / BS;
-        let mut off = 0usize;
-        while off < len {
-            let count = BS.min(len - off);
-            let b = first_block + off / BS;
-            for j in 0..k {
-                let al = &alphas[j * nw..(j + 1) * nw];
-                if al.iter().all(|&a| a == 0.0) {
-                    continue;
-                }
-                let (l, bw, emax) = self.block_span(j, b);
-                kernels::axpy_many_block(l, bw, emax, al, &mut ws[off * nw..], nw, count);
-            }
-            off += count;
-        }
+        kernels::gemv_many_chunk(self, k, row_start, alphas, nw, ws);
     }
 
     /// A variable-rate store has no single column size; report the

@@ -11,10 +11,10 @@
 //! `u64`-window kernels of the crate-private `kernels` module
 //! (decompression gathers each code from a two-word window, compression
 //! spills whole words from a staging register), monomorphized for the
-//! paper's `l ∈ {16, 21, 32}`.
+//! paper's `l ∈ {16, 21, 32}` — the same kernels both column stores run.
 
 use crate::bitpack;
-use crate::kernels;
+use crate::kernels::{self, Fixed};
 use crate::{mask64, shift_signed};
 
 const MASK52: u64 = (1u64 << 52) - 1;
@@ -234,7 +234,6 @@ pub(crate) fn decode_code(c: u64, emax: u32, l: u32) -> f64 {
 /// trailing blocks are zero-filled so buffers are fully initialized.
 pub fn compress_into(cfg: Frsz2Config, input: &[f64], words: &mut [u32], exps: &mut [u32]) {
     let bs = cfg.block_size as usize;
-    let l = cfg.bits;
     let wpb = cfg.words_per_block();
     let nearest = cfg.rounding == Rounding::Nearest;
     debug_assert!(words.len() >= cfg.words_for_len(input.len()));
@@ -253,37 +252,21 @@ pub fn compress_into(cfg: Frsz2Config, input: &[f64], words: &mut [u32], exps: &
         }
         exps[b] = emax;
 
-        // Pass 2 (steps 2-6): encode and store.
+        // Pass 2 (steps 2-6): encode and store. Codes stream through
+        // the staging registers of `kernels` (no read-modify-write, no
+        // per-element word-boundary branching).
         let block_words = &mut words[b * wpb..(b + 1) * wpb];
         if chunk.len() < bs {
             block_words.fill(0);
         }
-        match l {
-            64 => {
-                for (i, &v) in chunk.iter().enumerate() {
-                    let c = encode_bits(v.to_bits(), emax, 64, nearest);
-                    block_words[2 * i] = c as u32;
-                    block_words[2 * i + 1] = (c >> 32) as u32;
-                }
-            }
-            l if l <= 32 => {
-                // Aligned or not, codes stream through the rolling-u64
-                // staging register of `kernels`: a batch-encoded code
-                // buffer feeds a spill loop that writes each packed
-                // word exactly once (no read-modify-write, no
-                // per-element word-boundary branching).
-                kernels::pack_block(l, emax, nearest, chunk, block_words);
-            }
-            l => {
-                kernels::pack_fields_wide(l, emax, nearest, chunk, block_words);
-            }
-        }
+        kernels::pack_block(cfg.bits, emax, nearest, chunk, block_words);
     }
 }
 
 /// Decompress values `row_start .. row_start + out.len()`.
 ///
 /// `row_start` must be block-aligned; the range must lie within `len`.
+/// An empty range is a no-op.
 pub fn decompress_range(
     cfg: Frsz2Config,
     words: &[u32],
@@ -292,39 +275,13 @@ pub fn decompress_range(
     row_start: usize,
     out: &mut [f64],
 ) {
-    if out.is_empty() {
-        return;
-    }
-    let bs = cfg.block_size as usize;
-    assert!(
-        row_start.is_multiple_of(bs),
-        "row_start must be block-aligned"
-    );
-    assert!(
-        row_start + out.len() <= len,
-        "range beyond compressed length"
-    );
-    kernels::decode_range(cfg, words, exps, row_start, out);
+    kernels::decode_range(&Fixed::column(cfg, words, exps), 0, len, row_start, out);
 }
 
 /// Random access to value `i` (§IV-B: only the block exponent is needed
 /// in addition to the value's own code word(s)).
 pub fn get(cfg: Frsz2Config, words: &[u32], exps: &[u32], i: usize) -> f64 {
-    let bs = cfg.block_size as usize;
-    let l = cfg.bits;
-    let wpb = cfg.words_per_block();
-    let b = i / bs;
-    let j = i % bs;
-    let emax = exps[b];
-    let block_words = &words[b * wpb..(b + 1) * wpb];
-    let c = match l {
-        32 => block_words[j] as u64,
-        16 => ((block_words[j / 2] >> (((j & 1) as u32) * 16)) & 0xFFFF) as u64,
-        8 => ((block_words[j / 4] >> (((j & 3) as u32) * 8)) & 0xFF) as u64,
-        64 => block_words[2 * j] as u64 | ((block_words[2 * j + 1] as u64) << 32),
-        l => bitpack::read_bits(block_words, j * l as usize, l),
-    };
-    decode_code(c, emax, l)
+    kernels::load(&Fixed::column(cfg, words, exps), i, 0)
 }
 
 /// An owned FRSZ2-compressed vector: code words plus the separate

@@ -1,7 +1,26 @@
-//! Branch-free, word-granular fused FRSZ2 kernels.
+//! Branch-free, word-granular fused FRSZ2 kernels: the one kernel set
+//! behind every FRSZ2 store.
 //!
-//! Every hot loop in this module walks a block's packed code words
-//! through a **rolling `u64` window**: field `i` of an `l`-bit stream
+//! The module has two layers.
+//!
+//! * Five **per-block kernels** — [`decode_block`], [`dot_block`],
+//!   [`axpy_block`], [`dot_many_block`] and [`axpy_many_block`] — take
+//!   one block's bit length `l`, packed words and exponent. They and
+//!   [`pack_block`] on the write side are the only places a bit length
+//!   is dispatched.
+//! * Seven **chunk drivers** — [`decode_range`], [`dot_chunk`],
+//!   [`axpy_chunk`], [`dots_chunk`], [`gemv_chunk`],
+//!   [`dots_many_chunk`] and [`gemv_many_chunk`] — are the loops over a
+//!   row range's blocks behind each `ColumnStorage` kernel method. They
+//!   read blocks only through the [`Blocks`] view, `block(j, b) ->
+//!   (l, words, emax)`, which each store answers: [`Fixed`] is the
+//!   fixed-stride layout of `Frsz2Store` and of the `codec` functions,
+//!   and `Frsz2AdaptiveStore` answers from its per-block
+//!   `(l, offset, emax)` metadata. Every read method of both stores is
+//!   one driver call, so a kernel change lands once for every store.
+//!
+//! Every hot loop walks a block's packed code words through a
+//! **rolling `u64` window**: field `i` of an `l`-bit stream
 //! (`l <= 32`) lives in at most two adjacent `u32` words, so
 //!
 //! ```text
@@ -27,18 +46,18 @@
 //! monomorphized length the spill loop fully unrolls with every flush
 //! point a compile-time constant.
 //!
-//! All entry points are monomorphized over `const L: u32` with `L = 0`
-//! meaning "runtime bit length": call sites dispatch the paper's
-//! lengths (`16`, `21`, `32`) to dedicated instances via
-//! [`dispatch_l!`] and fall back to one shared runtime-`l` instance
-//! for everything else, so every `l` gets a fused kernel and only the
-//! common ones pay compile time. For the word-aligned `L ∈ {16, 32}`
-//! the window collapses at compile time to the direct single-load
-//! form (`⌊i·l/32⌋` and `i·l mod 32` are constant-foldable), keeping
-//! those instances as fast as hand-written aligned loops. Bit lengths
-//! above 32 take the wide-field path ([`wide_code`]) — still fused,
-//! still tile-free, just without the two-word window (a >32-bit field
-//! can straddle three words).
+//! The `l <= 32` kernels are monomorphized over `const L: u32` with
+//! `L = 0` meaning "runtime bit length": the per-block kernels
+//! dispatch the paper's lengths (`16`, `21`, `32`) to dedicated
+//! instances via [`dispatch_l!`] and fall back to one shared
+//! runtime-`l` instance for everything else, so every `l` gets a fused
+//! kernel and only the common ones pay compile time. For the
+//! word-aligned `L ∈ {16, 32}` the window collapses at compile time to
+//! the direct single-load form (`⌊i·l/32⌋` and `i·l mod 32` are
+//! constant-foldable), keeping those instances as fast as hand-written
+//! aligned loops. Bit lengths above 32 take the wide-field path
+//! ([`code_at`]) — still fused, still tile-free, just without the
+//! two-word window (a >32-bit field can straddle three words).
 //!
 //! # Bit-identity contract
 //!
@@ -48,9 +67,10 @@
 //! elements in row order with one accumulator per output, exactly like
 //! the scalar reference loops they replace. Fused results are
 //! therefore bit-identical to decompress-then-BLAS — property-tested
-//! in `tests/fused_kernels.rs`, checked through the solver's basis in
-//! `crates/krylov/tests/fused_ortho.rs`, and pinned at full size by
-//! the `basis_dots`/`basis_gemv` rows of `crates/bench/tests/pinned.rs`.
+//! in `tests/fused_kernels.rs` and `tests/adaptive_fused_kernels.rs`,
+//! checked through the solver's basis in
+//! `crates/krylov/tests/fused_ortho.rs`, and pinned at full size by the
+//! `basis_dots`/`basis_gemv` rows of `crates/bench/tests/pinned.rs`.
 
 use crate::codec::{decode_code, encode_bits, Frsz2Config};
 use crate::{bitpack, mask64};
@@ -78,12 +98,13 @@ fn gather2(bw: &[u32], bitpos: usize) -> u64 {
     ((bw[p] as u64) | ((bw[p + 1] as u64) << 32)) >> (bitpos & 31)
 }
 
-/// Extract field `i` of a wide (`l > 32`) stream; may touch three
-/// words, so it goes through the generic bit reader.
+/// Field `i` of a block's `l`-bit stream on its own: random access,
+/// and the wide-field (`l > 32`) path of the per-block kernels, where
+/// a field may touch three words. `l = 64` is two direct loads; every
+/// other length goes through the bit reader.
 #[inline(always)]
-fn wide_code(bw: &[u32], i: usize, l: u32) -> u64 {
+fn code_at(l: u32, bw: &[u32], i: usize) -> u64 {
     if l == 64 {
-        // Word-aligned: two direct loads.
         bw[2 * i] as u64 | ((bw[2 * i + 1] as u64) << 32)
     } else {
         bitpack::read_bits(bw, i * l as usize, l)
@@ -121,14 +142,9 @@ fn resolve_l<const L: u32>(l_rt: u32) -> u32 {
 /// instances constant-fold to direct aligned loads; everything else
 /// runs the two-word window with the per-block prefix/suffix split.
 #[inline(always)]
-fn for_each_code<const L: u32>(
-    l_rt: u32,
-    wpb: usize,
-    bw: &[u32],
-    count: usize,
-    mut f: impl FnMut(usize, u64),
-) {
+fn for_each_code<const L: u32>(l_rt: u32, bw: &[u32], count: usize, mut f: impl FnMut(usize, u64)) {
     let l = resolve_l::<L>(l_rt);
+    let wpb = bw.len();
     if L == 32 {
         // The window collapses to one direct load per field.
         for (i, &c) in bw[..count].iter().enumerate() {
@@ -136,7 +152,7 @@ fn for_each_code<const L: u32>(
         }
     } else {
         let m = mask64(l);
-        if L != 0 && count == 32 && bw.len() == L as usize {
+        if L != 0 && count == 32 && wpb == L as usize {
             // Full paper block (BS = 32) of a monomorphized length:
             // trip counts and every bit offset are compile-time
             // constants, so the unrolled loop has no per-element index
@@ -170,9 +186,9 @@ fn for_each_code<const L: u32>(
 
 /// Decode one block's leading `out.len()` values from its packed words.
 #[inline(always)]
-fn decode_block_le32<const L: u32>(l_rt: u32, wpb: usize, bw: &[u32], emax: u32, out: &mut [f64]) {
+fn decode_block_le32<const L: u32>(l_rt: u32, bw: &[u32], emax: u32, out: &mut [f64]) {
     let l = resolve_l::<L>(l_rt);
-    for_each_code::<L>(l, wpb, bw, out.len(), |i, c| {
+    for_each_code::<L>(l, bw, out.len(), |i, c| {
         out[i] = decode_code(c, emax, l);
     });
 }
@@ -180,17 +196,10 @@ fn decode_block_le32<const L: u32>(l_rt: u32, wpb: usize, bw: &[u32], emax: u32,
 /// Fused decompress-and-dot over one block: `acc += Σ_i vᵢ · wᵢ`,
 /// accumulating in row order (bit-compatible with decode-then-dot).
 #[inline(always)]
-fn dot_block_le32<const L: u32>(
-    l_rt: u32,
-    wpb: usize,
-    bw: &[u32],
-    emax: u32,
-    w: &[f64],
-    acc: &mut f64,
-) {
+fn dot_block_le32<const L: u32>(l_rt: u32, bw: &[u32], emax: u32, w: &[f64], acc: &mut f64) {
     let l = resolve_l::<L>(l_rt);
     let mut a = *acc;
-    for_each_code::<L>(l, wpb, bw, w.len(), |i, c| {
+    for_each_code::<L>(l, bw, w.len(), |i, c| {
         a += decode_code(c, emax, l) * w[i];
     });
     *acc = a;
@@ -198,16 +207,9 @@ fn dot_block_le32<const L: u32>(
 
 /// Fused decompress-and-axpy over one block: `wᵢ += alpha · vᵢ`.
 #[inline(always)]
-fn axpy_block_le32<const L: u32>(
-    l_rt: u32,
-    wpb: usize,
-    bw: &[u32],
-    emax: u32,
-    alpha: f64,
-    w: &mut [f64],
-) {
+fn axpy_block_le32<const L: u32>(l_rt: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64]) {
     let l = resolve_l::<L>(l_rt);
-    for_each_code::<L>(l, wpb, bw, w.len(), |i, c| {
+    for_each_code::<L>(l, bw, w.len(), |i, c| {
         w[i] += alpha * decode_code(c, emax, l);
     });
 }
@@ -302,133 +304,141 @@ fn pack_fields_le32<const L: u32>(
 }
 
 // ---------------------------------------------------------------------
-// Chunk-level drivers (all bit lengths).
+// The per-block view every driver reads through.
 // ---------------------------------------------------------------------
 
-/// Decompress `out.len()` values of a column starting at block-aligned
-/// `row_start`, straight off the packed words — no tile buffer for any
-/// bit length.
-pub(crate) fn decode_range(
-    cfg: Frsz2Config,
-    words: &[u32],
-    exps: &[u32],
-    row_start: usize,
-    out: &mut [f64],
-) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
-    let first_block = row_start / bs;
-    for (ob, chunk) in out.chunks_mut(bs).enumerate() {
-        let b = first_block + ob;
-        let emax = exps[b];
-        let bw = &words[b * wpb..(b + 1) * wpb];
-        if l <= 32 {
-            dispatch_l!(l, decode_block_le32(l, wpb, bw, emax, chunk));
-        } else {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = decode_code(wide_code(bw, i, l), emax, l);
-            }
+/// A column-major matrix of FRSZ2 blocks, seen one block at a time.
+pub(crate) trait Blocks {
+    /// Values per block; row ranges start at a multiple of it.
+    fn block_size(&self) -> usize;
+
+    /// `(l, words, emax)` of block `b` of column `j`: its bit length,
+    /// its packed code words (the full-block span, zero past the last
+    /// code of a partial trailing block) and its exponent.
+    fn block(&self, j: usize, b: usize) -> (u32, &[u32], u32);
+}
+
+/// The fixed-stride layout: every block at `cfg.bits()` in
+/// `cfg.words_per_block()` words, column `j` at offset `j · col_words`
+/// in `words` and `j · col_blocks` in `exps`.
+pub(crate) struct Fixed<'a> {
+    pub cfg: Frsz2Config,
+    pub words: &'a [u32],
+    pub exps: &'a [u32],
+    pub col_words: usize,
+    pub col_blocks: usize,
+}
+
+impl<'a> Fixed<'a> {
+    /// A single column (`j = 0`).
+    pub fn column(cfg: Frsz2Config, words: &'a [u32], exps: &'a [u32]) -> Self {
+        Fixed {
+            cfg,
+            words,
+            exps,
+            col_words: words.len(),
+            col_blocks: exps.len(),
         }
     }
 }
 
-/// Fused dot product `Σ_i column[row_start + i] · w[i]` for any bit
-/// length; one accumulator, row order, no intermediate buffer.
-pub(crate) fn dot_chunk(
-    cfg: Frsz2Config,
-    words: &[u32],
-    exps: &[u32],
+impl Blocks for Fixed<'_> {
+    #[inline(always)]
+    fn block_size(&self) -> usize {
+        self.cfg.block_size()
+    }
+
+    #[inline(always)]
+    fn block(&self, j: usize, b: usize) -> (u32, &[u32], u32) {
+        let wpb = self.cfg.words_per_block();
+        let base = j * self.col_words + b * wpb;
+        let emax = self.exps[j * self.col_blocks + b];
+        (self.cfg.bits(), &self.words[base..base + wpb], emax)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Chunk drivers (every store, through `Blocks`).
+// ---------------------------------------------------------------------
+
+/// Index of the block starting at `row_start`, which must be
+/// block-aligned.
+#[inline(always)]
+fn first_block(bs: usize, row_start: usize) -> usize {
+    debug_assert_eq!(row_start % bs, 0, "row_start must be block-aligned");
+    row_start / bs
+}
+
+/// Value `(i, j)` of the matrix: only its block's exponent and its own
+/// code are read (§IV-B).
+pub(crate) fn load(m: &impl Blocks, i: usize, j: usize) -> f64 {
+    let bs = m.block_size();
+    let (l, bw, emax) = m.block(j, i / bs);
+    decode_code(code_at(l, bw, i % bs), emax, l)
+}
+
+/// Decompress rows `row_start .. row_start + out.len()` of column `j`
+/// of a `rows`-row matrix, straight off the packed words. An empty
+/// range is a no-op before any check; otherwise `row_start` must be
+/// block-aligned and the range must lie within `rows`.
+pub(crate) fn decode_range(
+    m: &impl Blocks,
+    j: usize,
+    rows: usize,
     row_start: usize,
-    w: &[f64],
-) -> f64 {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
-    debug_assert_eq!(row_start % bs, 0);
-    let first_block = row_start / bs;
+    out: &mut [f64],
+) {
+    if out.is_empty() {
+        return;
+    }
+    let bs = m.block_size();
+    assert!(
+        row_start.is_multiple_of(bs),
+        "row_start must be block-aligned"
+    );
+    assert!(row_start + out.len() <= rows, "range beyond column");
+    for (ob, chunk) in out.chunks_mut(bs).enumerate() {
+        let (l, bw, emax) = m.block(j, row_start / bs + ob);
+        decode_block(l, bw, emax, chunk);
+    }
+}
+
+/// Fused dot product `Σ_i V[row_start + i, j] · w[i]`; one
+/// accumulator, row order, no intermediate buffer.
+pub(crate) fn dot_chunk(m: &impl Blocks, j: usize, row_start: usize, w: &[f64]) -> f64 {
+    let bs = m.block_size();
+    let b0 = first_block(bs, row_start);
     let mut acc = 0.0;
     for (ob, wc) in w.chunks(bs).enumerate() {
-        let b = first_block + ob;
-        let emax = exps[b];
-        let bw = &words[b * wpb..(b + 1) * wpb];
-        if l <= 32 {
-            dispatch_l!(l, dot_block_le32(l, wpb, bw, emax, wc, &mut acc));
-        } else {
-            for (i, &wv) in wc.iter().enumerate() {
-                acc += decode_code(wide_code(bw, i, l), emax, l) * wv;
-            }
-        }
+        let (l, bw, emax) = m.block(j, b0 + ob);
+        dot_block(l, bw, emax, wc, &mut acc);
     }
     acc
 }
 
-/// Fused axpy `w[i] += alpha · column[row_start + i]` for any bit
-/// length.
-pub(crate) fn axpy_chunk(
-    cfg: Frsz2Config,
-    words: &[u32],
-    exps: &[u32],
-    row_start: usize,
-    alpha: f64,
-    w: &mut [f64],
-) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
-    debug_assert_eq!(row_start % bs, 0);
-    let first_block = row_start / bs;
+/// Fused axpy `w[i] += alpha · V[row_start + i, j]`.
+pub(crate) fn axpy_chunk(m: &impl Blocks, j: usize, row_start: usize, alpha: f64, w: &mut [f64]) {
+    let bs = m.block_size();
+    let b0 = first_block(bs, row_start);
     for (ob, wc) in w.chunks_mut(bs).enumerate() {
-        let b = first_block + ob;
-        let emax = exps[b];
-        let bw = &words[b * wpb..(b + 1) * wpb];
-        if l <= 32 {
-            dispatch_l!(l, axpy_block_le32(l, wpb, bw, emax, alpha, wc));
-        } else {
-            for (i, wv) in wc.iter_mut().enumerate() {
-                *wv += alpha * decode_code(wide_code(bw, i, l), emax, l);
-            }
-        }
+        let (l, bw, emax) = m.block(j, b0 + ob);
+        axpy_block(l, bw, emax, alpha, wc);
     }
 }
 
-/// Multi-column fused dots: `out[j] += Σ_i V[row_start + i, j] · w[i]`
-/// for `j < k`, sweeping all `k` columns per 32-value block so each
-/// block of `w` is loaded once instead of `k` times. Each `out[j]`
-/// accumulates its column in row order — bit-identical to `k`
-/// independent [`dot_chunk`] calls. Columns live at strides
-/// `col_words` / `col_blocks` in `words` / `exps`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dots_chunk(
-    cfg: Frsz2Config,
-    words: &[u32],
-    exps: &[u32],
-    col_words: usize,
-    col_blocks: usize,
-    k: usize,
-    row_start: usize,
-    w: &[f64],
-    out: &mut [f64],
-) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
-    debug_assert_eq!(row_start % bs, 0);
-    let first_block = row_start / bs;
+/// Multi-column fused dots: `out[j] = Σ_i V[row_start + i, j] · w[i]`
+/// for `j < k`, sweeping all `k` columns per block so each block of
+/// `w` is loaded once instead of `k` times. Each `out[j]` accumulates
+/// its column in row order — bit-identical to `k` independent
+/// [`dot_chunk`] calls.
+pub(crate) fn dots_chunk(m: &impl Blocks, k: usize, row_start: usize, w: &[f64], out: &mut [f64]) {
+    let bs = m.block_size();
+    let b0 = first_block(bs, row_start);
     out[..k].fill(0.0);
     for (ob, wc) in w.chunks(bs).enumerate() {
-        let b = first_block + ob;
         for (j, acc) in out[..k].iter_mut().enumerate() {
-            let emax = exps[j * col_blocks + b];
-            let base = j * col_words + b * wpb;
-            let bw = &words[base..base + wpb];
-            if l <= 32 {
-                dispatch_l!(l, dot_block_le32(l, wpb, bw, emax, wc, acc));
-            } else {
-                for (i, &wv) in wc.iter().enumerate() {
-                    *acc += decode_code(wide_code(bw, i, l), emax, l) * wv;
-                }
-            }
+            let (l, bw, emax) = m.block(j, b0 + ob);
+            dot_block(l, bw, emax, wc, acc);
         }
     }
 }
@@ -439,38 +449,20 @@ pub(crate) fn dots_chunk(
 /// entirely (never folded in as `+ 0.0`, which could flip a signed
 /// zero), and per element the columns apply in `j` order — both
 /// bit-compatible with `k` sequential [`axpy_chunk`] calls.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemv_chunk(
-    cfg: Frsz2Config,
-    words: &[u32],
-    exps: &[u32],
-    col_words: usize,
-    col_blocks: usize,
+    m: &impl Blocks,
     k: usize,
     row_start: usize,
     alphas: &[f64],
     w: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
-    debug_assert_eq!(row_start % bs, 0);
-    let first_block = row_start / bs;
+    let bs = m.block_size();
+    let b0 = first_block(bs, row_start);
     for (ob, wc) in w.chunks_mut(bs).enumerate() {
-        let b = first_block + ob;
         for (j, &a) in alphas.iter().enumerate().take(k) {
-            if a == 0.0 {
-                continue;
-            }
-            let emax = exps[j * col_blocks + b];
-            let base = j * col_words + b * wpb;
-            let bw = &words[base..base + wpb];
-            if l <= 32 {
-                dispatch_l!(l, axpy_block_le32(l, wpb, bw, emax, a, wc));
-            } else {
-                for (i, wv) in wc.iter_mut().enumerate() {
-                    *wv += a * decode_code(wide_code(bw, i, l), emax, l);
-                }
+            if a != 0.0 {
+                let (l, bw, emax) = m.block(j, b0 + ob);
+                axpy_block(l, bw, emax, a, wc);
             }
         }
     }
@@ -500,10 +492,8 @@ const MANY_NW_TILE: usize = 64;
 /// decode-then-dot per vector). `wrows` starts at the block's first
 /// row, already offset to the accumulator tile's first vector.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn dot_many_block_le32<const L: u32>(
     l_rt: u32,
-    wpb: usize,
     bw: &[u32],
     emax: u32,
     wrows: &[f64],
@@ -513,10 +503,9 @@ fn dot_many_block_le32<const L: u32>(
 ) {
     let l = resolve_l::<L>(l_rt);
     let tl = accs.len();
-    for_each_code::<L>(l, wpb, bw, count, |i, c| {
+    for_each_code::<L>(l, bw, count, |i, c| {
         let v = decode_code(c, emax, l);
-        let row = &wrows[i * nw..i * nw + tl];
-        for (a, &wv) in accs.iter_mut().zip(row) {
+        for (a, &wv) in accs.iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
             *a += v * wv;
         }
     });
@@ -527,10 +516,8 @@ fn dot_many_block_le32<const L: u32>(
 /// `al[t] == 0.0` (signed-zero preservation, matching
 /// [`gemv_chunk`]'s contract per vector).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn axpy_many_block_le32<const L: u32>(
     l_rt: u32,
-    wpb: usize,
     bw: &[u32],
     emax: u32,
     al: &[f64],
@@ -540,10 +527,9 @@ fn axpy_many_block_le32<const L: u32>(
 ) {
     let l = resolve_l::<L>(l_rt);
     let tl = al.len();
-    for_each_code::<L>(l, wpb, bw, count, |i, c| {
+    for_each_code::<L>(l, bw, count, |i, c| {
         let v = decode_code(c, emax, l);
-        let row = &mut wrows[i * nw..i * nw + tl];
-        for (wv, &a) in row.iter_mut().zip(al) {
+        for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
             if a != 0.0 {
                 *wv += a * v;
             }
@@ -558,72 +544,36 @@ fn axpy_many_block_le32<const L: u32>(
 /// decoded once for all `nw` vectors and each `out[j·nw + t]`
 /// accumulates in row order with one accumulator — bit-identical to
 /// `nw` independent [`dots_chunk`] calls on deinterleaved vectors.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn dots_many_chunk(
-    cfg: Frsz2Config,
-    words: &[u32],
-    exps: &[u32],
-    col_words: usize,
-    col_blocks: usize,
+    m: &impl Blocks,
     k: usize,
     row_start: usize,
     ws: &[f64],
     nw: usize,
     out: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
-    debug_assert_eq!(row_start % bs, 0);
+    let bs = m.block_size();
+    let b0 = first_block(bs, row_start);
     debug_assert_eq!(ws.len() % nw, 0);
     let len = ws.len() / nw;
-    let first_block = row_start / bs;
     out[..k * nw].fill(0.0);
     let sw_rows = MANY_SUBWINDOW_BLOCKS * bs;
     for t0 in (0..nw).step_by(MANY_NW_TILE) {
         let tl = MANY_NW_TILE.min(nw - t0);
-        let mut row0 = 0usize;
-        while row0 < len {
+        for row0 in (0..len).step_by(sw_rows) {
             let sw_len = sw_rows.min(len - row0);
-            let sb = first_block + row0 / bs;
             for j in 0..k {
+                let acc_out = &mut out[j * nw + t0..j * nw + t0 + tl];
                 let mut accs = [0.0f64; MANY_NW_TILE];
-                accs[..tl].copy_from_slice(&out[j * nw + t0..j * nw + t0 + tl]);
-                let mut off = 0usize;
-                while off < sw_len {
+                accs[..tl].copy_from_slice(acc_out);
+                for off in (0..sw_len).step_by(bs) {
+                    let (l, bw, emax) = m.block(j, b0 + (row0 + off) / bs);
                     let count = bs.min(sw_len - off);
-                    let b = sb + off / bs;
-                    let emax = exps[j * col_blocks + b];
-                    let base = j * col_words + b * wpb;
-                    let bw = &words[base..base + wpb];
                     let wrows = &ws[(row0 + off) * nw + t0..];
-                    if l <= 32 {
-                        dispatch_l!(
-                            l,
-                            dot_many_block_le32(
-                                l,
-                                wpb,
-                                bw,
-                                emax,
-                                wrows,
-                                nw,
-                                count,
-                                &mut accs[..tl]
-                            )
-                        );
-                    } else {
-                        for i in 0..count {
-                            let v = decode_code(wide_code(bw, i, l), emax, l);
-                            for (a, &wv) in accs[..tl].iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
-                                *a += v * wv;
-                            }
-                        }
-                    }
-                    off += count;
+                    dot_many_block(l, bw, emax, wrows, nw, count, &mut accs[..tl]);
                 }
-                out[j * nw + t0..j * nw + t0 + tl].copy_from_slice(&accs[..tl]);
+                acc_out.copy_from_slice(&accs[..tl]);
             }
-            row0 += sw_len;
         }
     }
 }
@@ -636,71 +586,41 @@ pub(crate) fn dots_many_chunk(
 /// `j` and `(j, t)` pairs with a zero coefficient are skipped —
 /// bit-identical to `nw` independent [`gemv_chunk`] calls on
 /// deinterleaved vectors.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemv_many_chunk(
-    cfg: Frsz2Config,
-    words: &[u32],
-    exps: &[u32],
-    col_words: usize,
-    col_blocks: usize,
+    m: &impl Blocks,
     k: usize,
     row_start: usize,
     alphas: &[f64],
     nw: usize,
     ws: &mut [f64],
 ) {
-    let bs = cfg.block_size();
-    let l = cfg.bits();
-    let wpb = cfg.words_per_block();
-    debug_assert_eq!(row_start % bs, 0);
+    let bs = m.block_size();
+    let b0 = first_block(bs, row_start);
     debug_assert_eq!(ws.len() % nw, 0);
     let len = ws.len() / nw;
-    let first_block = row_start / bs;
     let sw_rows = MANY_SUBWINDOW_BLOCKS * bs;
     for t0 in (0..nw).step_by(MANY_NW_TILE) {
         let tl = MANY_NW_TILE.min(nw - t0);
-        let mut row0 = 0usize;
-        while row0 < len {
+        for row0 in (0..len).step_by(sw_rows) {
             let sw_len = sw_rows.min(len - row0);
-            let sb = first_block + row0 / bs;
             for j in 0..k {
                 let al = &alphas[j * nw + t0..j * nw + t0 + tl];
                 if al.iter().all(|&a| a == 0.0) {
                     continue;
                 }
-                let mut off = 0usize;
-                while off < sw_len {
+                for off in (0..sw_len).step_by(bs) {
+                    let (l, bw, emax) = m.block(j, b0 + (row0 + off) / bs);
                     let count = bs.min(sw_len - off);
-                    let b = sb + off / bs;
-                    let emax = exps[j * col_blocks + b];
-                    let base = j * col_words + b * wpb;
-                    let bw = &words[base..base + wpb];
                     let wrows = &mut ws[(row0 + off) * nw + t0..];
-                    if l <= 32 {
-                        dispatch_l!(
-                            l,
-                            axpy_many_block_le32(l, wpb, bw, emax, al, wrows, nw, count)
-                        );
-                    } else {
-                        for i in 0..count {
-                            let v = decode_code(wide_code(bw, i, l), emax, l);
-                            for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
-                                if a != 0.0 {
-                                    *wv += a * v;
-                                }
-                            }
-                        }
-                    }
-                    off += count;
+                    axpy_many_block(l, bw, emax, al, wrows, nw, count);
                 }
             }
-            row0 += sw_len;
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Per-block entry points (variable-rate stores pick `l` per block).
+// Per-block kernels (every bit length; `bw` is the block's full span).
 // ---------------------------------------------------------------------
 
 /// Decode one block's leading `out.len()` values for a per-block bit
@@ -708,12 +628,12 @@ pub(crate) fn gemv_many_chunk(
 /// full-block word span (`words_per_block(l)`), zero-padded past the
 /// last code for partial trailing blocks.
 #[inline]
-pub(crate) fn decode_block(l: u32, bw: &[u32], emax: u32, out: &mut [f64]) {
+fn decode_block(l: u32, bw: &[u32], emax: u32, out: &mut [f64]) {
     if l <= 32 {
-        dispatch_l!(l, decode_block_le32(l, bw.len(), bw, emax, out));
+        dispatch_l!(l, decode_block_le32(l, bw, emax, out));
     } else {
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = decode_code(wide_code(bw, i, l), emax, l);
+            *slot = decode_code(code_at(l, bw, i), emax, l);
         }
     }
 }
@@ -722,12 +642,12 @@ pub(crate) fn decode_block(l: u32, bw: &[u32], emax: u32, out: &mut [f64]) {
 /// `acc += Σ_i vᵢ · wᵢ`, row order (bit-compatible with
 /// [`decode_block`] followed by a plain dot).
 #[inline]
-pub(crate) fn dot_block(l: u32, bw: &[u32], emax: u32, w: &[f64], acc: &mut f64) {
+fn dot_block(l: u32, bw: &[u32], emax: u32, w: &[f64], acc: &mut f64) {
     if l <= 32 {
-        dispatch_l!(l, dot_block_le32(l, bw.len(), bw, emax, w, acc));
+        dispatch_l!(l, dot_block_le32(l, bw, emax, w, acc));
     } else {
         for (i, &wv) in w.iter().enumerate() {
-            *acc += decode_code(wide_code(bw, i, l), emax, l) * wv;
+            *acc += decode_code(code_at(l, bw, i), emax, l) * wv;
         }
     }
 }
@@ -735,12 +655,12 @@ pub(crate) fn dot_block(l: u32, bw: &[u32], emax: u32, w: &[f64], acc: &mut f64)
 /// Fused decompress-and-axpy over one block at a per-block bit length:
 /// `wᵢ += alpha · vᵢ`.
 #[inline]
-pub(crate) fn axpy_block(l: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64]) {
+fn axpy_block(l: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64]) {
     if l <= 32 {
-        dispatch_l!(l, axpy_block_le32(l, bw.len(), bw, emax, alpha, w));
+        dispatch_l!(l, axpy_block_le32(l, bw, emax, alpha, w));
     } else {
         for (i, wv) in w.iter_mut().enumerate() {
-            *wv += alpha * decode_code(wide_code(bw, i, l), emax, l);
+            *wv += alpha * decode_code(code_at(l, bw, i), emax, l);
         }
     }
 }
@@ -751,7 +671,7 @@ pub(crate) fn axpy_block(l: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64
 /// with [`dot_block`] per deinterleaved vector). `wrows` starts at the
 /// block's first row, pre-offset to the accumulator tile's vector 0.
 #[inline]
-pub(crate) fn dot_many_block(
+fn dot_many_block(
     l: u32,
     bw: &[u32],
     emax: u32,
@@ -761,14 +681,11 @@ pub(crate) fn dot_many_block(
     accs: &mut [f64],
 ) {
     if l <= 32 {
-        dispatch_l!(
-            l,
-            dot_many_block_le32(l, bw.len(), bw, emax, wrows, nw, count, accs)
-        );
+        dispatch_l!(l, dot_many_block_le32(l, bw, emax, wrows, nw, count, accs));
     } else {
         let tl = accs.len();
         for i in 0..count {
-            let v = decode_code(wide_code(bw, i, l), emax, l);
+            let v = decode_code(code_at(l, bw, i), emax, l);
             for (a, &wv) in accs.iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
                 *a += v * wv;
             }
@@ -781,7 +698,7 @@ pub(crate) fn dot_many_block(
 /// skipping zero coefficients (bit-compatible with [`axpy_block`] per
 /// deinterleaved vector).
 #[inline]
-pub(crate) fn axpy_many_block(
+fn axpy_many_block(
     l: u32,
     bw: &[u32],
     emax: u32,
@@ -791,14 +708,11 @@ pub(crate) fn axpy_many_block(
     count: usize,
 ) {
     if l <= 32 {
-        dispatch_l!(
-            l,
-            axpy_many_block_le32(l, bw.len(), bw, emax, al, wrows, nw, count)
-        );
+        dispatch_l!(l, axpy_many_block_le32(l, bw, emax, al, wrows, nw, count));
     } else {
         let tl = al.len();
         for i in 0..count {
-            let v = decode_code(wide_code(bw, i, l), emax, l);
+            let v = decode_code(code_at(l, bw, i), emax, l);
             for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
                 if a != 0.0 {
                     *wv += a * v;
@@ -808,21 +722,30 @@ pub(crate) fn axpy_many_block(
     }
 }
 
-/// Pack one block for any `l <= 32` through the `u64` staging
-/// register, aligned lengths included (`l = 64` keeps its dedicated
-/// store loop in `compress_into`; other `l > 32` take
-/// [`pack_fields_wide`]).
+/// Pack one block's codes at any bit length into `bw`: the staging
+/// register for `l <= 32`, two direct word stores per code for
+/// `l = 64`, and the `u128` register for the lengths in between. The
+/// caller zero-fills a partial trailing block's words first.
 #[inline]
 pub(crate) fn pack_block(l: u32, emax: u32, nearest: bool, chunk: &[f64], bw: &mut [u32]) {
-    debug_assert!(l <= 32);
-    dispatch_l!(l, pack_fields_le32(l, emax, nearest, chunk, bw));
+    match l {
+        ..=32 => dispatch_l!(l, pack_fields_le32(l, emax, nearest, chunk, bw)),
+        64 => {
+            for (pair, &v) in bw.chunks_exact_mut(2).zip(chunk) {
+                let c = encode_bits(v.to_bits(), emax, 64, nearest);
+                pair[0] = c as u32;
+                pair[1] = (c >> 32) as u32;
+            }
+        }
+        _ => pack_fields_wide(l, emax, nearest, chunk, bw),
+    }
 }
 
 /// Pack one block of wide fields (`32 < l < 64`, not word-aligned)
 /// through a `u128` staging register — same single-write-per-word
-/// discipline as [`pack_block`], widened so a 63-bit code always fits
-/// above the 31 staged bits.
-pub(crate) fn pack_fields_wide(l: u32, emax: u32, nearest: bool, chunk: &[f64], bw: &mut [u32]) {
+/// discipline as [`pack_fields_le32`], widened so a 63-bit code always
+/// fits above the 31 staged bits.
+fn pack_fields_wide(l: u32, emax: u32, nearest: bool, chunk: &[f64], bw: &mut [u32]) {
     debug_assert!(l > 32 && l < 64);
     let mut acc: u128 = 0;
     let mut staged: u32 = 0;
@@ -878,12 +801,13 @@ mod tests {
         }
     }
 
-    /// The predicate-advanced packer writes the same words as the
-    /// generic bit writer for every `l <= 32`, full and partial blocks.
+    /// [`pack_block`] writes the same words as the generic bit writer
+    /// on all three of its paths (`l <= 32`, `32 < l < 64`, `l = 64`),
+    /// full and partial blocks.
     #[test]
     fn pack_matches_write_bits() {
         let data: Vec<f64> = (0..32).map(|i| ((i as f64) * 0.73).sin() * 3.0).collect();
-        for l in [2u32, 4, 5, 8, 11, 16, 21, 31, 32] {
+        for l in [2u32, 4, 5, 8, 11, 16, 21, 31, 32, 33, 40, 63, 64] {
             for count in [1usize, 7, 31, 32] {
                 let chunk = &data[..count];
                 let emax = chunk

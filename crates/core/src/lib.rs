@@ -21,9 +21,10 @@
 //! * [`mod@reference`] — a scalar, value-at-a-time codec written for clarity;
 //!   it is the normative definition of the format.
 //! * [`codec`] — the optimized block codec with dedicated fast paths for
-//!   word-aligned bit lengths (`l ∈ {8, 16, 32, 64}`) and a bit-packed
+//!   word-aligned bit lengths (`l ∈ {16, 32, 64}`) and a bit-packed
 //!   path for everything else (e.g. the paper's `l = 21`), mirroring
-//!   optimization (3) of §IV-C.
+//!   optimization (3) of §IV-C. Its kernels are the same ones both
+//!   column stores ([`Frsz2Store`], [`Frsz2AdaptiveStore`]) run.
 //!
 //! Property tests assert the two agree bit-for-bit, and that the
 //! worst-case error bound `2^(emax−1023−(l−2))` (one ULP of the truncated

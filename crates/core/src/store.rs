@@ -2,11 +2,14 @@
 //!
 //! Columns are compressed on write (the only write pattern CB-GMRES
 //! needs — §IV-A explains why single-element updates are impossible:
-//! a changed `emax` would force renormalizing the whole block) and
-//! decompressed on chunked reads through the accessor interface.
+//! a changed `emax` would force renormalizing the whole block). Every
+//! read — chunked, random, and the fused dot/axpy/gemv kernels — is one
+//! call into the crate's shared FRSZ2 chunk drivers, which see this
+//! store through its fixed-stride per-block view; the adaptive store
+//! runs the same drivers over its own per-block metadata.
 
 use crate::codec::{self, Frsz2Config};
-use crate::kernels;
+use crate::kernels::{self, Fixed};
 use crate::reference::ZERO_BLOCK_EXPONENT;
 use numfmt::ColumnStorage;
 
@@ -55,6 +58,17 @@ impl Frsz2Store {
     pub fn column_exponents(&self, j: usize) -> &[u32] {
         &self.exps[j * self.col_blocks..(j + 1) * self.col_blocks]
     }
+
+    /// The per-block view the shared kernels read through.
+    fn blocks(&self) -> Fixed<'_> {
+        Fixed {
+            cfg: self.cfg,
+            words: &self.words,
+            exps: &self.exps,
+            col_words: self.col_words,
+            col_blocks: self.col_blocks,
+        }
+    }
 }
 
 impl ColumnStorage for Frsz2Store {
@@ -82,16 +96,12 @@ impl ColumnStorage for Frsz2Store {
 
     #[inline]
     fn read_chunk(&self, j: usize, row_start: usize, out: &mut [f64]) {
-        let words = &self.words[j * self.col_words..(j + 1) * self.col_words];
-        let exps = &self.exps[j * self.col_blocks..(j + 1) * self.col_blocks];
-        codec::decompress_range(self.cfg, words, exps, self.rows, row_start, out);
+        kernels::decode_range(&self.blocks(), j, self.rows, row_start, out);
     }
 
     #[inline]
     fn load(&self, i: usize, j: usize) -> f64 {
-        let words = &self.words[j * self.col_words..(j + 1) * self.col_words];
-        let exps = &self.exps[j * self.col_blocks..(j + 1) * self.col_blocks];
-        codec::get(self.cfg, words, exps, i)
+        kernels::load(&self.blocks(), i, j)
     }
 
     fn chunk_align(&self) -> usize {
@@ -99,91 +109,39 @@ impl ColumnStorage for Frsz2Store {
     }
 
     /// Fused decompress-and-dot straight off the compressed words — the
-    /// in-register decompression of §IV-B, expressed as scalar code.
-    /// Every bit length goes through the word-granular window kernels:
-    /// no intermediate tile, no per-call allocation.
+    /// in-register decompression of §IV-B. Overridden because the
+    /// trait's default tiles at 512 rows, which any block size that
+    /// does not divide 512 would misalign.
     fn dot_chunk(&self, j: usize, row_start: usize, w: &[f64]) -> f64 {
-        kernels::dot_chunk(
-            self.cfg,
-            self.column_words(j),
-            self.column_exponents(j),
-            row_start,
-            w,
-        )
+        kernels::dot_chunk(&self.blocks(), j, row_start, w)
     }
 
     /// Fused decompress-and-axpy; see [`Frsz2Store::dot_chunk`].
     fn axpy_chunk(&self, j: usize, row_start: usize, alpha: f64, w: &mut [f64]) {
-        kernels::axpy_chunk(
-            self.cfg,
-            self.column_words(j),
-            self.column_exponents(j),
-            row_start,
-            alpha,
-            w,
-        );
+        kernels::axpy_chunk(&self.blocks(), j, row_start, alpha, w);
     }
 
-    /// Multi-column fused dots: all `k` columns are swept per 32-value
-    /// block, so each block of `w` is loaded once instead of `k` times.
-    /// Bit-identical to `k` independent [`Frsz2Store::dot_chunk`] calls.
+    /// Multi-column fused dots: all `k` columns are swept per block, so
+    /// each block of `w` is loaded once instead of `k` times.
     fn dots_chunk(&self, k: usize, row_start: usize, w: &[f64], out: &mut [f64]) {
-        debug_assert!(k <= self.cols);
-        kernels::dots_chunk(
-            self.cfg,
-            &self.words,
-            &self.exps,
-            self.col_words,
-            self.col_blocks,
-            k,
-            row_start,
-            w,
-            out,
-        );
+        kernels::dots_chunk(&self.blocks(), k, row_start, w, out);
     }
 
-    /// Multi-column fused update (`w ← w + Σ_j alphas[j] · V[:, j]`):
-    /// one load/store of each `w` block for all `k` columns.
-    /// Bit-identical to `k` sequential [`Frsz2Store::axpy_chunk`] calls.
+    /// Multi-column fused update: one load/store of each `w` block for
+    /// all `k` columns.
     fn gemv_chunk(&self, k: usize, row_start: usize, alphas: &[f64], w: &mut [f64]) {
-        debug_assert!(k <= self.cols);
-        kernels::gemv_chunk(
-            self.cfg,
-            &self.words,
-            &self.exps,
-            self.col_words,
-            self.col_blocks,
-            k,
-            row_start,
-            alphas,
-            w,
-        );
+        kernels::gemv_chunk(&self.blocks(), k, row_start, alphas, w);
     }
 
     /// Multi-column, multi-RHS fused dots for block solves: every
     /// compressed block is decoded **once** for all `nw` interleaved
-    /// vectors. Bit-identical to `nw` independent
-    /// [`Frsz2Store::dots_chunk`] calls on deinterleaved vectors.
+    /// vectors.
     fn dots_many_chunk(&self, k: usize, row_start: usize, ws: &[f64], nw: usize, out: &mut [f64]) {
-        debug_assert!(k <= self.cols);
-        kernels::dots_many_chunk(
-            self.cfg,
-            &self.words,
-            &self.exps,
-            self.col_words,
-            self.col_blocks,
-            k,
-            row_start,
-            ws,
-            nw,
-            out,
-        );
+        kernels::dots_many_chunk(&self.blocks(), k, row_start, ws, nw, out);
     }
 
     /// Multi-column, multi-RHS fused update: one decode of each
-    /// compressed block for all `nw` interleaved vectors, zero
-    /// coefficients skipped per `(column, vector)`. Bit-identical to
-    /// `nw` independent [`Frsz2Store::gemv_chunk`] calls.
+    /// compressed block for all `nw` interleaved vectors.
     fn gemv_many_chunk(
         &self,
         k: usize,
@@ -192,19 +150,7 @@ impl ColumnStorage for Frsz2Store {
         nw: usize,
         ws: &mut [f64],
     ) {
-        debug_assert!(k <= self.cols);
-        kernels::gemv_many_chunk(
-            self.cfg,
-            &self.words,
-            &self.exps,
-            self.col_words,
-            self.col_blocks,
-            k,
-            row_start,
-            alphas,
-            nw,
-            ws,
-        );
+        kernels::gemv_many_chunk(&self.blocks(), k, row_start, alphas, nw, ws);
     }
 
     fn column_bytes(&self) -> usize {

@@ -11,6 +11,8 @@
 //! the stored codes must decode exactly as `reference::compress_block`
 //! at that length would.
 
+mod common;
+
 use frsz2::adaptive_store::{DEFAULT_GUARD_BITS, PALETTE};
 use frsz2::{reference, Frsz2AdaptiveStore};
 use numfmt::ColumnStorage;
@@ -129,6 +131,49 @@ fn multi_column_dots_bit_equal_per_column_kernels() {
             }
         }
     }
+}
+
+/// A column whose blocks cycle through spreads of 2, 14, 24 and 40
+/// binades, which select the palette lengths 16, 21, 32 and 64 in
+/// turn. Values are in `±[1, 2)` scaled down by up to the block's
+/// spread; every 13th row is zero in every column.
+fn palette_wave(n: usize, seed: usize) -> Vec<f64> {
+    const BLOCK_SPREADS: [usize; 4] = [2, 14, 24, 40];
+    (0..n)
+        .map(|i| {
+            if i.is_multiple_of(13) {
+                return 0.0;
+            }
+            let spread = BLOCK_SPREADS[(i / 32 + seed) % 4];
+            let sign = if (i * 5 + seed).is_multiple_of(3) {
+                -1.0
+            } else {
+                1.0
+            };
+            let x = 1.0 + 0.49 * (((i + 31 * seed) as f64 * 0.37).sin() + 1.0);
+            sign * x * f64::powi(2.0, -(((i % 32) * spread / 31) as i32))
+        })
+        .collect()
+}
+
+/// The multi-RHS kernels (`dots_many_chunk`, `gemv_many_chunk`) give
+/// the bits of the per-vector kernels on columns that use all four
+/// palette lengths: 1,227 rows cross the 1,024-row sub-window and end
+/// in an 11-row block.
+#[test]
+fn multi_rhs_kernels_bit_equal_per_vector_kernels() {
+    let (rows, k) = (1227, 5);
+    let mut st = Frsz2AdaptiveStore::with_shape(rows, k);
+    for j in 0..k {
+        st.write_column(j, &palette_wave(rows, j));
+        for l in PALETTE {
+            assert!(
+                st.column_bit_lengths(j).contains(&(l as u8)),
+                "column {j} has no block at l = {l}"
+            );
+        }
+    }
+    common::assert_multi_rhs_matches_per_vector(&st, k, "adaptive");
 }
 
 #[test]

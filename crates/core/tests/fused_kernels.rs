@@ -8,6 +8,8 @@
 //! level) reduce to exactly this property: fusion changes how codes
 //! are extracted, never what is computed.
 
+mod common;
+
 use frsz2::{Frsz2Config, Frsz2Store};
 use numfmt::ColumnStorage;
 /// The paper's evaluated lengths plus word-aligned and wide extremes;
@@ -115,6 +117,17 @@ fn multi_column_dots_bit_equal_per_column_kernels() {
                 );
             }
         }
+    }
+}
+
+/// The multi-RHS kernels (`dots_many_chunk`, `gemv_many_chunk`) give
+/// the bits of the per-vector kernels at every bit-length class:
+/// 1,227 rows cross the 1,024-row sub-window and end in an 11-row block.
+#[test]
+fn multi_rhs_kernels_bit_equal_per_vector_kernels() {
+    for l in [16, 21, 32, 40, 64] {
+        let st = store_with(l, 1227, 5);
+        common::assert_multi_rhs_matches_per_vector(&st, 5, &format!("l={l}"));
     }
 }
 

@@ -35,7 +35,7 @@
 //! [`sstep`] amortizes the *per-iteration* decode traffic the same
 //! way [`block`] amortizes the per-RHS traffic: each outer step
 //! expands the space by `s` directions at once via the matrix-powers
-//! kernel (`spla`'s fused `spmv_powers_into`). A per-restart
+//! kernel (`spla`'s `spmv_powers_into`). A per-restart
 //! loss-of-orthogonality monitor gates `s` per basis format
 //! ([`basis_format::BasisFormat::max_sstep`]) and shrinks it to 1 on
 //! a breach; at a gated `s = 1` it runs the scalar cycle of

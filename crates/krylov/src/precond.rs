@@ -60,10 +60,10 @@ pub trait Preconditioner: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// `true` when `M⁻¹` is exactly the identity map. The s-step driver
-    /// uses this to route the matrix-powers panel through the fused
-    /// [`spla::SparseMatrix::spmv_powers_into`] kernel; any non-trivial
+    /// uses this to route the matrix-powers panel through one
+    /// [`spla::SparseMatrix::spmv_powers_into`] call; any non-trivial
     /// preconditioner falls back to stepwise `apply` + `spmv` (which is
-    /// what the fused kernel computes bit-for-bit when `M = I`).
+    /// what that call computes bit-for-bit when `M = I`).
     fn is_identity(&self) -> bool {
         false
     }

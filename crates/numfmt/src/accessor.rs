@@ -215,7 +215,7 @@ pub trait ColumnStorage: Send + Sync {
     /// every `j < k`, `t < nw` — the block-Arnoldi projection
     /// `H = VᵀW` over one row chunk. `ws` holds `nw` right-hand vectors
     /// interleaved row-major (vector `t` at stride `nw`), the layout
-    /// [`SparseMatrix::spmm_into`]-style multi-RHS buffers already use.
+    /// `SparseMatrix::spmm_into`-style multi-RHS buffers already use.
     ///
     /// The default tiles each column through a stack buffer; block
     /// formats override so each stored block is decoded **once** for
@@ -228,8 +228,6 @@ pub trait ColumnStorage: Send + Sync {
     /// vector `t` in row order with one accumulator — bit-for-bit what
     /// [`ColumnStorage::dot_chunk`] would produce on the deinterleaved
     /// vector `t`.
-    ///
-    /// [`SparseMatrix::spmm_into`]: trait.ColumnStorage.html#method.dots_many_chunk
     fn dots_many_chunk(&self, k: usize, row_start: usize, ws: &[f64], nw: usize, out: &mut [f64]) {
         assert!(nw >= 1, "dots_many_chunk needs at least one vector");
         debug_assert_eq!(ws.len() % nw, 0);

@@ -135,34 +135,6 @@ impl Csr {
         });
     }
 
-    /// Matrix-powers panel `[Ax, A²x, …, Aˢx]` (fused repeated apply:
-    /// the CSR array borrows are hoisted out of the power loop). Same
-    /// chunk geometry and per-row accumulation order as [`Csr::spmv`],
-    /// each power consuming the completed previous power →
-    /// bit-identical to `s` separate `spmv` calls at any thread count.
-    pub fn spmv_powers_into(&self, x: &[f64], ys: &mut [f64], s: usize) {
-        assert!(s >= 1, "spmv_powers s must be positive");
-        assert_eq!(self.rows, self.cols, "matrix powers need a square operator");
-        assert_eq!(x.len(), self.cols, "x length mismatch");
-        assert_eq!(ys.len(), self.rows * s, "ys length mismatch");
-        let row_ptr = &self.row_ptr;
-        let col_idx = &self.col_idx;
-        let values = &self.values;
-        let n = self.rows;
-        for p in 0..s {
-            let (done, rest) = ys.split_at_mut(p * n);
-            let src: &[f64] = if p == 0 { x } else { &done[(p - 1) * n..] };
-            let dst = &mut rest[..n];
-            crate::matrix::par_over_rows(dst, |i| {
-                let mut acc = 0.0;
-                for idx in row_ptr[i]..row_ptr[i + 1] {
-                    acc += values[idx] * src[col_idx[idx] as usize];
-                }
-                acc
-            });
-        }
-    }
-
     /// `y := A x` computed serially (reference for tests).
     pub fn spmv_serial(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols);
@@ -304,10 +276,6 @@ impl SparseMatrix for Csr {
 
     fn spmm_into(&self, x: &[f64], y: &mut [f64], width: usize) {
         Csr::spmm_into(self, x, y, width)
-    }
-
-    fn spmv_powers_into(&self, x: &[f64], ys: &mut [f64], s: usize) {
-        Csr::spmv_powers_into(self, x, ys, s)
     }
 
     fn diagonal(&self) -> Vec<f64> {

@@ -141,34 +141,6 @@ impl SparseMatrix for Ell {
             }
         });
     }
-
-    /// Matrix-powers panel `[Ax, A²x, …, Aˢx]` with the ELL array
-    /// borrows hoisted out of the power loop; same chunk geometry and
-    /// accumulation order as [`Ell::spmv`](SparseMatrix::spmv) →
-    /// bit-identical to `s` separate `spmv` calls.
-    fn spmv_powers_into(&self, x: &[f64], ys: &mut [f64], s: usize) {
-        assert!(s >= 1, "spmv_powers s must be positive");
-        assert_eq!(self.rows, self.cols, "matrix powers need a square operator");
-        assert_eq!(x.len(), self.cols, "x length mismatch");
-        assert_eq!(ys.len(), self.rows * s, "ys length mismatch");
-        let rows = self.rows;
-        let row_len = &self.row_len;
-        let col_idx = &self.col_idx;
-        let values = &self.values;
-        for p in 0..s {
-            let (done, rest) = ys.split_at_mut(p * rows);
-            let src: &[f64] = if p == 0 { x } else { &done[(p - 1) * rows..] };
-            let dst = &mut rest[..rows];
-            par_over_rows(dst, |i| {
-                let mut acc = 0.0;
-                for k in 0..row_len[i] as usize {
-                    let slot = k * rows + i;
-                    acc += values[slot] * src[col_idx[slot] as usize];
-                }
-                acc
-            });
-        }
-    }
 }
 
 #[cfg(test)]

@@ -149,27 +149,16 @@ pub trait SparseMatrix: Send + Sync {
     }
 
     /// `ys[(p-1)·rows..][..rows] := Aᵖ x` for `p in 1..=s` — the
-    /// matrix-powers expansion of s-step GMRES. One call produces the
-    /// whole monomial panel `[Ax, A²x, …, Aˢx]` without returning to
-    /// the caller between applications, so the format's row structure
-    /// (pointers, slice descriptors) is walked from hot state `s`
-    /// times back to back.
+    /// matrix-powers expansion of s-step GMRES: one call produces the
+    /// whole monomial panel `[Ax, A²x, …, Aˢx]`.
     ///
-    /// The bit-identity contract is inherited from `spmv`: every power
-    /// step `p` applies the operator to the finished power `p−1`
-    /// through the same `ROW_CHUNK` chunk geometry with serial per-row
-    /// accumulation in CSR entry order. Because each power consumes
-    /// the *complete* previous power (a global dependency), steps are
-    /// not tiled *across* powers — the fusion is in the repeated
-    /// apply, not in ghost-region pipelining — and the result is
-    /// bit-identical to `s` separate [`SparseMatrix::spmv`] calls on
-    /// any format at any thread count. Enforced by the property tests
-    /// in `crates/sparse/tests/proptests.rs`.
-    ///
-    /// The default tiles over [`SparseMatrix::for_each_in_row`];
-    /// [`crate::Csr`], [`crate::Ell`], and [`crate::SellCSigma`]
-    /// override it with kernels that hoist their array borrows out of
-    /// the power loop.
+    /// The contract defines the result as `s` chained
+    /// [`SparseMatrix::spmv`] calls, each power applied to the finished
+    /// previous one (a global dependency, so powers are not tiled
+    /// across each other), and that is exactly what this method does:
+    /// bit-identical across formats and thread counts because `spmv`
+    /// is. Every format inherits it. Enforced by the property tests in
+    /// `crates/sparse/tests/proptests.rs`.
     ///
     /// # Panics
     /// If `s == 0`, the matrix is not square, `x.len() != cols`, or
@@ -187,12 +176,7 @@ pub trait SparseMatrix: Send + Sync {
         for p in 0..s {
             let (done, rest) = ys.split_at_mut(p * n);
             let src: &[f64] = if p == 0 { x } else { &done[(p - 1) * n..] };
-            let dst = &mut rest[..n];
-            par_over_rows(dst, |i| {
-                let mut acc = 0.0;
-                self.for_each_in_row(i, &mut |c, v| acc += v * src[c as usize]);
-                acc
-            });
+            self.spmv(src, &mut rest[..n]);
         }
     }
 

@@ -273,39 +273,6 @@ impl SparseMatrix for SellCSigma {
             }
         });
     }
-
-    /// Matrix-powers panel `[Ax, A²x, …, Aˢx]` with the slice
-    /// descriptors hoisted out of the power loop; output rows in
-    /// original order, same chunk geometry and accumulation order as
-    /// `spmv` → bit-identical to `s` separate [`Csr::spmv`] calls.
-    fn spmv_powers_into(&self, x: &[f64], ys: &mut [f64], s: usize) {
-        assert!(s >= 1, "spmv_powers s must be positive");
-        assert_eq!(self.rows, self.cols, "matrix powers need a square operator");
-        assert_eq!(x.len(), self.cols, "x length mismatch");
-        assert_eq!(ys.len(), self.rows * s, "ys length mismatch");
-        let c = self.c;
-        let slice_ptr = &self.slice_ptr;
-        let row_len = &self.row_len;
-        let row_pos = &self.row_pos;
-        let col_idx = &self.col_idx;
-        let values = &self.values;
-        let n = self.rows;
-        for p in 0..s {
-            let (done, rest) = ys.split_at_mut(p * n);
-            let src: &[f64] = if p == 0 { x } else { &done[(p - 1) * n..] };
-            let dst = &mut rest[..n];
-            par_over_rows(dst, |i| {
-                let pos = row_pos[i] as usize;
-                let base = slice_ptr[pos / c] + pos % c;
-                let mut acc = 0.0;
-                for k in 0..row_len[i] as usize {
-                    let slot = base + k * c;
-                    acc += values[slot] * src[col_idx[slot] as usize];
-                }
-                acc
-            });
-        }
-    }
 }
 
 #[cfg(test)]

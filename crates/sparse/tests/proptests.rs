@@ -246,8 +246,8 @@ proptest! {
         }
     }
 
-    /// `spmv_powers_into` (default tiled AND the CSR/ELL/SELL
-    /// overrides) reproduces `s` successive `spmv` calls bit for bit on
+    /// `spmv_powers_into` (the trait method, which every format
+    /// inherits) reproduces `s` successive `spmv` calls bit for bit on
     /// arbitrary generated square matrices at several panel depths.
     #[test]
     fn formats_spmv_powers_bit_identical_to_repeated_spmv(
@@ -314,10 +314,11 @@ proptest! {
     }
 }
 
-/// Forwards everything to CSR *except* `spmm_into` and
-/// `spmv_powers_into`, so the traits' default tiled implementations
-/// (over `for_each_in_row`) are exercised by the cross-thread-count
-/// tests below.
+/// Forwards everything to CSR *except* `spmm_into`, so the trait's
+/// default tiled implementation (over `for_each_in_row`) is exercised
+/// by the cross-thread-count tests below. `spmv_powers_into` is the
+/// trait method for every format (repeated `spmv`); here it runs over
+/// the forwarded CSR `spmv`.
 struct DefaultSpmm(spla::Csr);
 
 impl SparseMatrix for DefaultSpmm {
@@ -408,7 +409,7 @@ fn formats_spmm_bit_identical_across_thread_counts() {
 
 /// The matrix-powers panel agrees with chained serial CSR SpMV
 /// *bitwise* on a matrix spanning many parallel row chunks, for every
-/// format (plus the trait-default tiling), under pools of 1, 2 and 8
+/// format (plus the `DefaultSpmm` wrapper), under pools of 1, 2 and 8
 /// threads, at panel depths 1, 2, 4 and 8 — the s-step arm of the
 /// determinism contract.
 #[test]
