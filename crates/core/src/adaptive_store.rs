@@ -240,6 +240,19 @@ impl ColumnStorage for Frsz2AdaptiveStore {
         kernels::gemv_chunk(self, k, row_start, alphas, w);
     }
 
+    /// Fused update-then-project: each block is decoded once (at its
+    /// own bit length) for both the update of `w` and the dots.
+    fn gemv_dots_chunk(
+        &self,
+        k: usize,
+        row_start: usize,
+        alphas: &[f64],
+        w: &mut [f64],
+        out: &mut [f64],
+    ) {
+        kernels::gemv_dots_chunk(self, k, row_start, alphas, w, out);
+    }
+
     /// Multi-column, multi-RHS fused dots: each block is decoded once
     /// (at its own bit length) for all `nw` interleaved vectors.
     fn dots_many_chunk(&self, k: usize, row_start: usize, ws: &[f64], nw: usize, out: &mut [f64]) {

@@ -8,14 +8,15 @@
 //!   one block's bit length `l`, packed words and exponent. They and
 //!   [`pack_block`] on the write side are the only places a bit length
 //!   is dispatched.
-//! * Seven **chunk drivers** — [`decode_range`], [`dot_chunk`],
+//! * Eight **chunk drivers** — [`decode_range`], [`dot_chunk`],
 //!   [`axpy_chunk`], [`dots_chunk`], [`gemv_chunk`],
-//!   [`dots_many_chunk`] and [`gemv_many_chunk`] — are the loops over a
-//!   row range's blocks behind each `ColumnStorage` kernel method. They
-//!   read blocks only through the [`Blocks`] view, `block(j, b) ->
-//!   (l, words, emax)`, which each store answers: [`Fixed`] is the
-//!   fixed-stride layout of `Frsz2Store` and of the `codec` functions,
-//!   and `Frsz2AdaptiveStore` answers from its per-block
+//!   [`gemv_dots_chunk`], [`dots_many_chunk`] and [`gemv_many_chunk`] —
+//!   are the loops over a row range's blocks behind each
+//!   `ColumnStorage` kernel method. They read blocks only through the
+//!   [`Blocks`] view, `block(j, b) -> (l, words, emax)`, which each
+//!   store answers: [`Fixed`] is the fixed-stride layout of
+//!   `Frsz2Store` and of the `codec` functions, and
+//!   `Frsz2AdaptiveStore` answers from its per-block
 //!   `(l, offset, emax)` metadata. Every read method of both stores is
 //!   one driver call, so a kernel change lands once for every store.
 //!
@@ -30,6 +31,9 @@
 //! extracts it with two loads, one shift and one mask — no per-element
 //! branching on word boundaries and no intermediate decode tile, which
 //! is what the paper's §IV-B means by decompression "in registers".
+//! Only [`gemv_dots_chunk`] keeps a tile: both of its halves read one
+//! block of every column, so it decodes that block once into a stack
+//! tile that stays in L1.
 //! The one wrinkle is the block's final word: a field that lies
 //! entirely inside it must not gather the (nonexistent) word after the
 //! block, so each block loop is split at [`two_word_fields`] into a
@@ -463,6 +467,57 @@ pub(crate) fn gemv_chunk(
             if a != 0.0 {
                 let (l, bw, emax) = m.block(j, b0 + ob);
                 axpy_block(l, bw, emax, a, wc);
+            }
+        }
+    }
+}
+
+/// Values in [`gemv_dots_chunk`]'s stack tile: one block of every
+/// column, so up to 128 columns at the paper's block size of 32.
+const FUSED_TILE: usize = 4096;
+
+/// Fused update-then-project: `w[i] += Σ_j alphas[j] · V[row_start + i, j]`
+/// and then `out[j] = Σ_i V[row_start + i, j] · w[i]` on the updated
+/// `w`, for `j < k`. Each block of all `k` columns is decoded once into
+/// a stack tile; the update runs from the tile exactly as
+/// [`gemv_chunk`] runs it (ascending `j`, zero coefficients skipped),
+/// and then each `out[j]` adds its column from the tile in row order
+/// as [`dots_chunk`] does. When one block of every column does not fit
+/// the tile, the two drivers run one after the other.
+pub(crate) fn gemv_dots_chunk(
+    m: &impl Blocks,
+    k: usize,
+    row_start: usize,
+    alphas: &[f64],
+    w: &mut [f64],
+    out: &mut [f64],
+) {
+    let bs = m.block_size();
+    if k * bs > FUSED_TILE {
+        gemv_chunk(m, k, row_start, alphas, w);
+        dots_chunk(m, k, row_start, w, out);
+        return;
+    }
+    let b0 = first_block(bs, row_start);
+    out[..k].fill(0.0);
+    let mut tile = [0.0f64; FUSED_TILE];
+    let tile = &mut tile[..k * bs];
+    for (ob, wc) in w.chunks_mut(bs).enumerate() {
+        let n = wc.len();
+        for (j, col) in tile.chunks_exact_mut(bs).enumerate() {
+            let (l, bw, emax) = m.block(j, b0 + ob);
+            decode_block(l, bw, emax, &mut col[..n]);
+        }
+        for (&a, col) in alphas.iter().zip(tile.chunks_exact(bs)) {
+            if a != 0.0 {
+                for (x, &v) in wc.iter_mut().zip(col) {
+                    *x += a * v;
+                }
+            }
+        }
+        for (acc, col) in out.iter_mut().zip(tile.chunks_exact(bs)) {
+            for (&v, &x) in col.iter().zip(&*wc) {
+                *acc += v * x;
             }
         }
     }

@@ -133,6 +133,19 @@ impl ColumnStorage for Frsz2Store {
         kernels::gemv_chunk(&self.blocks(), k, row_start, alphas, w);
     }
 
+    /// Fused update-then-project: each compressed block is decoded
+    /// once for both the update of `w` and the dots against it.
+    fn gemv_dots_chunk(
+        &self,
+        k: usize,
+        row_start: usize,
+        alphas: &[f64],
+        w: &mut [f64],
+        out: &mut [f64],
+    ) {
+        kernels::gemv_dots_chunk(&self.blocks(), k, row_start, alphas, w, out);
+    }
+
     /// Multi-column, multi-RHS fused dots for block solves: every
     /// compressed block is decoded **once** for all `nw` interleaved
     /// vectors.

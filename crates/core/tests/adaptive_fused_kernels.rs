@@ -1,6 +1,7 @@
 //! Fused-kernel contract tests for the per-block adaptive store:
 //! every fused kernel (`dot_chunk`, `axpy_chunk`, `dots_chunk`,
-//! `gemv_chunk`) must be **bit-identical** to decompress-then-naive-BLAS
+//! `gemv_chunk`, `gemv_dots_chunk` and the multi-RHS kernels) must be
+//! **bit-identical** to decompress-then-naive-BLAS
 //! for every exponent spread (and hence every per-block bit-length
 //! mix), chunk alignment, and tail shape — the same contract
 //! `fused_kernels.rs` pins for the uniform store, now with the bit
@@ -174,6 +175,26 @@ fn multi_rhs_kernels_bit_equal_per_vector_kernels() {
         }
     }
     common::assert_multi_rhs_matches_per_vector(&st, k, "adaptive");
+}
+
+/// The fused update-then-project sweep gives the bits of `gemv_chunk`
+/// then `dots_chunk` on columns that use all four palette lengths. 203
+/// rows end in an 11-row block; 128 columns fill the kernel's tile and
+/// 129 overflow it.
+#[test]
+fn gemv_dots_bit_equals_gemv_then_dots() {
+    let (rows, k) = (203, 129);
+    let mut st = Frsz2AdaptiveStore::with_shape(rows, k);
+    for j in 0..k {
+        st.write_column(j, &palette_wave(rows, j));
+    }
+    for l in PALETTE {
+        assert!(
+            st.column_bit_lengths(0).contains(&(l as u8)),
+            "column 0 has no block at l = {l}"
+        );
+    }
+    common::assert_gemv_dots_matches_two_kernels(&st, &[1, 5, 128, 129], "adaptive");
 }
 
 #[test]

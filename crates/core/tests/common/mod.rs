@@ -1,7 +1,64 @@
-//! The multi-RHS kernel check shared by `fused_kernels.rs` (uniform
-//! store) and `adaptive_fused_kernels.rs` (per-block adaptive store).
+//! The kernel checks shared by `fused_kernels.rs` (uniform store) and
+//! `adaptive_fused_kernels.rs` (per-block adaptive store): the
+//! multi-RHS kernels and the fused update-then-project sweep.
 
 use numfmt::ColumnStorage;
+
+/// `gemv_dots_chunk` over the first `k` columns of `st`, for each `k`
+/// in `ks`, must give the bits of `gemv_chunk` followed by
+/// `dots_chunk` on the updated vector: both the updated vector and the
+/// dots. Checked over the whole column and from a nonzero block-aligned
+/// start; callers pass a row count ending in a ragged block, and a `k`
+/// above the kernel's tile capacity where it has one. `w` holds `-0.0`
+/// entries, and the coefficients come in two sets: scattered zeros
+/// (column 2 among them), and all zero, which must leave every `-0.0`
+/// in place.
+pub fn assert_gemv_dots_matches_two_kernels(st: &impl ColumnStorage, ks: &[usize], label: &str) {
+    let align = st.chunk_align();
+    for &k in ks {
+        for start in [0, 2 * align] {
+            let len = st.rows() - start;
+            let w: Vec<f64> = (0..len)
+                .map(|i| match i % 7 {
+                    0 => -0.0,
+                    _ => ((i as f64) * 0.77).sin() * f64::powi(2.0, (i % 11) as i32 - 5),
+                })
+                .collect();
+            let scattered: Vec<f64> = (0..k)
+                .map(|j| {
+                    if j == 2 || j % 5 == 0 {
+                        0.0
+                    } else {
+                        ((j as f64) * 0.61).cos() / (k as f64)
+                    }
+                })
+                .collect();
+            for (set, alphas) in [("scattered", scattered), ("zero", vec![0.0; k])] {
+                let mut want_w = w.clone();
+                let mut want = vec![0.0; k];
+                st.gemv_chunk(k, start, &alphas, &mut want_w);
+                st.dots_chunk(k, start, &want_w, &mut want);
+                let mut got_w = w.clone();
+                let mut got = vec![f64::NAN; k];
+                st.gemv_dots_chunk(k, start, &alphas, &mut got_w, &mut got);
+                for (i, (g, e)) in got_w.iter().zip(&want_w).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        e.to_bits(),
+                        "{label} k={k} start={start} {set}: w row {i}"
+                    );
+                }
+                for (j, (g, e)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        e.to_bits(),
+                        "{label} k={k} start={start} {set}: dot col {j}"
+                    );
+                }
+            }
+        }
+    }
+}
 
 /// `dots_many_chunk` and `gemv_many_chunk` over the first `k` columns
 /// of `st` must give the bits of per-vector `dots_chunk` and

@@ -1,5 +1,6 @@
 //! Fused-kernel contract tests: every fused store kernel
-//! (`dot_chunk`, `axpy_chunk`, `dots_chunk`, `gemv_chunk`) must be
+//! (`dot_chunk`, `axpy_chunk`, `dots_chunk`, `gemv_chunk`,
+//! `gemv_dots_chunk` and the multi-RHS kernels) must be
 //! **bit-identical** to decompress-then-naive-BLAS for every bit
 //! length, chunk alignment, and tail shape — and must not allocate.
 //!
@@ -128,6 +129,18 @@ fn multi_rhs_kernels_bit_equal_per_vector_kernels() {
     for l in [16, 21, 32, 40, 64] {
         let st = store_with(l, 1227, 5);
         common::assert_multi_rhs_matches_per_vector(&st, 5, &format!("l={l}"));
+    }
+}
+
+/// The fused update-then-project sweep gives the bits of `gemv_chunk`
+/// then `dots_chunk` at every bit-length class, the runtime-`l`
+/// instance (11) included. 203 rows end in an 11-row block; 128 columns
+/// fill the kernel's 4,096-value tile and 129 overflow it.
+#[test]
+fn gemv_dots_bit_equals_gemv_then_dots() {
+    for l in [11, 16, 21, 32, 40, 64] {
+        let st = store_with(l, 203, 129);
+        common::assert_gemv_dots_matches_two_kernels(&st, &[1, 5, 128, 129], &format!("l={l}"));
     }
 }
 

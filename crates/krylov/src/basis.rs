@@ -2,18 +2,20 @@
 //! CB-GMRES performs against it.
 //!
 //! Orthogonalization is the memory-bound heart of GMRES (§II): every
-//! iteration streams all previously stored basis vectors twice (once for
-//! the dot products `h = Vᵀw`, once for the update `w ← w − Vh`). The
-//! basis therefore exposes exactly those two bulk kernels, implemented
-//! as rayon-parallel loops over block-aligned row chunks. Within a
-//! chunk the storage format's fused multi-column kernels
-//! ([`ColumnStorage::dots_chunk`] / [`ColumnStorage::gemv_chunk`]) sweep
-//! all `k` columns per pass — `w` is read (dots) or read-and-written
-//! (axpys) once instead of `k` times, and compressed formats decode
-//! straight off their packed words with no scratch tile. Reductions sum
-//! per-chunk partials in chunk order into a caller-reusable flat
-//! buffer, so results are bit-deterministic for any thread count and
-//! the hot path allocates nothing after warmup.
+//! iteration streams all previously stored basis vectors at least twice
+//! (once for the dot products `h = Vᵀw`, once for the update
+//! `w ← w − Vh`). The basis therefore exposes those two bulk kernels,
+//! plus the update fused with the re-projection `Vᵀw` a DGKS pass
+//! needs ([`Basis::axpys_dots_with`]), all implemented as
+//! rayon-parallel loops over block-aligned row chunks. Within a chunk
+//! the storage format's fused multi-column kernels
+//! ([`ColumnStorage::dots_chunk`] / [`ColumnStorage::gemv_chunk`] /
+//! [`ColumnStorage::gemv_dots_chunk`]) sweep all `k` columns per pass —
+//! `w` is read (dots) or read-and-written (axpys) once instead of `k`
+//! times, and compressed formats decode straight off their packed
+//! words. Reductions sum per-chunk partials in chunk order into a
+//! caller-reusable flat buffer, so results are bit-deterministic for
+//! any thread count and the hot path allocates nothing after warmup.
 
 use numfmt::ColumnStorage;
 use rayon::prelude::*;
@@ -145,6 +147,47 @@ impl<S: ColumnStorage> Basis<S> {
         w.par_chunks_mut(chunk).enumerate().for_each(|(c, wc)| {
             store.gemv_chunk(k, c * chunk, &alpha[..k], wc);
         });
+    }
+
+    /// [`Basis::axpys`] followed by [`Basis::dots_with`] on the updated
+    /// `w`, in one parallel pass: `w ← w + Σ_i alpha[i] · V[:, i]`, then
+    /// `out[i] = V[:, i]ᵀ w` for `i in 0..k` — step 5's update and the
+    /// re-projection a DGKS pass (steps 7–8) needs. Within each chunk
+    /// the format's fused [`ColumnStorage::gemv_dots_chunk`] decodes
+    /// the stored columns once for both halves. The chunks and the
+    /// chunk-order reduction are those of the two separate calls, so
+    /// `w` and `out` get their bits at any thread count.
+    pub fn axpys_dots_with(
+        &self,
+        k: usize,
+        alpha: &[f64],
+        w: &mut [f64],
+        out: &mut [f64],
+        scratch: &mut Vec<f64>,
+    ) {
+        assert!(k <= self.cols());
+        assert!(alpha.len() >= k);
+        assert_eq!(w.len(), self.rows());
+        assert!(out.len() >= k);
+        if k == 0 {
+            return;
+        }
+        let chunk = self.chunk;
+        let n_chunks = self.rows().div_ceil(chunk);
+        if scratch.len() < n_chunks * k {
+            scratch.resize(n_chunks * k, 0.0);
+        }
+        let store = &self.store;
+        let partials = &mut scratch[..n_chunks * k];
+        w.par_chunks_mut(chunk)
+            .zip(partials.par_chunks_mut(k))
+            .enumerate()
+            .for_each(|(c, (wc, slot))| {
+                store.gemv_dots_chunk(k, c * chunk, &alpha[..k], wc, slot);
+            });
+        for (j, out_j) in out.iter_mut().enumerate().take(k) {
+            *out_j = (0..n_chunks).map(|c| partials[c * k + j]).sum();
+        }
     }
 
     /// `out = Σ_i y[i] · V[:, i]` — the solution update `V_m y_m` of

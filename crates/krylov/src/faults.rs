@@ -180,6 +180,18 @@ impl ColumnStorage for FaultInjectingStore {
         self.inner.gemv_chunk(k, row_start, alphas, w)
     }
 
+    #[inline]
+    fn gemv_dots_chunk(
+        &self,
+        k: usize,
+        row_start: usize,
+        alphas: &[f64],
+        w: &mut [f64],
+        out: &mut [f64],
+    ) {
+        self.inner.gemv_dots_chunk(k, row_start, alphas, w, out)
+    }
+
     fn column_bytes(&self) -> usize {
         self.inner.column_bytes()
     }

@@ -100,15 +100,18 @@ pub struct SolveStats {
     pub basis_bytes_written: u64,
     /// Number of sparse matrix–vector products.
     pub spmv_count: u64,
-    /// Decode sweeps of the stored basis on the dot-product side of
-    /// orthogonalization: each sweep decompresses every current basis
-    /// column once, however many target vectors it serves (one for the
+    /// Passes of Fig. 1 over the stored basis on the dot-product side
+    /// of orthogonalization: one per projection `Vᵀw` (or `VᵀW` for a
+    /// panel), however many target vectors it serves (one for the
     /// scalar driver, the whole panel for an s-step solve). This is the
     /// quantity the s-step refactor reduces — `k` round trips per new
-    /// column collapse into one multi-column pass per panel.
+    /// column collapse into one multi-column pass per panel. It counts
+    /// passes, not decodes: the scalar cycle's DGKS dot pass shares its
+    /// decode with the update sweep before it. Exact decode counts per
+    /// phase belong to the `PhaseCosts` of ROADMAP item 4.
     pub basis_dot_sweeps: u64,
-    /// Decode sweeps of the stored basis on the update side (gemv/axpy
-    /// projections and the solution combine), counted like
+    /// Passes of Fig. 1 over the stored basis on the update side
+    /// (gemv/axpy projections and the solution combine), counted like
     /// [`SolveStats::basis_dot_sweeps`].
     pub basis_gemv_sweeps: u64,
     /// Storage format label of the Krylov basis (the final one, for
@@ -157,9 +160,10 @@ pub(crate) fn givens(a: f64, b: f64) -> (f64, f64) {
 /// reused across cycles (and across basis-format switches in
 /// `adaptive_gmres` — the buffers depend only on `(n, m)`, not on the
 /// storage format). Includes the flat per-chunk partial buffer for
-/// [`Basis::dots_with`] and the back-substitution vector, so the
-/// orthogonalization inner loop performs **zero** heap allocations
-/// (guarded by the counting allocator in `tests/ortho_alloc_guard.rs`).
+/// [`Basis::dots_with`] and [`Basis::axpys_dots_with`] and the
+/// back-substitution vector, so the orthogonalization inner loop
+/// performs **zero** heap allocations (guarded by the counting
+/// allocator in `tests/ortho_alloc_guard.rs`).
 pub(crate) struct Workspace {
     pub(crate) r: Vec<f64>,
     pub(crate) w: Vec<f64>,
@@ -175,7 +179,7 @@ pub(crate) struct Workspace {
     pub(crate) y: Vec<f64>,
     /// Flat `n_chunks × k` scratch for the orthogonalization partials.
     /// Pre-sized for the worst case (`k = m + 1` columns over the
-    /// smallest possible chunking), so `dots_with` never grows it.
+    /// smallest possible chunking), so no sweep ever grows it.
     pub(crate) dot_partials: Vec<f64>,
     pub(crate) m: usize,
     pub(crate) ld: usize,
@@ -274,11 +278,20 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         // Step 5: classical Gram-Schmidt against the compressed basis,
         // through the fused multi-column kernels with the workspace's
         // preallocated partial buffer (no per-iteration allocation).
+        // The update sweep also projects the updated w onto the basis
+        // (`ws.u`) from the same decode: that is the DGKS pass's dot
+        // product below, and it is dropped when DGKS does not fire.
         basis.dots_with(j + 1, &ws.w, &mut ws.h[..j + 1], &mut ws.dot_partials);
         for i in 0..=j {
             ws.neg[i] = -ws.h[i];
         }
-        basis.axpys(j + 1, &ws.neg, &mut ws.w);
+        basis.axpys_dots_with(
+            j + 1,
+            &ws.neg,
+            &mut ws.w,
+            &mut ws.u[..j + 1],
+            &mut ws.dot_partials,
+        );
         stats.basis_bytes_read += 2 * (j as u64 + 1) * col_bytes;
         stats.basis_dot_sweeps += 1;
         stats.basis_gemv_sweeps += 1;
@@ -294,12 +307,13 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         let mut broke_down = hj1 == 0.0;
         if !broke_down && hj1 < opts.reorth_eta * omega {
             let before = hj1;
-            basis.dots_with(j + 1, &ws.w, &mut ws.u[..j + 1], &mut ws.dot_partials);
             for i in 0..=j {
                 ws.neg[i] = -ws.u[i];
                 ws.h[i] += ws.u[i]; // step 9
             }
             basis.axpys(j + 1, &ws.neg, &mut ws.w);
+            // Counted as Fig. 1's two passes, though the dot pass shared
+            // its decode with step 5's update sweep.
             stats.basis_bytes_read += 2 * (j as u64 + 1) * col_bytes;
             stats.basis_dot_sweeps += 1;
             stats.basis_gemv_sweeps += 1;

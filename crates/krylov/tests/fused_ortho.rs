@@ -1,9 +1,10 @@
 //! Basis-level contract tests for the fused multi-column
-//! orthogonalization path: `Basis::dots`/`dots_with`/`axpys` must be
+//! orthogonalization path: `Basis::dots`/`dots_with`/`axpys`, and the
+//! fused update-then-project `Basis::axpys_dots_with`, must be
 //! bit-identical to the per-column reference formulation for every
 //! storage format and bit length, at 1, 2, and 8 threads.
 
-use frsz2::{Frsz2Config, Frsz2Store};
+use frsz2::{Frsz2AdaptiveStore, Frsz2Config, Frsz2Store};
 use krylov::Basis;
 use numfmt::{ColumnStorage, DenseStore, F16};
 
@@ -66,6 +67,8 @@ fn check_store<S: ColumnStorage>(basis: &Basis<S>, label: &str) {
     reference_dots(basis, k, &w, &mut h_ref);
     let mut u_ref = w.clone();
     reference_axpys(basis, k, &alpha[..k], &mut u_ref);
+    let mut g_ref = vec![0.0; k];
+    reference_dots(basis, k, &u_ref, &mut g_ref);
 
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -99,6 +102,25 @@ fn check_store<S: ColumnStorage>(basis: &Basis<S>, label: &str) {
         for j in 0..k {
             assert_eq!(h[j].to_bits(), h2[j].to_bits(), "{label}: dots wrapper {j}");
         }
+        // The fused sweep: the update's bits, then the dots of the
+        // updated vector.
+        let mut g = vec![f64::NAN; k];
+        let mut v = w.clone();
+        pool.install(|| basis.axpys_dots_with(k, &alpha[..k], &mut v, &mut g, &mut scratch));
+        for i in 0..n {
+            assert_eq!(
+                v[i].to_bits(),
+                u_ref[i].to_bits(),
+                "{label}: fused update row {i} at {threads} threads"
+            );
+        }
+        for j in 0..k {
+            assert_eq!(
+                g[j].to_bits(),
+                g_ref[j].to_bits(),
+                "{label}: fused dot {j} at {threads} threads"
+            );
+        }
     }
 }
 
@@ -116,6 +138,31 @@ fn frsz2_fused_ortho_bit_identical_across_threads_all_lengths() {
         }
         check_store(&basis, &format!("frsz2_{l}"));
     }
+}
+
+/// Blocks whose exponent spread cycles through 2, 14, 24 and 40
+/// binades, so neighbouring blocks of the adaptive store take different
+/// bit lengths.
+fn spread_wave(n: usize, seed: usize) -> Vec<f64> {
+    const SPREADS: [usize; 4] = [2, 14, 24, 40];
+    (0..n)
+        .map(|i| {
+            let spread = SPREADS[(i / 32 + seed) % 4];
+            let x = ((i + 31 * seed) as f64 * 0.37).sin() + 1.1;
+            x * f64::powi(2.0, -(((i % 32) * spread / 31) as i32))
+        })
+        .collect()
+}
+
+#[test]
+fn adaptive_fused_ortho_bit_identical_across_threads() {
+    let mut basis = Basis::<Frsz2AdaptiveStore>::new(N, K);
+    for j in 0..K {
+        basis.write(j, &spread_wave(N, j));
+    }
+    let ls = basis.store().column_bit_lengths(0);
+    assert!(ls.iter().any(|&l| l != ls[0]), "lengths vary");
+    check_store(&basis, "frsz2_ab");
 }
 
 #[test]

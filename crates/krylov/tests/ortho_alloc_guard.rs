@@ -2,12 +2,12 @@
 //! (its own test binary: the counting allocator is process-global, so
 //! no other test may run concurrently in the same process).
 //!
-//! Satellite of the `Basis::dots` partial-buffer bugfix: the old
-//! reduction built a `Vec<Vec<f64>>` (`n_chunks` inner allocations) on
-//! **every** orthogonalization call — twice per GMRES iteration with
-//! re-orthogonalization. With the flat scratch threaded through the
-//! workspace and the fused tile-free store kernels, a steady-state
-//! `dots_with` + `axpys` sweep must not touch the heap at all.
+//! An earlier reduction built a `Vec<Vec<f64>>` (`n_chunks` inner
+//! allocations) on **every** orthogonalization call. With the flat
+//! scratch threaded through the workspace and the fused store kernels,
+//! a steady-state iteration of the scalar cycle — `dots_with`, the
+//! fused update-then-project `axpys_dots_with`, and the DGKS `axpys` —
+//! must not touch the heap at all.
 //!
 //! The guard runs under a 1-thread pool: at a single thread the
 //! vendored rayon executes task bodies inline with no per-op result
@@ -55,6 +55,7 @@ fn orthogonalization_loop_is_allocation_free_after_warmup() {
         basis.write(j, &v);
     }
     let mut h = vec![0.0; k];
+    let mut u = vec![0.0; k];
     let mut neg = vec![0.0; k];
     let mut scratch = Vec::new();
     let mut wv = w.clone();
@@ -67,24 +68,27 @@ fn orthogonalization_loop_is_allocation_free_after_warmup() {
         // Warmup: grows the scratch to its high-water mark (the one
         // allowed allocation, mirroring `Workspace::new`'s presizing).
         basis.dots_with(k, &w, &mut h, &mut scratch);
+        basis.axpys_dots_with(k, &neg, &mut wv, &mut u, &mut scratch);
         basis.axpys(k, &neg, &mut wv);
 
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        // Steady state: the step-5 shape of a restart cycle — dots,
-        // negate, axpys — for growing column counts, twice per
-        // "iteration" like a DGKS re-orthogonalization pass. The
+        // Steady state: one scalar-cycle iteration with a DGKS pass —
+        // dots, negate, the fused update that also projects, negate
+        // that projection, axpys — for growing column counts. The
         // coefficients are scaled down so the synthetic (non-
         // orthonormal) basis cannot blow `w` up over the iterations;
         // the kernel call sequence is what matters here.
         for _iter in 0..10 {
             for cols in 1..=k {
-                for _pass in 0..2 {
-                    basis.dots_with(cols, &wv, &mut h, &mut scratch);
-                    for i in 0..cols {
-                        neg[i] = -1e-6 * h[i];
-                    }
-                    basis.axpys(cols, &neg, &mut wv);
+                basis.dots_with(cols, &wv, &mut h, &mut scratch);
+                for i in 0..cols {
+                    neg[i] = -1e-6 * h[i];
                 }
+                basis.axpys_dots_with(cols, &neg, &mut wv, &mut u, &mut scratch);
+                for i in 0..cols {
+                    neg[i] = -1e-6 * u[i];
+                }
+                basis.axpys(cols, &neg, &mut wv);
             }
         }
         let after = ALLOCATIONS.load(Ordering::Relaxed);

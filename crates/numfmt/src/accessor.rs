@@ -210,6 +210,33 @@ pub trait ColumnStorage: Send + Sync {
         }
     }
 
+    /// Fused update-then-project: `w[i] += Σ_j alphas[j] ·
+    /// column_j[row_start + i]` for every `j < k`, then `out[j] = Σ_i
+    /// column_j[row_start + i] · w[i]` on the **updated** `w` — the
+    /// Gram-Schmidt projection update and the DGKS re-projection that
+    /// follows it, over one row chunk.
+    ///
+    /// The default runs [`ColumnStorage::gemv_chunk`] and then
+    /// [`ColumnStorage::dots_chunk`] on the same chunk; block formats
+    /// override so each stored block is decoded once for both halves
+    /// instead of twice.
+    ///
+    /// # Bit-identity contract
+    /// `w` must end with the bits [`ColumnStorage::gemv_chunk`] gives
+    /// it, and `out` must hold the bits [`ColumnStorage::dots_chunk`]
+    /// then computes from that `w`.
+    fn gemv_dots_chunk(
+        &self,
+        k: usize,
+        row_start: usize,
+        alphas: &[f64],
+        w: &mut [f64],
+        out: &mut [f64],
+    ) {
+        self.gemv_chunk(k, row_start, alphas, w);
+        self.dots_chunk(k, row_start, w, out);
+    }
+
     /// Multi-RHS fused dot products:
     /// `out[j·nw + t] = Σ_i column_j[row_start + i] · ws[i·nw + t]` for
     /// every `j < k`, `t < nw` — the block-Arnoldi projection
@@ -322,8 +349,11 @@ pub trait ColumnStorage: Send + Sync {
     fn format_name(&self) -> String;
 }
 
-/// Boxed storage is itself storage: every method delegates to the
-/// contained object. This is what makes runtime format selection
+/// Boxed storage is itself storage: every method but the two multi-RHS
+/// kernels ([`ColumnStorage::dots_many_chunk`],
+/// [`ColumnStorage::gemv_many_chunk`]) delegates to the contained
+/// object; those two run the trait's per-tile defaults over the
+/// forwarded `read_chunk`. This is what makes runtime format selection
 /// possible — a `krylov::basis_format` factory hands the solver a
 /// `Box<dyn ColumnStorage>` and the generic solve path runs unchanged
 /// (the same pattern as `spla::FormatChoice::build` returning
@@ -388,6 +418,18 @@ impl ColumnStorage for Box<dyn ColumnStorage> {
     #[inline]
     fn gemv_chunk(&self, k: usize, row_start: usize, alphas: &[f64], w: &mut [f64]) {
         (**self).gemv_chunk(k, row_start, alphas, w)
+    }
+
+    #[inline]
+    fn gemv_dots_chunk(
+        &self,
+        k: usize,
+        row_start: usize,
+        alphas: &[f64],
+        w: &mut [f64],
+        out: &mut [f64],
+    ) {
+        (**self).gemv_dots_chunk(k, row_start, alphas, w, out)
     }
 
     fn column_bytes(&self) -> usize {
@@ -635,6 +677,161 @@ mod tests {
         for (a, o) in acc.iter().zip(&out) {
             assert_eq!(*a, 2.0 * o);
         }
+    }
+
+    /// A store that logs which of its own methods ran. Each method
+    /// answers without calling another, so the log names exactly the
+    /// implementations a call reached.
+    struct CountingStore {
+        log: std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>,
+    }
+
+    impl CountingStore {
+        fn note(&self, method: &'static str) {
+            self.log.lock().unwrap().push(method);
+        }
+    }
+
+    impl ColumnStorage for CountingStore {
+        fn with_shape(_rows: usize, _cols: usize) -> Self {
+            unreachable!("built directly")
+        }
+        fn rows(&self) -> usize {
+            self.note("rows");
+            4
+        }
+        fn cols(&self) -> usize {
+            self.note("cols");
+            2
+        }
+        fn write_column(&mut self, _j: usize, _data: &[f64]) {
+            self.note("write_column");
+        }
+        fn read_chunk(&self, _j: usize, _row_start: usize, _out: &mut [f64]) {
+            self.note("read_chunk");
+        }
+        fn read_column(&self, _j: usize, _out: &mut [f64]) {
+            self.note("read_column");
+        }
+        fn load(&self, _i: usize, _j: usize) -> f64 {
+            self.note("load");
+            0.0
+        }
+        fn chunk_align(&self) -> usize {
+            self.note("chunk_align");
+            1
+        }
+        fn dot_chunk(&self, _j: usize, _row_start: usize, _w: &[f64]) -> f64 {
+            self.note("dot_chunk");
+            0.0
+        }
+        fn axpy_chunk(&self, _j: usize, _row_start: usize, _alpha: f64, _w: &mut [f64]) {
+            self.note("axpy_chunk");
+        }
+        fn dots_chunk(&self, _k: usize, _row_start: usize, _w: &[f64], _out: &mut [f64]) {
+            self.note("dots_chunk");
+        }
+        fn gemv_chunk(&self, _k: usize, _row_start: usize, _alphas: &[f64], _w: &mut [f64]) {
+            self.note("gemv_chunk");
+        }
+        fn gemv_dots_chunk(
+            &self,
+            _k: usize,
+            _row_start: usize,
+            _alphas: &[f64],
+            _w: &mut [f64],
+            _out: &mut [f64],
+        ) {
+            self.note("gemv_dots_chunk");
+        }
+        fn dots_many_chunk(
+            &self,
+            _k: usize,
+            _row_start: usize,
+            _ws: &[f64],
+            _nw: usize,
+            _out: &mut [f64],
+        ) {
+            self.note("dots_many_chunk");
+        }
+        fn gemv_many_chunk(
+            &self,
+            _k: usize,
+            _row_start: usize,
+            _alphas: &[f64],
+            _nw: usize,
+            _ws: &mut [f64],
+        ) {
+            self.note("gemv_many_chunk");
+        }
+        fn column_bytes(&self) -> usize {
+            self.note("column_bytes");
+            0
+        }
+        fn bits_per_value(&self) -> f64 {
+            self.note("bits_per_value");
+            0.0
+        }
+        fn format_name(&self) -> String {
+            self.note("format_name");
+            String::new()
+        }
+    }
+
+    /// `Box<dyn ColumnStorage>` hands each forwarded method to the inner
+    /// store's own implementation. Results cannot show this (a trait
+    /// default gives the same bits as the override it bypasses), so the
+    /// inner store logs what reached it. The two multi-RHS kernels are
+    /// the known exception: the box runs their trait defaults, which
+    /// reach the inner store only through `read_chunk`.
+    #[test]
+    fn boxed_storage_forwards_every_method_to_the_inner_store() {
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut st: Box<dyn ColumnStorage> = Box::new(CountingStore { log: log.clone() });
+        let take = || std::mem::take(&mut *log.lock().unwrap());
+        let (w, mut buf, mut out) = ([1.0; 4], [0.0; 4], [0.0; 2]);
+        for method in [
+            "rows",
+            "cols",
+            "write_column",
+            "read_chunk",
+            "read_column",
+            "load",
+            "chunk_align",
+            "dot_chunk",
+            "axpy_chunk",
+            "dots_chunk",
+            "gemv_chunk",
+            "gemv_dots_chunk",
+            "column_bytes",
+            "bits_per_value",
+            "format_name",
+        ] {
+            match method {
+                "rows" => _ = st.rows(),
+                "cols" => _ = st.cols(),
+                "write_column" => st.write_column(0, &w),
+                "read_chunk" => st.read_chunk(0, 0, &mut buf),
+                "read_column" => st.read_column(0, &mut buf),
+                "load" => _ = st.load(0, 0),
+                "chunk_align" => _ = st.chunk_align(),
+                "dot_chunk" => _ = st.dot_chunk(0, 0, &w),
+                "axpy_chunk" => st.axpy_chunk(0, 0, 1.0, &mut buf),
+                "dots_chunk" => st.dots_chunk(2, 0, &w, &mut out),
+                "gemv_chunk" => st.gemv_chunk(2, 0, &[1.0; 2], &mut buf),
+                "gemv_dots_chunk" => st.gemv_dots_chunk(2, 0, &[1.0; 2], &mut buf, &mut out),
+                "column_bytes" => _ = st.column_bytes(),
+                "bits_per_value" => _ = st.bits_per_value(),
+                "format_name" => _ = st.format_name(),
+                _ => unreachable!(),
+            }
+            assert_eq!(take(), [method], "Box<dyn ColumnStorage>::{method}");
+        }
+        let mut many = [0.0; 8];
+        st.dots_many_chunk(2, 0, &[1.0; 8], 2, &mut many);
+        st.gemv_many_chunk(2, 0, &[1.0; 4], 2, &mut many);
+        let reached = take();
+        assert!(!reached.is_empty() && reached.iter().all(|&m| m == "read_chunk"));
     }
 
     #[test]
