@@ -62,7 +62,6 @@ pub fn solve(
     let run = |plan| {
         krylov::solve(a, b, x0, precond, plan, SolveHooks::default())
             .expect("a solve without a checkpoint cannot mismatch one")
-            .result
     };
     Some(match PRESETS.iter().find(|(n, _)| *n == name) {
         Some((_, preset)) => run(SolvePlan::Adaptive(&preset(opts.clone()))),

@@ -631,7 +631,7 @@ fn fault_resume() -> String {
     else {
         panic!("expected DeadlineExceeded");
     };
-    assert_eq!(checkpoint.restarts, 0, "halted at the entry boundary");
+    assert_eq!(checkpoint.stats.restarts, 0, "halted at the entry boundary");
     let bytes = checkpoint.encode();
     assert_eq!(bytes.len(), 1062, "checkpoint encoding size");
     let mut resumed = plain.clone();

@@ -26,8 +26,7 @@
 //! With [`AdaptiveOptions::de_escalate`] the driver is *bidirectional*:
 //! once the explicit residual has shown
 //! [`AdaptiveOptions::de_escalation_cycles`] consecutive healthy
-//! cycles — each improving by at least
-//! [`AdaptiveOptions::de_escalation_drop`] with the implicit estimate
+//! cycles — each improving by at least 10× with the implicit estimate
 //! in agreement — the driver steps **down** one rung, reclaiming basis
 //! bandwidth that a conservative escalation left on the table (the
 //! Aliaga et al. observation in reverse: a residual that is dropping
@@ -38,13 +37,17 @@
 //! or non-qualifying cycle, one rung per boundary) keeps the ladder
 //! from thrashing. Off by default: existing escalation-only schedules
 //! are reproduced bit for bit.
+//!
+//! The ladder's whole trajectory lives in the solve's
+//! [`crate::SolveStats`] (formats per cycle, rung changes each way);
+//! the only state it keeps between cycles is the de-escalation streak,
+//! which a [`SolveCheckpoint`] carries beside the stats.
 
 use crate::basis::Basis;
 use crate::basis_format::{self, BasisFormat};
 use crate::checkpoint::{DriverKind, SolveCheckpoint};
 use crate::gmres::{
-    solve_driver_full, Boundary, ControlledSolve, CyclePolicy, GmresOptions, SolveHooks,
-    SolveResult, SolveStats,
+    solve_driver_full, Boundary, CyclePolicy, GmresOptions, SolveHooks, SolveResult, SolveStats,
 };
 use crate::precond::Preconditioner;
 use numfmt::ColumnStorage;
@@ -60,25 +63,9 @@ pub struct AdaptiveOptions {
     /// `None` starts at the bottom of the escalation ladder
     /// (`frsz2_16`): optimistic storage, evidence-driven escalation.
     pub start_format: Option<String>,
-    /// A cycle is *stagnant* when it improves the explicit residual by
-    /// less than this factor (`previous_rrn / current_rrn <
-    /// min_cycle_improvement`). A healthy restart cycle improves by
-    /// orders of magnitude; at a storage floor the ratio sits near 1.
-    pub min_cycle_improvement: f64,
-    /// A cycle is *lying* when the explicit residual exceeds the last
-    /// implicit estimate by more than this factor — the implicit/
-    /// explicit gap that precedes false convergence.
-    pub max_implicit_explicit_gap: f64,
     /// Enable ladder de-escalation (default `false`, which reproduces
     /// the escalation-only schedule bit for bit).
     pub de_escalate: bool,
-    /// A cycle *qualifies* toward de-escalation when it improves the
-    /// explicit residual by at least this factor
-    /// (`previous_rrn / current_rrn ≥ de_escalation_drop`) while the
-    /// implicit estimate agrees with the explicit residual within
-    /// [`AdaptiveOptions::max_implicit_explicit_gap`] in both
-    /// directions.
-    pub de_escalation_drop: f64,
     /// Consecutive qualifying cycles required before stepping down one
     /// rung (the hysteresis that prevents ladder thrash). The streak
     /// resets on any stagnant or non-qualifying cycle and after every
@@ -91,25 +78,35 @@ impl Default for AdaptiveOptions {
         AdaptiveOptions {
             gmres: GmresOptions::default(),
             start_format: None,
-            min_cycle_improvement: 1.5,
-            max_implicit_explicit_gap: 10.0,
             de_escalate: false,
-            de_escalation_drop: 10.0,
             de_escalation_cycles: 2,
         }
     }
 }
 
-/// Decide whether the just-finished cycle stagnated. Pure function of
-/// deterministic residuals — no wall-clock, no randomness — so the
-/// escalation schedule is reproducible bit for bit.
-fn stagnates(
-    opts: &AdaptiveOptions,
-    prev_explicit: f64,
-    explicit: f64,
-    last_implicit: Option<f64>,
-) -> bool {
-    let (gap, target) = (opts.max_implicit_explicit_gap, opts.gmres.target_rrn);
+/// A cycle is *stagnant* when it improves the explicit residual by
+/// less than this factor (`previous_rrn / current_rrn`). A healthy
+/// restart cycle improves by orders of magnitude; at a storage floor
+/// the ratio sits near 1.
+const MIN_CYCLE_IMPROVEMENT: f64 = 1.5;
+
+/// A cycle is *lying* when the explicit residual exceeds the last
+/// implicit estimate by more than this factor — the implicit/explicit
+/// gap that precedes false convergence.
+const MAX_IMPLICIT_EXPLICIT_GAP: f64 = 10.0;
+
+/// A cycle *qualifies* toward de-escalation when it improves the
+/// explicit residual by at least this factor while the implicit
+/// estimate agrees with it within [`MAX_IMPLICIT_EXPLICIT_GAP`] in
+/// both directions.
+const DE_ESCALATION_DROP: f64 = 10.0;
+
+/// Decide whether the just-finished cycle stagnated against the
+/// stopping `target`. Pure function of deterministic residuals — no
+/// wall-clock, no randomness — so the escalation schedule is
+/// reproducible bit for bit.
+fn stagnates(target: f64, prev_explicit: f64, explicit: f64, last_implicit: Option<f64>) -> bool {
+    let gap = MAX_IMPLICIT_EXPLICIT_GAP;
     let lying = last_implicit.is_some_and(|implicit| {
         // False convergence: the implicit estimate claimed the target
         // but the explicit residual missed it by more than the allowed
@@ -121,7 +118,7 @@ fn stagnates(
             || (implicit > 0.0 && explicit > gap * implicit)
     });
     // Flat cycle: the explicit residual barely improved.
-    lying || (explicit > 0.0 && prev_explicit / explicit < opts.min_cycle_improvement)
+    lying || (explicit > 0.0 && prev_explicit / explicit < MIN_CYCLE_IMPROVEMENT)
 }
 
 /// Decide whether the just-finished cycle *qualifies* toward
@@ -131,17 +128,12 @@ fn stagnates(
 /// explicit residual is the stagnation signature, not health; one far
 /// above it means the cycle's own arithmetic is suspect). Pure and
 /// deterministic, like [`stagnates`].
-fn qualifies_for_de_escalation(
-    opts: &AdaptiveOptions,
-    prev_explicit: f64,
-    explicit: f64,
-    last_implicit: Option<f64>,
-) -> bool {
-    let gap = opts.max_implicit_explicit_gap;
+fn qualifies_for_de_escalation(prev: f64, explicit: f64, last_implicit: Option<f64>) -> bool {
+    let gap = MAX_IMPLICIT_EXPLICIT_GAP;
     let agrees = last_implicit.is_some_and(|implicit| {
         implicit > 0.0 && explicit <= gap * implicit && implicit <= gap * explicit
     });
-    agrees && explicit > 0.0 && prev_explicit / explicit >= opts.de_escalation_drop
+    agrees && explicit > 0.0 && prev / explicit >= DE_ESCALATION_DROP
 }
 
 /// The adaptive cycle policy: the scalar cycle, plus a rung decision
@@ -185,7 +177,7 @@ impl CyclePolicy<Box<dyn ColumnStorage>> for Ladder<'_> {
         };
         let opts = self.opts;
         let (rrn, implicit) = (boundary.explicit_rrn, boundary.last_implicit_rrn);
-        if stagnates(opts, prev, rrn, implicit) {
+        if stagnates(opts.gmres.target_rrn, prev, rrn, implicit) {
             self.streak = 0;
             // Already at the top: nothing stronger to switch to; keep
             // iterating toward max_iters honestly.
@@ -194,7 +186,7 @@ impl CyclePolicy<Box<dyn ColumnStorage>> for Ladder<'_> {
                 stats.escalations += 1;
             }
         } else if opts.de_escalate {
-            if !qualifies_for_de_escalation(opts, prev, rrn, implicit) {
+            if !qualifies_for_de_escalation(prev, rrn, implicit) {
                 self.streak = 0;
                 return;
             }
@@ -243,7 +235,7 @@ pub fn adaptive_gmres<P: Preconditioner, A: SparseMatrix + ?Sized>(
     opts: &AdaptiveOptions,
     precond: &P,
 ) -> SolveResult {
-    adaptive_driver(a, b, x0, opts, precond, SolveHooks::default()).result
+    adaptive_driver(a, b, x0, opts, precond, SolveHooks::default())
 }
 
 /// [`adaptive_gmres`] under `hooks` (the [`crate::SolvePlan::Adaptive`]
@@ -257,13 +249,10 @@ pub(crate) fn adaptive_driver<P: Preconditioner, A: SparseMatrix + ?Sized>(
     opts: &AdaptiveOptions,
     precond: &P,
     hooks: SolveHooks<'_>,
-) -> ControlledSolve {
-    assert!(opts.min_cycle_improvement >= 1.0);
-    assert!(opts.max_implicit_explicit_gap >= 1.0);
-    assert!(opts.de_escalation_drop >= 1.0);
+) -> SolveResult {
     assert!(opts.de_escalation_cycles >= 1);
     let start = match (hooks.resume, &opts.start_format) {
-        (Some(cp), _) => cp.format.as_str(),
+        (Some(cp), _) => cp.stats.format.as_str(),
         (None, Some(name)) => name.as_str(),
         (None, None) => basis_format::ESCALATION_LADDER[0],
     };
@@ -406,20 +395,16 @@ mod tests {
 
     #[test]
     fn qualifying_rule_needs_drop_and_two_sided_agreement() {
-        let opts = AdaptiveOptions {
-            de_escalate: true,
-            ..AdaptiveOptions::default()
-        };
         // 100× drop, implicit within the gap: qualifies.
-        assert!(qualifies_for_de_escalation(&opts, 1e-2, 1e-4, Some(2e-4)));
+        assert!(qualifies_for_de_escalation(1e-2, 1e-4, Some(2e-4)));
         // Drop below the hysteresis factor: no.
-        assert!(!qualifies_for_de_escalation(&opts, 1e-2, 2e-3, Some(2e-3)));
+        assert!(!qualifies_for_de_escalation(1e-2, 2e-3, Some(2e-3)));
         // Implicit far below explicit (stagnation signature): no.
-        assert!(!qualifies_for_de_escalation(&opts, 1e-2, 1e-4, Some(1e-7)));
+        assert!(!qualifies_for_de_escalation(1e-2, 1e-4, Some(1e-7)));
         // Implicit far above explicit: no.
-        assert!(!qualifies_for_de_escalation(&opts, 1e-2, 1e-4, Some(1e-1)));
+        assert!(!qualifies_for_de_escalation(1e-2, 1e-4, Some(1e-1)));
         // No implicit point at all: no.
-        assert!(!qualifies_for_de_escalation(&opts, 1e-2, 1e-4, None));
+        assert!(!qualifies_for_de_escalation(1e-2, 1e-4, None));
     }
 
     /// A solve forced to start at `float64` on a smooth operator drops

@@ -84,7 +84,7 @@ use crate::basis_format::BasisFormat;
 use crate::diagnostics::{history_summary, HistorySummary};
 use crate::gmres::{
     boundary_bookkeeping, givens, solve_driver_full, BoundaryDecision, CycleEvent, GmresOptions,
-    HistoryPoint, Scalar, SolveHooks, SolveStats,
+    HistoryPoint, Scalar, SolveHooks, SolveStats, REORTH_ETA,
 };
 use crate::panel::{charge, gather_col, pack_interleaved, scatter_col, Panel};
 use crate::precond::Preconditioner;
@@ -266,7 +266,7 @@ fn block_solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Si
             observe: Some(&mut observe),
             ..SolveHooks::default()
         };
-        let r = solve_driver_full(a, &bs[0], x0, opts, precond, basis, &mut Scalar, hooks).result;
+        let r = solve_driver_full(a, &bs[0], x0, opts, precond, basis, &mut Scalar, hooks);
         let operator_sweeps = r.stats.spmv_count;
         return BlockSolveResult {
             solutions: vec![r.x],
@@ -374,17 +374,7 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
                 }
                 BoundaryDecision::Continue => {}
             }
-            on_event(
-                k,
-                CycleEvent {
-                    cycle: lane.stats.restarts,
-                    iterations: lane.stats.iterations,
-                    explicit_rrn: rrn,
-                    format: format.clone(),
-                    basis_bytes_read: lane.stats.basis_bytes_read,
-                    basis_bytes_written: lane.stats.basis_bytes_written,
-                },
-            );
+            on_event(k, CycleEvent::of(&lane.stats));
             lane.stats.format_trajectory.push(format.clone());
         }
 
@@ -461,7 +451,7 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
             // Stage 1: ONE decode sweep pair of all q0 shared columns
             // serves every new vector (plus the panel-wide DGKS pair).
             // Each RHS is charged its share: its own j + 1 columns.
-            let pairs = panel.project(&basis, q0, wa, opts.reorth_eta);
+            let pairs = panel.project(&basis, q0, wa, REORTH_ETA);
             for s in 0..wa {
                 if !frozen[s] {
                     let st = &mut lanes[act[s]].stats;

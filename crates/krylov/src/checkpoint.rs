@@ -1,27 +1,30 @@
 //! Restart-boundary solver checkpoints: capture, serialize, resume.
 //!
 //! CB-GMRES recomputes the true residual `b − Ax` at every restart
-//! boundary and rebuilds the Krylov basis from it, so the complete
-//! resumable state of a solve at a boundary is tiny: the iterate `x`,
-//! the explicit residual just measured, the per-cycle bookkeeping
-//! (counters, format trajectory, residual history), and — for the
-//! adaptive and s-step drivers — their rung/panel state. A
-//! [`SolveCheckpoint`] freezes exactly that state at the seam between
-//! `boundary_bookkeeping` and the next `run_cycle`; resuming replays
-//! the residual recomputation and drops straight back into the cycle
-//! loop, **bit-identically** to the uninterrupted solve (the same
-//! contract every kernel in this workspace honors for thread counts
-//! and storage formats).
+//! boundary and rebuilds the Krylov basis from it, so at a boundary a
+//! solve is fully described by its iterate, its [`SolveStats`] record
+//! (counters, the explicit residual just measured, the format and
+//! s-step trajectories) and its residual history. A [`SolveCheckpoint`]
+//! is that record plus the two fields of policy state the adaptive and
+//! s-step drivers keep between cycles, frozen at the seam between
+//! `boundary_bookkeeping` and the next `run_cycle`. Capture clones the
+//! record and resume restores it; resuming replays the residual
+//! recomputation and drops straight back into the cycle loop,
+//! **bit-identically** to the uninterrupted solve (the same contract
+//! every kernel in this workspace honors for thread counts and storage
+//! formats).
 //!
 //! Checkpoints serialize to one compact versioned byte format
 //! ([`SolveCheckpoint::encode`]): LEB128 varints and length-prefixed
 //! lists, sealed by an FNV-1a checksum that turns torn or corrupted
 //! blobs into typed [`CheckpointError`]s instead of silent garbage. The
 //! checksum catches accidents, not forgery, so the decoder never sizes
-//! an allocation from a length the remaining bytes cannot hold.
+//! an allocation from a length the remaining bytes cannot hold, and
+//! [`SolveCheckpoint::check_resume`] refuses state no solve of the
+//! plan can have captured.
 
 use crate::basis_format;
-use crate::gmres::{HistoryPoint, SolvePlan};
+use crate::gmres::{HistoryPoint, SolvePlan, SolveStats};
 use crate::sstep::gated_width;
 use numfmt::ColumnStorage;
 
@@ -64,53 +67,29 @@ impl DriverKind {
 pub enum SolveControl {
     /// Run the next restart cycle.
     Continue,
-    /// Stop before the next cycle; the driver reports `halted = true`.
+    /// Stop before the next cycle; the solve reports
+    /// [`SolveStats::halted`].
     Halt,
 }
 
 /// The complete resumable state of a solve at a restart boundary.
 ///
 /// Captured after the boundary's explicit-residual bookkeeping and the
-/// driver's format decision, but before the cycle runs: `format` is
-/// the format the *next* cycle will use, `format_trajectory` lists
+/// driver's format decision, but before the cycle runs: `stats.format`
+/// is the format the *next* cycle will use, `stats.final_rrn` the
+/// explicit residual measured at the boundary, the trajectories list
 /// only completed cycles, and `history` ends with this boundary's
-/// explicit point. The `qualifying_streak` field is meaningful only
-/// for [`DriverKind::Adaptive`]; `s_cur`, `loo_breaches`,
-/// `s_per_cycle`, and `loo_per_cycle` only for [`DriverKind::SStep`].
+/// explicit point. `stats.converged`, `stats.halted`,
+/// `stats.wall_time` and `stats.basis_bits_per_value` are never set at
+/// a boundary and are not serialized.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveCheckpoint {
     /// Driver that captured this checkpoint (resume must match).
     pub driver: DriverKind,
-    /// Basis format the next cycle will run in.
-    pub format: String,
     /// The iterate at the boundary.
     pub x: Vec<f64>,
-    /// Explicit relative residual norm measured at the boundary.
-    pub explicit_rrn: f64,
-    /// Arnoldi iterations completed so far.
-    pub iterations: usize,
-    /// Restart cycles completed so far.
-    pub restarts: usize,
-    /// DGKS re-orthogonalization passes so far.
-    pub reorthogonalizations: usize,
-    /// Breakdown events so far.
-    pub breakdowns: usize,
-    /// Adaptive-ladder escalations so far.
-    pub escalations: usize,
-    /// Adaptive-ladder de-escalations so far.
-    pub de_escalations: usize,
-    /// Operator applications so far.
-    pub spmv_count: u64,
-    /// Compressed-basis bytes decoded so far.
-    pub basis_bytes_read: u64,
-    /// Compressed-basis bytes written so far.
-    pub basis_bytes_written: u64,
-    /// Fused dot sweeps over the basis so far.
-    pub basis_dot_sweeps: u64,
-    /// Fused gemv sweeps over the basis so far.
-    pub basis_gemv_sweeps: u64,
-    /// Format of every completed cycle.
-    pub format_trajectory: Vec<String>,
+    /// The solve's record at the boundary.
+    pub stats: SolveStats,
     /// Residual history up to and including this boundary's explicit
     /// point.
     pub history: Vec<HistoryPoint>,
@@ -119,13 +98,6 @@ pub struct SolveCheckpoint {
     pub qualifying_streak: usize,
     /// S-step driver: panel width the next cycle will use.
     pub s_cur: usize,
-    /// S-step driver: loss-of-orthogonality budget breaches so far.
-    pub loo_breaches: usize,
-    /// S-step driver: panel width of every completed cycle.
-    pub s_per_cycle: Vec<usize>,
-    /// S-step driver: measured loss of orthogonality per completed
-    /// cycle (only cycles with `s > 1` are measured).
-    pub loo_per_cycle: Vec<f64>,
 }
 
 impl Default for SolveCheckpoint {
@@ -134,27 +106,11 @@ impl Default for SolveCheckpoint {
     fn default() -> Self {
         SolveCheckpoint {
             driver: DriverKind::Scalar,
-            format: String::new(),
             x: Vec::new(),
-            explicit_rrn: 0.0,
-            iterations: 0,
-            restarts: 0,
-            reorthogonalizations: 0,
-            breakdowns: 0,
-            escalations: 0,
-            de_escalations: 0,
-            spmv_count: 0,
-            basis_bytes_read: 0,
-            basis_bytes_written: 0,
-            basis_dot_sweeps: 0,
-            basis_gemv_sweeps: 0,
-            format_trajectory: Vec::new(),
+            stats: SolveStats::default(),
             history: Vec::new(),
             qualifying_streak: 0,
             s_cur: 1,
-            loo_breaches: 0,
-            s_per_cycle: Vec::new(),
-            loo_per_cycle: Vec::new(),
         }
     }
 }
@@ -176,8 +132,8 @@ pub enum CheckpointError {
     /// The checkpoint cannot resume the solve it was handed to (see
     /// [`SolveCheckpoint::check_resume`]).
     Mismatch {
-        /// What differs: `"dimension"`, `"driver"`, `"format"`, or
-        /// `"panel width"`.
+        /// What differs: `"dimension"`, `"driver"`, `"format"`,
+        /// `"panel width"`, `"outcome"`, or `"counters"`.
         field: &'static str,
         /// What the resuming solve needs.
         expected: String,
@@ -325,9 +281,15 @@ impl SolveCheckpoint {
     /// system: same dimension, same driver, and the basis format the
     /// plan runs — for the adaptive driver, which resumes at the
     /// checkpointed rung, any registered format; for the s-step driver
-    /// also a panel width the plan admits. [`crate::solve`] runs this
-    /// before any work, so a foreign checkpoint is a typed
-    /// [`CheckpointError::Mismatch`] instead of a panic mid-solve.
+    /// also a panel width the plan admits. Its state must be one a solve
+    /// of the plan can capture: no outcome (`converged`, `halted`) yet,
+    /// one format (and, for s-step, one panel width) per completed
+    /// cycle, an adaptive streak below its trigger, and every counter
+    /// below 2⁶² (no solve streams 4.6 EB, and the resumed solve keeps
+    /// 2⁶² of headroom before an overflow).
+    /// [`crate::solve`] runs this before any work, so a foreign or
+    /// forged checkpoint is a typed [`CheckpointError::Mismatch`]
+    /// instead of a panic mid-solve.
     pub fn check_resume(&self, rows: usize, plan: &SolvePlan<'_>) -> Result<(), CheckpointError> {
         let mismatch = |field, expected: String, found: String| {
             Err(CheckpointError::Mismatch {
@@ -346,20 +308,23 @@ impl SolveCheckpoint {
                 format!("{:?}", self.driver),
             );
         }
-        let format = match *plan {
-            SolvePlan::Fixed(format, _) | SolvePlan::SStep(format, _) => format,
-            SolvePlan::Adaptive(_) if basis_format::by_name(&self.format).is_none() => {
+        let st = &self.stats;
+        match *plan {
+            SolvePlan::Adaptive(_) if basis_format::by_name(&st.format).is_none() => {
                 let expected = "a registered basis format".to_string();
-                return mismatch("format", expected, self.format.clone());
+                return mismatch("format", expected, st.format.clone());
             }
-            SolvePlan::Adaptive(_) => return Ok(()),
-        };
-        // A checkpoint records the live store's name, which for a codec
-        // store spells out the codec's parameters; a 1 × 1 store of the
-        // plan's format names itself the same way.
-        let name = format.create(1, 1).format_name();
-        if self.format != name {
-            return mismatch("format", name, self.format.clone());
+            SolvePlan::Adaptive(_) => {}
+            SolvePlan::Fixed(format, _) | SolvePlan::SStep(format, _) => {
+                // A checkpoint records the live store's name, which for
+                // a codec store spells out the codec's parameters; a
+                // 1 × 1 store of the plan's format names itself the
+                // same way.
+                let name = format.create(1, 1).format_name();
+                if st.format != name {
+                    return mismatch("format", name, st.format.clone());
+                }
+            }
         }
         if let SolvePlan::SStep(format, sopts) = *plan {
             let gated = gated_width(format, sopts);
@@ -371,53 +336,83 @@ impl SolveCheckpoint {
                 );
             }
         }
-        Ok(())
+        // A boundary has no outcome yet: the resumed solve would report
+        // a claimed one without the explicit residual deciding it.
+        if st.converged || st.halted {
+            return mismatch("outcome", "an open solve".into(), "a finished one".into());
+        }
+        // Every cycle pushes its format (an s-step cycle also its panel
+        // width), and decode bounds each list by the payload.
+        let (cycles, widths) = (st.format_trajectory.len(), st.s_per_cycle.len());
+        if st.restarts != cycles || (matches!(plan, SolvePlan::SStep(..)) && widths != cycles) {
+            let found = format!("{} restarts, {widths} panel widths", st.restarts);
+            return mismatch("counters", format!("{cycles} restarts"), found);
+        }
+        if let SolvePlan::Adaptive(opts) = plan {
+            // The streak resets on reaching its trigger, so a captured
+            // one is always below it.
+            if self.qualifying_streak >= opts.de_escalation_cycles {
+                let expected = format!("a streak below {}", opts.de_escalation_cycles);
+                return mismatch("counters", expected, self.qualifying_streak.to_string());
+            }
+        }
+        match self.counters().into_iter().find(|&v| v >= 1 << 62) {
+            Some(v) => mismatch("counters", "counters below 2^62".into(), v.to_string()),
+            None => Ok(()),
+        }
+    }
+
+    /// The counters in their encoded order.
+    fn counters(&self) -> [u64; 14] {
+        let st = &self.stats;
+        [
+            st.iterations as u64,
+            st.restarts as u64,
+            st.reorthogonalizations as u64,
+            st.breakdowns as u64,
+            st.escalations as u64,
+            st.de_escalations as u64,
+            st.spmv_count,
+            st.basis_bytes_read,
+            st.basis_bytes_written,
+            st.basis_dot_sweeps,
+            st.basis_gemv_sweeps,
+            self.qualifying_streak as u64,
+            self.s_cur as u64,
+            st.loo_breaches as u64,
+        ]
     }
 
     /// Serialize to the compact versioned byte format.
     pub fn encode(&self) -> Vec<u8> {
+        let st = &self.stats;
         let mut out = Vec::with_capacity(64 + 9 * self.x.len() / 8);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         out.push(self.driver.to_u8());
-        put_str(&mut out, &self.format);
-        put_f64(&mut out, self.explicit_rrn);
-        for v in [
-            self.iterations as u64,
-            self.restarts as u64,
-            self.reorthogonalizations as u64,
-            self.breakdowns as u64,
-            self.escalations as u64,
-            self.de_escalations as u64,
-            self.spmv_count,
-            self.basis_bytes_read,
-            self.basis_bytes_written,
-            self.basis_dot_sweeps,
-            self.basis_gemv_sweeps,
-            self.qualifying_streak as u64,
-            self.s_cur as u64,
-            self.loo_breaches as u64,
-        ] {
+        put_str(&mut out, &st.format);
+        put_f64(&mut out, st.final_rrn);
+        for v in self.counters() {
             put_varint(&mut out, v);
         }
         put_list(&mut out, &self.x, |o, x| put_varint(o, x.to_bits()));
-        put_list(&mut out, &self.format_trajectory, |o, s| put_str(o, s));
+        put_list(&mut out, &st.format_trajectory, |o, s| put_str(o, s));
         put_list(&mut out, &self.history, |o, p| {
             put_varint(o, p.iteration as u64);
             put_f64(o, p.rrn);
             o.push(p.explicit as u8);
         });
-        put_list(&mut out, &self.s_per_cycle, |o, &s| put_varint(o, s as u64));
-        put_list(&mut out, &self.loo_per_cycle, |o, &l| put_f64(o, l));
+        put_list(&mut out, &st.s_per_cycle, |o, &s| put_varint(o, s as u64));
+        put_list(&mut out, &st.loo_per_cycle, |o, &l| put_f64(o, l));
         let sum = fnv1a(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
 
-    /// Decode a blob produced by [`SolveCheckpoint::encode`]. The
-    /// version is checked before the checksum, so a blob of another
-    /// version is [`CheckpointError::UnsupportedVersion`] whatever its
-    /// layout.
+    /// Decode a blob produced by [`SolveCheckpoint::encode`]; the
+    /// fields it does not write decode to their defaults. The version
+    /// is checked before the checksum, so a blob of another version is
+    /// [`CheckpointError::UnsupportedVersion`] whatever its layout.
     pub fn decode(bytes: &[u8]) -> Result<SolveCheckpoint, CheckpointError> {
         if bytes.len() < MAGIC.len() + 2 {
             return Err(CheckpointError::Truncated);
@@ -444,7 +439,7 @@ impl SolveCheckpoint {
         let driver = DriverKind::from_u8(cur.u8()?)
             .ok_or(CheckpointError::Malformed("unknown driver kind"))?;
         let format = cur.str()?;
-        let explicit_rrn = cur.f64()?;
+        let final_rrn = cur.f64()?;
         let mut counters = [0u64; 14];
         for c in counters.iter_mut() {
             *c = cur.varint()?;
@@ -481,27 +476,30 @@ impl SolveCheckpoint {
         }
         Ok(SolveCheckpoint {
             driver,
-            format,
             x,
-            explicit_rrn,
-            iterations: counters[0] as usize,
-            restarts: counters[1] as usize,
-            reorthogonalizations: counters[2] as usize,
-            breakdowns: counters[3] as usize,
-            escalations: counters[4] as usize,
-            de_escalations: counters[5] as usize,
-            spmv_count: counters[6],
-            basis_bytes_read: counters[7],
-            basis_bytes_written: counters[8],
-            basis_dot_sweeps: counters[9],
-            basis_gemv_sweeps: counters[10],
+            stats: SolveStats {
+                iterations: counters[0] as usize,
+                restarts: counters[1] as usize,
+                reorthogonalizations: counters[2] as usize,
+                breakdowns: counters[3] as usize,
+                escalations: counters[4] as usize,
+                de_escalations: counters[5] as usize,
+                spmv_count: counters[6],
+                basis_bytes_read: counters[7],
+                basis_bytes_written: counters[8],
+                basis_dot_sweeps: counters[9],
+                basis_gemv_sweeps: counters[10],
+                loo_breaches: counters[13] as usize,
+                format,
+                final_rrn,
+                format_trajectory,
+                s_per_cycle,
+                loo_per_cycle,
+                ..SolveStats::default()
+            },
+            history,
             qualifying_streak: counters[11] as usize,
             s_cur: counters[12] as usize,
-            loo_breaches: counters[13] as usize,
-            format_trajectory,
-            history,
-            s_per_cycle,
-            loo_per_cycle,
         })
     }
 }
@@ -513,21 +511,22 @@ mod tests {
     fn sample(restarts: usize) -> SolveCheckpoint {
         SolveCheckpoint {
             driver: DriverKind::Adaptive,
-            format: "frsz2_21".into(),
             x: (0..97).map(|i| (i as f64 * 0.37).sin() * 1e-3).collect(),
-            explicit_rrn: 3.25e-5,
-            iterations: 40 * restarts,
-            restarts,
-            reorthogonalizations: 3,
-            breakdowns: 0,
-            escalations: 1,
-            de_escalations: 0,
-            spmv_count: 41 * restarts as u64,
-            basis_bytes_read: 123_456,
-            basis_bytes_written: 23_456,
-            basis_dot_sweeps: 40,
-            basis_gemv_sweeps: 40,
-            format_trajectory: (0..restarts).map(|_| "frsz2_21".to_string()).collect(),
+            stats: SolveStats {
+                format: "frsz2_21".into(),
+                final_rrn: 3.25e-5,
+                iterations: 40 * restarts,
+                restarts,
+                reorthogonalizations: 3,
+                escalations: 1,
+                spmv_count: 41 * restarts as u64,
+                basis_bytes_read: 123_456,
+                basis_bytes_written: 23_456,
+                basis_dot_sweeps: 40,
+                basis_gemv_sweeps: 40,
+                format_trajectory: (0..restarts).map(|_| "frsz2_21".to_string()).collect(),
+                ..SolveStats::default()
+            },
             history: (0..=restarts)
                 .map(|i| HistoryPoint {
                     iteration: 40 * i,
@@ -537,9 +536,6 @@ mod tests {
                 .collect(),
             qualifying_streak: 1,
             s_cur: 1,
-            loo_breaches: 0,
-            s_per_cycle: Vec::new(),
-            loo_per_cycle: Vec::new(),
         }
     }
 
@@ -549,6 +545,25 @@ mod tests {
         let blob = cp.encode();
         let back = SolveCheckpoint::decode(&blob).unwrap();
         assert_eq!(cp, back);
+    }
+
+    /// The four fields a boundary never sets are not encoded: they
+    /// decode to their defaults, and every other field round-trips.
+    #[test]
+    fn unencoded_fields_decode_to_their_defaults() {
+        let mut cp = sample(3);
+        cp.stats.s_per_cycle = vec![4, 4, 1];
+        cp.stats.loo_per_cycle = vec![1.5e-9, 2.5e-3];
+        cp.stats.loo_breaches = 1;
+        cp.s_cur = 1;
+        let plain = cp.encode();
+        let mut set = cp.clone();
+        set.stats.converged = true;
+        set.stats.halted = true;
+        set.stats.wall_time = std::time::Duration::from_millis(7);
+        set.stats.basis_bits_per_value = 22.0;
+        assert_eq!(set.encode(), plain, "the four fields change no byte");
+        assert_eq!(SolveCheckpoint::decode(&set.encode()).unwrap(), cp);
     }
 
     #[test]

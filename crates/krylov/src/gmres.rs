@@ -34,8 +34,6 @@ pub struct GmresOptions {
     pub max_iters: usize,
     /// Stopping criterion: `‖b − Ax‖₂ ≤ target_rrn · ‖b‖₂` (Table I).
     pub target_rrn: f64,
-    /// Re-orthogonalization threshold η of Fig. 1 step 7 (DGKS test).
-    pub reorth_eta: f64,
     /// Record the per-iteration residual history (Figs. 5/6/9).
     pub record_history: bool,
     /// Capture the basis vector written at this global iteration, as
@@ -55,7 +53,6 @@ impl Default for GmresOptions {
             restart: 100,
             max_iters: 20_000,
             target_rrn: 1e-12,
-            reorth_eta: std::f64::consts::FRAC_1_SQRT_2,
             record_history: true,
             capture_basis_at: None,
             fault_nan_hessenberg_at: None,
@@ -75,8 +72,10 @@ pub struct HistoryPoint {
     pub explicit: bool,
 }
 
-/// Counters and outcome of a solve.
-#[derive(Clone, Debug, Default)]
+/// Counters and outcome of a solve: the one record of it. A
+/// [`SolveCheckpoint`] carries it, an s-step solve reports its panel
+/// trajectory in it, and each [`CycleEvent`] is read off it.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SolveStats {
     /// Total Arnoldi iterations across all restart cycles.
     pub iterations: usize,
@@ -129,6 +128,18 @@ pub struct SolveStats {
     /// Number of basis-format de-escalations (adaptive solves with
     /// [`crate::AdaptiveOptions::de_escalate`] enabled; 0 otherwise).
     pub de_escalations: usize,
+    /// Panel width of each executed cycle of an s-step solve, in order
+    /// (all `1`s at a gated `s = 1`; empty for the other drivers).
+    pub s_per_cycle: Vec<usize>,
+    /// Measured `max |(QᵀQ − I)_{ab}|` after each s-step cycle of width
+    /// `s > 1`, in order.
+    pub loo_per_cycle: Vec<f64>,
+    /// Loss-of-orthogonality budget breaches (each shrinks `s` to 1).
+    pub loo_breaches: usize,
+    /// `true` when a control probe halted the solve at a boundary
+    /// ([`SolveControl::Halt`]; convergence is decided first, so this
+    /// implies `!converged`).
+    pub halted: bool,
 }
 
 /// Result of [`gmres`].
@@ -235,6 +246,10 @@ pub(crate) struct CycleOutcome {
     pub(crate) last_implicit_rrn: Option<f64>,
 }
 
+/// Re-orthogonalization threshold η of Fig. 1 step 7 (the DGKS test),
+/// also the panel drivers' stage-1 DGKS test.
+pub(crate) const REORTH_ETA: f64 = std::f64::consts::FRAC_1_SQRT_2;
+
 /// Run ONE restart cycle of Fig. 1 (steps 1–17): seed the basis with
 /// the entering residual `ws.r` (unnormalized, `‖ws.r‖ = beta`), build
 /// up to `m` Krylov vectors, and apply the least-squares update to `x`.
@@ -305,7 +320,7 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         // remained, w is numerically in span(V) and the basis cannot
         // grow.
         let mut broke_down = hj1 == 0.0;
-        if !broke_down && hj1 < opts.reorth_eta * omega {
+        if !broke_down && hj1 < REORTH_ETA * omega {
             let before = hj1;
             for i in 0..=j {
                 ws.neg[i] = -ws.u[i];
@@ -319,7 +334,7 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
             stats.basis_gemv_sweeps += 1;
             hj1 = norm2(&ws.w); // step 10
             stats.reorthogonalizations += 1;
-            broke_down = hj1 == 0.0 || hj1 < opts.reorth_eta * before; // step 12
+            broke_down = hj1 == 0.0 || hj1 < REORTH_ETA * before; // step 12
         }
 
         // Fault-injection hook: poison the freshly computed projection
@@ -534,7 +549,6 @@ pub fn gmres_with<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized>
         &mut Scalar,
         SolveHooks::default(),
     )
-    .result
 }
 
 /// One per-cycle telemetry record, emitted at every restart boundary of
@@ -565,6 +579,21 @@ pub struct CycleEvent {
     pub basis_bytes_read: u64,
     /// Basis bytes written to storage so far (compression traffic).
     pub basis_bytes_written: u64,
+}
+
+impl CycleEvent {
+    /// The event of the cycle about to run, read off a solve's record
+    /// at its boundary (after the bookkeeping and any rung change).
+    pub(crate) fn of(stats: &SolveStats) -> CycleEvent {
+        CycleEvent {
+            cycle: stats.restarts,
+            iterations: stats.iterations,
+            explicit_rrn: stats.final_rrn,
+            format: stats.format.clone(),
+            basis_bytes_read: stats.basis_bytes_read,
+            basis_bytes_written: stats.basis_bytes_written,
+        }
+    }
 }
 
 /// Restart-boundary context handed to [`CyclePolicy::at_boundary`],
@@ -631,20 +660,9 @@ pub(crate) fn boundary_bookkeeping(
     BoundaryDecision::Continue
 }
 
-/// A [`SolveResult`] plus whether a boundary control probe halted the
-/// solve before its natural end (converged/terminal states always win
-/// over the probe, so `halted` implies `!stats.converged`).
-#[derive(Clone, Debug)]
-pub struct ControlledSolve {
-    /// The solve outcome up to the halt (or the full outcome).
-    pub result: SolveResult,
-    /// `true` when the control probe returned [`SolveControl::Halt`].
-    pub halted: bool,
-}
-
 /// What varies between the scalar, s-step, and adaptive solves: how
 /// one restart cycle runs, the decision taken at a boundary, and the
-/// state a checkpoint carries on top of the shared counters. Everything
+/// policy state a checkpoint carries beside the [`SolveStats`]. Everything
 /// else — explicit residual, convergence, telemetry, the control probe,
 /// resume replay — is the one loop in [`solve_driver_full`].
 pub(crate) trait CyclePolicy<S: ColumnStorage> {
@@ -682,7 +700,7 @@ pub(crate) trait CyclePolicy<S: ColumnStorage> {
         )
     }
 
-    /// Write the policy's own fields into a captured checkpoint.
+    /// Write the policy's own field into a captured checkpoint.
     fn capture(&self, _cp: &mut SolveCheckpoint) {}
 
     /// Read them back from the checkpoint being resumed.
@@ -711,12 +729,12 @@ impl<S: ColumnStorage> CyclePolicy<S> for Scalar {
 ///
 /// Resuming (the checkpoint already validated by
 /// [`SolveCheckpoint::check_resume`]) replays the capture-time
-/// boundary: the iterate, counters, history, trajectory, and policy
-/// state are restored, the entry residual is recomputed (its spmv was
-/// already counted before capture, so the counter is NOT incremented
-/// again), and the bookkeeping, policy decision, and observer that ran
-/// before capture are skipped. The continuation is bit-identical to
-/// the uninterrupted solve.
+/// boundary: the iterate, the [`SolveStats`] record, the history, and
+/// the policy state are restored, the entry residual is recomputed
+/// (its spmv was already counted before capture, so the counter is NOT
+/// incremented again), and the bookkeeping, policy decision, and
+/// observer that ran before capture are skipped. The continuation is
+/// bit-identical to the uninterrupted solve.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_driver_full<
     S: ColumnStorage,
@@ -732,7 +750,7 @@ pub(crate) fn solve_driver_full<
     mut basis: Basis<S>,
     policy: &mut C,
     mut hooks: SolveHooks<'_>,
-) -> ControlledSolve {
+) -> SolveResult {
     let n = a.rows();
     assert_eq!(a.cols(), n, "GMRES needs a square matrix");
     assert_eq!(b.len(), n);
@@ -752,14 +770,11 @@ pub(crate) fn solve_driver_full<
         stats.converged = true;
         stats.final_rrn = 0.0;
         stats.wall_time = start.elapsed();
-        return ControlledSolve {
-            result: SolveResult {
-                x: vec![0.0; n],
-                stats,
-                history,
-                captured_basis_vector: None,
-            },
-            halted: false,
+        return SolveResult {
+            x: vec![0.0; n],
+            stats,
+            history,
+            captured_basis_vector: None,
         };
     }
 
@@ -770,24 +785,11 @@ pub(crate) fn solve_driver_full<
     let mut replay = false;
     if let Some(cp) = hooks.resume {
         x.copy_from_slice(&cp.x);
-        stats.iterations = cp.iterations;
-        stats.restarts = cp.restarts;
-        stats.reorthogonalizations = cp.reorthogonalizations;
-        stats.breakdowns = cp.breakdowns;
-        stats.escalations = cp.escalations;
-        stats.de_escalations = cp.de_escalations;
-        stats.spmv_count = cp.spmv_count;
-        stats.basis_bytes_read = cp.basis_bytes_read;
-        stats.basis_bytes_written = cp.basis_bytes_written;
-        stats.basis_dot_sweeps = cp.basis_dot_sweeps;
-        stats.basis_gemv_sweeps = cp.basis_gemv_sweeps;
-        stats.format_trajectory = cp.format_trajectory.clone();
-        stats.final_rrn = cp.explicit_rrn;
+        stats = cp.stats.clone();
         history = cp.history.clone();
         policy.restore(cp);
         replay = true;
     }
-    let mut halted = false;
 
     loop {
         // Step 1 / step 18: explicit residual r = b - A x.
@@ -815,41 +817,21 @@ pub(crate) fn solve_driver_full<
             };
             policy.at_boundary(&boundary, &mut basis, &mut stats);
             if let Some(observe) = hooks.observe.as_mut() {
-                observe(&CycleEvent {
-                    cycle: stats.restarts,
-                    iterations: stats.iterations,
-                    explicit_rrn: rrn,
-                    format: basis.format_name(),
-                    basis_bytes_read: stats.basis_bytes_read,
-                    basis_bytes_written: stats.basis_bytes_written,
-                });
+                observe(&CycleEvent::of(&stats));
             }
         }
 
         if let Some(ctrl) = hooks.control.as_mut() {
             let mut cp = SolveCheckpoint {
                 driver: C::DRIVER,
-                format: basis.format_name(),
                 x: x.clone(),
-                explicit_rrn: rrn,
-                iterations: stats.iterations,
-                restarts: stats.restarts,
-                reorthogonalizations: stats.reorthogonalizations,
-                breakdowns: stats.breakdowns,
-                escalations: stats.escalations,
-                de_escalations: stats.de_escalations,
-                spmv_count: stats.spmv_count,
-                basis_bytes_read: stats.basis_bytes_read,
-                basis_bytes_written: stats.basis_bytes_written,
-                basis_dot_sweeps: stats.basis_dot_sweeps,
-                basis_gemv_sweeps: stats.basis_gemv_sweeps,
-                format_trajectory: stats.format_trajectory.clone(),
+                stats: stats.clone(),
                 history: history.clone(),
                 ..SolveCheckpoint::default()
             };
             policy.capture(&mut cp);
             if matches!(ctrl(&cp), SolveControl::Halt) {
-                halted = true;
+                stats.halted = true;
                 break;
             }
         }
@@ -886,14 +868,11 @@ pub(crate) fn solve_driver_full<
         0.0
     };
     stats.wall_time = start.elapsed();
-    ControlledSolve {
-        result: SolveResult {
-            x,
-            stats,
-            history,
-            captured_basis_vector: captured,
-        },
-        halted,
+    SolveResult {
+        x,
+        stats,
+        history,
+        captured_basis_vector: captured,
     }
 }
 
@@ -933,10 +912,11 @@ pub struct SolveHooks<'a> {
     /// the solve.
     pub observe: Option<&'a mut dyn FnMut(&CycleEvent)>,
     /// Control probe: called at every restart boundary with a freshly
-    /// captured [`SolveCheckpoint`]; returning [`SolveControl::Halt`]
-    /// stops the solve there (reported as
-    /// [`ControlledSolve::halted`]). Convergence is decided first, so a
-    /// halt never masks a finished solve.
+    /// captured [`SolveCheckpoint`] (the boundary's [`SolveStats`] plus
+    /// the iterate, history, and policy state); returning
+    /// [`SolveControl::Halt`] stops the solve there, reported as
+    /// [`SolveStats::halted`]. Convergence is decided first, so a halt
+    /// never masks a finished solve.
     pub control: Option<&'a mut dyn FnMut(&SolveCheckpoint) -> SolveControl>,
     /// Continue a previous solve from its checkpoint instead of `x0`.
     pub resume: Option<&'a SolveCheckpoint>,
@@ -967,7 +947,7 @@ pub fn solve<P: Preconditioner, A: SparseMatrix + ?Sized>(
     precond: &P,
     plan: SolvePlan<'_>,
     hooks: SolveHooks<'_>,
-) -> Result<ControlledSolve, CheckpointError> {
+) -> Result<SolveResult, CheckpointError> {
     if let Some(cp) = hooks.resume {
         cp.check_resume(a.rows(), &plan)?;
     }
@@ -977,7 +957,7 @@ pub fn solve<P: Preconditioner, A: SparseMatrix + ?Sized>(
             solve_driver_full(a, b, x0, opts, precond, basis, &mut Scalar, hooks)
         }
         SolvePlan::SStep(format, sopts) => {
-            crate::sstep::sstep_dyn(a, b, x0, sopts, precond, format, hooks).0
+            crate::sstep::sstep_dyn(a, b, x0, sopts, precond, format, hooks)
         }
         SolvePlan::Adaptive(opts) => {
             crate::adaptive::adaptive_driver(a, b, x0, opts, precond, hooks)

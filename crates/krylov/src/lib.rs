@@ -54,7 +54,9 @@
 //! [`solve`] takes a [`SolvePlan`] (`Fixed`, `SStep`, or `Adaptive`,
 //! over the option structs the plain entries already take) and
 //! [`SolveHooks`] — a per-cycle telemetry observer, a boundary control
-//! probe, a checkpoint to resume. Fault tolerance lives in
+//! probe, a checkpoint to resume — and reports into one record,
+//! [`SolveStats`], which checkpoints and cycle events are built from.
+//! Fault tolerance lives in
 //! [`checkpoint`] and [`faults`]: the probe receives a
 //! [`checkpoint::SolveCheckpoint`] at every restart boundary and can
 //! halt there, and a later [`solve`] resumes from it
@@ -86,8 +88,8 @@ pub use checkpoint::{CheckpointError, DriverKind, SolveCheckpoint, SolveControl}
 pub use diagnostics::{history_summary, HistorySummary};
 pub use faults::{BasisBitFlip, FaultInjectingStore, FaultPlan, FaultSpec, FaultyFormat};
 pub use gmres::{
-    gmres, gmres_with, solve, ControlledSolve, CycleEvent, GmresOptions, HistoryPoint, SolveHooks,
-    SolvePlan, SolveResult, SolveStats,
+    gmres, gmres_with, solve, CycleEvent, GmresOptions, HistoryPoint, SolveHooks, SolvePlan,
+    SolveResult, SolveStats,
 };
 pub use precond::{BlockJacobi, Identity, Jacobi, PrecondError, Preconditioner};
 pub use sstep::{loo_budget, sstep_gmres_dyn, SStepOptions, SStepSolveResult};

@@ -54,7 +54,8 @@
 //! sees exactly what the next cycle will) and compares it against a
 //! format-relative budget ([`loo_budget`]). One breach shrinks `s` to
 //! 1 for the rest of the solve — convergence evidence is untouched
-//! (explicit residual only); the solve just stops amortizing.
+//! (explicit residual only); the solve just stops amortizing. Widths,
+//! measures and breaches land in the solve's [`SolveStats`].
 //! Per-format admissible `s` lives in
 //! [`BasisFormat::max_sstep`], mirroring the measured
 //! `accuracy_floor` table.
@@ -73,8 +74,8 @@ use crate::basis_format::BasisFormat;
 use crate::checkpoint::{DriverKind, SolveCheckpoint};
 use crate::gmres::{
     capture_column, finish_cycle, rotate_column, run_cycle, seed_cycle, solve_driver_full,
-    ControlledSolve, CycleOutcome, CyclePolicy, GmresOptions, HistoryPoint, SolveHooks,
-    SolveResult, SolveStats, Workspace,
+    CycleOutcome, CyclePolicy, GmresOptions, HistoryPoint, SolveHooks, SolveResult, SolveStats,
+    Workspace, REORTH_ETA,
 };
 use crate::panel::{charge, gather_col, pack_interleaved, Panel};
 use crate::precond::Preconditioner;
@@ -125,22 +126,16 @@ impl Default for SStepOptions {
     }
 }
 
-/// Result of an s-step solve: the scalar [`SolveResult`] plus the
-/// panel-width trajectory the LOO monitor produced.
+/// Result of [`sstep_gmres_dyn`]: the scalar [`SolveResult`], whose
+/// [`SolveStats`] carry the panel-width trajectory
+/// ([`SolveStats::s_per_cycle`], [`SolveStats::loo_per_cycle`]), plus
+/// the breach count beside it.
 #[derive(Clone, Debug)]
 pub struct SStepSolveResult {
     /// Solution, stats, and history — same shape and semantics as the
     /// scalar solver (convergence from the explicit residual only).
     pub solve: SolveResult,
-    /// Panel width used by each executed restart cycle, in order
-    /// (all `1`s for a gated `s = 1` solve).
-    pub s_per_cycle: Vec<usize>,
-    /// Measured `max |(QᵀQ − I)_{ab}|` after each `s > 1` cycle, in
-    /// order (empty for a gated `s = 1` solve — the monitor never
-    /// runs).
-    pub loo_per_cycle: Vec<f64>,
-    /// Number of LOO budget breaches (each shrinks `s` to 1; at most 1
-    /// per solve since the width never grows back).
+    /// Number of LOO budget breaches, [`SolveStats::loo_breaches`].
     pub loo_breaches: usize,
 }
 
@@ -239,7 +234,7 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
         // intra-panel CholQR; on an ill-conditioned Gram, one corrective
         // pair (the panel has then also lost orthogonality to V)
         // followed by MGS².
-        let mut pairs = panel.project(basis, k, s_eff, opts.reorth_eta);
+        let mut pairs = panel.project(basis, k, s_eff, REORTH_ETA);
         let factored = panel.cholqr(s_eff) || {
             panel.correct(basis, k, s_eff);
             pairs += 1;
@@ -372,7 +367,8 @@ fn measure_loo<S: ColumnStorage>(
 /// solve on a breach (the remaining cycles keep the panel cycle, at
 /// width 1). A gated width of 1 runs the scalar cycle from the first
 /// boundary — bit-for-bit [`crate::gmres::gmres_with`] — while its
-/// checkpoints still carry the s-step identity.
+/// checkpoints still carry the s-step identity. The trajectory (width
+/// and LOO measure per cycle, breaches) goes into the [`SolveStats`].
 pub(crate) struct PanelPolicy {
     /// Panel width of the next cycle (starts at the width the format
     /// gate admits, which `px` is sized for).
@@ -381,32 +377,6 @@ pub(crate) struct PanelPolicy {
     budget: f64,
     /// Panel scratch (`None` at a gated width of 1).
     px: Option<PanelScratch>,
-    s_per_cycle: Vec<usize>,
-    loo_per_cycle: Vec<f64>,
-    loo_breaches: usize,
-}
-
-impl PanelPolicy {
-    fn new(rows: usize, m: usize, gated: usize, budget: f64) -> Self {
-        PanelPolicy {
-            s_cur: gated,
-            budget,
-            px: (gated > 1).then(|| PanelScratch::new(rows, m, gated)),
-            s_per_cycle: Vec::new(),
-            loo_per_cycle: Vec::new(),
-            loo_breaches: 0,
-        }
-    }
-
-    /// Attach the panel-width trajectory to the finished solve.
-    pub(crate) fn into_result(self, solve: SolveResult) -> SStepSolveResult {
-        SStepSolveResult {
-            solve,
-            s_per_cycle: self.s_per_cycle,
-            loo_per_cycle: self.loo_per_cycle,
-            loo_breaches: self.loo_breaches,
-        }
-    }
 }
 
 impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
@@ -426,7 +396,7 @@ impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
         history: &mut Vec<HistoryPoint>,
         captured: &mut Option<Vec<f64>>,
     ) -> CycleOutcome {
-        self.s_per_cycle.push(self.s_cur);
+        stats.s_per_cycle.push(self.s_cur);
         let Some(px) = self.px.as_mut() else {
             return run_cycle(
                 a, precond, opts, basis, ws, x, beta, bnorm, stats, history, captured,
@@ -439,12 +409,12 @@ impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
         // store; one breach shrinks s to 1 for the rest of the solve.
         if self.s_cur > 1 && out.steps > 0 {
             let loo = measure_loo(basis, out.steps, ws, px, stats);
-            self.loo_per_cycle.push(loo);
+            stats.loo_per_cycle.push(loo);
             // NaN counts as a breach: a non-finite measure means the
             // stored columns are unusable for a wide panel.
             if loo.is_nan() || loo > self.budget {
                 self.s_cur = 1;
-                self.loo_breaches += 1;
+                stats.loo_breaches += 1;
             }
         }
         out
@@ -452,16 +422,10 @@ impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
 
     fn capture(&self, cp: &mut SolveCheckpoint) {
         cp.s_cur = self.s_cur;
-        cp.loo_breaches = self.loo_breaches;
-        cp.s_per_cycle = self.s_per_cycle.clone();
-        cp.loo_per_cycle = self.loo_per_cycle.clone();
     }
 
     fn restore(&mut self, cp: &SolveCheckpoint) {
         self.s_cur = cp.s_cur;
-        self.loo_breaches = cp.loo_breaches;
-        self.s_per_cycle = cp.s_per_cycle.clone();
-        self.loo_per_cycle = cp.loo_per_cycle.clone();
     }
 }
 
@@ -486,15 +450,17 @@ pub fn sstep_gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     precond: &P,
     format: &dyn BasisFormat,
 ) -> SStepSolveResult {
-    let (done, policy) = sstep_dyn(a, b, x0, sopts, precond, format, SolveHooks::default());
-    policy.into_result(done.result)
+    let solve = sstep_dyn(a, b, x0, sopts, precond, format, SolveHooks::default());
+    SStepSolveResult {
+        loo_breaches: solve.stats.loo_breaches,
+        solve,
+    }
 }
 
 /// [`sstep_gmres_dyn`] under `hooks` (the [`crate::SolvePlan::SStep`]
 /// arm of [`crate::solve`]): the one restart loop under a
 /// [`PanelPolicy`] of the gated width, whose LOO budget is the `sopts`
-/// override or the one the format's accuracy floor implies. Returns the
-/// policy with its panel-width trajectory alongside the solve.
+/// override or the one the format's accuracy floor implies.
 pub(crate) fn sstep_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
@@ -503,15 +469,19 @@ pub(crate) fn sstep_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     precond: &P,
     format: &dyn BasisFormat,
     hooks: SolveHooks<'_>,
-) -> (ControlledSolve, PanelPolicy) {
+) -> SolveResult {
     let (n, m) = (a.rows(), sopts.gmres.restart);
     let budget = sopts
         .loo_budget
         .unwrap_or_else(|| loo_budget(format.accuracy_floor(), n));
-    let mut policy = PanelPolicy::new(n, m, gated_width(format, sopts), budget);
+    let gated = gated_width(format, sopts);
+    let mut policy = PanelPolicy {
+        s_cur: gated,
+        budget,
+        px: (gated > 1).then(|| PanelScratch::new(n, m, gated)),
+    };
     let basis = Basis::from_store(format.create(n, m + 1));
-    let done = solve_driver_full(a, b, x0, &sopts.gmres, precond, basis, &mut policy, hooks);
-    (done, policy)
+    solve_driver_full(a, b, x0, &sopts.gmres, precond, basis, &mut policy, hooks)
 }
 
 #[cfg(test)]
@@ -574,8 +544,8 @@ mod tests {
             sstep.solve.stats.basis_gemv_sweeps,
             scalar.stats.basis_gemv_sweeps
         );
-        assert!(sstep.s_per_cycle.iter().all(|&s| s == 1));
-        assert!(sstep.loo_per_cycle.is_empty());
+        assert!(sstep.solve.stats.s_per_cycle.iter().all(|&s| s == 1));
+        assert!(sstep.solve.stats.loo_per_cycle.is_empty());
         assert_eq!(sstep.loo_breaches, 0);
     }
 
@@ -604,7 +574,7 @@ mod tests {
                 "s={s}: {sstep_sweeps} sweeps must undercut scalar {scalar_sweeps}"
             );
             assert_eq!(r.loo_breaches, 0, "s={s}: no breach expected here");
-            assert!(r.s_per_cycle.iter().all(|&sv| sv == s));
+            assert!(r.solve.stats.s_per_cycle.iter().all(|&sv| sv == s));
         }
     }
 
@@ -663,10 +633,13 @@ mod tests {
         let fmt = by_name("frsz2_21").unwrap();
         let r = sstep_gmres_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref());
         assert!(r.loo_breaches >= 1, "budget 1e-30 must breach");
-        assert_eq!(r.s_per_cycle[0], 4, "first cycle runs at requested s");
+        assert_eq!(
+            r.solve.stats.s_per_cycle[0], 4,
+            "first cycle runs at requested s"
+        );
         // After the breach every later cycle runs at s = 1.
-        if r.s_per_cycle.len() > 1 {
-            assert!(r.s_per_cycle[1..].iter().all(|&s| s == 1));
+        if r.solve.stats.s_per_cycle.len() > 1 {
+            assert!(r.solve.stats.s_per_cycle[1..].iter().all(|&s| s == 1));
         }
         // Convergence evidence untouched: explicit-only contract.
         assert!(r.solve.stats.converged, "rrn {}", r.solve.stats.final_rrn);
@@ -697,10 +670,10 @@ mod tests {
             };
             let r = sstep_gmres_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref());
             assert!(
-                r.s_per_cycle.iter().all(|&s| s <= cap),
+                r.solve.stats.s_per_cycle.iter().all(|&s| s <= cap),
                 "{name}: gated s exceeded max_sstep {cap}"
             );
-            for (i, &loo) in r.loo_per_cycle.iter().enumerate() {
+            for (i, &loo) in r.solve.stats.loo_per_cycle.iter().enumerate() {
                 assert!(loo.is_finite(), "{name}: cycle {i} LOO not finite");
                 assert!(loo >= 0.0, "{name}: cycle {i} LOO negative");
             }
@@ -708,12 +681,15 @@ mod tests {
                 // An s > 1 cycle must have been measured (unless the
                 // solve finished in zero cycles, impossible here).
                 assert_eq!(
-                    r.loo_per_cycle.len(),
-                    r.s_per_cycle.iter().filter(|&&s| s > 1).count(),
+                    r.solve.stats.loo_per_cycle.len(),
+                    r.solve.stats.s_per_cycle.iter().filter(|&&s| s > 1).count(),
                     "{name}: one LOO sample per s>1 cycle"
                 );
             } else {
-                assert!(r.loo_per_cycle.is_empty(), "{name}: s=1 never measures");
+                assert!(
+                    r.solve.stats.loo_per_cycle.is_empty(),
+                    "{name}: s=1 never measures"
+                );
             }
         }
     }
@@ -733,7 +709,7 @@ mod tests {
             },
         };
         let r = sstep_gmres_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref());
-        assert!(r.s_per_cycle.iter().all(|&s| s <= 2));
+        assert!(r.solve.stats.s_per_cycle.iter().all(|&s| s <= 2));
     }
 
     #[test]
@@ -770,8 +746,17 @@ mod tests {
         for (u, v) in r1.solve.x.iter().zip(&r2.solve.x) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
-        assert_eq!(r1.loo_per_cycle.len(), r2.loo_per_cycle.len());
-        for (p, q) in r1.loo_per_cycle.iter().zip(&r2.loo_per_cycle) {
+        assert_eq!(
+            r1.solve.stats.loo_per_cycle.len(),
+            r2.solve.stats.loo_per_cycle.len()
+        );
+        for (p, q) in r1
+            .solve
+            .stats
+            .loo_per_cycle
+            .iter()
+            .zip(&r2.solve.stats.loo_per_cycle)
+        {
             assert_eq!(p.to_bits(), q.to_bits(), "LOO must be deterministic");
         }
     }
@@ -813,11 +798,15 @@ mod tests {
             control: Some(&mut probe),
             ..SolveHooks::default()
         };
-        let (first, _) = sstep_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref(), hooks);
-        assert!(first.halted);
+        let first = sstep_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref(), hooks);
+        assert!(first.stats.halted);
         let cp = taken.expect("checkpoint captured at halt");
         assert_eq!(cp.driver, DriverKind::SStep);
-        assert_eq!(cp.s_per_cycle.len(), 2, "two cycles completed at halt");
+        assert_eq!(
+            cp.stats.s_per_cycle.len(),
+            2,
+            "two cycles completed at halt"
+        );
 
         // Round-trip through the byte format.
         let bytes = cp.encode();
@@ -828,23 +817,23 @@ mod tests {
             ..SolveHooks::default()
         };
         let zeros = vec![0.0; a.rows()];
-        let (resumed, policy) = sstep_dyn(&a, &b, &zeros, &sopts, &Identity, fmt.as_ref(), hooks);
-        assert!(!resumed.halted);
-        let r = policy.into_result(resumed.result);
-        assert!(r.solve.stats.converged);
-        assert_eq!(r.s_per_cycle, base.s_per_cycle);
-        assert_eq!(r.loo_breaches, base.loo_breaches);
-        assert_eq!(r.loo_per_cycle.len(), base.loo_per_cycle.len());
-        for (p, q) in r.loo_per_cycle.iter().zip(&base.loo_per_cycle) {
+        let r = sstep_dyn(&a, &b, &zeros, &sopts, &Identity, fmt.as_ref(), hooks);
+        let base = base.solve;
+        assert!(!r.stats.halted);
+        assert!(r.stats.converged);
+        assert_eq!(r.stats.s_per_cycle, base.stats.s_per_cycle);
+        assert_eq!(r.stats.loo_breaches, base.stats.loo_breaches);
+        assert_eq!(r.stats.loo_per_cycle.len(), base.stats.loo_per_cycle.len());
+        for (p, q) in r.stats.loo_per_cycle.iter().zip(&base.stats.loo_per_cycle) {
             assert_eq!(p.to_bits(), q.to_bits(), "LOO trace");
         }
-        assert_eq!(r.solve.stats.iterations, base.solve.stats.iterations);
-        assert_eq!(r.solve.stats.spmv_count, base.solve.stats.spmv_count);
-        assert_eq!(r.solve.history.len(), base.solve.history.len());
-        for (p, q) in r.solve.history.iter().zip(&base.solve.history) {
+        assert_eq!(r.stats.iterations, base.stats.iterations);
+        assert_eq!(r.stats.spmv_count, base.stats.spmv_count);
+        assert_eq!(r.history.len(), base.history.len());
+        for (p, q) in r.history.iter().zip(&base.history) {
             assert_eq!(p.rrn.to_bits(), q.rrn.to_bits(), "history");
         }
-        for (u, v) in r.solve.x.iter().zip(&base.solve.x) {
+        for (u, v) in r.x.iter().zip(&base.x) {
             assert_eq!(u.to_bits(), v.to_bits(), "solution");
         }
     }

@@ -4,14 +4,15 @@
 //! hook set (none, observer, armed probe) must reproduce the plan's
 //! plain entry bit for bit at 1 and 2 threads, and a solve halted at a
 //! boundary, serialized, decoded, and resumed must equal the
-//! uninterrupted one. A checkpoint from a different solve must be a
-//! typed error, never a panic.
+//! uninterrupted one. The checkpoint taken at a halt carries the halted
+//! solve's record. A checkpoint from a different solve, or with
+//! counters no solve can capture, must be a typed error, never a panic.
 
 use krylov::basis_format::{by_name, gmres_dyn, BasisFormat};
 use krylov::{
     adaptive_gmres, solve, sstep_gmres_dyn, AdaptiveOptions, CheckpointError, CycleEvent,
     DriverKind, GmresOptions, Identity, SStepOptions, SolveCheckpoint, SolveControl, SolveHooks,
-    SolvePlan, SolveResult,
+    SolvePlan, SolveResult, SolveStats,
 };
 use spla::dense::manufactured_rhs;
 use spla::{gen, Csr};
@@ -118,13 +119,35 @@ impl Case {
         }
     }
 
-    fn solve(&self, hooks: SolveHooks<'_>) -> krylov::ControlledSolve {
+    fn solve(&self, hooks: SolveHooks<'_>) -> SolveResult {
         solve(&self.a, &self.b, &self.x0(), &Identity, self.plan(), hooks).expect("no mismatch")
+    }
+
+    /// Halt at boundary `halt_at` and return the halted solve with the
+    /// checkpoint its probe captured there.
+    fn halt(&self) -> (SolveResult, SolveCheckpoint) {
+        let mut taken: Option<SolveCheckpoint> = None;
+        let mut seen = 0usize;
+        let mut halt = |cp: &SolveCheckpoint| {
+            seen += 1;
+            if seen == self.halt_at {
+                taken = Some(cp.clone());
+                SolveControl::Halt
+            } else {
+                SolveControl::Continue
+            }
+        };
+        let first = self.solve(SolveHooks {
+            control: Some(&mut halt),
+            ..SolveHooks::default()
+        });
+        (first, taken.expect("checkpoint captured at halt"))
     }
 }
 
 /// Bit-for-bit equality of two solves: outcome, every counter, the
-/// format trajectory, the residual history, and the solution.
+/// format and s-step trajectories, the residual history, and the
+/// solution.
 fn assert_same(label: &str, got: &SolveResult, want: &SolveResult) {
     let (g, w) = (&got.stats, &want.stats);
     assert_eq!(g.converged, w.converged, "{label}: converged");
@@ -141,6 +164,15 @@ fn assert_same(label: &str, got: &SolveResult, want: &SolveResult) {
     assert_eq!(g.basis_bytes_written, w.basis_bytes_written, "{label}");
     assert_eq!(g.format, w.format, "{label}: final format");
     assert_eq!(g.format_trajectory, w.format_trajectory, "{label}");
+    assert_eq!(g.s_per_cycle, w.s_per_cycle, "{label}: panel widths");
+    let loo = |s: &SolveStats| {
+        s.loo_per_cycle
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(loo(g), loo(w), "{label}: LOO measures");
+    assert_eq!(g.loo_breaches, w.loo_breaches, "{label}: LOO breaches");
     assert_eq!(g.final_rrn.to_bits(), w.final_rrn.to_bits(), "{label}");
     assert_eq!(got.history.len(), want.history.len(), "{label}: history");
     for (p, q) in got.history.iter().zip(&want.history) {
@@ -230,8 +262,8 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                 let label = format!("{kind:?}(s={s})/{threads}t");
 
                 let bare = case.solve(SolveHooks::default());
-                assert!(!bare.halted);
-                assert_same(&format!("{label} no hooks"), &bare.result, &plain);
+                assert!(!bare.stats.halted);
+                assert_same(&format!("{label} no hooks"), &bare, &plain);
 
                 let mut events = Vec::new();
                 let mut observe = |e: &CycleEvent| events.push(e.clone());
@@ -239,7 +271,7 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                     observe: Some(&mut observe),
                     ..SolveHooks::default()
                 });
-                assert_same(&format!("{label} observer"), &observed.result, &plain);
+                assert_same(&format!("{label} observer"), &observed, &plain);
                 assert_event_stream(&label, &events, &plain);
 
                 let mut boundaries = 0usize;
@@ -252,43 +284,41 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                     control: Some(&mut probe),
                     ..SolveHooks::default()
                 });
-                assert!(!probed.halted);
-                assert_same(&format!("{label} probe"), &probed.result, &plain);
+                assert!(!probed.stats.halted);
+                assert_same(&format!("{label} probe"), &probed, &plain);
                 assert_eq!(boundaries, plain.stats.restarts, "{label}: probe per cycle");
 
                 // Halt at boundary `halt_at`, round-trip the checkpoint
                 // through its byte format, resume from the decoded copy.
-                let mut taken: Option<SolveCheckpoint> = None;
-                let mut seen = 0usize;
-                let mut halt = |cp: &SolveCheckpoint| {
-                    seen += 1;
-                    if seen == case.halt_at {
-                        taken = Some(cp.clone());
-                        SolveControl::Halt
-                    } else {
-                        SolveControl::Continue
-                    }
-                };
-                let first = case.solve(SolveHooks {
-                    control: Some(&mut halt),
-                    ..SolveHooks::default()
-                });
-                assert!(first.halted, "{label}: probe must halt");
-                assert!(!first.result.stats.converged, "{label}: halt is not done");
-                let cp = taken.expect("checkpoint captured at halt");
+                let (first, cp) = case.halt();
+                assert!(first.stats.halted, "{label}: probe must halt");
+                assert!(!first.stats.converged, "{label}: halt is not done");
                 assert_eq!(cp.driver, driver, "{label}");
-                assert_eq!(cp.restarts, case.halt_at - 1, "{label}: cycles at halt");
+                assert_eq!(
+                    cp.stats.restarts,
+                    case.halt_at - 1,
+                    "{label}: cycles at halt"
+                );
                 if let Kind::SStep = kind {
-                    assert_eq!(cp.s_per_cycle.len(), case.halt_at - 1, "{label}");
+                    assert_eq!(cp.stats.s_per_cycle.len(), case.halt_at - 1, "{label}");
                 }
+                // The checkpoint is the halted solve's record, bar the
+                // fields only the end of a solve sets.
+                let halted_record = SolveStats {
+                    halted: false,
+                    wall_time: Default::default(),
+                    basis_bits_per_value: 0.0,
+                    ..first.stats.clone()
+                };
+                assert_eq!(cp.stats, halted_record, "{label}: checkpoint record");
                 let decoded = SolveCheckpoint::decode(&cp.encode()).expect("decode");
                 assert_eq!(decoded, cp, "{label}: byte round trip");
                 let resumed = case.solve(SolveHooks {
                     resume: Some(&decoded),
                     ..SolveHooks::default()
                 });
-                assert!(!resumed.halted);
-                assert_same(&format!("{label} resumed"), &resumed.result, &plain);
+                assert!(!resumed.stats.halted);
+                assert_same(&format!("{label} resumed"), &resumed, &plain);
             });
         }
     }
@@ -304,8 +334,11 @@ fn resume_mismatch_is_a_typed_error_not_a_panic() {
     let n = fixed.a.rows();
     let cp = |driver, format: &str, rows: usize| SolveCheckpoint {
         driver,
-        format: format.into(),
         x: vec![0.0; rows],
+        stats: SolveStats {
+            format: format.into(),
+            ..SolveStats::default()
+        },
         ..SolveCheckpoint::default()
     };
     let field = |case: &Case, cp: &SolveCheckpoint| {
@@ -315,7 +348,10 @@ fn resume_mismatch_is_a_typed_error_not_a_panic() {
         };
         match solve(&case.a, &case.b, &case.x0(), &Identity, case.plan(), hooks) {
             Err(CheckpointError::Mismatch { field, .. }) => field,
-            other => panic!("expected a mismatch, got {:?}", other.map(|r| r.halted)),
+            other => panic!(
+                "expected a mismatch, got {:?}",
+                other.map(|r| r.stats.halted)
+            ),
         }
     };
     assert_eq!(
@@ -341,4 +377,62 @@ fn resume_mismatch_is_a_typed_error_not_a_panic() {
     assert!(cp(DriverKind::Scalar, "frsz2_32", n)
         .check_resume(n, &fixed.plan())
         .is_ok());
+}
+
+/// A captured checkpoint with one counter forged to its type's maximum
+/// would overflow that counter on resume (a panic in a debug build,
+/// a wrapped counter and a claimed convergence in release). Every such
+/// checkpoint, and one whose trajectories, streak or outcome no solve
+/// of the plan can produce, is refused before any work.
+#[test]
+fn forged_checkpoint_counters_are_refused() {
+    let refusal = |case: &Case, cp: &SolveCheckpoint| {
+        let hooks = SolveHooks {
+            resume: Some(cp),
+            ..SolveHooks::default()
+        };
+        match solve(&case.a, &case.b, &case.x0(), &Identity, case.plan(), hooks) {
+            Err(CheckpointError::Mismatch { field, .. }) => field,
+            other => panic!("expected a refusal, got {:?}", other.map(|r| r.stats)),
+        }
+    };
+    let sstep = Case::new(Kind::SStep, 4);
+    let (_, captured) = sstep.halt();
+    // The captured checkpoint itself resumes.
+    assert!(captured.check_resume(sstep.a.rows(), &sstep.plan()).is_ok());
+    let forged = |label: &'static str, forge: fn(&mut SolveStats)| {
+        let mut cp = captured.clone();
+        forge(&mut cp.stats);
+        (label, cp)
+    };
+    for (label, cp) in [
+        forged("restarts", |st| st.restarts = usize::MAX),
+        forged("reorthogonalizations", |st| {
+            st.reorthogonalizations = usize::MAX
+        }),
+        forged("spmv_count", |st| st.spmv_count = u64::MAX),
+        forged("basis_bytes_read", |st| st.basis_bytes_read = u64::MAX),
+        forged("basis_bytes_written", |st| {
+            st.basis_bytes_written = u64::MAX
+        }),
+        forged("basis_dot_sweeps", |st| st.basis_dot_sweeps = u64::MAX),
+        forged("basis_gemv_sweeps", |st| st.basis_gemv_sweeps = u64::MAX),
+        forged("s_per_cycle", |st| st.s_per_cycle.push(4)),
+    ] {
+        assert_eq!(refusal(&sstep, &cp), "counters", "{label}");
+    }
+
+    // A boundary has no outcome yet: a checkpoint claiming one would
+    // hand it to the resumed solve without the explicit residual.
+    for (label, cp) in [
+        forged("converged", |st| st.converged = true),
+        forged("halted", |st| st.halted = true),
+    ] {
+        assert_eq!(refusal(&sstep, &cp), "outcome", "{label}");
+    }
+
+    let adaptive = Case::new(Kind::Adaptive, 1);
+    let (_, mut cp) = adaptive.halt();
+    cp.qualifying_streak = adaptive.aopts.de_escalation_cycles;
+    assert_eq!(refusal(&adaptive, &cp), "counters", "qualifying_streak");
 }

@@ -193,7 +193,7 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "job on {operator:?} hit its {deadline_ms} ms deadline at restart \
                  boundary {} (relative residual {:.3e}; resume from the attached checkpoint)",
-                checkpoint.restarts, checkpoint.explicit_rrn
+                checkpoint.stats.restarts, checkpoint.stats.final_rrn
             ),
             ServiceError::CheckpointMismatch { operator, source } => {
                 write!(
@@ -266,11 +266,9 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("busy") && msg.contains("250 ms") && msg.contains("300"));
 
-        let cp = SolveCheckpoint {
-            restarts: 4,
-            explicit_rrn: 1.25e-5,
-            ..SolveCheckpoint::default()
-        };
+        let mut cp = SolveCheckpoint::default();
+        cp.stats.restarts = 4;
+        cp.stats.final_rrn = 1.25e-5;
         let e = ServiceError::DeadlineExceeded {
             operator: "slow".into(),
             deadline_ms: 10,

@@ -105,9 +105,7 @@ pub use admission::AdmissionPolicy;
 pub use error::ServiceError;
 pub use job::{BasisSelection, BlockJobSpec, JobEvent, JobReport, JobSpec, RetryPolicy, RhsEvent};
 pub use operator::{OperatorInfo, PrecondSpec};
-pub use service::{
-    estimated_adaptive_basis_bytes, estimated_basis_bytes, ServiceConfig, SolverService,
-};
+pub use service::{estimated_basis_bytes, ServiceConfig, SolverService};
 
 // The fault-tolerance vocabulary callers need to drive deadlines,
 // resume, and fault injection without importing `krylov` themselves.

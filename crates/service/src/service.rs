@@ -156,16 +156,6 @@ struct Finished {
     faults_injected: u64,
 }
 
-/// Worst-case basis reservation of an adaptive job: the escalation
-/// ladder may end at `float64`, so the full 8 bytes/value are charged
-/// up front for every lane — `8 · rows · (restart + 1) · width` (a
-/// budget that admits the optimistic start but not the escalated end
-/// would OOM exactly when the solve needs help most; pass `width = 1`
-/// for a single-RHS job).
-pub fn estimated_adaptive_basis_bytes(rows: usize, restart: usize, width: usize) -> u64 {
-    8 * rows as u64 * (restart as u64 + 1) * width as u64
-}
-
 /// A long-lived solver front end: operators are registered (and
 /// analyzed) once, then any number of solve jobs run against the cached
 /// analysis — sequentially or concurrently, with per-cycle telemetry
@@ -385,7 +375,7 @@ impl SolverService {
     /// [`krylov::block_gmres_dyn_observed`] driver; width 1 and
     /// [`BasisSelection::Adaptive`] run one [`krylov::solve`] per RHS
     /// (see [`BlockJobSpec::basis`]), adaptive lanes charged at the
-    /// worst case `8 · rows · (restart + 1) · width`. An empty `rhss`
+    /// `float64` worst case of [`estimated_basis_bytes`]. An empty `rhss`
     /// is a [`ServiceError::DimensionMismatch`] with `got = 0`.
     pub fn solve_block_observed(
         &self,
@@ -463,7 +453,8 @@ impl SolverService {
             });
         }
         let format = resolve_format(job.basis, job.opts, rows)?;
-        let sstep = job.sstep.max(1);
+        // The adaptive driver ignores the s-step knob: no panel scratch.
+        let sstep = format.as_ref().map_or(1, |_| job.sstep.max(1));
         if let Some(cp) = job.resume {
             let (sopts, aopts) = plan_options(job.opts, sstep);
             cp.check_resume(rows, &job_plan(format.as_deref(), &sopts, &aopts))
@@ -473,17 +464,15 @@ impl SolverService {
                 })?;
         }
         let requested = match format.as_deref() {
-            // Retries may escalate all the way to float64: charge the
-            // ladder-top worst case up front (escalation does not change
-            // the panel scratch).
-            Some(_) if job.retry.is_some() => {
+            Some(f) if job.retry.is_none() => {
+                estimated_basis_bytes(f, rows, job.opts.restart, width, sstep)
+            }
+            // Retries and the adaptive ladder may escalate to float64:
+            // charge that worst case up front, so escalating cannot OOM.
+            _ => {
                 let top = basis_format::by_name("float64").expect("float64 is registered");
                 estimated_basis_bytes(top.as_ref(), rows, job.opts.restart, width, sstep)
             }
-            Some(f) => estimated_basis_bytes(f, rows, job.opts.restart, width, sstep),
-            // The adaptive driver owns its own cycle policy and ignores
-            // the s-step knob, so no panel scratch is charged.
-            None => estimated_adaptive_basis_bytes(rows, job.opts.restart, width),
         };
         let _reservation = self.ledger.admit(job.operator, requested)?;
         let pool = rayon::ThreadPoolBuilder::new()
@@ -596,8 +585,9 @@ impl SolverService {
                                 job_plan(f, &sopts, &aopts),
                                 hooks,
                             )?;
-                            lanes.push(done.result);
-                            if done.halted {
+                            let halted = done.stats.halted;
+                            lanes.push(done);
+                            if halted {
                                 break;
                             }
                         }
@@ -1023,6 +1013,41 @@ mod tests {
         );
     }
 
+    /// An s-step job reports the panel trajectory (width and LOO
+    /// measure per cycle, breaches) of the plain s-step entry, bit for
+    /// bit, in its result's stats.
+    #[test]
+    fn sstep_job_reports_the_sstep_trajectory() {
+        let (a, b) = smooth();
+        let service = SolverService::with_defaults();
+        service
+            .register_csr("smooth", &a, PrecondSpec::None)
+            .unwrap();
+        let mut spec = job("smooth", b.clone(), "frsz2_21", 1e-8);
+        spec.opts.restart = 12;
+        spec.sstep = 4;
+        let report = service.solve_report(&spec).unwrap();
+        let sopts = SStepOptions {
+            s: 4,
+            loo_budget: None,
+            gmres: spec.opts.clone(),
+        };
+        let fmt = basis_format::by_name("frsz2_21").unwrap();
+        let x0 = vec![0.0; a.rows()];
+        let plain = krylov::sstep_gmres_dyn(&a, &b, &x0, &sopts, &krylov::Identity, fmt.as_ref());
+        let (got, want) = (&report.result.stats, &plain.solve.stats);
+        assert!(got.converged && got.restarts >= 2, "several cycles");
+        assert_eq!(got.s_per_cycle, want.s_per_cycle);
+        assert!(got.s_per_cycle.iter().all(|&s| s == 4));
+        assert_eq!(got.loo_per_cycle.len(), want.loo_per_cycle.len());
+        assert!(!got.loo_per_cycle.is_empty(), "the monitor ran");
+        for (p, q) in got.loo_per_cycle.iter().zip(&want.loo_per_cycle) {
+            assert_eq!(p.to_bits(), q.to_bits(), "LOO measure");
+        }
+        assert_eq!(got.loo_breaches, want.loo_breaches);
+        assert_eq!(got.loo_breaches, plain.loo_breaches);
+    }
+
     #[test]
     fn queue_policy_serializes_jobs_instead_of_rejecting() {
         let (a, b) = smooth();
@@ -1164,8 +1189,9 @@ mod tests {
             estimated_basis_bytes(fmt.as_ref(), a.rows(), opts.restart, 16, 1),
             16 * one_lane
         );
+        let float64 = basis_format::by_name("float64").unwrap();
         assert_eq!(
-            estimated_adaptive_basis_bytes(a.rows(), opts.restart, 16),
+            estimated_basis_bytes(float64.as_ref(), a.rows(), opts.restart, 16, 1),
             16 * 8 * (a.rows() as u64) * (opts.restart as u64 + 1)
         );
         // Budget fits exactly one lane: a 16-RHS block must be refused,
@@ -1371,7 +1397,7 @@ mod tests {
         };
         assert_eq!(operator, "smooth");
         assert_eq!(deadline_ms, 0);
-        assert_eq!(checkpoint.restarts, 0, "halted at the entry boundary");
+        assert_eq!(checkpoint.stats.restarts, 0, "halted at the entry boundary");
 
         // The checkpoint survives its wire format and resumes
         // bit-identically to the uninterrupted reference.
@@ -1521,8 +1547,11 @@ mod tests {
             .unwrap();
         let cp = |driver, format: &str, rows: usize| SolveCheckpoint {
             driver,
-            format: format.into(),
             x: vec![0.0; rows],
+            stats: krylov::SolveStats {
+                format: format.into(),
+                ..Default::default()
+            },
             ..SolveCheckpoint::default()
         };
         let fixed = job("smooth", b.clone(), "frsz2_21", 1e-8);

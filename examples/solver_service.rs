@@ -202,8 +202,8 @@ fn main() {
     let bytes = checkpoint.encode();
     println!(
         "deadline hit at restart boundary {} (rrn {:.2e}); checkpoint = {} bytes",
-        checkpoint.restarts,
-        checkpoint.explicit_rrn,
+        checkpoint.stats.restarts,
+        checkpoint.stats.final_rrn,
         bytes.len(),
     );
     let mut resumed_spec = plain.clone();

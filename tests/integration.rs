@@ -606,7 +606,7 @@ fn checkpoint_round_trip_is_bit_identical_for_every_format() {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let (halted, resumed) = pool.install(|| {
+            let (halted, r) = pool.install(|| {
                 // Halt at the second boundary (one completed cycle)...
                 let mut taken: Option<Vec<u8>> = None;
                 let mut boundaries = 0usize;
@@ -636,8 +636,7 @@ fn checkpoint_round_trip_is_bit_identical_for_every_format() {
                 let resumed = solve(&a, &b, &zeros, &Identity, plan, hooks).expect("same solve");
                 (first, resumed)
             });
-            assert!(halted.halted, "{name}/{threads}t: probe must halt");
-            let r = resumed.result;
+            assert!(halted.stats.halted, "{name}/{threads}t: probe must halt");
             assert_eq!(
                 r.stats.converged, base.stats.converged,
                 "{name}/{threads}t: convergence state diverged"
