@@ -60,15 +60,15 @@ impl DriverKind {
 }
 
 /// Verdict returned by a boundary control probe: keep solving, or stop
-/// here (the caller holds the just-captured checkpoint and can resume
-/// later). Convergence and terminal states are decided *before* the
-/// probe runs, so halting can never preempt a finished solve.
+/// here and return the boundary's checkpoint to resume from later.
+/// Convergence and terminal states are decided *before* the probe runs,
+/// so halting can never preempt a finished solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolveControl {
     /// Run the next restart cycle.
     Continue,
-    /// Stop before the next cycle; the solve reports
-    /// [`SolveStats::halted`].
+    /// Stop before the next cycle; the solve returns the boundary's
+    /// checkpoint in [`crate::SolveResult::checkpoint`].
     Halt,
 }
 
@@ -79,9 +79,9 @@ pub enum SolveControl {
 /// is the format the *next* cycle will use, `stats.final_rrn` the
 /// explicit residual measured at the boundary, the trajectories list
 /// only completed cycles, and `history` ends with this boundary's
-/// explicit point. `stats.converged`, `stats.halted`,
-/// `stats.wall_time` and `stats.basis_bits_per_value` are never set at
-/// a boundary and are not serialized.
+/// explicit point. `stats.converged`, `stats.wall_time` and
+/// `stats.basis_bits_per_value` are never set at a boundary and are not
+/// serialized.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveCheckpoint {
     /// Driver that captured this checkpoint (resume must match).
@@ -282,7 +282,7 @@ impl SolveCheckpoint {
     /// plan runs — for the adaptive driver, which resumes at the
     /// checkpointed rung, any registered format; for the s-step driver
     /// also a panel width the plan admits. Its state must be one a solve
-    /// of the plan can capture: no outcome (`converged`, `halted`) yet,
+    /// of the plan can capture: no outcome (`converged`) yet,
     /// one format (and, for s-step, one panel width) per completed
     /// cycle, an adaptive streak below its trigger, and every counter
     /// below 2⁶² (no solve streams 4.6 EB, and the resumed solve keeps
@@ -327,7 +327,7 @@ impl SolveCheckpoint {
             }
         }
         if let SolvePlan::SStep(format, sopts) = *plan {
-            let gated = gated_width(format, sopts);
+            let gated = gated_width(format, sopts.s);
             if !(1..=gated).contains(&self.s_cur) {
                 return mismatch(
                     "panel width",
@@ -338,7 +338,7 @@ impl SolveCheckpoint {
         }
         // A boundary has no outcome yet: the resumed solve would report
         // a claimed one without the explicit residual deciding it.
-        if st.converged || st.halted {
+        if st.converged {
             return mismatch("outcome", "an open solve".into(), "a finished one".into());
         }
         // Every cycle pushes its format (an s-step cycle also its panel
@@ -547,7 +547,7 @@ mod tests {
         assert_eq!(cp, back);
     }
 
-    /// The four fields a boundary never sets are not encoded: they
+    /// The three fields a boundary never sets are not encoded: they
     /// decode to their defaults, and every other field round-trips.
     #[test]
     fn unencoded_fields_decode_to_their_defaults() {
@@ -559,10 +559,9 @@ mod tests {
         let plain = cp.encode();
         let mut set = cp.clone();
         set.stats.converged = true;
-        set.stats.halted = true;
         set.stats.wall_time = std::time::Duration::from_millis(7);
         set.stats.basis_bits_per_value = 22.0;
-        assert_eq!(set.encode(), plain, "the four fields change no byte");
+        assert_eq!(set.encode(), plain, "the three fields change no byte");
         assert_eq!(SolveCheckpoint::decode(&set.encode()).unwrap(), cp);
     }
 

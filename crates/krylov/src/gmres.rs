@@ -136,13 +136,9 @@ pub struct SolveStats {
     pub loo_per_cycle: Vec<f64>,
     /// Loss-of-orthogonality budget breaches (each shrinks `s` to 1).
     pub loo_breaches: usize,
-    /// `true` when a control probe halted the solve at a boundary
-    /// ([`SolveControl::Halt`]; convergence is decided first, so this
-    /// implies `!converged`).
-    pub halted: bool,
 }
 
-/// Result of [`gmres`].
+/// Result of [`gmres`], [`solve`] and the other single-RHS entries.
 #[derive(Clone, Debug)]
 pub struct SolveResult {
     /// The computed solution.
@@ -154,6 +150,10 @@ pub struct SolveResult {
     /// Basis vector captured at `capture_basis_at`, decompressed from
     /// storage (None if never reached).
     pub captured_basis_vector: Option<Vec<f64>>,
+    /// The boundary's checkpoint when a control probe halted the solve
+    /// ([`SolveControl::Halt`]), captured once, at the halt; `None` for
+    /// a solve that ran to its end.
+    pub checkpoint: Option<Box<SolveCheckpoint>>,
 }
 
 /// Construct a Givens rotation `(c, s)` annihilating `b` against `a`.
@@ -722,10 +722,10 @@ impl<S: ColumnStorage> CyclePolicy<S> for Scalar {
 ///
 /// The control probe fires at every restart boundary — after the
 /// bookkeeping, the policy decision, and the observer (so the format of
-/// the next cycle is final), before the cycle runs — with a freshly
-/// captured [`SolveCheckpoint`]. Returning [`SolveControl::Halt`] stops
-/// the solve there. With `control = None` no checkpoint is ever
-/// materialized — the plain path pays nothing.
+/// the next cycle is final), before the cycle runs. Returning
+/// [`SolveControl::Halt`] stops the solve there, and only then is the
+/// boundary captured, once, into [`SolveResult::checkpoint`]; a probe
+/// that continues costs the loop nothing.
 ///
 /// Resuming (the checkpoint already validated by
 /// [`SolveCheckpoint::check_resume`]) replays the capture-time
@@ -775,6 +775,7 @@ pub(crate) fn solve_driver_full<
             stats,
             history,
             captured_basis_vector: None,
+            checkpoint: None,
         };
     }
 
@@ -783,6 +784,7 @@ pub(crate) fn solve_driver_full<
     let mut prev_explicit_rrn: Option<f64> = None;
     let mut last_implicit_rrn: Option<f64> = None;
     let mut replay = false;
+    let mut checkpoint = None;
     if let Some(cp) = hooks.resume {
         x.copy_from_slice(&cp.x);
         stats = cp.stats.clone();
@@ -821,7 +823,7 @@ pub(crate) fn solve_driver_full<
             }
         }
 
-        if let Some(ctrl) = hooks.control.as_mut() {
+        if let Some(SolveControl::Halt) = hooks.control.as_mut().map(|probe| probe()) {
             let mut cp = SolveCheckpoint {
                 driver: C::DRIVER,
                 x: x.clone(),
@@ -830,10 +832,8 @@ pub(crate) fn solve_driver_full<
                 ..SolveCheckpoint::default()
             };
             policy.capture(&mut cp);
-            if matches!(ctrl(&cp), SolveControl::Halt) {
-                stats.halted = true;
-                break;
-            }
+            checkpoint = Some(Box::new(cp));
+            break;
         }
 
         stats.format_trajectory.push(basis.format_name());
@@ -873,6 +873,7 @@ pub(crate) fn solve_driver_full<
         stats,
         history,
         captured_basis_vector: captured,
+        checkpoint,
     }
 }
 
@@ -911,13 +912,13 @@ pub struct SolveHooks<'a> {
     /// adaptive rung change). A pure spectator — it cannot influence
     /// the solve.
     pub observe: Option<&'a mut dyn FnMut(&CycleEvent)>,
-    /// Control probe: called at every restart boundary with a freshly
-    /// captured [`SolveCheckpoint`] (the boundary's [`SolveStats`] plus
-    /// the iterate, history, and policy state); returning
-    /// [`SolveControl::Halt`] stops the solve there, reported as
-    /// [`SolveStats::halted`]. Convergence is decided first, so a halt
-    /// never masks a finished solve.
-    pub control: Option<&'a mut dyn FnMut(&SolveCheckpoint) -> SolveControl>,
+    /// Control probe: a predicate called at every restart boundary;
+    /// returning [`SolveControl::Halt`] stops the solve there, and the
+    /// result carries that boundary's [`SolveCheckpoint`] (the
+    /// boundary's [`SolveStats`] plus the iterate, history, and policy
+    /// state) in [`SolveResult::checkpoint`]. Convergence is decided
+    /// first, so a halt never masks a finished solve.
+    pub control: Option<&'a mut dyn FnMut() -> SolveControl>,
     /// Continue a previous solve from its checkpoint instead of `x0`.
     pub resume: Option<&'a SolveCheckpoint>,
 }
@@ -929,7 +930,8 @@ pub struct SolveHooks<'a> {
 /// Without hooks the result is bit-identical to the plan's plain entry
 /// ([`crate::basis_format::gmres_dyn`], [`crate::sstep::sstep_gmres_dyn`],
 /// [`crate::adaptive::adaptive_gmres`]); observing or probing never
-/// changes a bit.
+/// changes a bit. A probe halt returns the boundary's checkpoint in
+/// [`SolveResult::checkpoint`].
 ///
 /// The resume contract: pass the same `b`, plan, and preconditioner as
 /// the solve that captured the checkpoint, and the continuation

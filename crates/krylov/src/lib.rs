@@ -57,9 +57,9 @@
 //! probe, a checkpoint to resume — and reports into one record,
 //! [`SolveStats`], which checkpoints and cycle events are built from.
 //! Fault tolerance lives in
-//! [`checkpoint`] and [`faults`]: the probe receives a
-//! [`checkpoint::SolveCheckpoint`] at every restart boundary and can
-//! halt there, and a later [`solve`] resumes from it
+//! [`checkpoint`] and [`faults`]: a probe that halts at a restart
+//! boundary gets that boundary's [`checkpoint::SolveCheckpoint`] back
+//! in [`SolveResult::checkpoint`], and a later [`solve`] resumes from it
 //! **bit-identically** to the uninterrupted solve (a checkpoint from a
 //! different solve is a typed [`CheckpointError::Mismatch`]);
 //! [`faults`] provides the deterministic fault-injection harness

@@ -429,10 +429,10 @@ impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
     }
 }
 
-/// The panel width an s-step solve over `format` runs at: the request
-/// clamped (at least 1) by [`BasisFormat::max_sstep`].
-pub(crate) fn gated_width(format: &dyn BasisFormat, sopts: &SStepOptions) -> usize {
-    sopts.s.max(1).min(format.max_sstep().max(1))
+/// The panel width an s-step solve over `format` runs at: the requested
+/// `s` clamped (at least 1) by [`BasisFormat::max_sstep`].
+pub fn gated_width(format: &dyn BasisFormat, s: usize) -> usize {
+    s.max(1).min(format.max_sstep().max(1))
 }
 
 /// s-step CB-GMRES over a runtime-selected basis format: `s` is gated
@@ -474,7 +474,7 @@ pub(crate) fn sstep_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
     let budget = sopts
         .loo_budget
         .unwrap_or_else(|| loo_budget(format.accuracy_floor(), n));
-    let gated = gated_width(format, sopts);
+    let gated = gated_width(format, sopts.s);
     let mut policy = PanelPolicy {
         s_cur: gated,
         budget,
@@ -783,12 +783,10 @@ mod tests {
             "need several cycles to split"
         );
 
-        let mut taken: Option<SolveCheckpoint> = None;
         let mut boundaries = 0usize;
-        let mut probe = |cp: &SolveCheckpoint| {
+        let mut probe = || {
             boundaries += 1;
             if boundaries == 3 {
-                taken = Some(cp.clone());
                 SolveControl::Halt
             } else {
                 SolveControl::Continue
@@ -799,8 +797,7 @@ mod tests {
             ..SolveHooks::default()
         };
         let first = sstep_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref(), hooks);
-        assert!(first.stats.halted);
-        let cp = taken.expect("checkpoint captured at halt");
+        let cp = first.checkpoint.expect("checkpoint captured at halt");
         assert_eq!(cp.driver, DriverKind::SStep);
         assert_eq!(
             cp.stats.s_per_cycle.len(),
@@ -819,7 +816,7 @@ mod tests {
         let zeros = vec![0.0; a.rows()];
         let r = sstep_dyn(&a, &b, &zeros, &sopts, &Identity, fmt.as_ref(), hooks);
         let base = base.solve;
-        assert!(!r.stats.halted);
+        assert!(r.checkpoint.is_none());
         assert!(r.stats.converged);
         assert_eq!(r.stats.s_per_cycle, base.stats.s_per_cycle);
         assert_eq!(r.stats.loo_breaches, base.stats.loo_breaches);

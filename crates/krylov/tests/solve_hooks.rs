@@ -4,7 +4,7 @@
 //! hook set (none, observer, armed probe) must reproduce the plan's
 //! plain entry bit for bit at 1 and 2 threads, and a solve halted at a
 //! boundary, serialized, decoded, and resumed must equal the
-//! uninterrupted one. The checkpoint taken at a halt carries the halted
+//! uninterrupted one. The checkpoint a halt returns carries the halted
 //! solve's record. A checkpoint from a different solve, or with
 //! counters no solve can capture, must be a typed error, never a panic.
 
@@ -124,24 +124,26 @@ impl Case {
     }
 
     /// Halt at boundary `halt_at` and return the halted solve with the
-    /// checkpoint its probe captured there.
+    /// checkpoint it returned there.
     fn halt(&self) -> (SolveResult, SolveCheckpoint) {
-        let mut taken: Option<SolveCheckpoint> = None;
         let mut seen = 0usize;
-        let mut halt = |cp: &SolveCheckpoint| {
+        let mut halt = || {
             seen += 1;
             if seen == self.halt_at {
-                taken = Some(cp.clone());
                 SolveControl::Halt
             } else {
                 SolveControl::Continue
             }
         };
-        let first = self.solve(SolveHooks {
+        let mut first = self.solve(SolveHooks {
             control: Some(&mut halt),
             ..SolveHooks::default()
         });
-        (first, taken.expect("checkpoint captured at halt"))
+        let cp = first
+            .checkpoint
+            .take()
+            .expect("checkpoint captured at halt");
+        (first, *cp)
     }
 }
 
@@ -262,7 +264,7 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                 let label = format!("{kind:?}(s={s})/{threads}t");
 
                 let bare = case.solve(SolveHooks::default());
-                assert!(!bare.stats.halted);
+                assert!(bare.checkpoint.is_none());
                 assert_same(&format!("{label} no hooks"), &bare, &plain);
 
                 let mut events = Vec::new();
@@ -275,8 +277,7 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                 assert_event_stream(&label, &events, &plain);
 
                 let mut boundaries = 0usize;
-                let mut probe = |cp: &SolveCheckpoint| {
-                    assert_eq!(cp.driver, driver, "{label}: checkpoint driver");
+                let mut probe = || {
                     boundaries += 1;
                     SolveControl::Continue
                 };
@@ -284,14 +285,13 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                     control: Some(&mut probe),
                     ..SolveHooks::default()
                 });
-                assert!(!probed.stats.halted);
+                assert!(probed.checkpoint.is_none());
                 assert_same(&format!("{label} probe"), &probed, &plain);
                 assert_eq!(boundaries, plain.stats.restarts, "{label}: probe per cycle");
 
                 // Halt at boundary `halt_at`, round-trip the checkpoint
                 // through its byte format, resume from the decoded copy.
                 let (first, cp) = case.halt();
-                assert!(first.stats.halted, "{label}: probe must halt");
                 assert!(!first.stats.converged, "{label}: halt is not done");
                 assert_eq!(cp.driver, driver, "{label}");
                 assert_eq!(
@@ -305,7 +305,6 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                 // The checkpoint is the halted solve's record, bar the
                 // fields only the end of a solve sets.
                 let halted_record = SolveStats {
-                    halted: false,
                     wall_time: Default::default(),
                     basis_bits_per_value: 0.0,
                     ..first.stats.clone()
@@ -317,7 +316,7 @@ fn every_plan_and_hook_set_matches_the_plain_entry_and_resumes_bit_identically()
                     resume: Some(&decoded),
                     ..SolveHooks::default()
                 });
-                assert!(!resumed.stats.halted);
+                assert!(resumed.checkpoint.is_none());
                 assert_same(&format!("{label} resumed"), &resumed, &plain);
             });
         }
@@ -350,7 +349,7 @@ fn resume_mismatch_is_a_typed_error_not_a_panic() {
             Err(CheckpointError::Mismatch { field, .. }) => field,
             other => panic!(
                 "expected a mismatch, got {:?}",
-                other.map(|r| r.stats.halted)
+                other.map(|r| r.checkpoint.is_some())
             ),
         }
     };
@@ -424,12 +423,8 @@ fn forged_checkpoint_counters_are_refused() {
 
     // A boundary has no outcome yet: a checkpoint claiming one would
     // hand it to the resumed solve without the explicit residual.
-    for (label, cp) in [
-        forged("converged", |st| st.converged = true),
-        forged("halted", |st| st.halted = true),
-    ] {
-        assert_eq!(refusal(&sstep, &cp), "outcome", "{label}");
-    }
+    let (label, cp) = forged("converged", |st| st.converged = true);
+    assert_eq!(refusal(&sstep, &cp), "outcome", "{label}");
 
     let adaptive = Case::new(Kind::Adaptive, 1);
     let (_, mut cp) = adaptive.halt();

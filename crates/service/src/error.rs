@@ -28,11 +28,17 @@ pub enum ServiceError {
         /// The matrix's column count.
         cols: usize,
     },
-    /// The job's `opts.restart` is 0: a restart cycle could store no
-    /// Krylov column. Refused before admission.
-    ZeroRestart {
+    /// The job's `opts.restart` is outside `1..=rows`: a cycle of 0
+    /// stores no Krylov column, and the Krylov space of a `rows`-row
+    /// operator has at most `rows` directions, so a longer cycle only
+    /// allocates columns it cannot fill. Refused before admission.
+    RestartOutOfRange {
         /// Operator the job targeted.
         operator: String,
+        /// The job's restart length.
+        restart: usize,
+        /// The operator's row count.
+        rows: usize,
     },
     /// The job's fixed basis format is not in the
     /// `krylov::basis_format` registry.
@@ -143,9 +149,14 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "operator {operator:?} is {rows}×{cols}; GMRES needs a square matrix"
             ),
-            ServiceError::ZeroRestart { operator } => {
-                write!(f, "job on {operator:?} has restart length 0")
-            }
+            ServiceError::RestartOutOfRange {
+                operator,
+                restart,
+                rows,
+            } => write!(
+                f,
+                "job on {operator:?} has restart length {restart}, outside 1..={rows}"
+            ),
             ServiceError::UnknownFormat(name) => {
                 write!(f, "unknown basis format {name:?}")
             }
@@ -238,10 +249,14 @@ mod tests {
             cols: 4,
         };
         assert!(e.to_string().contains("\"wide\" is 3×4"));
-        let e = ServiceError::ZeroRestart {
+        let e = ServiceError::RestartOutOfRange {
             operator: "flat".into(),
+            restart: 0,
+            rows: 216,
         };
-        assert!(e.to_string().contains("\"flat\" has restart length 0"));
+        assert!(e
+            .to_string()
+            .contains("\"flat\" has restart length 0, outside 1..=216"));
         let e = ServiceError::BudgetExceeded {
             operator: "big".into(),
             requested: 900,

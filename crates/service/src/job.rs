@@ -26,53 +26,23 @@ pub enum BasisSelection {
 /// rung up the escalation ladder
 /// ([`krylov::basis_format::escalate`]) — the same "compression was
 /// too aggressive, spend more bytes" move the adaptive driver makes
-/// mid-solve, applied across attempts — and sleeps a bounded
-/// exponential backoff first. A panicked attempt is retried at the
-/// same rung (a panic carries no evidence against the format).
-/// Deadline breaches are **not** retried: the caller asked for the
-/// time limit, so the service returns
+/// mid-solve, applied across attempts. A panicked attempt is retried at
+/// the same rung (a panic carries no evidence against the format).
+/// Retries run at once: every attempt is deterministic, so waiting
+/// cannot change its outcome. Deadline breaches are **not** retried:
+/// the caller asked for the time limit, so the service returns
 /// [`crate::ServiceError::DeadlineExceeded`] with the latest
 /// checkpoint instead of burning more wall clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 disables retries).
     pub max_retries: usize,
-    /// Backoff before retry `k` (1-based) is
-    /// `min(backoff_base_ms << (k - 1), backoff_max_ms)`.
-    pub backoff_base_ms: u64,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_max_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_ms: 1,
-            backoff_max_ms: 100,
-        }
-    }
 }
 
 impl RetryPolicy {
-    /// A policy with `max_retries` retries and near-zero backoff
-    /// (tests and benches: deterministic count, no wasted wall clock).
+    /// A policy with `max_retries` retries.
     pub fn quick(max_retries: usize) -> Self {
-        RetryPolicy {
-            max_retries,
-            backoff_base_ms: 0,
-            backoff_max_ms: 0,
-        }
-    }
-
-    /// The backoff to sleep before 1-based retry `k`.
-    pub fn backoff(&self, k: usize) -> Duration {
-        let shift = (k.saturating_sub(1)).min(63) as u32;
-        let ms = self
-            .backoff_base_ms
-            .saturating_mul(1u64.checked_shl(shift).unwrap_or(u64::MAX))
-            .min(self.backoff_max_ms);
-        Duration::from_millis(ms)
+        RetryPolicy { max_retries }
     }
 }
 
@@ -122,7 +92,8 @@ pub struct JobSpec {
     /// [`BasisSelection::Adaptive`] ignores this knob — the adaptive
     /// driver owns its own cycle policy. Values are clamped up to 1 at
     /// admission, and the uncompressed f64 panel scratch is charged
-    /// against the basis budget.
+    /// against the basis budget at the width the solver runs
+    /// ([`krylov::sstep::gated_width`]).
     pub sstep: usize,
     /// Wall-clock budget for the whole job (all retries included).
     /// Checked cooperatively at every restart boundary: on breach the
@@ -132,8 +103,8 @@ pub struct JobSpec {
     /// [`JobSpec::resume`] bit-identically. `None` (the default) never
     /// interrupts.
     pub deadline: Option<Duration>,
-    /// Retry failed attempts per this policy; `None` (the default)
-    /// runs exactly one attempt.
+    /// Retry failed attempts per this policy, each at once; `None`
+    /// (the default) runs exactly one attempt.
     pub retry: Option<RetryPolicy>,
     /// Resume a previous solve from its checkpoint instead of starting
     /// fresh. The checkpoint's dimension, driver kind, and basis format

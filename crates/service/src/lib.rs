@@ -46,7 +46,9 @@
 //! never OOMs on a burst. Block jobs are charged per lane: `width ×`
 //! the single-RHS estimate (and `8 · rows · (restart + 1) · width` for
 //! the adaptive worst case), so a 16-RHS job cannot sneak in under a
-//! single-solve budget.
+//! single-solve budget; an s-step panel is charged at the width the
+//! solver runs. A `restart` outside `1..=rows` is refused before
+//! admission as [`ServiceError::RestartOutOfRange`].
 //!
 //! # Fault tolerance
 //!
@@ -61,11 +63,10 @@
 //!   [`JobSpec::resume`] from it **bit-identically** to the
 //!   uninterrupted solve;
 //! - a **retry policy** ([`RetryPolicy`]): non-converged attempts are
-//!   retried after bounded exponential backoff with the basis format
-//!   escalated one ladder rung per attempt; panicking attempts are
-//!   caught (`catch_unwind` at the job boundary) and retried at the
-//!   same rung, surfacing as [`ServiceError::JobPanicked`] only when
-//!   retries are exhausted;
+//!   retried at once with the basis format escalated one ladder rung
+//!   per attempt; panicking attempts are caught (`catch_unwind` at the
+//!   job boundary) and retried at the same rung, surfacing as
+//!   [`ServiceError::JobPanicked`] only when retries are exhausted;
 //! - a **fault plan** ([`FaultSpec`]): deterministic basis bit-flips,
 //!   Hessenberg NaNs, injected panics and per-boundary sleeps, used by
 //!   the tests and the pinned fault rows to prove every detection

@@ -8,9 +8,9 @@ use crate::job::{
 use crate::operator::{AnalyzedOperator, OperatorInfo, PrecondSpec};
 use krylov::basis_format::{self, BasisFormat};
 use krylov::{
-    block_gmres_dyn_observed, AdaptiveOptions, BlockSolveResult, CycleEvent, FaultPlan, FaultSpec,
-    FaultyFormat, GmresOptions, SStepOptions, SolveCheckpoint, SolveControl, SolveHooks, SolvePlan,
-    SolveResult,
+    block_gmres_dyn_observed, sstep::gated_width, AdaptiveOptions, BlockSolveResult, CycleEvent,
+    FaultPlan, FaultSpec, FaultyFormat, GmresOptions, SStepOptions, SolveCheckpoint, SolveControl,
+    SolveHooks, SolvePlan, SolveResult,
 };
 use spla::Csr;
 use std::collections::HashMap;
@@ -44,10 +44,11 @@ pub struct ServiceConfig {
 /// `rows` values at the format's nominal rate (Eq. 3 for FRSZ2), times
 /// the `restart + 1` columns a cycle stores, times the `width` lanes of
 /// a block job (each RHS keeps its own compressed Krylov lane — pass
-/// `1` for a single-RHS job). An `sstep > 1` job additionally holds the
-/// uncompressed f64 s-step panel — the matrix-powers buffer plus the
-/// interleaved working panel, two `rows · sstep` f64 arrays — which is
-/// charged on top (pass `1` for a scalar job; the panel lives once per
+/// `1` for a single-RHS job). An s-step job additionally holds the
+/// uncompressed f64 panel at the width `s` it runs,
+/// [`krylov::sstep::gated_width`]: the matrix-powers buffer plus the
+/// interleaved working panel, two `rows · s` f64 arrays charged on top
+/// when `s > 1` (pass `1` for a scalar job; the panel lives once per
 /// job, not per lane). This is the number admission control charges
 /// against the budget — an a-priori bound, deliberately computed from
 /// the *registry* rate rather than a live store, so rejection happens
@@ -60,10 +61,9 @@ pub fn estimated_basis_bytes(
     sstep: usize,
 ) -> u64 {
     let column = (format.bits_per_value(rows) * rows as f64 / 8.0).ceil() as u64;
-    let panel = if sstep > 1 {
-        2 * 8 * rows as u64 * sstep as u64
-    } else {
-        0
+    let panel = match gated_width(format, sstep) as u64 {
+        1 => 0,
+        s => 2 * 8 * rows as u64 * s,
     };
     column * (restart as u64 + 1) * width as u64 + panel
 }
@@ -304,9 +304,8 @@ impl SolverService {
     ///   refused before admission as
     ///   [`ServiceError::CheckpointMismatch`] and never retried;
     /// - **retry with escalation** ([`JobSpec::retry`]): a
-    ///   non-converged attempt (breakdown, stagnation) is retried
-    ///   after a bounded exponential backoff with the basis format
-    ///   escalated one ladder rung
+    ///   non-converged attempt (breakdown, stagnation) is retried at
+    ///   once with the basis format escalated one ladder rung
     ///   ([`krylov::basis_format::escalate`]); a panicked attempt —
     ///   in the solve or in `observe` — is caught
     ///   ([`ServiceError::JobPanicked`] once retries are exhausted) and
@@ -319,8 +318,9 @@ impl SolverService {
     /// ladder-top (`float64`) worst case up front, like an adaptive
     /// job: escalating mid-job must not be able to OOM past the
     /// budget, and re-admitting between attempts could deadlock a
-    /// queued batch. A job with `restart = 0` is refused before
-    /// admission as [`ServiceError::ZeroRestart`].
+    /// queued batch. A job whose `restart` is outside `1..=rows` is
+    /// refused before admission as [`ServiceError::RestartOutOfRange`].
+    /// An s-step panel is charged at the width the solver runs.
     pub fn solve_report_observed(
         &self,
         spec: &JobSpec,
@@ -447,9 +447,11 @@ impl SolverService {
         if let Some(got) = lens.find(|&len| len != rows) {
             return Err(mismatch(got));
         }
-        if job.opts.restart == 0 {
-            return Err(ServiceError::ZeroRestart {
+        if !(1..=rows).contains(&job.opts.restart) {
+            return Err(ServiceError::RestartOutOfRange {
                 operator: job.operator.to_string(),
+                restart: job.opts.restart,
+                rows,
             });
         }
         let format = resolve_format(job.basis, job.opts, rows)?;
@@ -468,7 +470,8 @@ impl SolverService {
                 estimated_basis_bytes(f, rows, job.opts.restart, width, sstep)
             }
             // Retries and the adaptive ladder may escalate to float64:
-            // charge that worst case up front, so escalating cannot OOM.
+            // charge that worst case (whose s-step gate is also the
+            // widest) up front, so escalating cannot OOM.
             _ => {
                 let top = basis_format::by_name("float64").expect("float64 is registered");
                 estimated_basis_bytes(top.as_ref(), rows, job.opts.restart, width, sstep)
@@ -480,19 +483,20 @@ impl SolverService {
             .build()
             .expect("job thread pool");
 
-        // The deadline clock spans the whole job: retries and their
-        // backoffs burn the same budget as the first attempt.
+        // The deadline clock spans the whole job: retries burn the
+        // same budget as the first attempt.
         let job_start = Instant::now();
         let fault = job.fault;
         let sleep_per_boundary = fault.map_or(0, |f| f.sleep_per_boundary_ms);
         let fault_fired = Arc::new(AtomicU64::new(0));
-        // Only pay for the boundary probe when something is armed.
-        let control_armed = job.deadline.is_some() || sleep_per_boundary > 0;
         let max_retries = job.retry.map_or(0, |r| r.max_retries);
-        let backoff = |attempt| {
-            let pause = job.retry.map_or(Duration::ZERO, |r| r.backoff(attempt));
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
+        let mut probe = || {
+            if sleep_per_boundary > 0 {
+                std::thread::sleep(Duration::from_millis(sleep_per_boundary));
+            }
+            match job.deadline {
+                Some(d) if job_start.elapsed() >= d => SolveControl::Halt,
+                _ => SolveControl::Continue,
             }
         };
 
@@ -531,7 +535,6 @@ impl SolverService {
             // fresh.
             let resume_cp = job.resume.filter(|_| !escalated);
             let panic_now = fault.is_some_and(|f| f.panic_on_attempt == Some(attempts - 1));
-            let mut halted_cp: Option<SolveCheckpoint> = None;
 
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if panic_now {
@@ -551,18 +554,6 @@ impl SolverService {
                     // lanes of an adaptive block, which escalate at their
                     // own pace where one shared basis cannot.
                     f => {
-                        let mut probe = |cp: &SolveCheckpoint| {
-                            if sleep_per_boundary > 0 {
-                                std::thread::sleep(Duration::from_millis(sleep_per_boundary));
-                            }
-                            match job.deadline {
-                                Some(d) if job_start.elapsed() >= d => {
-                                    halted_cp = Some(cp.clone());
-                                    SolveControl::Halt
-                                }
-                                _ => SolveControl::Continue,
-                            }
-                        };
                         let (sopts, aopts) = plan_options(&opts, sstep);
                         let zeros = vec![0.0; rows];
                         let mut lanes = Vec::with_capacity(width);
@@ -570,24 +561,18 @@ impl SolverService {
                             let mut lane_observe = |cycle: &CycleEvent| observe(lane, cycle);
                             let hooks = SolveHooks {
                                 observe: Some(&mut lane_observe),
-                                control: if control_armed {
-                                    Some(&mut probe)
-                                } else {
-                                    None
-                                },
+                                control: Some(&mut probe),
                                 resume: resume_cp,
                             };
-                            let done = krylov::solve(
+                            lanes.push(krylov::solve(
                                 op.matrix.as_ref(),
                                 b,
                                 job.x0s.map_or(&zeros, |x0s| &x0s[lane]),
                                 &op.precond,
                                 job_plan(f, &sopts, &aopts),
                                 hooks,
-                            )?;
-                            let halted = done.stats.halted;
-                            lanes.push(done);
-                            if halted {
+                            )?);
+                            if lanes[lane].checkpoint.is_some() {
                                 break;
                             }
                         }
@@ -603,7 +588,6 @@ impl SolverService {
                     // no evidence against the format, so retries stay
                     // on the same rung.
                     if attempts <= max_retries {
-                        backoff(attempts);
                         continue;
                     }
                     return Err(ServiceError::JobPanicked {
@@ -620,15 +604,19 @@ impl SolverService {
                         source,
                     });
                 }
-                Ok(Ok(solved)) => {
-                    if let Some(checkpoint) = halted_cp {
-                        // Cooperative deadline halt: progress is
-                        // postponed, not lost — the checkpoint resumes
-                        // bit-identically.
+                Ok(Ok(mut solved)) => {
+                    // Cooperative deadline halt of the last lane run:
+                    // progress is postponed, not lost — the checkpoint
+                    // resumes bit-identically.
+                    let halted = match &mut solved {
+                        Solved::Lanes(lanes) => lanes.last_mut().and_then(|r| r.checkpoint.take()),
+                        Solved::Block(_) => None,
+                    };
+                    if let Some(checkpoint) = halted {
                         return Err(ServiceError::DeadlineExceeded {
                             operator: job.operator.to_string(),
                             deadline_ms: job.deadline.map_or(0, |d| d.as_millis() as u64),
-                            checkpoint: Box::new(checkpoint),
+                            checkpoint,
                         });
                     }
                     if solved.converged() || attempts > max_retries {
@@ -645,7 +633,6 @@ impl SolverService {
                         // escalates internally): nothing smarter to try.
                         None => break solved,
                     }
-                    backoff(attempts);
                 }
             }
         };
@@ -805,9 +792,13 @@ mod tests {
         assert_eq!(service.basis_bytes_in_use(), 0);
     }
 
+    /// A restart of 0 stores no column, and one above the row count
+    /// allocates columns the Krylov space cannot fill (`usize::MAX`
+    /// used to overflow the admission estimate).
     #[test]
-    fn zero_restart_is_refused_before_admission() {
+    fn restart_out_of_range_is_refused_before_admission() {
         let (a, b) = smooth();
+        let rows = a.rows();
         // A one-byte budget: any job that reached admission would be
         // refused as `BudgetExceeded` instead.
         let service = SolverService::new(ServiceConfig {
@@ -817,32 +808,36 @@ mod tests {
         service
             .register_csr("smooth", &a, PrecondSpec::None)
             .unwrap();
-        let refused = ServiceError::ZeroRestart {
-            operator: "smooth".into(),
-        };
         let mut boundaries = 0;
-        for (basis, sstep) in [
-            (BasisSelection::Fixed("frsz2_21".into()), 1),
-            (BasisSelection::Fixed("frsz2_21".into()), 4),
-            (BasisSelection::Auto, 1),
-            (BasisSelection::Adaptive, 1),
-        ] {
-            let mut job = JobSpec::new("smooth", b.clone());
-            job.basis = basis.clone();
-            job.sstep = sstep;
-            job.opts.restart = 0;
-            let err = service
-                .solve_report_observed(&job, |_| boundaries += 1)
-                .unwrap_err();
-            assert_eq!(err, refused, "{basis:?} s={sstep}");
+        for restart in [0, rows + 1, usize::MAX] {
+            let refused = ServiceError::RestartOutOfRange {
+                operator: "smooth".into(),
+                restart,
+                rows,
+            };
+            for (basis, sstep) in [
+                (BasisSelection::Fixed("frsz2_21".into()), 1),
+                (BasisSelection::Fixed("frsz2_21".into()), 4),
+                (BasisSelection::Auto, 1),
+                (BasisSelection::Adaptive, 1),
+            ] {
+                let mut job = JobSpec::new("smooth", b.clone());
+                job.basis = basis.clone();
+                job.sstep = sstep;
+                job.opts.restart = restart;
+                let err = service
+                    .solve_report_observed(&job, |_| boundaries += 1)
+                    .unwrap_err();
+                assert_eq!(err, refused, "{basis:?} s={sstep}");
 
-            let mut block = BlockJobSpec::new("smooth", vec![b.clone(), b.clone()]);
-            block.basis = basis;
-            block.opts.restart = 0;
-            let err = service
-                .solve_block_observed(&block, |_| boundaries += 1)
-                .unwrap_err();
-            assert_eq!(err, refused);
+                let mut block = BlockJobSpec::new("smooth", vec![b.clone(), b.clone()]);
+                block.basis = basis;
+                block.opts.restart = restart;
+                let err = service
+                    .solve_block_observed(&block, |_| boundaries += 1)
+                    .unwrap_err();
+                assert_eq!(err, refused);
+            }
         }
         assert_eq!(boundaries, 0);
         assert_eq!(service.basis_bytes_in_use(), 0);
@@ -965,6 +960,12 @@ mod tests {
         // The s-step job carries the two uncompressed f64 panels
         // (matrix powers + working panel) on top of the basis columns.
         assert_eq!(panel, scalar + 2 * 8 * a.rows() as u64 * 8);
+        // frsz2_21 gates s at 8: a wider request runs, and is charged,
+        // at 8 (`usize::MAX` used to overflow the estimate).
+        for sstep in [64, usize::MAX] {
+            let over = estimated_basis_bytes(fmt.as_ref(), a.rows(), opts.restart, 1, sstep);
+            assert_eq!(over, panel, "s={sstep}");
+        }
         // Budget fits the scalar job but not the panel scratch.
         let service = SolverService::new(ServiceConfig {
             basis_budget_bytes: Some(scalar),
@@ -974,13 +975,18 @@ mod tests {
             .register_csr("smooth", &a, PrecondSpec::None)
             .unwrap();
         let mut wide = job("smooth", b.clone(), "frsz2_21", 1e-6);
-        wide.sstep = 8;
-        let denied = service.solve_report(&wide).unwrap_err();
-        assert!(matches!(
-            denied,
-            ServiceError::BudgetExceeded { requested, budget, .. }
-                if requested == panel && budget == scalar
-        ));
+        for sstep in [8, 64, usize::MAX] {
+            wide.sstep = sstep;
+            let denied = service.solve_report(&wide).unwrap_err();
+            assert!(
+                matches!(
+                    denied,
+                    ServiceError::BudgetExceeded { requested, budget, .. }
+                        if requested == panel && budget == scalar
+                ),
+                "s={sstep}: {denied:?}"
+            );
+        }
         // The same job at sstep = 1 is admitted and converges.
         let ok = service
             .solve_report(&job("smooth", b, "frsz2_21", 1e-6))

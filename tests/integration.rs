@@ -608,12 +608,10 @@ fn checkpoint_round_trip_is_bit_identical_for_every_format() {
                 .unwrap();
             let (halted, r) = pool.install(|| {
                 // Halt at the second boundary (one completed cycle)...
-                let mut taken: Option<Vec<u8>> = None;
                 let mut boundaries = 0usize;
-                let mut probe = |cp: &SolveCheckpoint| {
+                let mut probe = || {
                     boundaries += 1;
                     if boundaries == 2 {
-                        taken = Some(cp.encode());
                         SolveControl::Halt
                     } else {
                         SolveControl::Continue
@@ -626,7 +624,8 @@ fn checkpoint_round_trip_is_bit_identical_for_every_format() {
                 };
                 let first = solve(&a, &b, &x0, &Identity, plan, hooks).expect("fresh solve");
                 // ...then resume from the serialized bytes.
-                let bytes = taken.expect("checkpoint captured at halt");
+                let bytes = first.checkpoint.as_ref().map(|cp| cp.encode());
+                let bytes = bytes.expect("checkpoint captured at halt");
                 let cp = SolveCheckpoint::decode(&bytes).expect("checkpoint decodes");
                 let hooks = SolveHooks {
                     resume: Some(&cp),
@@ -636,7 +635,10 @@ fn checkpoint_round_trip_is_bit_identical_for_every_format() {
                 let resumed = solve(&a, &b, &zeros, &Identity, plan, hooks).expect("same solve");
                 (first, resumed)
             });
-            assert!(halted.stats.halted, "{name}/{threads}t: probe must halt");
+            assert!(
+                halted.checkpoint.is_some(),
+                "{name}/{threads}t: probe must halt"
+            );
             assert_eq!(
                 r.stats.converged, base.stats.converged,
                 "{name}/{threads}t: convergence state diverged"
