@@ -14,8 +14,8 @@ fn main() {
     probe.iter_mut().for_each(|v| *v /= nrm);
 
     let mut rows = Vec::new();
-    for info in registry::TABLE_TWO.iter() {
-        let codec = registry::by_name(info.name).expect("registered codec");
+    for info in registry::TABLE_TWO {
+        let codec = info.build();
         let bpv = codec.bits_per_value(&probe);
         let mut out = vec![0.0; n];
         codec.roundtrip(&probe, &mut out);

@@ -176,16 +176,29 @@ pub struct Problem {
     pub target_rrn: f64,
 }
 
-/// Read a MatrixMarket file; an unreadable or malformed one is a
-/// [`CliError::BadMtx`].
+/// Read a MatrixMarket file as a solver operator. An unreadable or
+/// malformed file is a [`CliError::BadMtx`], and so, before a row
+/// pointer is sized from the header, is a matrix that cannot be one: a
+/// non-square matrix, or one with more rows than stored entries (some
+/// row is empty, so the matrix is singular).
 pub fn load_mtx(path: &str) -> Result<Csr, CliError> {
-    std::fs::File::open(path)
+    let bad = |error: String| CliError::BadMtx {
+        path: path.to_string(),
+        error,
+    };
+    let coo = std::fs::File::open(path)
         .and_then(|file| spla::io::read_matrix_market(std::io::BufReader::new(file)))
-        .map(|coo| coo.to_csr())
-        .map_err(|e| CliError::BadMtx {
-            path: path.to_string(),
-            error: e.to_string(),
-        })
+        .map_err(|e| bad(e.to_string()))?;
+    let (rows, cols, entries) = (coo.rows(), coo.cols(), coo.nnz());
+    if rows != cols {
+        return Err(bad(format!("a {rows}×{cols} matrix is not square")));
+    }
+    if rows > entries {
+        return Err(bad(format!(
+            "more rows ({rows}) than stored entries ({entries}): some row is empty"
+        )));
+    }
+    Ok(coo.to_csr())
 }
 
 /// Build a suite problem (or load `--mtx`) with the §V-B deterministic
@@ -404,6 +417,28 @@ mod tests {
             msg.ends_with("expected 100000000000000 entries, found 1"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn a_matrix_that_cannot_be_an_operator_is_refused() {
+        std::fs::create_dir_all("results").unwrap();
+        let header = "%%MatrixMarket matrix coordinate real general";
+        for (name, body, reason) in [
+            ("wide", "2 3 1\n1 1 1.0", "a 2×3 matrix is not square"),
+            // Refused before a 32 GiB row pointer is sized from the header.
+            (
+                "underfilled",
+                "4294967295 4294967295 1\n1 1 1.0",
+                "more rows (4294967295) than stored entries (1): some row is empty",
+            ),
+        ] {
+            let path = format!("results/test_{name}.mtx");
+            std::fs::write(&path, format!("{header}\n{body}\n")).unwrap();
+            let err = load_mtx(&path).unwrap_err();
+            let _ = std::fs::remove_file(&path);
+            assert!(matches!(err, CliError::BadMtx { .. }), "{name}: {err}");
+            assert!(err.to_string().ends_with(reason), "{name}: {err}");
+        }
     }
 
     #[test]

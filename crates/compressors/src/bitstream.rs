@@ -1,7 +1,10 @@
 //! LSB-first bit stream over a byte buffer.
 //!
-//! Shared encoding substrate for the Huffman stage and the ZFP-style
-//! bit-plane coder.
+//! Shared substrate of every codec's byte stream: the Huffman stage,
+//! the ZFP-style bit-plane coder, and the little-endian words of the
+//! casts and the FRSZ2 adapter.
+
+use crate::DecodeError;
 
 /// Append-only bit writer.
 #[derive(Default)]
@@ -70,7 +73,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read `n` bits (`n <= 64`). Reading past the end yields zeros
-    /// (streams are zero-padded by the writer).
+    /// (decoders check `finish` afterwards).
     pub fn read_bits(&mut self, n: u32) -> u64 {
         debug_assert!(n <= 64);
         let mut out = 0u64;
@@ -96,6 +99,29 @@ impl<'a> BitReader<'a> {
     /// Current bit position.
     pub fn bit_pos(&self) -> usize {
         self.pos
+    }
+
+    /// Read a `bits`-wide count of items that take at least `min_bits`
+    /// each, refusing a count the rest of the stream cannot hold, so no
+    /// caller sizes an allocation or a loop from a forged count.
+    pub(crate) fn read_count(&mut self, bits: u32, min_bits: u64) -> Result<usize, DecodeError> {
+        let count = self.read_bits(bits);
+        let remaining = (self.buf.len() * 8)
+            .checked_sub(self.pos)
+            .ok_or(DecodeError::Truncated)?;
+        if count.saturating_mul(min_bits) > remaining as u64 {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(count as usize)
+    }
+
+    /// `Err(Truncated)` once a read has gone past the end of the stream.
+    pub(crate) fn finish(&self) -> Result<(), DecodeError> {
+        if self.pos <= self.buf.len() * 8 {
+            Ok(())
+        } else {
+            Err(DecodeError::Truncated)
+        }
     }
 }
 
@@ -137,7 +163,26 @@ mod tests {
         let bytes = vec![0xFF];
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(8), 0xFF);
+        assert_eq!(r.finish(), Ok(()));
         assert_eq!(r.read_bits(16), 0);
+        assert_eq!(r.finish(), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn a_count_the_stream_cannot_hold_is_refused() {
+        let mut w = BitWriter::new();
+        w.write_bits(3, 8);
+        w.write_bits(0, 24);
+        let bytes = w.into_bytes();
+        // Three 8-bit items fit in the 24 bits that follow.
+        assert_eq!(BitReader::new(&bytes).read_count(8, 8), Ok(3));
+        assert_eq!(
+            BitReader::new(&bytes).read_count(8, 9),
+            Err(DecodeError::Truncated)
+        );
+        let mut past = BitReader::new(&bytes);
+        past.read_bits(32);
+        assert_eq!(past.read_count(8, 0), Err(DecodeError::Truncated));
     }
 
     #[test]

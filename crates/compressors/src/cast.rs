@@ -2,7 +2,8 @@
 //! expressed through the [`Compressor`] interface, so the shoot-out
 //! binaries can compare every technique uniformly.
 
-use crate::Compressor;
+use crate::bitstream::BitReader;
+use crate::{Compressor, DecodeError};
 use numfmt::F16;
 
 /// Cast to IEEE binary32 (the paper's `float32` storage).
@@ -20,10 +21,13 @@ impl Compressor for CastF32 {
             .collect()
     }
 
-    fn decompress(&self, bytes: &[u8], n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| f32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()) as f64)
-            .collect()
+    fn decompress(&self, bytes: &[u8], n: usize) -> Result<Vec<f64>, DecodeError> {
+        let mut r = BitReader::new(bytes);
+        let out = (0..n)
+            .map(|_| f32::from_bits(r.read_bits(32) as u32) as f64)
+            .collect();
+        r.finish()?;
+        Ok(out)
     }
 }
 
@@ -42,15 +46,13 @@ impl Compressor for CastF16 {
             .collect()
     }
 
-    fn decompress(&self, bytes: &[u8], n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| {
-                F16::from_bits(u16::from_le_bytes(
-                    bytes[i * 2..i * 2 + 2].try_into().unwrap(),
-                ))
-                .to_f64()
-            })
-            .collect()
+    fn decompress(&self, bytes: &[u8], n: usize) -> Result<Vec<f64>, DecodeError> {
+        let mut r = BitReader::new(bytes);
+        let out = (0..n)
+            .map(|_| F16::from_bits(r.read_bits(16) as u16).to_f64())
+            .collect();
+        r.finish()?;
+        Ok(out)
     }
 }
 
@@ -63,7 +65,7 @@ mod tests {
         let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin()).collect();
         let c = CastF32;
         assert_eq!(c.bits_per_value(&data), 32.0);
-        let out = c.decompress(&c.compress(&data), 100);
+        let out = c.decompress(&c.compress(&data), 100).unwrap();
         for (a, b) in data.iter().zip(&out) {
             assert_eq!(*b, *a as f32 as f64);
         }
@@ -74,7 +76,7 @@ mod tests {
         let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin()).collect();
         let c = CastF16;
         assert_eq!(c.bits_per_value(&data), 16.0);
-        let out = c.decompress(&c.compress(&data), 100);
+        let out = c.decompress(&c.compress(&data), 100).unwrap();
         for (a, b) in data.iter().zip(&out) {
             assert!((a - b).abs() <= a.abs() * f64::powi(2.0, -11) + 1e-8);
         }

@@ -5,7 +5,8 @@
 //! shoot-out comparisons, where every codec is exercised through the
 //! same compress-to-bytes API.
 
-use crate::Compressor;
+use crate::bitstream::BitReader;
+use crate::{Compressor, DecodeError};
 use frsz2::{Frsz2Config, Frsz2Vector};
 
 /// FRSZ2 as a byte-stream codec.
@@ -17,10 +18,6 @@ pub struct Frsz2Compressor {
 impl Frsz2Compressor {
     pub fn new(cfg: Frsz2Config) -> Self {
         Frsz2Compressor { cfg }
-    }
-
-    pub fn config(&self) -> Frsz2Config {
-        self.cfg
     }
 }
 
@@ -42,25 +39,20 @@ impl Compressor for Frsz2Compressor {
         bytes
     }
 
-    fn decompress(&self, bytes: &[u8], n: usize) -> Vec<f64> {
-        let blocks = self.cfg.blocks_for(n);
-        let words_len = self.cfg.words_for_len(n);
-        let mut exps = Vec::with_capacity(blocks);
-        let mut words = Vec::with_capacity(words_len);
-        for i in 0..blocks {
-            exps.push(u32::from_le_bytes(
-                bytes[i * 4..i * 4 + 4].try_into().unwrap(),
-            ));
-        }
-        let base = blocks * 4;
-        for i in 0..words_len {
-            words.push(u32::from_le_bytes(
-                bytes[base + i * 4..base + i * 4 + 4].try_into().unwrap(),
-            ));
+    fn decompress(&self, bytes: &[u8], n: usize) -> Result<Vec<f64>, DecodeError> {
+        let mut r = BitReader::new(bytes);
+        let mut words =
+            |count| -> Vec<u32> { (0..count).map(|_| r.read_bits(32) as u32).collect() };
+        let exps = words(self.cfg.blocks_for(n));
+        let codes = words(self.cfg.words_for_len(n));
+        r.finish()?;
+        // A biased IEEE exponent has 11 bits; a wider one is no block's.
+        if exps.iter().any(|&e| e > 0x7FF) {
+            return Err(DecodeError::Corrupt("FRSZ2 block exponent exceeds 11 bits"));
         }
         let mut out = vec![0.0; n];
-        frsz2::codec::decompress_range(self.cfg, &words, &exps, n, 0, &mut out);
-        out
+        frsz2::codec::decompress_range(self.cfg, &codes, &exps, n, 0, &mut out);
+        Ok(out)
     }
 }
 
@@ -73,7 +65,9 @@ mod tests {
         let data: Vec<f64> = (0..200).map(|i| (i as f64 * 0.59).sin()).collect();
         let cfg = Frsz2Config::new(32, 32);
         let adapter = Frsz2Compressor::new(cfg);
-        let via_bytes = adapter.decompress(&adapter.compress(&data), data.len());
+        let via_bytes = adapter
+            .decompress(&adapter.compress(&data), data.len())
+            .unwrap();
         let native = Frsz2Vector::compress(cfg, &data).decompress();
         for (a, b) in via_bytes.iter().zip(&native) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -5,8 +5,9 @@
 //! estimate) makes the bits-per-value numbers in Figs. 5/6 honest.
 
 use crate::bitstream::{BitReader, BitWriter};
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
+use crate::DecodeError;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Maximum canonical code length we accept (f64 streams of < 2^40
 /// symbols cannot exceed this with the heap construction below).
@@ -14,23 +15,6 @@ const MAX_LEN: u32 = 56;
 
 /// Compute canonical code lengths from symbol frequencies.
 fn code_lengths(freqs: &HashMap<u32, u64>) -> HashMap<u32, u32> {
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        weight: u64,
-        id: usize,
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reverse for a min-heap; tie-break on id for determinism.
-            other.weight.cmp(&self.weight).then(other.id.cmp(&self.id))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
     let mut symbols: Vec<(u32, u64)> = freqs.iter().map(|(&s, &f)| (s, f)).collect();
     symbols.sort_unstable();
     if symbols.is_empty() {
@@ -40,24 +24,20 @@ fn code_lengths(freqs: &HashMap<u32, u64>) -> HashMap<u32, u32> {
         return HashMap::from([(symbols[0].0, 1)]);
     }
 
-    // Internal tree: children[id] for internal nodes, leaves first.
+    // Internal tree: parent[id] for every node, leaves first.
     let n = symbols.len();
     let mut parent = vec![usize::MAX; 2 * n - 1];
-    let mut heap: BinaryHeap<Node> = symbols
+    // A min-heap on (weight, id): ties break on id, for determinism.
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = symbols
         .iter()
         .enumerate()
-        .map(|(id, &(_, f))| Node { weight: f, id })
+        .map(|(id, &(_, f))| Reverse((f, id)))
         .collect();
     let mut next_id = n;
-    while heap.len() > 1 {
-        let a = heap.pop().unwrap();
-        let b = heap.pop().unwrap();
-        parent[a.id] = next_id;
-        parent[b.id] = next_id;
-        heap.push(Node {
-            weight: a.weight + b.weight,
-            id: next_id,
-        });
+    while let (Some(Reverse((wa, a))), Some(Reverse((wb, b)))) = (heap.pop(), heap.pop()) {
+        parent[a] = next_id;
+        parent[b] = next_id;
+        heap.push(Reverse((wa + wb, next_id)));
         next_id += 1;
     }
 
@@ -119,55 +99,43 @@ pub fn encode(symbols: &[u32], w: &mut BitWriter) {
     }
 }
 
-/// Decode a stream produced by [`encode`].
-pub fn decode(r: &mut BitReader) -> Vec<u32> {
-    let distinct = r.read_bits(32) as usize;
-    let mut lengths = HashMap::with_capacity(distinct);
+/// Decode a stream produced by [`encode`]. A code length outside
+/// `1..=MAX_LEN`, a code that names no symbol, and a count the stream
+/// cannot hold are errors.
+pub fn decode(r: &mut BitReader) -> Result<Vec<u32>, DecodeError> {
+    // `encode` lists the table by ascending (length, symbol), so the codes
+    // of one length are consecutive: canonical decoding needs only the
+    // symbols in table order and the number of codes of each length.
+    let distinct = r.read_count(32, 38)?;
+    let mut table = Vec::with_capacity(distinct);
+    let mut count = [0u64; MAX_LEN as usize + 1];
     for _ in 0..distinct {
-        let s = r.read_bits(32) as u32;
-        let l = r.read_bits(6) as u32;
-        lengths.insert(s, l);
-    }
-    let codes = canonical_codes(&lengths);
-    // first_code[len], first_index[len] for canonical decoding.
-    let max_len = codes.iter().map(|&(_, l, _)| l).max().unwrap_or(0);
-    let mut first_code = vec![u64::MAX; (max_len + 2) as usize];
-    let mut first_idx = vec![0usize; (max_len + 2) as usize];
-    for (i, &(_, l, c)) in codes.iter().enumerate() {
-        if first_code[l as usize] == u64::MAX {
-            first_code[l as usize] = c;
-            first_idx[l as usize] = i;
+        table.push(r.read_bits(32) as u32);
+        let l = r.read_bits(6) as usize;
+        if !(1..=MAX_LEN as usize).contains(&l) {
+            return Err(DecodeError::Corrupt("Huffman code length out of range"));
         }
+        count[l] += 1;
     }
-    // count per length for range checks
-    let mut count = vec![0usize; (max_len + 2) as usize];
-    for &(_, l, _) in &codes {
-        count[l as usize] += 1;
-    }
-
-    let n = r.read_bits(40) as usize;
+    let n = r.read_count(40, 1)?;
     let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut code = 0u64;
-        let mut len = 0u32;
-        loop {
-            code = (code << 1) | r.read_bit() as u64;
-            len += 1;
-            debug_assert!(len <= max_len, "corrupt Huffman stream");
-            let fc = first_code[len as usize];
-            if fc != u64::MAX && code >= fc && code < fc + count[len as usize] as u64 {
-                let idx = first_idx[len as usize] + (code - fc) as usize;
-                out.push(codes[idx].0);
-                break;
+    'symbols: for _ in 0..n {
+        // `first` is the first code of the current length and `index` its
+        // table position; a code never falls below `first`.
+        let (mut code, mut first, mut index) = (0u64, 0u64, 0usize);
+        for &c in &count[1..] {
+            code |= r.read_bit() as u64;
+            if code - first < c {
+                out.push(table[index + (code - first) as usize]);
+                continue 'symbols;
             }
-            if len >= max_len {
-                // Corrupt stream in release builds: bail out with what we
-                // have rather than spinning forever.
-                return out;
-            }
+            index += c as usize;
+            first = (first + c) << 1;
+            code <<= 1;
         }
+        return Err(DecodeError::Corrupt("Huffman code names no symbol"));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -178,7 +146,7 @@ mod tests {
         let mut w = BitWriter::new();
         encode(symbols, &mut w);
         let bytes = w.into_bytes();
-        decode(&mut BitReader::new(&bytes))
+        decode(&mut BitReader::new(&bytes)).expect("decodes")
     }
 
     #[test]
@@ -220,7 +188,7 @@ mod tests {
         );
         // And it still round-trips.
         let bytes = w.into_bytes();
-        assert_eq!(decode(&mut BitReader::new(&bytes)), data);
+        assert_eq!(decode(&mut BitReader::new(&bytes)), Ok(data));
     }
 
     #[test]

@@ -26,15 +26,38 @@ pub mod quantizer;
 pub mod registry;
 pub mod roundtrip;
 pub mod sz;
-pub mod sz3;
 pub mod zfp;
 
 pub use roundtrip::RoundTripStore;
 
+/// Why [`Compressor::decompress`] refused a byte stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The stream ends before the data it declares, or declares a count
+    /// that its remaining bits cannot hold.
+    Truncated,
+    /// The stream contradicts itself or the requested length; the text
+    /// names what disagrees.
+    Corrupt(&'static str),
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated => write!(f, "compressed stream is truncated"),
+            DecodeError::Corrupt(what) => write!(f, "corrupt compressed stream: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
 /// A lossy compressor for `f64` streams.
 ///
-/// `decompress(compress(x), x.len())` must return a slice of the same
-/// length whose error respects the codec's configured bound.
+/// `decompress(compress(x), x.len())` must return `Ok` with a slice of
+/// the same length whose error respects the codec's configured bound.
+/// Any other byte string decodes to `Ok` or a [`DecodeError`], never a
+/// panic, and sizes no allocation from a count the stream cannot back.
 pub trait Compressor: Send + Sync {
     /// Configuration-bearing display name (e.g. `sz3_abs_1e-8`).
     fn name(&self) -> String;
@@ -43,13 +66,15 @@ pub trait Compressor: Send + Sync {
     fn compress(&self, data: &[f64]) -> Vec<u8>;
 
     /// Reconstruct `n` values from a stream produced by [`Self::compress`].
-    fn decompress(&self, bytes: &[u8], n: usize) -> Vec<f64>;
+    fn decompress(&self, bytes: &[u8], n: usize) -> Result<Vec<f64>, DecodeError>;
 
     /// LibPressio-style round trip: compress, immediately decompress
     /// into `out`, and report the compressed size in bits.
     fn roundtrip(&self, data: &[f64], out: &mut [f64]) -> usize {
         let bytes = self.compress(data);
-        let dec = self.decompress(&bytes, data.len());
+        let dec = self
+            .decompress(&bytes, data.len())
+            .expect("a codec decodes the stream it just wrote");
         out.copy_from_slice(&dec);
         bytes.len() * 8
     }
@@ -75,10 +100,10 @@ mod tests {
         fn compress(&self, data: &[f64]) -> Vec<u8> {
             data.iter().flat_map(|v| v.to_le_bytes()).collect()
         }
-        fn decompress(&self, bytes: &[u8], n: usize) -> Vec<f64> {
-            (0..n)
+        fn decompress(&self, bytes: &[u8], n: usize) -> Result<Vec<f64>, DecodeError> {
+            Ok((0..n)
                 .map(|i| f64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
-                .collect()
+                .collect())
         }
     }
 

@@ -3,64 +3,42 @@
 //!
 //! A relative bound `|x − x̂| ≤ ε·|x|` becomes an *absolute* bound in
 //! log space: compress `ln|x|` with bound `ln(1 + ε)` and re-exponentiate.
-//! Signs and exact zeros are carried in side bitmaps. Figure 6 of the
-//! paper shows this preserving value magnitudes much better than
-//! absolute bounds on Krylov data — "more similar to our FRSZ2 approach".
+//! The log stream goes through the SZ-family codec
+//! ([`SzCompressor`]) with the wrapper's [`Predictor`]: Lorenzo for
+//! `sz_pwrel`, interpolation for `sz3_pwrel`. Signs and exact zeros are
+//! carried in side bitmaps. Figure 6 of the paper shows this preserving
+//! value magnitudes much better than absolute bounds on Krylov data —
+//! "more similar to our FRSZ2 approach".
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::sz::SzCompressor;
-use crate::sz3::Sz3Compressor;
-use crate::Compressor;
-
-/// Which absolute-bound codec compresses the log stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PwrelFamily {
-    Sz,
-    Sz3,
-}
+use crate::sz::{Predictor, SzCompressor};
+use crate::{Compressor, DecodeError};
 
 /// Point-wise-relative wrapper codec.
 #[derive(Clone, Copy, Debug)]
 pub struct PwrelCompressor {
-    family: PwrelFamily,
+    predictor: Predictor,
     rel: f64,
 }
 
 impl PwrelCompressor {
     /// # Panics
     /// If `rel` is not in `(0, 1)`.
-    pub fn new(family: PwrelFamily, rel: f64) -> Self {
+    pub fn new(predictor: Predictor, rel: f64) -> Self {
         assert!(rel > 0.0 && rel < 1.0, "relative bound must be in (0,1)");
-        PwrelCompressor { family, rel }
+        PwrelCompressor { predictor, rel }
     }
 
-    fn log_bound(&self) -> f64 {
-        // |ln x̂ - ln x| <= ln(1+ε) guarantees x̂/x ∈ [1/(1+ε), 1+ε].
-        self.rel.ln_1p()
-    }
-
-    fn inner_compress(&self, logs: &[f64]) -> Vec<u8> {
-        match self.family {
-            PwrelFamily::Sz => SzCompressor::new(self.log_bound()).compress(logs),
-            PwrelFamily::Sz3 => Sz3Compressor::new(self.log_bound()).compress(logs),
-        }
-    }
-
-    fn inner_decompress(&self, bytes: &[u8], n: usize) -> Vec<f64> {
-        match self.family {
-            PwrelFamily::Sz => SzCompressor::new(self.log_bound()).decompress(bytes, n),
-            PwrelFamily::Sz3 => Sz3Compressor::new(self.log_bound()).decompress(bytes, n),
-        }
+    /// The absolute-bound codec of the log stream:
+    /// |ln x̂ - ln x| <= ln(1+ε) guarantees x̂/x ∈ [1/(1+ε), 1+ε].
+    fn inner(&self) -> SzCompressor {
+        SzCompressor::new(self.rel.ln_1p(), self.predictor)
     }
 }
 
 impl Compressor for PwrelCompressor {
     fn name(&self) -> String {
-        let f = match self.family {
-            PwrelFamily::Sz => "sz",
-            PwrelFamily::Sz3 => "sz3",
-        };
-        format!("{f}_pwrel_{:e}", self.rel)
+        format!("{}_pwrel_{:e}", self.predictor.family(), self.rel)
     }
 
     fn compress(&self, data: &[f64]) -> Vec<u8> {
@@ -77,7 +55,7 @@ impl Compressor for PwrelCompressor {
             .filter(|&&x| x != 0.0)
             .map(|&x| x.abs().ln())
             .collect();
-        let inner = self.inner_compress(&logs);
+        let inner = self.inner().compress(&logs);
         w.write_bits(logs.len() as u64, 40);
         w.write_bits(inner.len() as u64, 40);
         let mut bytes = w.into_bytes();
@@ -85,35 +63,39 @@ impl Compressor for PwrelCompressor {
         bytes
     }
 
-    fn decompress(&self, bytes: &[u8], n: usize) -> Vec<f64> {
+    fn decompress(&self, bytes: &[u8], n: usize) -> Result<Vec<f64>, DecodeError> {
         let mut r = BitReader::new(bytes);
         let signs: Vec<bool> = (0..n).map(|_| r.read_bit()).collect();
         let zeros: Vec<bool> = (0..n).map(|_| r.read_bit()).collect();
-        let log_count = r.read_bits(40) as usize;
+        let log_count = zeros.iter().filter(|&&z| !z).count();
+        if r.read_bits(40) != log_count as u64 {
+            return Err(DecodeError::Corrupt(
+                "log count differs from the zero bitmap",
+            ));
+        }
         let inner_len = r.read_bits(40) as usize;
-        let header_bytes = r.bit_pos().div_ceil(8);
-        let inner = &bytes[header_bytes..header_bytes + inner_len];
-        let logs = self.inner_decompress(inner, log_count);
-        let mut li = 0;
-        (0..n)
-            .map(|i| {
-                if zeros[i] {
-                    if signs[i] {
-                        -0.0
-                    } else {
-                        0.0
-                    }
+        r.finish()?;
+        let inner = bytes
+            .get(r.bit_pos().div_ceil(8)..)
+            .and_then(|rest| rest.get(..inner_len))
+            .ok_or(DecodeError::Truncated)?;
+        let mut logs = self.inner().decompress(inner, log_count)?.into_iter();
+        Ok(signs
+            .iter()
+            .zip(&zeros)
+            .map(|(&negative, &zero)| {
+                let mag = if zero {
+                    0.0
                 } else {
-                    let mag = logs[li].exp();
-                    li += 1;
-                    if signs[i] {
-                        -mag
-                    } else {
-                        mag
-                    }
+                    logs.next().map_or(0.0, f64::exp)
+                };
+                if negative {
+                    -mag
+                } else {
+                    mag
                 }
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -121,8 +103,8 @@ impl Compressor for PwrelCompressor {
 mod tests {
     use super::*;
 
-    fn check_relative_bound(family: PwrelFamily, rel: f64) {
-        let c = PwrelCompressor::new(family, rel);
+    fn check_relative_bound(predictor: Predictor, rel: f64) {
+        let c = PwrelCompressor::new(predictor, rel);
         // Values across many magnitudes, plus zeros and negatives.
         let data: Vec<f64> = (0..5000)
             .map(|i| {
@@ -139,7 +121,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = c.decompress(&c.compress(&data), data.len());
+        let out = c.decompress(&c.compress(&data), data.len()).unwrap();
         for (i, (a, b)) in data.iter().zip(&out).enumerate() {
             if *a == 0.0 {
                 assert_eq!(*b, 0.0, "i={i}: zero must survive");
@@ -158,12 +140,12 @@ mod tests {
 
     #[test]
     fn sz_pwrel_bound_holds() {
-        check_relative_bound(PwrelFamily::Sz, 1e-4);
+        check_relative_bound(Predictor::Lorenzo, 1e-4);
     }
 
     #[test]
     fn sz3_pwrel_bound_holds() {
-        check_relative_bound(PwrelFamily::Sz3, 1e-4);
+        check_relative_bound(Predictor::Interpolation, 1e-4);
     }
 
     #[test]
@@ -171,8 +153,8 @@ mod tests {
         // The property Fig. 6 credits: tiny values keep their relative
         // accuracy instead of being flushed like absolute bounds do.
         let data = vec![1e-100, 1e100, -1e-80, 2.5e-60];
-        let c = PwrelCompressor::new(PwrelFamily::Sz, 1e-4);
-        let out = c.decompress(&c.compress(&data), 4);
+        let c = PwrelCompressor::new(Predictor::Lorenzo, 1e-4);
+        let out = c.decompress(&c.compress(&data), 4).unwrap();
         for (a, b) in data.iter().zip(&out) {
             assert!(((a - b) / a).abs() <= 1.1e-4, "{a} -> {b}");
         }
@@ -181,15 +163,15 @@ mod tests {
     #[test]
     fn all_zero_stream() {
         let data = vec![0.0; 100];
-        let c = PwrelCompressor::new(PwrelFamily::Sz3, 1e-3);
-        let out = c.decompress(&c.compress(&data), 100);
+        let c = PwrelCompressor::new(Predictor::Interpolation, 1e-3);
+        let out = c.decompress(&c.compress(&data), 100).unwrap();
         assert!(out.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn names_match_table_two_convention() {
         assert_eq!(
-            PwrelCompressor::new(PwrelFamily::Sz, 1e-4).name(),
+            PwrelCompressor::new(Predictor::Lorenzo, 1e-4).name(),
             "sz_pwrel_1e-4"
         );
     }

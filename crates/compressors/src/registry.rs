@@ -1,136 +1,120 @@
-//! Table II: the compressor configurations evaluated in the paper.
-//!
-//! | name          | error-bound type | bound     |
-//! |---------------|------------------|-----------|
-//! | sz3_06        | absolute         | 1e-06     |
-//! | sz3_07        | absolute         | 1e-07     |
-//! | sz3_08        | absolute         | 1e-08     |
-//! | zfp_06        | absolute         | 1.4e-06   |
-//! | zfp_10        | absolute         | 4.0e-10   |
-//! | sz_pwrel_04   | relative         | 1e-04     |
-//! | sz3_pwrel_04  | relative         | 1e-04     |
-//! | zfp_fr_16     | fixed rate       | 16 bits   |
-//! | zfp_fr_32     | fixed rate       | 32 bits   |
-//!
-//! `sz_06/07/08` (absolute-bound SZ, referenced in the Fig. 5 text) are
-//! also registered.
+//! The codec registry: one row per registered codec configuration,
+//! holding its name, its Table II columns, its accuracy floor and its
+//! constructor. [`CODECS`] lists Table II of the paper in its order,
+//! then the absolute-bound SZ rows the Fig. 5 text refers to.
+//! [`by_name`], [`accuracy_floor`], [`names`] and the Table II listing
+//! ([`TABLE_TWO`]) all read it, and `krylov::basis_format` builds its
+//! codec stores from a row.
 
-use crate::pwrel::{PwrelCompressor, PwrelFamily};
+use crate::pwrel::PwrelCompressor;
+use crate::sz::Predictor::{self, Interpolation, Lorenzo};
 use crate::sz::SzCompressor;
-use crate::sz3::Sz3Compressor;
-use crate::zfp::{ZfpCompressor, ZfpMode};
+use crate::zfp::ZfpCompressor;
+use crate::zfp::ZfpMode::{self, FixedAccuracy, FixedRate};
 use crate::Compressor;
 use std::sync::Arc;
+use Kind::{Pwrel, Sz, Zfp};
 
-/// One Table II row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConfigInfo {
+/// One registered codec configuration.
+#[derive(Clone, Copy, Debug)]
+pub struct Codec {
+    /// The name Table II, the figures and `krylov::basis_format` use.
     pub name: &'static str,
+    /// Table II's error-bound type column.
     pub bound_type: &'static str,
+    /// Table II's bound column, as the paper prints it.
     pub bound: &'static str,
+    /// Worst-case absolute error the codec may introduce into a
+    /// unit-scale value (`|x| ≤ 1`, the Krylov-basis regime: columns are
+    /// unit-norm).
+    ///
+    /// This is the storage-accuracy floor the adaptive-precision solver
+    /// uses to order codecs against the FRSZ2/cast escalation ladder:
+    /// absolute-bound codecs report their bound verbatim, pointwise-
+    /// relative codecs their bound (which at `|x| = 1` is the absolute
+    /// error), and fixed-rate ZFP the precision its kept bit planes
+    /// achieve in *this* implementation (~10 effective significand bits
+    /// at 16 bits/value, ~26 at 32), pinned to measured round-trip error
+    /// by `accuracy_floor_is_an_actual_bound_on_unit_scale_roundtrips`.
+    pub accuracy_floor: f64,
+    kind: Kind,
 }
 
-/// Table II of the paper, verbatim.
-pub const TABLE_TWO: [ConfigInfo; 9] = [
-    ConfigInfo {
-        name: "sz3_06",
-        bound_type: "absolute",
-        bound: "1e-06",
-    },
-    ConfigInfo {
-        name: "sz3_07",
-        bound_type: "absolute",
-        bound: "1e-07",
-    },
-    ConfigInfo {
-        name: "sz3_08",
-        bound_type: "absolute",
-        bound: "1e-08",
-    },
-    ConfigInfo {
-        name: "zfp_06",
-        bound_type: "absolute",
-        bound: "1.4e-06",
-    },
-    ConfigInfo {
-        name: "zfp_10",
-        bound_type: "absolute",
-        bound: "4.0e-10",
-    },
-    ConfigInfo {
-        name: "sz_pwrel_04",
-        bound_type: "relative",
-        bound: "1e-04",
-    },
-    ConfigInfo {
-        name: "sz3_pwrel_04",
-        bound_type: "relative",
-        bound: "1e-04",
-    },
-    ConfigInfo {
-        name: "zfp_fr_16",
-        bound_type: "fixed rate",
-        bound: "16 bits",
-    },
-    ConfigInfo {
-        name: "zfp_fr_32",
-        bound_type: "fixed rate",
-        bound: "32 bits",
-    },
+/// The constructor of a row's codec and its arguments.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    Sz(Predictor, f64),
+    Pwrel(Predictor, f64),
+    Zfp(ZfpMode),
+}
+
+impl Codec {
+    /// A fresh instance of this configuration.
+    pub fn build(&self) -> Arc<dyn Compressor> {
+        match self.kind {
+            Sz(predictor, eps) => Arc::new(SzCompressor::new(eps, predictor)),
+            Pwrel(predictor, rel) => Arc::new(PwrelCompressor::new(predictor, rel)),
+            Zfp(mode) => Arc::new(ZfpCompressor::new(mode)),
+        }
+    }
+}
+
+const fn row(
+    name: &'static str,
+    bound_type: &'static str,
+    bound: &'static str,
+    accuracy_floor: f64,
+    kind: Kind,
+) -> Codec {
+    Codec {
+        name,
+        bound_type,
+        bound,
+        accuracy_floor,
+        kind,
+    }
+}
+
+/// Every registered codec (see the module docs for the order).
+#[rustfmt::skip]
+pub static CODECS: [Codec; 12] = [
+    row("sz3_06",       "absolute",   "1e-06",   1e-6,    Sz(Interpolation, 1e-6)),
+    row("sz3_07",       "absolute",   "1e-07",   1e-7,    Sz(Interpolation, 1e-7)),
+    row("sz3_08",       "absolute",   "1e-08",   1e-8,    Sz(Interpolation, 1e-8)),
+    row("zfp_06",       "absolute",   "1.4e-06", 1.4e-6,  Zfp(FixedAccuracy(1.4e-6))),
+    row("zfp_10",       "absolute",   "4.0e-10", 4.0e-10, Zfp(FixedAccuracy(4.0e-10))),
+    row("sz_pwrel_04",  "relative",   "1e-04",   1e-4,    Pwrel(Lorenzo, 1e-4)),
+    row("sz3_pwrel_04", "relative",   "1e-04",   1e-4,    Pwrel(Interpolation, 1e-4)),
+    row("zfp_fr_16",    "fixed rate", "16 bits", 1.0 / (1u64 << 10) as f64, Zfp(FixedRate(16))),
+    row("zfp_fr_32",    "fixed rate", "32 bits", 1.0 / (1u64 << 26) as f64, Zfp(FixedRate(32))),
+    row("sz_06",        "absolute",   "1e-06",   1e-6,    Sz(Lorenzo, 1e-6)),
+    row("sz_07",        "absolute",   "1e-07",   1e-7,    Sz(Lorenzo, 1e-7)),
+    row("sz_08",        "absolute",   "1e-08",   1e-8,    Sz(Lorenzo, 1e-8)),
 ];
 
-/// Instantiate a codec by its Table II name (plus the `sz_0X` absolute
-/// variants mentioned in the Fig. 5 discussion). Returns `None` for
+/// Table II of the paper, verbatim: the first nine rows.
+pub static TABLE_TWO: &[Codec] = CODECS.split_at(9).0;
+
+/// The row registered under `name`.
+pub fn find(name: &str) -> Option<&'static Codec> {
+    CODECS.iter().find(|c| c.name == name)
+}
+
+/// Instantiate a codec by its registered name. Returns `None` for
 /// unknown names.
 pub fn by_name(name: &str) -> Option<Arc<dyn Compressor>> {
-    Some(match name {
-        "sz_06" => Arc::new(SzCompressor::new(1e-6)),
-        "sz_07" => Arc::new(SzCompressor::new(1e-7)),
-        "sz_08" => Arc::new(SzCompressor::new(1e-8)),
-        "sz3_06" => Arc::new(Sz3Compressor::new(1e-6)),
-        "sz3_07" => Arc::new(Sz3Compressor::new(1e-7)),
-        "sz3_08" => Arc::new(Sz3Compressor::new(1e-8)),
-        "zfp_06" => Arc::new(ZfpCompressor::new(ZfpMode::FixedAccuracy(1.4e-6))),
-        "zfp_10" => Arc::new(ZfpCompressor::new(ZfpMode::FixedAccuracy(4.0e-10))),
-        "sz_pwrel_04" => Arc::new(PwrelCompressor::new(PwrelFamily::Sz, 1e-4)),
-        "sz3_pwrel_04" => Arc::new(PwrelCompressor::new(PwrelFamily::Sz3, 1e-4)),
-        "zfp_fr_16" => Arc::new(ZfpCompressor::new(ZfpMode::FixedRate(16))),
-        "zfp_fr_32" => Arc::new(ZfpCompressor::new(ZfpMode::FixedRate(32))),
-        _ => return None,
-    })
+    find(name).map(Codec::build)
 }
 
 /// All registered names (Table II order first).
 pub fn names() -> Vec<&'static str> {
-    let mut v: Vec<&'static str> = TABLE_TWO.iter().map(|c| c.name).collect();
-    v.extend(["sz_06", "sz_07", "sz_08"]);
-    v
+    CODECS.iter().map(|c| c.name).collect()
 }
 
-/// Worst-case absolute error a codec may introduce into a unit-scale
-/// value (`|x| ≤ 1`, the Krylov-basis regime: columns are unit-norm).
-///
-/// This is the storage-accuracy floor the adaptive-precision solver
-/// uses to order codecs against the FRSZ2/cast escalation ladder:
-/// absolute-bound codecs report their bound verbatim, pointwise-relative
-/// codecs their bound (which at `|x| = 1` is the absolute error), and
-/// fixed-rate ZFP the precision its kept bit planes achieve in *this*
-/// implementation (~10 effective significand bits at 16 bits/value,
-/// ~26 at 32), pinned to measured round-trip error by
-/// `accuracy_floor_is_an_actual_bound_on_unit_scale_roundtrips`.
-/// Returns `None` for unknown names.
+/// A registered codec's [`Codec::accuracy_floor`]. Returns `None` for
+/// unknown names.
 pub fn accuracy_floor(name: &str) -> Option<f64> {
-    Some(match name {
-        "sz_06" | "sz3_06" => 1e-6,
-        "sz_07" | "sz3_07" => 1e-7,
-        "sz_08" | "sz3_08" => 1e-8,
-        "zfp_06" => 1.4e-6,
-        "zfp_10" => 4.0e-10,
-        "sz_pwrel_04" | "sz3_pwrel_04" => 1e-4,
-        "zfp_fr_16" => f64::powi(2.0, -10),
-        "zfp_fr_32" => f64::powi(2.0, -26),
-        _ => return None,
-    })
+    find(name).map(|c| c.accuracy_floor)
 }
 
 #[cfg(test)]
@@ -142,7 +126,7 @@ mod tests {
         let data: Vec<f64> = (0..256).map(|i| (i as f64 * 0.43).sin() * 0.1).collect();
         for name in names() {
             let c = by_name(name).unwrap_or_else(|| panic!("{name} missing"));
-            let out = c.decompress(&c.compress(&data), data.len());
+            let out = c.decompress(&c.compress(&data), data.len()).unwrap();
             assert_eq!(out.len(), data.len(), "{name}");
             // Table II bounds on these O(0.1) values: absolute configs
             // are <= 1.4e-6, pwrel 1e-4 of 0.1 is 1e-5; zfp_fr_16 keeps
@@ -176,18 +160,18 @@ mod tests {
 
     #[test]
     fn accuracy_floor_is_an_actual_bound_on_unit_scale_roundtrips() {
-        // The floor table is maintained by hand next to `by_name`; this
-        // pins it to reality so a codec whose bound changes (or a
-        // copy-pasted floor row) fails here instead of silently
-        // reordering the adaptive escalation ladder. Unit-scale data is
-        // the Krylov regime the floor is defined for.
+        // Each row's floor is written by hand next to its constructor;
+        // this pins it to reality so a codec whose bound changes (or a
+        // copy-pasted floor) fails here instead of silently reordering
+        // the adaptive escalation ladder. Unit-scale data is the Krylov
+        // regime the floor is defined for.
         let data: Vec<f64> = (0..2048)
             .map(|i| ((i as f64 * 0.37).sin() * 0.9) + 0.05 * (i as f64 * 7.13).cos())
             .collect();
         for name in names() {
             let floor = accuracy_floor(name).unwrap();
             let c = by_name(name).unwrap();
-            let out = c.decompress(&c.compress(&data), data.len());
+            let out = c.decompress(&c.compress(&data), data.len()).unwrap();
             let max_err = data
                 .iter()
                 .zip(&out)

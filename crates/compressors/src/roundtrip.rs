@@ -45,10 +45,6 @@ impl RoundTripStore {
             self.bits_written as f64 / self.values_written as f64
         }
     }
-
-    pub fn codec_name(&self) -> String {
-        self.codec.name()
-    }
 }
 
 impl ColumnStorage for RoundTripStore {
@@ -120,12 +116,12 @@ impl ColumnStorage for RoundTripStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sz3::Sz3Compressor;
+    use crate::sz::{Predictor, SzCompressor};
     use crate::zfp::{ZfpCompressor, ZfpMode};
 
     #[test]
     fn columns_are_lossy_but_bounded() {
-        let codec = Arc::new(Sz3Compressor::new(1e-6));
+        let codec = Arc::new(SzCompressor::new(1e-6, Predictor::Interpolation));
         let mut st = RoundTripStore::new(codec, 500, 2);
         let v: Vec<f64> = (0..500).map(|i| (i as f64 * 0.37).sin()).collect();
         st.write_column(0, &v);
@@ -163,14 +159,18 @@ mod tests {
 
     #[test]
     fn rate_before_any_write_is_zero_not_nan() {
-        let codec = Arc::new(Sz3Compressor::new(1e-6));
+        let codec = Arc::new(SzCompressor::new(1e-6, Predictor::Interpolation));
         let st = RoundTripStore::new(codec, 128, 2);
         assert_eq!(st.average_bits_per_value(), 0.0);
         assert!(!st.average_bits_per_value().is_nan());
         assert_eq!(st.column_bytes(), 0);
         assert_eq!(st.bits_per_value(), 0.0);
         // The zero-row corner must be finite too (0/0 guards).
-        let empty = RoundTripStore::new(Arc::new(Sz3Compressor::new(1e-6)), 0, 1);
+        let empty = RoundTripStore::new(
+            Arc::new(SzCompressor::new(1e-6, Predictor::Interpolation)),
+            0,
+            1,
+        );
         assert_eq!(empty.average_bits_per_value(), 0.0);
         assert!(!empty.bits_per_value().is_nan());
     }

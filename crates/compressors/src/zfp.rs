@@ -18,7 +18,8 @@
 //! memory footprint.
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::Compressor;
+use crate::{Compressor, DecodeError};
+use std::num::Wrapping;
 
 const BLOCK: usize = 4;
 /// Block-float integers occupy 60 bits (|i| < 2^60); the lifting
@@ -57,10 +58,6 @@ impl ZfpCompressor {
         }
         ZfpCompressor { mode }
     }
-
-    pub fn mode(&self) -> ZfpMode {
-        self.mode
-    }
 }
 
 /// zfp's forward lifting transform (1-D, 4 values).
@@ -84,10 +81,12 @@ fn fwd_lift(p: &mut [i64; 4]) {
     *p = [x, y, z, w];
 }
 
-/// zfp's inverse lifting transform.
+/// zfp's inverse lifting transform. Wrapping, so that coefficients
+/// forged by a corrupt stream cannot overflow; those from a real stream
+/// never wrap.
 #[inline]
 fn inv_lift(p: &mut [i64; 4]) {
-    let (mut x, mut y, mut z, mut w) = (p[0], p[1], p[2], p[3]);
+    let [mut x, mut y, mut z, mut w] = p.map(Wrapping);
     y += w >> 1;
     w -= y >> 1;
     y += w;
@@ -102,7 +101,7 @@ fn inv_lift(p: &mut [i64; 4]) {
     w += x;
     x <<= 1;
     x -= w;
-    *p = [x, y, z, w];
+    *p = [x.0, y.0, z.0, w.0];
 }
 
 /// Signed integer -> negabinary.
@@ -325,14 +324,15 @@ impl Compressor for ZfpCompressor {
         w.into_bytes()
     }
 
-    fn decompress(&self, bytes: &[u8], n: usize) -> Vec<f64> {
+    fn decompress(&self, bytes: &[u8], n: usize) -> Result<Vec<f64>, DecodeError> {
         let mut r = BitReader::new(bytes);
         let mut out = Vec::with_capacity(n + BLOCK);
         while out.len() < n {
             out.extend_from_slice(&decode_block(self.mode, &mut r));
         }
+        r.finish()?;
         out.truncate(n);
-        out
+        Ok(out)
     }
 }
 
@@ -394,7 +394,7 @@ mod tests {
             .collect();
         for tol in [1.4e-6, 4.0e-10, 1e-3] {
             let c = ZfpCompressor::new(ZfpMode::FixedAccuracy(tol));
-            let out = c.decompress(&c.compress(&data), data.len());
+            let out = c.decompress(&c.compress(&data), data.len()).unwrap();
             for (i, (a, b)) in data.iter().zip(&out).enumerate() {
                 assert!(
                     (a - b).abs() <= tol,
@@ -409,7 +409,7 @@ mod tests {
     fn fixed_rate_64_nearly_lossless() {
         let data: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).sin()).collect();
         let c = ZfpCompressor::new(ZfpMode::FixedRate(64));
-        let out = c.decompress(&c.compress(&data), data.len());
+        let out = c.decompress(&c.compress(&data), data.len()).unwrap();
         for (a, b) in data.iter().zip(&out) {
             // 64 bits/value leaves ~50+ significant bits after headers.
             assert!((a - b).abs() <= a.abs().max(1e-30) * 1e-12);
@@ -421,7 +421,7 @@ mod tests {
         let data: Vec<f64> = (0..1024).map(|i| ((i * i) as f64 * 0.013).sin()).collect();
         let err = |rate| {
             let c = ZfpCompressor::new(ZfpMode::FixedRate(rate));
-            let out = c.decompress(&c.compress(&data), data.len());
+            let out = c.decompress(&c.compress(&data), data.len()).unwrap();
             data.iter()
                 .zip(&out)
                 .map(|(a, b)| (a - b).abs())
@@ -444,7 +444,7 @@ mod tests {
             "zero blocks should be ~1 bit, got {} bytes",
             bytes.len()
         );
-        let out = c.decompress(&bytes, data.len());
+        let out = c.decompress(&bytes, data.len()).unwrap();
         assert!((out[0] - 1.0).abs() <= 1e-9);
         assert!(out[1..].iter().all(|&v| v == 0.0));
     }
@@ -453,7 +453,7 @@ mod tests {
     fn partial_trailing_block() {
         let data = vec![0.5, -0.25, 0.125];
         let c = ZfpCompressor::new(ZfpMode::FixedAccuracy(1e-12));
-        let out = c.decompress(&c.compress(&data), 3);
+        let out = c.decompress(&c.compress(&data), 3).unwrap();
         assert_eq!(out.len(), 3);
         for (a, b) in data.iter().zip(&out) {
             assert!((a - b).abs() <= 1e-12);

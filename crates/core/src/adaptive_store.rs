@@ -195,7 +195,7 @@ impl ColumnStorage for Frsz2AdaptiveStore {
             if chunk.len() < BS {
                 bw.fill(0);
             }
-            kernels::pack_block(l, emax, false, chunk, bw);
+            kernels::pack_block(l, emax, chunk, bw);
             off += block_words(l);
         }
         self.used[j] = off as u32;
@@ -379,7 +379,7 @@ mod tests {
         st.read_column(0, &mut out);
         for (b, chunk) in v.chunks(BS).enumerate() {
             let l = st.column_bit_lengths(0)[b] as u32;
-            let (emax, codes) = reference::compress_block(chunk, l, true);
+            let (emax, codes) = reference::compress_block(chunk, l);
             assert_eq!(st.column_exponents(0)[b], emax);
             let expect = reference::decompress_block(emax, &codes, l);
             for (i, e) in expect.iter().enumerate() {

@@ -19,18 +19,6 @@ use crate::{mask64, shift_signed};
 
 const MASK52: u64 = (1u64 << 52) - 1;
 
-/// Rounding applied when truncating the normalized significand to `l − 1`
-/// bits. The paper's format truncates (step 5); `Nearest` is an extension
-/// used by the rounding-ablation benchmark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Rounding {
-    /// Drop the low bits (the paper's step 5).
-    #[default]
-    Truncate,
-    /// Round half away from zero, saturating at the field maximum.
-    Nearest,
-}
-
 /// Compression error returned by the validating entry points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Frsz2Error {
@@ -59,7 +47,6 @@ impl std::error::Error for Frsz2Error {}
 pub struct Frsz2Config {
     block_size: u32,
     bits: u32,
-    rounding: Rounding,
 }
 
 impl Default for Frsz2Config {
@@ -70,24 +57,15 @@ impl Default for Frsz2Config {
 }
 
 impl Frsz2Config {
-    /// Create a configuration with the paper's truncating rounding.
+    /// Create a configuration. Significands are truncated to `l − 1`
+    /// bits, as in the paper's step 5.
     ///
     /// # Panics
     /// If `block_size == 0` or `bits` is outside `2..=64`.
     pub fn new(block_size: u32, bits: u32) -> Self {
         assert!(block_size >= 1, "block size must be positive");
         assert!((2..=64).contains(&bits), "bit length must be in 2..=64");
-        Frsz2Config {
-            block_size,
-            bits,
-            rounding: Rounding::Truncate,
-        }
-    }
-
-    /// The same configuration with a different rounding mode.
-    pub fn with_rounding(mut self, rounding: Rounding) -> Self {
-        self.rounding = rounding;
-        self
+        Frsz2Config { block_size, bits }
     }
 
     /// Values per block (`BS`).
@@ -100,12 +78,6 @@ impl Frsz2Config {
     #[inline]
     pub fn bits(&self) -> u32 {
         self.bits
-    }
-
-    /// Rounding mode applied when truncating significands.
-    #[inline]
-    pub fn rounding(&self) -> Rounding {
-        self.rounding
     }
 
     /// `u32` words holding the codes of one (full) block.
@@ -183,7 +155,7 @@ fn exp2i(e: i32) -> f64 {
 /// Encode the raw bits of one finite `f64` against `emax` (shared by all
 /// storage paths; same math as `reference::compress_value`).
 #[inline(always)]
-pub(crate) fn encode_bits(bits: u64, emax: u32, l: u32, nearest: bool) -> u64 {
+pub(crate) fn encode_bits(bits: u64, emax: u32, l: u32) -> u64 {
     let e = ((bits >> 52) & 0x7FF) as u32;
     let sign = bits >> 63;
     let m = bits & MASK52;
@@ -193,17 +165,7 @@ pub(crate) fn encode_bits(bits: u64, emax: u32, l: u32, nearest: bool) -> u64 {
         (e, m | (1u64 << 52))
     };
     let shift = (emax - e_eff) as i32 + 54 - l as i32;
-    let mut field = shift_signed(sig, shift);
-    if nearest && shift > 0 && shift < 64 {
-        let half = 1u64 << (shift - 1);
-        if sig & mask64(shift as u32) >= half {
-            field += 1;
-            if field > mask64(l - 1) {
-                field = mask64(l - 1);
-            }
-        }
-    }
-    (sign << (l - 1)) | field
+    (sign << (l - 1)) | shift_signed(sig, shift)
 }
 
 /// Decode one `l`-bit code against its block exponent (shared by all
@@ -235,7 +197,6 @@ pub(crate) fn decode_code(c: u64, emax: u32, l: u32) -> f64 {
 pub fn compress_into(cfg: Frsz2Config, input: &[f64], words: &mut [u32], exps: &mut [u32]) {
     let bs = cfg.block_size as usize;
     let wpb = cfg.words_per_block();
-    let nearest = cfg.rounding == Rounding::Nearest;
     debug_assert!(words.len() >= cfg.words_for_len(input.len()));
     debug_assert!(exps.len() >= cfg.blocks_for(input.len()));
 
@@ -259,7 +220,7 @@ pub fn compress_into(cfg: Frsz2Config, input: &[f64], words: &mut [u32], exps: &
         if chunk.len() < bs {
             block_words.fill(0);
         }
-        kernels::pack_block(cfg.bits, emax, nearest, chunk, block_words);
+        kernels::pack_block(cfg.bits, emax, chunk, block_words);
     }
 }
 
@@ -400,7 +361,7 @@ mod tests {
             let cfg = Frsz2Config::new(32, l);
             let v = Frsz2Vector::compress(cfg, &data);
             for (b, chunk) in data.chunks(32).enumerate() {
-                let (emax, codes) = reference::compress_block(chunk, l, true);
+                let (emax, codes) = reference::compress_block(chunk, l);
                 assert_eq!(v.exponents()[b], emax, "l={l} block {b} emax");
                 let expect = reference::decompress_block(emax, &codes, l);
                 for (i, &x) in expect.iter().enumerate() {

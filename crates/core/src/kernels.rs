@@ -241,13 +241,7 @@ fn encode_trunc(bits: u64, emax: u32, l: u32) -> u64 {
 /// code are left untouched (the caller zero-fills partial trailing
 /// blocks first).
 #[inline(always)]
-fn pack_fields_le32<const L: u32>(
-    l_rt: u32,
-    emax: u32,
-    nearest: bool,
-    chunk: &[f64],
-    bw: &mut [u32],
-) {
+fn pack_fields_le32<const L: u32>(l_rt: u32, emax: u32, chunk: &[f64], bw: &mut [u32]) {
     let l = resolve_l::<L>(l_rt);
     let mut acc: u64 = 0;
     let mut staged: u32 = 0;
@@ -258,15 +252,8 @@ fn pack_fields_le32<const L: u32>(
     // (serial, but only shift/or/store ops on the critical chain).
     let mut codes = [0u64; 32];
     for batch in chunk.chunks(32) {
-        if nearest {
-            // Rounding ablation path: rare, keeps the full encoder.
-            for (c, &v) in codes.iter_mut().zip(batch) {
-                *c = encode_bits(v.to_bits(), emax, l, true);
-            }
-        } else {
-            for (c, &v) in codes.iter_mut().zip(batch) {
-                *c = encode_trunc(v.to_bits(), emax, l);
-            }
+        for (c, &v) in codes.iter_mut().zip(batch) {
+            *c = encode_trunc(v.to_bits(), emax, l);
         }
         if L != 0 && batch.len() == 32 && wi + L as usize <= bw.len() {
             // Full 32-code batch of a monomorphized length: it spans
@@ -782,17 +769,17 @@ fn axpy_many_block(
 /// `l = 64`, and the `u128` register for the lengths in between. The
 /// caller zero-fills a partial trailing block's words first.
 #[inline]
-pub(crate) fn pack_block(l: u32, emax: u32, nearest: bool, chunk: &[f64], bw: &mut [u32]) {
+pub(crate) fn pack_block(l: u32, emax: u32, chunk: &[f64], bw: &mut [u32]) {
     match l {
-        ..=32 => dispatch_l!(l, pack_fields_le32(l, emax, nearest, chunk, bw)),
+        ..=32 => dispatch_l!(l, pack_fields_le32(l, emax, chunk, bw)),
         64 => {
             for (pair, &v) in bw.chunks_exact_mut(2).zip(chunk) {
-                let c = encode_bits(v.to_bits(), emax, 64, nearest);
+                let c = encode_bits(v.to_bits(), emax, 64);
                 pair[0] = c as u32;
                 pair[1] = (c >> 32) as u32;
             }
         }
-        _ => pack_fields_wide(l, emax, nearest, chunk, bw),
+        _ => pack_fields_wide(l, emax, chunk, bw),
     }
 }
 
@@ -800,13 +787,13 @@ pub(crate) fn pack_block(l: u32, emax: u32, nearest: bool, chunk: &[f64], bw: &m
 /// through a `u128` staging register — same single-write-per-word
 /// discipline as [`pack_fields_le32`], widened so a 63-bit code always
 /// fits above the 31 staged bits.
-fn pack_fields_wide(l: u32, emax: u32, nearest: bool, chunk: &[f64], bw: &mut [u32]) {
+fn pack_fields_wide(l: u32, emax: u32, chunk: &[f64], bw: &mut [u32]) {
     debug_assert!(l > 32 && l < 64);
     let mut acc: u128 = 0;
     let mut staged: u32 = 0;
     let mut wi = 0usize;
     for &v in chunk {
-        acc |= (encode_bits(v.to_bits(), emax, l, nearest) as u128) << staged;
+        acc |= (encode_bits(v.to_bits(), emax, l) as u128) << staged;
         staged += l;
         while staged >= 32 {
             bw[wi] = acc as u32;
@@ -848,7 +835,7 @@ mod tests {
                 for l in [2u32, 8, 16, 21, 32] {
                     assert_eq!(
                         encode_trunc(bits, emax, l),
-                        encode_bits(bits, emax, l, false),
+                        encode_bits(bits, emax, l),
                         "v={v:e} emax={emax} l={l}"
                     );
                 }
@@ -873,11 +860,11 @@ mod tests {
                 let wpb = bitpack::words_for(32, l);
                 let mut expect = vec![0u32; wpb];
                 for (i, &v) in chunk.iter().enumerate() {
-                    let c = encode_bits(v.to_bits(), emax, l, false);
+                    let c = encode_bits(v.to_bits(), emax, l);
                     bitpack::write_bits(&mut expect, i * l as usize, l, c);
                 }
                 let mut got = vec![0u32; wpb];
-                pack_block(l, emax, false, chunk, &mut got);
+                pack_block(l, emax, chunk, &mut got);
                 assert_eq!(got, expect, "l={l} count={count}");
             }
         }

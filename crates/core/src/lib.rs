@@ -69,7 +69,7 @@ pub mod reference;
 pub mod store;
 
 pub use adaptive_store::Frsz2AdaptiveStore;
-pub use codec::{Frsz2Config, Frsz2Vector, Rounding};
+pub use codec::{Frsz2Config, Frsz2Vector};
 pub use store::Frsz2Store;
 
 /// Mask of the low `n` bits of a `u64` (`n <= 64`).

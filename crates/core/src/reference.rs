@@ -51,12 +51,11 @@ pub fn block_emax(values: &[f64]) -> u32 {
 }
 
 /// Compress one finite value against a block exponent `emax` into an
-/// `l`-bit code (steps 2–5). `truncate = false` selects round-to-nearest
-/// (half away from zero, saturating) — an extension; the paper truncates.
+/// `l`-bit code (steps 2–5), truncating the significand.
 ///
 /// Returned code layout (LSB-justified): bit `l−1` = sign, bits
 /// `l−2 … 0` = normalized significand with the integer part at bit `l−2`.
-pub fn compress_value(v: f64, emax: u32, l: u32, truncate: bool) -> u64 {
+pub fn compress_value(v: f64, emax: u32, l: u32) -> u64 {
     debug_assert!(v.is_finite(), "FRSZ2 input must be finite, got {v}");
     debug_assert!((2..=64).contains(&l));
     let e = effective_exponent(v);
@@ -67,19 +66,7 @@ pub fn compress_value(v: f64, emax: u32, l: u32, truncate: bool) -> u64 {
     // Step 3: prefix k = emax - e zeros; step 5: keep the top l-1 bits of
     // the 53-bit significand. Both are one signed shift by k + (54 - l).
     let k = (emax - e) as i32;
-    let shift = k + 54 - l as i32;
-    let mut field = shift_signed(sig, shift);
-    if !truncate && shift > 0 && shift < 64 {
-        let half = 1u64 << (shift - 1);
-        if sig & mask64(shift as u32) >= half {
-            field += 1;
-            if field > mask64(l - 1) {
-                // Rounding would need a second integer bit; saturate to the
-                // largest representable magnitude (== the truncated value).
-                field = mask64(l - 1);
-            }
-        }
-    }
+    let field = shift_signed(sig, k + 54 - l as i32);
     debug_assert!(field <= mask64(l - 1));
     (sign << (l - 1)) | field
 }
@@ -113,12 +100,9 @@ pub fn decompress_value(c: u64, emax: u32, l: u32) -> f64 {
 }
 
 /// Compress a whole block: returns `(emax, codes)` (step 6 stores these).
-pub fn compress_block(values: &[f64], l: u32, truncate: bool) -> (u32, Vec<u64>) {
+pub fn compress_block(values: &[f64], l: u32) -> (u32, Vec<u64>) {
     let emax = block_emax(values);
-    let codes = values
-        .iter()
-        .map(|&v| compress_value(v, emax, l, truncate))
-        .collect();
+    let codes = values.iter().map(|&v| compress_value(v, emax, l)).collect();
     (emax, codes)
 }
 
@@ -160,7 +144,7 @@ mod tests {
         // v0 = 1.5 = (1.1)_2 · 2^0, v1 = -0.375 = (1.1)_2 · 2^-2.
         let block = [1.5, -0.375];
         let l = 8;
-        let (emax, codes) = compress_block(&block, l, true);
+        let (emax, codes) = compress_block(&block, l);
         assert_eq!(emax, 1023); // 2^0 dominates the block
                                 // c0: sign 0, field = 1.100000 -> 0b0_1100000
         assert_eq!(codes[0], 0b0110_0000);
@@ -175,14 +159,14 @@ mod tests {
     fn exact_roundtrip_when_bits_suffice() {
         // Values whose significands fit in l-1-k bits round-trip exactly.
         let block = [0.5, 0.25, -0.75, 1.0, -1.5, 0.0, 0.625, -0.0625];
-        let (emax, codes) = compress_block(&block, 16, true);
+        let (emax, codes) = compress_block(&block, 16);
         let out = decompress_block(emax, &codes, 16);
         assert_eq!(out, block);
     }
 
     #[test]
     fn signed_zero_preserved() {
-        let (emax, codes) = compress_block(&[0.0, -0.0], 32, true);
+        let (emax, codes) = compress_block(&[0.0, -0.0], 32);
         let out = decompress_block(emax, &codes, 32);
         assert_eq!(out[0].to_bits(), 0.0f64.to_bits());
         assert_eq!(out[1].to_bits(), (-0.0f64).to_bits());
@@ -196,7 +180,7 @@ mod tests {
             .map(|i| ((i as f64 + 0.5) * 0.701).sin() * 0.9)
             .collect();
         for l in [8u32, 12, 16, 21, 32, 48, 64] {
-            let (emax, codes) = compress_block(&block, l, true);
+            let (emax, codes) = compress_block(&block, l);
             let out = decompress_block(emax, &codes, l);
             let ulp = f64::powi(2.0, emax as i32 - 1023 - (l as i32 - 2));
             for (i, (&a, &b)) in block.iter().zip(&out).enumerate() {
@@ -209,29 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn nearest_mode_is_at_least_as_accurate() {
-        let block: Vec<f64> = (0..32).map(|i| ((i as f64) * 1.37).cos()).collect();
-        for l in [10u32, 21, 32] {
-            let (emax, tc) = compress_block(&block, l, true);
-            let (_, nc) = compress_block(&block, l, false);
-            let t = decompress_block(emax, &tc, l);
-            let n = decompress_block(emax, &nc, l);
-            let terr: f64 = block.iter().zip(&t).map(|(a, b)| (a - b).abs()).sum();
-            let nerr: f64 = block.iter().zip(&n).map(|(a, b)| (a - b).abs()).sum();
-            assert!(
-                nerr <= terr,
-                "l={l}: nearest {nerr} worse than truncate {terr}"
-            );
-        }
-    }
-
-    #[test]
     fn wide_exponent_range_flushes_small_values() {
         // PR02R-style block: exponent spread beyond l-2 bits erases the
         // small value entirely (the Fig. 9b stagnation mechanism).
         let big = 1.0; // e = 1023
         let tiny = f64::powi(2.0, -40); // k = 40 > l-2 for l = 32
-        let (emax, codes) = compress_block(&[big, tiny], 32, true);
+        let (emax, codes) = compress_block(&[big, tiny], 32);
         let out = decompress_block(emax, &codes, 32);
         assert_eq!(out[0], 1.0);
         assert_eq!(
@@ -244,7 +211,7 @@ mod tests {
     fn subnormal_inputs_reconstruct() {
         let sub = f64::MIN_POSITIVE / 4.0;
         let block = [sub, -sub, f64::MIN_POSITIVE, 0.0];
-        let (emax, codes) = compress_block(&block, 64, true);
+        let (emax, codes) = compress_block(&block, 64);
         assert_eq!(emax, 1);
         let out = decompress_block(emax, &codes, 64);
         // l = 64 leaves 63 bits: plenty for exact subnormal round-trip.
@@ -256,7 +223,7 @@ mod tests {
         // With l = 64 there are 62 fraction bits: any block with exponent
         // spread <= 10 round-trips exactly. Exponents here span 2^-2..2^6.
         let block = [1.0 / 3.0, 87.654321, 100.0, -51.123456789];
-        let (emax, codes) = compress_block(&block, 64, true);
+        let (emax, codes) = compress_block(&block, 64);
         let out = decompress_block(emax, &codes, 64);
         assert_eq!(out, block);
     }
@@ -264,7 +231,7 @@ mod tests {
     #[test]
     fn minimal_l2_encodes_sign_and_saturation() {
         // l = 2: one sign bit + one integer bit. Representable: 0, ±2^emax.
-        let (emax, codes) = compress_block(&[1.0, -1.0, 0.25], 2, true);
+        let (emax, codes) = compress_block(&[1.0, -1.0, 0.25], 2);
         assert_eq!(emax, 1023);
         let out = decompress_block(emax, &codes, 2);
         assert_eq!(out, vec![1.0, -1.0, 0.0]);

@@ -277,7 +277,7 @@ proptest! {
         for (b, chunk) in v.chunks(32).enumerate() {
             let l = st.column_bit_lengths(0)[b] as u32;
             prop_assert!(PALETTE.contains(&l));
-            let (emax, codes) = reference::compress_block(chunk, l, true);
+            let (emax, codes) = reference::compress_block(chunk, l);
             prop_assert_eq!(st.column_exponents(0)[b], emax, "block {} emax", b);
             let expect = reference::decompress_block(emax, &codes, l);
             for (i, e) in expect.iter().enumerate() {

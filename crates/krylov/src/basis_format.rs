@@ -20,7 +20,7 @@
 //! | `bfloat16`                  | `DenseStore<BF16>`                    | 2⁻⁸                 |
 //! | `frsz2_<l>` (2 ≤ l ≤ 64)    | `Frsz2Store`, BS = 32                 | 2⁻⁽ˡ⁻²⁾             |
 //! | `frsz2_ab`                  | `Frsz2AdaptiveStore` (per-block `l`)  | 2⁻¹⁴ (measured)     |
-//! | any Table II codec name     | `lossy::RoundTripStore`               | `lossy::registry::accuracy_floor` |
+//! | any `lossy::registry` name  | `lossy::RoundTripStore`               | the registry row's floor |
 //!
 //! The **accuracy floor** is the worst-case absolute error storage may
 //! add to a unit-scale value (Krylov columns are unit-norm, so this is
@@ -33,7 +33,6 @@ use frsz2::{Frsz2AdaptiveStore, Frsz2Config, Frsz2Store};
 use lossy::RoundTripStore;
 use numfmt::{ColumnStorage, DenseStore, BF16, F16};
 use spla::SparseMatrix;
-use std::sync::Arc;
 
 /// An object-safe factory for Krylov-basis storage.
 ///
@@ -78,7 +77,7 @@ enum Backend {
     BF16,
     Frsz2(Frsz2Config),
     Frsz2Adaptive,
-    Codec { name: String, floor: f64 },
+    Codec(&'static lossy::registry::Codec),
 }
 
 /// A registry entry (construct via [`by_name`] or [`auto_basis`]).
@@ -95,7 +94,7 @@ impl BasisFormat for RegisteredFormat {
             Backend::BF16 => "bfloat16".into(),
             Backend::Frsz2(cfg) => cfg.name(),
             Backend::Frsz2Adaptive => "frsz2_ab".into(),
-            Backend::Codec { name, .. } => name.clone(),
+            Backend::Codec(row) => row.name.into(),
         }
     }
 
@@ -111,7 +110,7 @@ impl BasisFormat for RegisteredFormat {
             // cheapest length (`l = 16`, zero-spread block at unit
             // scale) — measured by `frsz2_ab_floor_is_measured_tight`.
             Backend::Frsz2Adaptive => f64::powi(2.0, -14),
-            Backend::Codec { floor, .. } => *floor,
+            Backend::Codec(row) => row.accuracy_floor,
         }
     }
 
@@ -126,7 +125,7 @@ impl BasisFormat for RegisteredFormat {
             // and reported by the live store's `bits_per_value`.
             Backend::Frsz2Adaptive => 16.0 + 40.0 / 32.0,
             // Nominal: codecs only know their rate after compressing.
-            Backend::Codec { .. } => 64.0,
+            Backend::Codec(_) => 64.0,
         }
     }
 
@@ -151,10 +150,10 @@ impl BasisFormat for RegisteredFormat {
             // Per-block adaptive: floor is the cheapest block (l = 16).
             Backend::Frsz2Adaptive => 4,
             // Codecs are ordered by their registered floor.
-            Backend::Codec { floor, .. } => {
-                if *floor <= 1e-10 {
+            Backend::Codec(row) => {
+                if row.accuracy_floor <= 1e-10 {
                     8
-                } else if *floor <= 1e-6 {
+                } else if row.accuracy_floor <= 1e-6 {
                     4
                 } else {
                     2
@@ -171,11 +170,7 @@ impl BasisFormat for RegisteredFormat {
             Backend::BF16 => Box::new(DenseStore::<BF16>::with_shape(rows, cols)),
             Backend::Frsz2(cfg) => Box::new(Frsz2Store::with_config(*cfg, rows, cols)),
             Backend::Frsz2Adaptive => Box::new(Frsz2AdaptiveStore::with_shape(rows, cols)),
-            Backend::Codec { name, .. } => {
-                let codec = lossy::registry::by_name(name)
-                    .unwrap_or_else(|| panic!("codec {name} vanished from the registry"));
-                Box::new(RoundTripStore::new(Arc::clone(&codec), rows, cols))
-            }
+            Backend::Codec(row) => Box::new(RoundTripStore::new(row.build(), rows, cols)),
         }
     }
 }
@@ -205,13 +200,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn BasisFormat>> {
                 }
                 Backend::Frsz2(Frsz2Config::new(32, bits))
             } else {
-                let floor = lossy::registry::accuracy_floor(name)?;
-                // Instantiating validates the name exists as a codec too.
-                lossy::registry::by_name(name)?;
-                Backend::Codec {
-                    name: name.to_string(),
-                    floor,
-                }
+                Backend::Codec(lossy::registry::find(name)?)
             }
         }
     };

@@ -11,6 +11,7 @@ use frsz2_repro::frsz2::Frsz2Config;
 use frsz2_repro::lossy::cast::{CastF16, CastF32};
 use frsz2_repro::lossy::frsz2_adapter::Frsz2Compressor;
 use frsz2_repro::lossy::{registry, Compressor};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -21,18 +22,14 @@ fn main() {
     let nrm = data.iter().map(|v| v * v).sum::<f64>().sqrt();
     data.iter_mut().for_each(|v| *v /= nrm);
 
-    let mut codecs: Vec<Box<dyn Compressor>> = vec![
-        Box::new(Frsz2Compressor::new(Frsz2Config::new(32, 16))),
-        Box::new(Frsz2Compressor::new(Frsz2Config::new(32, 21))),
-        Box::new(Frsz2Compressor::new(Frsz2Config::new(32, 32))),
-        Box::new(CastF32),
-        Box::new(CastF16),
+    let mut codecs: Vec<Arc<dyn Compressor>> = vec![
+        Arc::new(Frsz2Compressor::new(Frsz2Config::new(32, 16))),
+        Arc::new(Frsz2Compressor::new(Frsz2Config::new(32, 21))),
+        Arc::new(Frsz2Compressor::new(Frsz2Config::new(32, 32))),
+        Arc::new(CastF32),
+        Arc::new(CastF16),
     ];
-    for info in registry::TABLE_TWO.iter() {
-        codecs.push(Box::new(RegistryCodec(
-            registry::by_name(info.name).unwrap(),
-        )));
-    }
+    codecs.extend(registry::TABLE_TWO.iter().map(registry::Codec::build));
 
     if quiet {
         println!("{:<16} {:>12} {:>12}", "codec", "bits/value", "max |err|");
@@ -73,19 +70,4 @@ fn main() {
         "\nNote the rate/quality frontier: frsz2_32 keeps ~1e-9 error at 33 bits/value \
          on data the prediction-based codecs cannot decorrelate (§III-A)."
     );
-}
-
-/// Adapter so registry Arc codecs fit in the Box<dyn Compressor> list.
-struct RegistryCodec(std::sync::Arc<dyn Compressor>);
-
-impl Compressor for RegistryCodec {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
-        self.0.compress(data)
-    }
-    fn decompress(&self, bytes: &[u8], n: usize) -> Vec<f64> {
-        self.0.decompress(bytes, n)
-    }
 }

@@ -164,8 +164,8 @@ fn lossy_roundtrip_basis_converges_for_every_table_two_codec() {
     let (_, b) = manufactured_rhs(&a);
     let x0 = vec![0.0; a.rows()];
     let opts = small_opts(1e-6);
-    for info in registry::TABLE_TWO.iter() {
-        let codec = registry::by_name(info.name).unwrap();
+    for info in registry::TABLE_TWO {
+        let codec = info.build();
         let r = gmres_with(&a, &b, &x0, &opts, &Identity, |rows, cols| {
             RoundTripStore::new(codec.clone(), rows, cols)
         });
@@ -321,7 +321,9 @@ fn frsz2_byte_adapter_matches_store_semantics() {
     let data: Vec<f64> = (0..300).map(|i| (i as f64 * 0.41).cos()).collect();
     let cfg = Frsz2Config::new(32, 21);
     let adapter = frsz2_repro::lossy::frsz2_adapter::Frsz2Compressor::new(cfg);
-    let via_bytes = adapter.decompress(&adapter.compress(&data), data.len());
+    let via_bytes = adapter
+        .decompress(&adapter.compress(&data), data.len())
+        .unwrap();
 
     let mut store = Frsz2Store::with_config(cfg, data.len(), 1);
     store.write_column(0, &data);
