@@ -23,8 +23,7 @@ type Preset = fn(GmresOptions) -> AdaptiveOptions;
 /// The adaptive-precision presets [`solve`] accepts besides the
 /// registry names, each with its options: `adaptive` climbs the
 /// escalation ladder from its bottom rung, and `adaptive_bidir` also
-/// steps back down after a qualifying residual drop (single-cycle
-/// hysteresis).
+/// steps back down after each qualifying cycle.
 const PRESETS: [(&str, Preset); 2] = [
     ("adaptive", |gmres| AdaptiveOptions {
         gmres,
@@ -33,8 +32,6 @@ const PRESETS: [(&str, Preset); 2] = [
     ("adaptive_bidir", |gmres| AdaptiveOptions {
         gmres,
         de_escalate: true,
-        de_escalation_cycles: 1,
-        ..AdaptiveOptions::default()
     }),
 ];
 
@@ -255,8 +252,6 @@ mod tests {
         let bidir = AdaptiveOptions {
             gmres: opts.clone(),
             de_escalate: true,
-            de_escalation_cycles: 1,
-            ..AdaptiveOptions::default()
         };
         let r = solve(&a, &b, &x0, &opts, "adaptive_bidir", &Identity).unwrap();
         same(&r, &adaptive_gmres(&a, &b, &x0, &bidir, &Identity));

@@ -633,7 +633,7 @@ fn fault_resume() -> String {
     };
     assert_eq!(checkpoint.stats.restarts, 0, "halted at the entry boundary");
     let bytes = checkpoint.encode();
-    assert_eq!(bytes.len(), 1062, "checkpoint encoding size");
+    assert_eq!(bytes.len(), 1060, "checkpoint encoding size");
     let mut resumed = plain.clone();
     let restored = SolveCheckpoint::decode(&bytes).expect("decode");
     resumed.resume = Some(Box::new(restored));

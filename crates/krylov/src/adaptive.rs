@@ -24,28 +24,29 @@
 //! the workspace-wide bit-identical-across-thread-counts contract.
 //!
 //! With [`AdaptiveOptions::de_escalate`] the driver is *bidirectional*:
-//! once the explicit residual has shown
-//! [`AdaptiveOptions::de_escalation_cycles`] consecutive healthy
-//! cycles — each improving by at least 10× with the implicit estimate
-//! in agreement — the driver steps **down** one rung, reclaiming basis
-//! bandwidth that a conservative escalation left on the table (the
-//! Aliaga et al. observation in reverse: a residual that is dropping
-//! fast has precision headroom to spare). De-escalation carries `x`
-//! across the switch exactly as escalation does, counts in
+//! after one healthy cycle — the explicit residual improving by at
+//! least 10× with the implicit estimate in agreement — the driver
+//! steps **down** one rung, reclaiming basis bandwidth that a
+//! conservative escalation left on the table (the Aliaga et al.
+//! observation in reverse: a residual that is dropping fast has
+//! precision headroom to spare). De-escalation carries `x` across the
+//! switch exactly as escalation does, counts in
 //! [`crate::SolveStats::de_escalations`], and shows in the trajectory.
-//! The hysteresis (consecutive-cycle streak, reset on any stagnation
-//! or non-qualifying cycle, one rung per boundary) keeps the ladder
-//! from thrashing. Off by default: existing escalation-only schedules
-//! are reproduced bit for bit.
+//! The qualifying rule's two-sided agreement test and the one rung per
+//! boundary keep the ladder from thrashing: a step down that loses
+//! precision shows as stagnation at the next boundary, which steps back
+//! up. Off by default: escalation-only schedules are reproduced bit for
+//! bit.
 //!
-//! The ladder's whole trajectory lives in the solve's
-//! [`crate::SolveStats`] (formats per cycle, rung changes each way);
-//! the only state it keeps between cycles is the de-escalation streak,
-//! which a [`SolveCheckpoint`] carries beside the stats.
+//! The ladder keeps no state between cycles: each rung decision reads
+//! only the cycle that just finished, and the whole trajectory lives in
+//! the solve's [`crate::SolveStats`] (formats per cycle, rung changes
+//! each way). A solve starts at the ladder's bottom rung, or at the
+//! rung its [`crate::SolveCheckpoint`] records.
 
 use crate::basis::Basis;
 use crate::basis_format::{self, BasisFormat};
-use crate::checkpoint::{DriverKind, SolveCheckpoint};
+use crate::checkpoint::DriverKind;
 use crate::gmres::{
     solve_driver_full, Boundary, CyclePolicy, GmresOptions, SolveHooks, SolveResult, SolveStats,
 };
@@ -54,34 +55,15 @@ use numfmt::ColumnStorage;
 use spla::SparseMatrix;
 
 /// Options of [`adaptive_gmres`]: the base GMRES options plus the
-/// escalation policy.
-#[derive(Clone, Debug)]
+/// escalation policy. A solve starts at the bottom of the escalation
+/// ladder (`frsz2_16`): optimistic storage, evidence-driven escalation.
+#[derive(Clone, Debug, Default)]
 pub struct AdaptiveOptions {
     /// The underlying solver options (restart length, target, ...).
     pub gmres: GmresOptions,
-    /// Starting format name (resolved via [`basis_format::by_name`]).
-    /// `None` starts at the bottom of the escalation ladder
-    /// (`frsz2_16`): optimistic storage, evidence-driven escalation.
-    pub start_format: Option<String>,
-    /// Enable ladder de-escalation (default `false`, which reproduces
-    /// the escalation-only schedule bit for bit).
+    /// Step down one rung after each qualifying cycle (default `false`,
+    /// which reproduces the escalation-only schedule bit for bit).
     pub de_escalate: bool,
-    /// Consecutive qualifying cycles required before stepping down one
-    /// rung (the hysteresis that prevents ladder thrash). The streak
-    /// resets on any stagnant or non-qualifying cycle and after every
-    /// rung change.
-    pub de_escalation_cycles: usize,
-}
-
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        AdaptiveOptions {
-            gmres: GmresOptions::default(),
-            start_format: None,
-            de_escalate: false,
-            de_escalation_cycles: 2,
-        }
-    }
 }
 
 /// A cycle is *stagnant* when it improves the explicit residual by
@@ -138,13 +120,11 @@ fn qualifies_for_de_escalation(prev: f64, explicit: f64, last_implicit: Option<f
 
 /// The adaptive cycle policy: the scalar cycle, plus a rung decision
 /// at every restart boundary — at most one rung per boundary, in either
-/// direction, judged on the cycle that just finished.
+/// direction, judged on the cycle that just finished alone.
 struct Ladder<'a> {
     opts: &'a AdaptiveOptions,
-    /// The rung the next cycle runs in.
+    /// The rung the next cycle runs in (the record's `stats.format`).
     format: Box<dyn BasisFormat>,
-    /// Consecutive cycles qualifying for de-escalation.
-    streak: usize,
 }
 
 impl Ladder<'_> {
@@ -175,39 +155,21 @@ impl CyclePolicy<Box<dyn ColumnStorage>> for Ladder<'_> {
         let Some(prev) = boundary.prev_explicit_rrn else {
             return;
         };
-        let opts = self.opts;
         let (rrn, implicit) = (boundary.explicit_rrn, boundary.last_implicit_rrn);
-        if stagnates(opts.gmres.target_rrn, prev, rrn, implicit) {
-            self.streak = 0;
+        if stagnates(self.opts.gmres.target_rrn, prev, rrn, implicit) {
             // Already at the top: nothing stronger to switch to; keep
             // iterating toward max_iters honestly.
             if let Some(up) = basis_format::escalate(&self.format.name()) {
                 self.switch(&up, basis, stats);
                 stats.escalations += 1;
             }
-        } else if opts.de_escalate {
-            if !qualifies_for_de_escalation(prev, rrn, implicit) {
-                self.streak = 0;
-                return;
-            }
-            self.streak += 1;
-            if self.streak >= opts.de_escalation_cycles {
-                self.streak = 0;
-                // At the bottom rung: nothing cheaper to reclaim.
-                if let Some(down) = basis_format::de_escalate(&self.format.name()) {
-                    self.switch(&down, basis, stats);
-                    stats.de_escalations += 1;
-                }
+        } else if self.opts.de_escalate && qualifies_for_de_escalation(prev, rrn, implicit) {
+            // At the bottom rung: nothing cheaper to reclaim.
+            if let Some(down) = basis_format::de_escalate(&self.format.name()) {
+                self.switch(&down, basis, stats);
+                stats.de_escalations += 1;
             }
         }
-    }
-
-    fn capture(&self, cp: &mut SolveCheckpoint) {
-        cp.qualifying_streak = self.streak;
-    }
-
-    fn restore(&mut self, cp: &SolveCheckpoint) {
-        self.streak = cp.qualifying_streak;
     }
 }
 
@@ -226,8 +188,8 @@ impl CyclePolicy<Box<dyn ColumnStorage>> for Ladder<'_> {
 /// Observed, controlled, and resumed adaptive solves go through
 /// [`crate::solve`] with [`crate::SolvePlan::Adaptive`]: an event
 /// names the rung of the cycle about to run, and a checkpoint records
-/// that rung plus the de-escalation streak, so a resumed ladder
-/// schedule reproduces exactly.
+/// that rung in its stats, so a resumed ladder schedule reproduces
+/// exactly.
 pub fn adaptive_gmres<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
@@ -240,8 +202,8 @@ pub fn adaptive_gmres<P: Preconditioner, A: SparseMatrix + ?Sized>(
 
 /// [`adaptive_gmres`] under `hooks` (the [`crate::SolvePlan::Adaptive`]
 /// arm of [`crate::solve`]). A resumed solve starts at the
-/// checkpointed rung, which [`SolveCheckpoint::check_resume`] has
-/// already found in the registry.
+/// checkpointed rung, which [`crate::SolveCheckpoint::check_resume`]
+/// has already found in the registry.
 pub(crate) fn adaptive_driver<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
@@ -250,28 +212,21 @@ pub(crate) fn adaptive_driver<P: Preconditioner, A: SparseMatrix + ?Sized>(
     precond: &P,
     hooks: SolveHooks<'_>,
 ) -> SolveResult {
-    assert!(opts.de_escalation_cycles >= 1);
-    let start = match (hooks.resume, &opts.start_format) {
-        (Some(cp), _) => cp.stats.format.as_str(),
-        (None, Some(name)) => name.as_str(),
-        (None, None) => basis_format::ESCALATION_LADDER[0],
-    };
+    let bottom = basis_format::ESCALATION_LADDER[0];
+    let start = hooks.resume.map_or(bottom, |cp| cp.stats.format.as_str());
     let format =
         basis_format::by_name(start).unwrap_or_else(|| panic!("unknown basis format {start}"));
     let basis = Basis::from_store(format.create(a.rows(), opts.gmres.restart + 1));
-    let mut ladder = Ladder {
-        opts,
-        format,
-        streak: 0,
-    };
+    let mut ladder = Ladder { opts, format };
     solve_driver_full(a, b, x0, &opts.gmres, precond, basis, &mut ladder, hooks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gmres::gmres_with;
+    use crate::gmres::{gmres_with, SolvePlan};
     use crate::precond::Identity;
+    use crate::SolveControl;
     use frsz2::{Frsz2Config, Frsz2Store};
     use spla::dense::manufactured_rhs;
     use spla::gen;
@@ -371,19 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_start_format_is_respected() {
-        let a = gen::conv_diff_3d(6, 6, 6, [0.2, 0.1, 0.0], 0.3);
-        let (_, b) = manufactured_rhs(&a);
-        let x0 = vec![0.0; a.rows()];
-        let mut opts = adaptive_opts(1e-10, 1000, 40);
-        opts.start_format = Some("float64".into());
-        let r = adaptive_gmres(&a, &b, &x0, &opts, &Identity);
-        assert!(r.stats.converged);
-        assert_eq!(r.stats.escalations, 0);
-        assert!(r.stats.format_trajectory.iter().all(|f| f == "float64"));
-    }
-
-    #[test]
     fn zero_rhs_short_circuits() {
         let a = spla::Csr::identity(10);
         let opts = adaptive_opts(1e-12, 100, 10);
@@ -407,18 +349,30 @@ mod tests {
         assert!(!qualifies_for_de_escalation(1e-2, 1e-4, None));
     }
 
-    /// A solve forced to start at `float64` on a smooth operator drops
-    /// by orders of magnitude every cycle: with de-escalation enabled
-    /// it must step back down the ladder and still converge.
+    /// A solve resumed at `float64` on a smooth operator drops by
+    /// orders of magnitude every cycle: with de-escalation enabled it
+    /// must step back down the ladder and still converge.
     #[test]
     fn de_escalation_reclaims_bandwidth_after_float64_start() {
         let a = gen::conv_diff_3d(8, 8, 8, [0.3, 0.2, 0.1], 0.3);
         let (_, b) = manufactured_rhs(&a);
         let x0 = vec![0.0; a.rows()];
         let mut opts = adaptive_opts(1e-10, 2000, 10);
-        opts.start_format = Some("float64".into());
         opts.de_escalate = true;
-        let r = adaptive_gmres(&a, &b, &x0, &opts, &Identity);
+        let run = |hooks| crate::solve(&a, &b, &x0, &Identity, SolvePlan::Adaptive(&opts), hooks);
+        // Halt at the entry boundary and move the record to the top rung.
+        let mut halt = || SolveControl::Halt;
+        let halted = run(SolveHooks {
+            control: Some(&mut halt),
+            ..SolveHooks::default()
+        });
+        let mut cp = halted.unwrap().checkpoint.expect("halted at entry");
+        cp.stats.format = "float64".into();
+        let r = run(SolveHooks {
+            resume: Some(&cp),
+            ..SolveHooks::default()
+        })
+        .unwrap();
         assert!(r.stats.converged, "rrn {:.2e}", r.stats.final_rrn);
         assert!(
             r.stats.de_escalations >= 1,
@@ -463,11 +417,6 @@ mod tests {
         let x0 = vec![0.0; a.rows()];
         let mut opts = adaptive_opts(1e-10, 1200, 30);
         opts.de_escalate = true;
-        // The 8³ system converges within six cycles; a single qualifying
-        // cycle must trigger the step-down for both directions to appear
-        // in so short a trajectory (the two-cycle default needs a
-        // longer solve).
-        opts.de_escalation_cycles = 1;
         let r = adaptive_gmres(&a, &b, &x0, &opts, &Identity);
         assert!(
             r.stats.converged,

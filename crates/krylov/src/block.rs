@@ -74,10 +74,6 @@
 //! cycle that recorded nothing retires its RHS unconverged (it would
 //! replay verbatim). Use distinct right-hand sides; duplicates are
 //! better served by one solve.
-//!
-//! `GmresOptions::capture_basis_at` is honored only on the `b = 1`
-//! delegation path; wider solves ignore it (basis columns are shared,
-//! so there is no per-RHS "the" vector at a global iteration).
 
 use crate::basis::Basis;
 use crate::basis_format::BasisFormat;

@@ -4,15 +4,15 @@
 //! boundary and rebuilds the Krylov basis from it, so at a boundary a
 //! solve is fully described by its iterate, its [`SolveStats`] record
 //! (counters, the explicit residual just measured, the format and
-//! s-step trajectories) and its residual history. A [`SolveCheckpoint`]
-//! is that record plus the two fields of policy state the adaptive and
-//! s-step drivers keep between cycles, frozen at the seam between
-//! `boundary_bookkeeping` and the next `run_cycle`. Capture clones the
-//! record and resume restores it; resuming replays the residual
-//! recomputation and drops straight back into the cycle loop,
-//! **bit-identically** to the uninterrupted solve (the same contract
-//! every kernel in this workspace honors for thread counts and storage
-//! formats).
+//! s-step trajectories) and its residual history. The cycle policies
+//! keep no state between cycles (the s-step width and the adaptive rung
+//! are read off the record), so a [`SolveCheckpoint`] is the record,
+//! the iterate and the history plus the driver that captured them, at
+//! the seam between `boundary_bookkeeping` and the next `run_cycle`.
+//! Resuming restores them, replays the residual recomputation and drops
+//! straight back into the cycle loop, **bit-identically** to the
+//! uninterrupted solve (the same contract every kernel in this
+//! workspace honors for thread counts and storage formats).
 //!
 //! Checkpoints serialize to one compact versioned byte format
 //! ([`SolveCheckpoint::encode`]): LEB128 varints and length-prefixed
@@ -29,10 +29,11 @@ use crate::sstep::gated_width;
 use numfmt::ColumnStorage;
 
 /// Which solver driver captured a checkpoint. Resume must go through
-/// the same driver: each one carries different auxiliary state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the same driver: each one reads the record its own way.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DriverKind {
     /// The fixed-format scalar driver (`gmres`/`gmres_with`).
+    #[default]
     Scalar,
     /// The escalating [`crate::adaptive`] driver.
     Adaptive,
@@ -81,8 +82,9 @@ pub enum SolveControl {
 /// only completed cycles, and `history` ends with this boundary's
 /// explicit point. `stats.converged`, `stats.wall_time` and
 /// `stats.basis_bits_per_value` are never set at a boundary and are not
-/// serialized.
-#[derive(Clone, Debug, PartialEq)]
+/// serialized. The default is an empty scalar-driver checkpoint, a
+/// starting point for hand-built checkpoints in tests and tools.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SolveCheckpoint {
     /// Driver that captured this checkpoint (resume must match).
     pub driver: DriverKind,
@@ -93,26 +95,6 @@ pub struct SolveCheckpoint {
     /// Residual history up to and including this boundary's explicit
     /// point.
     pub history: Vec<HistoryPoint>,
-    /// Adaptive driver: consecutive cycles qualifying for
-    /// de-escalation.
-    pub qualifying_streak: usize,
-    /// S-step driver: panel width the next cycle will use.
-    pub s_cur: usize,
-}
-
-impl Default for SolveCheckpoint {
-    /// An empty scalar-driver checkpoint (all counters zero): a
-    /// starting point for hand-built checkpoints in tests and tools.
-    fn default() -> Self {
-        SolveCheckpoint {
-            driver: DriverKind::Scalar,
-            x: Vec::new(),
-            stats: SolveStats::default(),
-            history: Vec::new(),
-            qualifying_streak: 0,
-            s_cur: 1,
-        }
-    }
 }
 
 /// Typed failure modes of [`SolveCheckpoint::decode`] and
@@ -167,7 +149,7 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Serialization format version written by [`SolveCheckpoint::encode`].
-pub const CHECKPOINT_VERSION: u16 = 2;
+pub const CHECKPOINT_VERSION: u16 = 3;
 
 const MAGIC: [u8; 4] = *b"FZCK";
 
@@ -281,12 +263,12 @@ impl SolveCheckpoint {
     /// system: same dimension, same driver, and the basis format the
     /// plan runs — for the adaptive driver, which resumes at the
     /// checkpointed rung, any registered format; for the s-step driver
-    /// also a panel width the plan admits. Its state must be one a solve
-    /// of the plan can capture: no outcome (`converged`) yet,
-    /// one format (and, for s-step, one panel width) per completed
-    /// cycle, an adaptive streak below its trigger, and every counter
-    /// below 2⁶² (no solve streams 4.6 EB, and the resumed solve keeps
-    /// 2⁶² of headroom before an overflow).
+    /// also recorded panel widths the plan runs (its gated width until
+    /// the one LOO breach, then 1). Its state must be one a solve of the
+    /// plan can capture: no outcome (`converged`) yet, one format (and,
+    /// for s-step, one panel width) per completed cycle, and every
+    /// counter below 2⁶² (no solve streams 4.6 EB, and the resumed solve
+    /// keeps 2⁶² of headroom before an overflow).
     /// [`crate::solve`] runs this before any work, so a foreign or
     /// forged checkpoint is a typed [`CheckpointError::Mismatch`]
     /// instead of a panic mid-solve.
@@ -327,13 +309,21 @@ impl SolveCheckpoint {
             }
         }
         if let SolvePlan::SStep(format, sopts) = *plan {
+            // The plan runs its gated width until the LOO monitor's one
+            // breach (which only a wide cycle can record), then 1.
             let gated = gated_width(format, sopts.s);
-            if !(1..=gated).contains(&self.s_cur) {
-                return mismatch(
-                    "panel width",
-                    format!("1..={gated}"),
-                    self.s_cur.to_string(),
-                );
+            let widths = &st.s_per_cycle;
+            let wide = widths.iter().take_while(|&&s| s == gated).count();
+            let runs = widths[wide..].iter().all(|&s| s == 1)
+                && match st.loo_breaches {
+                    0 => wide == widths.len(),
+                    1 => gated > 1 && wide > 0,
+                    _ => false,
+                };
+            if !runs {
+                let expected = format!("width {gated} until a breach, then 1");
+                let found = format!("{widths:?} with {} breaches", st.loo_breaches);
+                return mismatch("panel width", expected, found);
             }
         }
         // A boundary has no outcome yet: the resumed solve would report
@@ -348,14 +338,6 @@ impl SolveCheckpoint {
             let found = format!("{} restarts, {widths} panel widths", st.restarts);
             return mismatch("counters", format!("{cycles} restarts"), found);
         }
-        if let SolvePlan::Adaptive(opts) = plan {
-            // The streak resets on reaching its trigger, so a captured
-            // one is always below it.
-            if self.qualifying_streak >= opts.de_escalation_cycles {
-                let expected = format!("a streak below {}", opts.de_escalation_cycles);
-                return mismatch("counters", expected, self.qualifying_streak.to_string());
-            }
-        }
         match self.counters().into_iter().find(|&v| v >= 1 << 62) {
             Some(v) => mismatch("counters", "counters below 2^62".into(), v.to_string()),
             None => Ok(()),
@@ -363,7 +345,7 @@ impl SolveCheckpoint {
     }
 
     /// The counters in their encoded order.
-    fn counters(&self) -> [u64; 14] {
+    fn counters(&self) -> [u64; 12] {
         let st = &self.stats;
         [
             st.iterations as u64,
@@ -377,8 +359,6 @@ impl SolveCheckpoint {
             st.basis_bytes_written,
             st.basis_dot_sweeps,
             st.basis_gemv_sweeps,
-            self.qualifying_streak as u64,
-            self.s_cur as u64,
             st.loo_breaches as u64,
         ]
     }
@@ -440,7 +420,7 @@ impl SolveCheckpoint {
             .ok_or(CheckpointError::Malformed("unknown driver kind"))?;
         let format = cur.str()?;
         let final_rrn = cur.f64()?;
-        let mut counters = [0u64; 14];
+        let mut counters = [0u64; 12];
         for c in counters.iter_mut() {
             *c = cur.varint()?;
         }
@@ -489,7 +469,7 @@ impl SolveCheckpoint {
                 basis_bytes_written: counters[8],
                 basis_dot_sweeps: counters[9],
                 basis_gemv_sweeps: counters[10],
-                loo_breaches: counters[13] as usize,
+                loo_breaches: counters[11] as usize,
                 format,
                 final_rrn,
                 format_trajectory,
@@ -498,8 +478,6 @@ impl SolveCheckpoint {
                 ..SolveStats::default()
             },
             history,
-            qualifying_streak: counters[11] as usize,
-            s_cur: counters[12] as usize,
         })
     }
 }
@@ -534,8 +512,6 @@ mod tests {
                     explicit: true,
                 })
                 .collect(),
-            qualifying_streak: 1,
-            s_cur: 1,
         }
     }
 
@@ -555,7 +531,6 @@ mod tests {
         cp.stats.s_per_cycle = vec![4, 4, 1];
         cp.stats.loo_per_cycle = vec![1.5e-9, 2.5e-3];
         cp.stats.loo_breaches = 1;
-        cp.s_cur = 1;
         let plain = cp.encode();
         let mut set = cp.clone();
         set.stats.converged = true;
@@ -609,15 +584,17 @@ mod tests {
 
     #[test]
     fn version_one_blob_is_unsupported_before_its_checksum_is_read() {
-        // The version-1 layout carried a delta flag byte, so a blob
-        // relabelled as version 1 no longer matches its checksum: the
-        // version check must come first.
-        let mut old = sample(1).encode();
-        old[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            SolveCheckpoint::decode(&old),
-            Err(CheckpointError::UnsupportedVersion(1))
-        );
+        // The version-1 layout carried a delta flag byte and version 2
+        // two policy counters, so a blob relabelled as either no longer
+        // matches its checksum: the version check must come first.
+        for version in [1u16, 2] {
+            let mut old = sample(1).encode();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                SolveCheckpoint::decode(&old),
+                Err(CheckpointError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -629,7 +606,7 @@ mod tests {
         forged.push(DriverKind::Scalar.to_u8());
         put_str(&mut forged, "frsz2_21");
         put_f64(&mut forged, 1.0);
-        for _ in 0..14 {
+        for _ in 0..12 {
             put_varint(&mut forged, 0);
         }
         put_varint(&mut forged, 1 << 61);

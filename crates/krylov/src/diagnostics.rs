@@ -1,7 +1,9 @@
 //! Convergence diagnostics: Krylov-vector snapshots for the Fig. 2
-//! decorrelation analysis, and guarded convergence-history summaries.
+//! decorrelation analysis (one Fig. 1 cycle on a basis the snapshot
+//! owns, read back as stored), and guarded convergence-history summaries.
 
-use crate::gmres::{gmres, GmresOptions, HistoryPoint};
+use crate::basis::Basis;
+use crate::gmres::{run_cycle, GmresOptions, HistoryPoint, SolveStats, Workspace};
 use crate::precond::Identity;
 use numfmt::ColumnStorage;
 use spla::stats;
@@ -70,25 +72,40 @@ pub struct KrylovSnapshot {
     pub exponent_concentration: (usize, usize),
 }
 
-/// Run GMRES far enough to write basis vector number `iteration` and
-/// return it with its statistics. Returns `None` if the solver converges
-/// before reaching that iteration.
+/// Run the first GMRES cycle from `x0 = 0` (no preconditioner) far
+/// enough to write basis vector number `iteration`, and return it as
+/// stored, with its statistics. Returns `None` if the cycle breaks down
+/// (the Krylov space stopped growing, e.g. the solve converged) before
+/// writing it, or if `‖b‖` is zero, subnormal or not finite.
 pub fn krylov_snapshot<S: ColumnStorage, A: SparseMatrix + ?Sized>(
     a: &A,
     b: &[f64],
     iteration: usize,
     value_bins: usize,
 ) -> Option<KrylovSnapshot> {
+    let n = a.rows();
     let opts = GmresOptions {
-        capture_basis_at: Some(iteration),
-        max_iters: iteration + 2,
-        target_rrn: 0.0, // never stop early
+        max_iters: iteration,
+        // No implicit estimate ends the cycle; only a breakdown does.
+        target_rrn: f64::NEG_INFINITY,
         record_history: false,
         ..GmresOptions::default()
     };
-    let x0 = vec![0.0; a.rows()];
-    let r = gmres::<S, _, _>(a, b, &x0, &opts, &Identity);
-    let values = r.captured_basis_vector?;
+    let basis = &mut Basis::from_store(S::with_shape(n, iteration + 1));
+    let ws = &mut Workspace::new(n, iteration);
+    let (x, stats, history) = (&mut vec![0.0; n], &mut SolveStats::default(), &mut vec![]);
+    let beta = ws.explicit_residual(a, b, x);
+    if !beta.is_normal() {
+        return None;
+    }
+    run_cycle(
+        a, &Identity, &opts, basis, ws, x, beta, beta, stats, history,
+    );
+    if stats.breakdowns > 0 {
+        return None;
+    }
+    let mut values = vec![0.0; n];
+    basis.read_column(iteration, &mut values);
     let (lo, hi) = values
         .iter()
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
@@ -107,6 +124,7 @@ pub fn krylov_snapshot<S: ColumnStorage, A: SparseMatrix + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gmres::gmres;
     use numfmt::DenseStore;
     use spla::dense::manufactured_rhs;
     use spla::gen;
@@ -127,6 +145,29 @@ mod tests {
         // Histogram counts add to n.
         let count: usize = s.value_histogram.iter().map(|&(_, c)| c).sum();
         assert_eq!(count, 512);
+    }
+
+    /// The snapshot is the stored column: unit norm as written, and for
+    /// `float64` storage the exact vector the solver itself writes at
+    /// that iteration.
+    #[test]
+    fn snapshot_is_the_normalized_basis_vector() {
+        let a = gen::conv_diff_3d(6, 6, 6, [0.2, 0.1, 0.0], 0.2);
+        let (_, b) = manufactured_rhs(&a);
+        let v = krylov_snapshot::<DenseStore<f64>, _>(&a, &b, 5, 16)
+            .expect("vector captured")
+            .values;
+        let nrm = spla::dense::norm2(&v);
+        assert!(
+            (nrm - 1.0).abs() < 1e-10,
+            "basis vectors are unit norm, got {nrm}"
+        );
+        // Iteration 0 is the seed: the normalized right-hand side.
+        let seed = krylov_snapshot::<DenseStore<f64>, _>(&a, &b, 0, 16).expect("seed");
+        let bnorm = spla::dense::norm2(&b);
+        for (s, bi) in seed.values.iter().zip(&b) {
+            assert_eq!(s.to_bits(), (bi * (1.0 / bnorm)).to_bits());
+        }
     }
 
     #[test]

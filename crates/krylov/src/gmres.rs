@@ -36,9 +36,6 @@ pub struct GmresOptions {
     pub target_rrn: f64,
     /// Record the per-iteration residual history (Figs. 5/6/9).
     pub record_history: bool,
-    /// Capture the basis vector written at this global iteration, as
-    /// stored (i.e. after compression) — feeds the Fig. 2 histograms.
-    pub capture_basis_at: Option<usize>,
     /// Fault-injection hook (see [`crate::faults`]): poison the
     /// Hessenberg column computed at this global iteration with a NaN.
     /// The non-finite breakdown guard must detect it — this hook
@@ -54,7 +51,6 @@ impl Default for GmresOptions {
             max_iters: 20_000,
             target_rrn: 1e-12,
             record_history: true,
-            capture_basis_at: None,
             fault_nan_hessenberg_at: None,
         }
     }
@@ -147,9 +143,6 @@ pub struct SolveResult {
     pub stats: SolveStats,
     /// Per-iteration residual history (when `record_history` is set).
     pub history: Vec<HistoryPoint>,
-    /// Basis vector captured at `capture_basis_at`, decompressed from
-    /// storage (None if never reached).
-    pub captured_basis_vector: Option<Vec<f64>>,
     /// The boundary's checkpoint when a control probe halted the solve
     /// ([`SolveControl::Halt`]), captured once, at the halt; `None` for
     /// a solve that ran to its end.
@@ -270,12 +263,11 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
     bnorm: f64,
     stats: &mut SolveStats,
     history: &mut Vec<HistoryPoint>,
-    captured: &mut Option<Vec<f64>>,
 ) -> CycleOutcome {
     let m = ws.m;
     let ld = ws.ld;
     let mut outcome = CycleOutcome::default();
-    let col_bytes = seed_cycle(basis, ws, beta, opts, stats, captured);
+    let col_bytes = seed_cycle(basis, ws, beta, stats);
 
     let mut j = 0;
     // Steps 2-15: build the Krylov basis.
@@ -383,7 +375,6 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
         scale(1.0 / hj1, &mut ws.w);
         basis.write(j, &ws.w);
         stats.basis_bytes_written += col_bytes;
-        capture_column(basis, j, opts, stats, captured);
     }
     outcome.steps = j;
     finish_cycle(basis, precond, ws, x, j, col_bytes, stats);
@@ -399,34 +390,15 @@ pub(crate) fn seed_cycle<S: ColumnStorage>(
     basis: &mut Basis<S>,
     ws: &mut Workspace,
     beta: f64,
-    opts: &GmresOptions,
     stats: &mut SolveStats,
-    captured: &mut Option<Vec<f64>>,
 ) -> u64 {
     scale(1.0 / beta, &mut ws.r);
     basis.write(0, &ws.r);
     let col_bytes = basis.column_bytes() as u64;
     stats.basis_bytes_written += col_bytes;
-    capture_column(basis, 0, opts, stats, captured);
     ws.g.fill(0.0);
     ws.g[0] = beta;
     col_bytes
-}
-
-/// Keep basis column `col`, decompressed from storage, when it was
-/// written at the `capture_basis_at` iteration (Fig. 2 histograms).
-pub(crate) fn capture_column<S: ColumnStorage>(
-    basis: &Basis<S>,
-    col: usize,
-    opts: &GmresOptions,
-    stats: &SolveStats,
-    captured: &mut Option<Vec<f64>>,
-) {
-    if opts.capture_basis_at == Some(stats.iterations) && captured.is_none() {
-        let mut cap = vec![0.0; basis.rows()];
-        basis.read_column(col, &mut cap);
-        *captured = Some(cap);
-    }
 }
 
 /// Least-squares update of Hessenberg column `j`, stored unrotated in
@@ -661,10 +633,11 @@ pub(crate) fn boundary_bookkeeping(
 }
 
 /// What varies between the scalar, s-step, and adaptive solves: how
-/// one restart cycle runs, the decision taken at a boundary, and the
-/// policy state a checkpoint carries beside the [`SolveStats`]. Everything
-/// else — explicit residual, convergence, telemetry, the control probe,
-/// resume replay — is the one loop in [`solve_driver_full`].
+/// one restart cycle runs and the decision taken at a boundary. A
+/// policy keeps nothing between cycles that [`SolveStats`] does not
+/// hold. Everything else — explicit residual, convergence,
+/// telemetry, the control probe, resume replay — is the one loop in
+/// [`solve_driver_full`].
 pub(crate) trait CyclePolicy<S: ColumnStorage> {
     /// Driver identity stamped on captured checkpoints.
     const DRIVER: DriverKind;
@@ -693,22 +666,13 @@ pub(crate) trait CyclePolicy<S: ColumnStorage> {
         bnorm: f64,
         stats: &mut SolveStats,
         history: &mut Vec<HistoryPoint>,
-        captured: &mut Option<Vec<f64>>,
     ) -> CycleOutcome {
-        run_cycle(
-            a, precond, opts, basis, ws, x, beta, bnorm, stats, history, captured,
-        )
+        run_cycle(a, precond, opts, basis, ws, x, beta, bnorm, stats, history)
     }
-
-    /// Write the policy's own field into a captured checkpoint.
-    fn capture(&self, _cp: &mut SolveCheckpoint) {}
-
-    /// Read them back from the checkpoint being resumed.
-    fn restore(&mut self, _cp: &SolveCheckpoint) {}
 }
 
 /// The fixed-format scalar policy: the paper's Fig. 1 cycle, nothing
-/// decided at boundaries, no extra checkpoint state.
+/// decided at boundaries.
 pub(crate) struct Scalar;
 
 impl<S: ColumnStorage> CyclePolicy<S> for Scalar {
@@ -729,8 +693,8 @@ impl<S: ColumnStorage> CyclePolicy<S> for Scalar {
 ///
 /// Resuming (the checkpoint already validated by
 /// [`SolveCheckpoint::check_resume`]) replays the capture-time
-/// boundary: the iterate, the [`SolveStats`] record, the history, and
-/// the policy state are restored, the entry residual is recomputed
+/// boundary: the iterate, the [`SolveStats`] record and the history
+/// are restored, the entry residual is recomputed
 /// (its spmv was already counted before capture, so the counter is NOT
 /// incremented again), and the bookkeeping, policy decision, and
 /// observer that ran before capture are skipped. The continuation is
@@ -761,7 +725,6 @@ pub(crate) fn solve_driver_full<
     let start = Instant::now();
     let mut stats = SolveStats::default();
     let mut history = Vec::new();
-    let mut captured: Option<Vec<f64>> = None;
     stats.format = basis.format_name();
 
     let bnorm = norm2(b);
@@ -774,7 +737,6 @@ pub(crate) fn solve_driver_full<
             x: vec![0.0; n],
             stats,
             history,
-            captured_basis_vector: None,
             checkpoint: None,
         };
     }
@@ -789,7 +751,6 @@ pub(crate) fn solve_driver_full<
         x.copy_from_slice(&cp.x);
         stats = cp.stats.clone();
         history = cp.history.clone();
-        policy.restore(cp);
         replay = true;
     }
 
@@ -824,15 +785,12 @@ pub(crate) fn solve_driver_full<
         }
 
         if let Some(SolveControl::Halt) = hooks.control.as_mut().map(|probe| probe()) {
-            let mut cp = SolveCheckpoint {
+            checkpoint = Some(Box::new(SolveCheckpoint {
                 driver: C::DRIVER,
                 x: x.clone(),
                 stats: stats.clone(),
                 history: history.clone(),
-                ..SolveCheckpoint::default()
-            };
-            policy.capture(&mut cp);
-            checkpoint = Some(Box::new(cp));
+            }));
             break;
         }
 
@@ -848,7 +806,6 @@ pub(crate) fn solve_driver_full<
             bnorm,
             &mut stats,
             &mut history,
-            &mut captured,
         );
         // A cycle that could not record a single column (immediate
         // non-finite breakdown) left x untouched; another round would
@@ -872,7 +829,6 @@ pub(crate) fn solve_driver_full<
         x,
         stats,
         history,
-        captured_basis_vector: captured,
         checkpoint,
     }
 }
@@ -915,8 +871,8 @@ pub struct SolveHooks<'a> {
     /// Control probe: a predicate called at every restart boundary;
     /// returning [`SolveControl::Halt`] stops the solve there, and the
     /// result carries that boundary's [`SolveCheckpoint`] (the
-    /// boundary's [`SolveStats`] plus the iterate, history, and policy
-    /// state) in [`SolveResult::checkpoint`]. Convergence is decided
+    /// boundary's [`SolveStats`] plus the iterate and history) in
+    /// [`SolveResult::checkpoint`]. Convergence is decided
     /// first, so a halt never masks a finished solve.
     pub control: Option<&'a mut dyn FnMut() -> SolveControl>,
     /// Continue a previous solve from its checkpoint instead of `x0`.
@@ -937,8 +893,8 @@ pub struct SolveHooks<'a> {
 /// the solve that captured the checkpoint, and the continuation
 /// reproduces the uninterrupted solve bit for bit (solution, history,
 /// counters, and the s-step panel / adaptive rung schedule). `x0` is
-/// ignored when resuming, and so is an adaptive plan's `start_format`
-/// (the checkpointed rung wins). A checkpoint from a different system
+/// ignored when resuming, and an adaptive plan resumes at the
+/// checkpoint's rung. A checkpoint from a different system
 /// size, driver, or basis format is refused with
 /// [`CheckpointError::Mismatch`] before any work (see
 /// [`SolveCheckpoint::check_resume`]).
@@ -1117,24 +1073,6 @@ mod tests {
         assert!(r.stats.converged);
         assert!(r.x.iter().all(|&v| v == 0.0));
         assert_eq!(r.stats.iterations, 0);
-    }
-
-    #[test]
-    fn capture_basis_vector_is_normalized() {
-        let a = gen::conv_diff_3d(6, 6, 6, [0.2, 0.1, 0.0], 0.2);
-        let (_, b) = manufactured_rhs(&a);
-        let o = GmresOptions {
-            capture_basis_at: Some(5),
-            target_rrn: 1e-10,
-            ..GmresOptions::default()
-        };
-        let r = gmres::<DenseStore<f64>, _, _>(&a, &b, &vec![0.0; 216], &o, &Identity);
-        let v = r.captured_basis_vector.expect("vector captured");
-        let nrm = spla::dense::norm2(&v);
-        assert!(
-            (nrm - 1.0).abs() < 1e-10,
-            "basis vectors are unit norm, got {nrm}"
-        );
     }
 
     #[test]

@@ -31,6 +31,8 @@ pub enum PrecondError {
     },
     /// Block-Jacobi was asked for blocks of zero rows.
     ZeroBlockSize,
+    /// Block-Jacobi was asked for blocks above [`BlockJacobi::MAX_BLOCK_SIZE`].
+    BlockSizeTooLarge(usize),
 }
 
 impl std::fmt::Display for PrecondError {
@@ -44,6 +46,13 @@ impl std::fmt::Display for PrecondError {
             }
             PrecondError::ZeroBlockSize => {
                 write!(f, "BlockJacobi needs a block size of at least 1")
+            }
+            PrecondError::BlockSizeTooLarge(size) => {
+                write!(
+                    f,
+                    "BlockJacobi block size {size} exceeds {}",
+                    BlockJacobi::MAX_BLOCK_SIZE
+                )
             }
         }
     }
@@ -188,14 +197,22 @@ pub struct BlockJacobi {
 }
 
 impl BlockJacobi {
+    /// Largest accepted block size: each block is a dense `b × b` matrix
+    /// with an O(b³) LU, which a request must not size (the figures use 4).
+    pub const MAX_BLOCK_SIZE: usize = 256;
+
     /// Extract and factorize the block diagonal of `a`, rejecting a
-    /// zero `block_size` and numerically singular blocks.
+    /// `block_size` outside `1..=`[`BlockJacobi::MAX_BLOCK_SIZE`] before
+    /// allocating anything, and numerically singular blocks.
     pub fn try_new(
         a: &(impl SparseMatrix + ?Sized),
         block_size: usize,
     ) -> Result<Self, PrecondError> {
         if block_size == 0 {
             return Err(PrecondError::ZeroBlockSize);
+        }
+        if block_size > Self::MAX_BLOCK_SIZE {
+            return Err(PrecondError::BlockSizeTooLarge(block_size));
         }
         let p = Self::build(a, block_size);
         if let Some(block) = p.lu.iter().position(Option::is_none) {
@@ -210,13 +227,13 @@ impl BlockJacobi {
     /// [`BlockJacobi::singular_blocks`].
     ///
     /// # Panics
-    /// If `block_size == 0`.
+    /// If `block_size` is 0 or above [`BlockJacobi::MAX_BLOCK_SIZE`].
     pub fn new(a: &(impl SparseMatrix + ?Sized), block_size: usize) -> Self {
         Self::build(a, block_size)
     }
 
     fn build(a: &(impl SparseMatrix + ?Sized), block_size: usize) -> Self {
-        assert!(block_size >= 1);
+        assert!((1..=Self::MAX_BLOCK_SIZE).contains(&block_size));
         let n = a.rows();
         let mut lu = Vec::with_capacity(n.div_ceil(block_size));
         let mut singular_blocks = 0usize;
@@ -524,6 +541,32 @@ mod tests {
         let mut out = vec![0.0; 4];
         p.apply(&[3.0, 5.0, 2.0, 4.0], &mut out);
         assert_eq!(out, vec![3.0, 5.0, 1.0, 1.0]);
+    }
+
+    /// A block size above the bound is refused before any block is
+    /// sized from it, whatever the operator's size; `new` asserts it.
+    #[test]
+    fn block_jacobi_refuses_an_oversized_block() {
+        // Nonsingular, so only the size can refuse it.
+        let a = spla::Csr::identity(3);
+        let block_size = BlockJacobi::MAX_BLOCK_SIZE + 1;
+        for size in [block_size, usize::MAX] {
+            assert_eq!(
+                BlockJacobi::try_new(&a, size).unwrap_err(),
+                PrecondError::BlockSizeTooLarge(size)
+            );
+        }
+        let mut m = Coo::new(300, 300);
+        for i in 0..300 {
+            m.push(i, i, 2.0);
+        }
+        assert!(BlockJacobi::try_new(&m.to_csr(), BlockJacobi::MAX_BLOCK_SIZE).is_ok());
+    }
+
+    #[test]
+    #[should_panic]
+    fn block_jacobi_new_asserts_the_block_bound() {
+        BlockJacobi::new(&spla::Csr::identity(3), BlockJacobi::MAX_BLOCK_SIZE + 1);
     }
 
     #[test]

@@ -55,7 +55,8 @@
 //! format-relative budget ([`loo_budget`]). One breach shrinks `s` to
 //! 1 for the rest of the solve — convergence evidence is untouched
 //! (explicit residual only); the solve just stops amortizing. Widths,
-//! measures and breaches land in the solve's [`SolveStats`].
+//! measures and breaches land in the solve's [`SolveStats`], and each
+//! cycle reads its width back from there: the driver keeps no state.
 //! Per-format admissible `s` lives in
 //! [`BasisFormat::max_sstep`], mirroring the measured
 //! `accuracy_floor` table.
@@ -71,11 +72,11 @@
 
 use crate::basis::Basis;
 use crate::basis_format::BasisFormat;
-use crate::checkpoint::{DriverKind, SolveCheckpoint};
+use crate::checkpoint::DriverKind;
 use crate::gmres::{
-    capture_column, finish_cycle, rotate_column, run_cycle, seed_cycle, solve_driver_full,
-    CycleOutcome, CyclePolicy, GmresOptions, HistoryPoint, SolveHooks, SolveResult, SolveStats,
-    Workspace, REORTH_ETA,
+    finish_cycle, rotate_column, run_cycle, seed_cycle, solve_driver_full, CycleOutcome,
+    CyclePolicy, GmresOptions, HistoryPoint, SolveHooks, SolveResult, SolveStats, Workspace,
+    REORTH_ETA,
 };
 use crate::panel::{charge, gather_col, pack_interleaved, Panel};
 use crate::precond::Preconditioner;
@@ -169,7 +170,7 @@ impl PanelScratch {
     }
 }
 
-/// One s-step restart cycle: panels of `s_cur` matrix-powers
+/// One s-step restart cycle: panels of `s` matrix-powers
 /// directions, two-stage orthogonalization, Hessenberg recovery, then
 /// the same least-squares update as the scalar [`crate::gmres`] cycle.
 /// The restart loop owns the explicit-residual boundary; only implicit
@@ -187,14 +188,13 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
     bnorm: f64,
     stats: &mut SolveStats,
     history: &mut Vec<HistoryPoint>,
-    captured: &mut Option<Vec<f64>>,
-    s_cur: usize,
+    s: usize,
 ) -> CycleOutcome {
     let n = x.len();
     let m = ws.m;
     let ld = ws.ld;
     let mut outcome = CycleOutcome::default();
-    let col_bytes = seed_cycle(basis, ws, beta, opts, stats, captured);
+    let col_bytes = seed_cycle(basis, ws, beta, stats);
     // The recovery recurrence consumes raw (unrotated) columns of the
     // whole cycle so far; reset per cycle.
     px.hraw.fill(0.0);
@@ -202,7 +202,7 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
     let mut j = 0usize;
     'outer: while j < m && stats.iterations < opts.max_iters {
         let k = j + 1; // stored columns the panel orthogonalizes against
-        let s_eff = s_cur.min(m - j);
+        let s_eff = s.min(m - j);
 
         // Matrix-powers expansion: P = [Bv_j, B²v_j, …] with
         // B = A·M⁻¹. Identity preconditioning takes the fused kernel
@@ -324,7 +324,6 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
             gather_col(&panel.w[..n * s_eff], s_eff, c, &mut ws.w);
             basis.write(jc + 1, &ws.w);
             stats.basis_bytes_written += col_bytes;
-            capture_column(basis, jc + 1, opts, stats, captured);
         }
     }
     outcome.steps = j;
@@ -362,17 +361,18 @@ fn measure_loo<S: ColumnStorage>(
     worst
 }
 
-/// The s-step cycle policy: panel cycles of width `s_cur` followed by
-/// the LOO monitor, which shrinks the width to 1 for the rest of the
-/// solve on a breach (the remaining cycles keep the panel cycle, at
-/// width 1). A gated width of 1 runs the scalar cycle from the first
-/// boundary — bit-for-bit [`crate::gmres::gmres_with`] — while its
-/// checkpoints still carry the s-step identity. The trajectory (width
-/// and LOO measure per cycle, breaches) goes into the [`SolveStats`].
+/// The s-step cycle policy: panel cycles of the gated width followed
+/// by the LOO monitor, whose one breach shrinks the width to 1 for the
+/// rest of the solve (the remaining cycles keep the panel cycle, at
+/// width 1): a cycle runs the gated width while
+/// [`SolveStats::loo_breaches`] is 0. A gated width of 1 runs the
+/// scalar cycle from the first boundary — bit-for-bit
+/// [`crate::gmres::gmres_with`] — while its checkpoints still carry the
+/// s-step identity. The trajectory (width and LOO measure per cycle,
+/// breaches) goes into the [`SolveStats`].
 pub(crate) struct PanelPolicy {
-    /// Panel width of the next cycle (starts at the width the format
-    /// gate admits, which `px` is sized for).
-    s_cur: usize,
+    /// The width the format gate admits, which `px` is sized for.
+    gated: usize,
     /// LOO budget a measured cycle must stay within.
     budget: f64,
     /// Panel scratch (`None` at a gated width of 1).
@@ -394,38 +394,31 @@ impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
         bnorm: f64,
         stats: &mut SolveStats,
         history: &mut Vec<HistoryPoint>,
-        captured: &mut Option<Vec<f64>>,
     ) -> CycleOutcome {
-        stats.s_per_cycle.push(self.s_cur);
+        let s = if stats.loo_breaches > 0 {
+            1
+        } else {
+            self.gated
+        };
+        stats.s_per_cycle.push(s);
         let Some(px) = self.px.as_mut() else {
-            return run_cycle(
-                a, precond, opts, basis, ws, x, beta, bnorm, stats, history, captured,
-            );
+            return run_cycle(a, precond, opts, basis, ws, x, beta, bnorm, stats, history);
         };
         let out = run_sstep_cycle(
-            a, precond, opts, basis, ws, px, x, beta, bnorm, stats, history, captured, self.s_cur,
+            a, precond, opts, basis, ws, px, x, beta, bnorm, stats, history, s,
         );
         // LOO monitor: measure the cycle's recorded columns through the
         // store; one breach shrinks s to 1 for the rest of the solve.
-        if self.s_cur > 1 && out.steps > 0 {
+        if s > 1 && out.steps > 0 {
             let loo = measure_loo(basis, out.steps, ws, px, stats);
             stats.loo_per_cycle.push(loo);
             // NaN counts as a breach: a non-finite measure means the
             // stored columns are unusable for a wide panel.
             if loo.is_nan() || loo > self.budget {
-                self.s_cur = 1;
                 stats.loo_breaches += 1;
             }
         }
         out
-    }
-
-    fn capture(&self, cp: &mut SolveCheckpoint) {
-        cp.s_cur = self.s_cur;
-    }
-
-    fn restore(&mut self, cp: &SolveCheckpoint) {
-        self.s_cur = cp.s_cur;
     }
 }
 
@@ -476,7 +469,7 @@ pub(crate) fn sstep_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
         .unwrap_or_else(|| loo_budget(format.accuracy_floor(), n));
     let gated = gated_width(format, sopts.s);
     let mut policy = PanelPolicy {
-        s_cur: gated,
+        gated,
         budget,
         px: (gated > 1).then(|| PanelScratch::new(n, m, gated)),
     };
@@ -488,7 +481,7 @@ pub(crate) fn sstep_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
 mod tests {
     use super::*;
     use crate::basis_format::by_name;
-    use crate::checkpoint::SolveControl;
+    use crate::checkpoint::{SolveCheckpoint, SolveControl};
     use crate::gmres::gmres_with;
     use crate::precond::{Identity, Jacobi};
     use frsz2::{Frsz2Config, Frsz2Store};

@@ -369,8 +369,11 @@ fn resume_mismatch_is_a_typed_error_not_a_panic() {
         field(&adaptive, &cp(DriverKind::Adaptive, "no_such_format", n)),
         "format"
     );
+    // One recorded cycle at a width the s = 4 plan never runs.
     let mut wide = cp(DriverKind::SStep, "frsz2_21", n);
-    wide.s_cur = 64;
+    wide.stats.s_per_cycle = vec![64];
+    wide.stats.restarts = 1;
+    wide.stats.format_trajectory = vec!["frsz2_21".into()];
     assert_eq!(field(&sstep, &wide), "panel width");
     // A matching checkpoint passes the same check.
     assert!(cp(DriverKind::Scalar, "frsz2_32", n)
@@ -381,8 +384,8 @@ fn resume_mismatch_is_a_typed_error_not_a_panic() {
 /// A captured checkpoint with one counter forged to its type's maximum
 /// would overflow that counter on resume (a panic in a debug build,
 /// a wrapped counter and a claimed convergence in release). Every such
-/// checkpoint, and one whose trajectories, streak or outcome no solve
-/// of the plan can produce, is refused before any work.
+/// checkpoint, and one whose trajectories or outcome no solve of the
+/// plan can produce, is refused before any work.
 #[test]
 fn forged_checkpoint_counters_are_refused() {
     let refusal = |case: &Case, cp: &SolveCheckpoint| {
@@ -425,9 +428,55 @@ fn forged_checkpoint_counters_are_refused() {
     // hand it to the resumed solve without the explicit residual.
     let (label, cp) = forged("converged", |st| st.converged = true);
     assert_eq!(refusal(&sstep, &cp), "outcome", "{label}");
+}
 
-    let adaptive = Case::new(Kind::Adaptive, 1);
-    let (_, mut cp) = adaptive.halt();
-    cp.qualifying_streak = adaptive.aopts.de_escalation_cycles;
-    assert_eq!(refusal(&adaptive, &cp), "counters", "qualifying_streak");
+/// The s-step width is read off the record: after a forced LOO breach
+/// the resumed solve runs width 1 because `stats.loo_breaches` says so,
+/// and the stitched solve equals the uninterrupted one at 1 and 2
+/// threads.
+#[test]
+fn sstep_resume_after_a_loo_breach_is_bit_identical() {
+    let mut case = Case::new(Kind::SStep, 4);
+    // Impossible budget: the first wide cycle breaches it.
+    case.sopts.loo_budget = Some(1e-30);
+    for threads in [1usize, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let label = format!("breach/{threads}t");
+            let plain = case.plain();
+            assert!(plain.stats.converged, "{label}: reference must converge");
+            assert_eq!(plain.stats.loo_breaches, 1, "{label}");
+            assert_eq!(plain.stats.s_per_cycle[0], 4, "{label}");
+            assert!(plain.stats.s_per_cycle[1..].iter().all(|&s| s == 1));
+            let (_, cp) = case.halt();
+            assert_eq!(cp.stats.s_per_cycle, [4, 1], "{label}: widths at halt");
+            assert_eq!(cp.stats.loo_breaches, 1, "{label}");
+            let decoded = SolveCheckpoint::decode(&cp.encode()).expect("decode");
+            assert_eq!(decoded, cp, "{label}: byte round trip");
+            let resumed = case.solve(SolveHooks {
+                resume: Some(&decoded),
+                ..SolveHooks::default()
+            });
+            assert_same(&format!("{label} resumed"), &resumed, &plain);
+        });
+    }
+}
+
+/// A checkpoint records the widths its plan ran. Resuming an s = 2
+/// checkpoint under an s = 4 plan over the same format would continue
+/// at a width neither plan runs from that record, so it is refused.
+#[test]
+fn checkpoint_of_a_narrower_plan_is_a_panel_width_mismatch() {
+    let narrow = Case::new(Kind::SStep, 2);
+    let wide = Case::new(Kind::SStep, 4);
+    let (_, cp) = narrow.halt();
+    assert_eq!(cp.stats.s_per_cycle, [2, 2]);
+    assert!(cp.check_resume(narrow.a.rows(), &narrow.plan()).is_ok());
+    match cp.check_resume(wide.a.rows(), &wide.plan()) {
+        Err(CheckpointError::Mismatch { field, .. }) => assert_eq!(field, "panel width"),
+        other => panic!("expected a panel width mismatch, got {other:?}"),
+    }
 }

@@ -8,7 +8,7 @@
 //! typed error or a wait instead of an OOM kill.
 
 use crate::error::ServiceError;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What to do with a job whose basis reservation does not fit the
@@ -67,62 +67,38 @@ impl Ledger {
             });
         };
         let mut in_use = self.in_use.lock().expect("ledger lock");
-        if requested > budget {
-            // Could never fit, whatever drains — reject under both
-            // policies (queueing would deadlock).
-            return Err(ServiceError::BudgetExceeded {
-                operator: operator.to_string(),
-                requested,
-                budget,
-                in_use: *in_use,
-            });
-        }
-        match self.policy {
-            AdmissionPolicy::Reject => {
-                if *in_use + requested > budget {
+        let start = Instant::now();
+        // `in_use` never exceeds the budget, so this cannot underflow.
+        while requested > budget - *in_use {
+            // A reservation above the whole budget could never fit,
+            // whatever drains: queueing it would deadlock.
+            let timeout = match self.policy {
+                AdmissionPolicy::Queue { timeout } if requested <= budget => timeout,
+                _ => {
                     return Err(ServiceError::BudgetExceeded {
                         operator: operator.to_string(),
                         requested,
                         budget,
                         in_use: *in_use,
-                    });
+                    })
                 }
-            }
-            AdmissionPolicy::Queue { timeout: None } => {
-                while *in_use + requested > budget {
-                    in_use = self.freed.wait(in_use).expect("ledger lock");
+            };
+            in_use = match timeout.map(|limit| limit.saturating_sub(start.elapsed())) {
+                None => self.freed.wait(in_use).expect("ledger lock"),
+                Some(remaining) if !remaining.is_zero() => {
+                    let waited = self.freed.wait_timeout(in_use, remaining);
+                    waited.expect("ledger lock").0
                 }
-            }
-            AdmissionPolicy::Queue {
-                timeout: Some(limit),
-            } => {
-                let start = Instant::now();
-                while *in_use + requested > budget {
-                    let Some(remaining) = limit.checked_sub(start.elapsed()) else {
-                        return Err(ServiceError::AdmissionTimeout {
-                            operator: operator.to_string(),
-                            requested,
-                            budget,
-                            in_use: *in_use,
-                            waited_ms: start.elapsed().as_millis() as u64,
-                        });
-                    };
-                    let (guard, timed_out) = self
-                        .freed
-                        .wait_timeout(in_use, remaining)
-                        .expect("ledger lock");
-                    in_use = guard;
-                    if timed_out.timed_out() && *in_use + requested > budget {
-                        return Err(ServiceError::AdmissionTimeout {
-                            operator: operator.to_string(),
-                            requested,
-                            budget,
-                            in_use: *in_use,
-                            waited_ms: start.elapsed().as_millis() as u64,
-                        });
-                    }
+                Some(_) => {
+                    return Err(ServiceError::AdmissionTimeout {
+                        operator: operator.to_string(),
+                        requested,
+                        budget,
+                        in_use: *in_use,
+                        waited_ms: start.elapsed().as_millis() as u64,
+                    })
                 }
-            }
+            };
         }
         *in_use += requested;
         Ok(Reservation {
@@ -141,7 +117,9 @@ pub(crate) struct Reservation<'a> {
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         if let Some(ledger) = self.ledger {
-            let mut in_use = ledger.in_use.lock().expect("ledger lock");
+            // A panic here while another unwinds would abort the process,
+            // and each update of the count leaves it valid.
+            let mut in_use = ledger.in_use.lock().unwrap_or_else(PoisonError::into_inner);
             *in_use = in_use.saturating_sub(self.bytes);
             drop(in_use);
             ledger.freed.notify_all();
@@ -188,6 +166,46 @@ mod tests {
             ledger.admit("huge", 101),
             Err(ServiceError::BudgetExceeded { requested: 101, .. })
         ));
+    }
+
+    /// The fit test must not overflow: a request that fits the budget
+    /// but not beside a held reservation is refused, not wrapped into
+    /// an admission, and one above the budget is refused when queueing.
+    #[test]
+    fn a_request_near_u64_max_beside_a_reservation_is_refused() {
+        let ledger = Ledger::new(Some(u64::MAX - 1), AdmissionPolicy::Reject);
+        let _held = ledger.admit("a", 10).unwrap();
+        assert!(matches!(
+            ledger.admit("b", u64::MAX - 5),
+            Err(ServiceError::BudgetExceeded { in_use: 10, .. })
+        ));
+        let queue = AdmissionPolicy::Queue { timeout: None };
+        let ledger = Ledger::new(Some(u64::MAX - 1), queue);
+        let _held = ledger.admit("a", 10).unwrap();
+        assert!(matches!(
+            ledger.admit("huge", u64::MAX),
+            Err(ServiceError::BudgetExceeded { in_use: 10, .. })
+        ));
+    }
+
+    /// Releasing a reservation must not panic on a poisoned ledger: a
+    /// panic in `drop` while the holder's thread unwinds aborts the
+    /// process.
+    #[test]
+    fn a_poisoned_ledger_still_frees_reservations() {
+        let ledger = Ledger::new(Some(100), AdmissionPolicy::Reject);
+        let held = ledger.admit("a", 10).unwrap();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = ledger.in_use.lock();
+                panic!("poison the ledger");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && ledger.in_use.is_poisoned());
+        drop(held);
+        let in_use = *ledger.in_use.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(in_use, 0);
     }
 
     #[test]

@@ -21,8 +21,9 @@ pub enum PrecondSpec {
     /// Block-Jacobi with dense LU-factorized diagonal blocks of this
     /// size.
     BlockJacobi {
-        /// Diagonal block edge length (rows per block); 0 is refused
-        /// at registration as [`crate::ServiceError::PrecondFailed`].
+        /// Diagonal block edge length (rows per block); 0 and sizes
+        /// above [`krylov::BlockJacobi::MAX_BLOCK_SIZE`] are refused at
+        /// registration as [`crate::ServiceError::PrecondFailed`].
         block_size: usize,
     },
 }

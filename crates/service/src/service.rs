@@ -901,21 +901,26 @@ mod tests {
             .register_csr("bad", &coo.to_csr(), PrecondSpec::Jacobi)
             .unwrap_err();
         assert!(matches!(err, ServiceError::PrecondFailed { .. }));
-        // A zero block size is refused, not asserted on.
-        let err = service
-            .register_csr(
-                "bad",
-                &Csr::identity(3),
-                PrecondSpec::BlockJacobi { block_size: 0 },
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ServiceError::PrecondFailed {
-                operator: "bad".into(),
-                source: krylov::PrecondError::ZeroBlockSize,
-            }
-        );
+        // A zero block size is refused, not asserted on, and one above
+        // the bound before a block is sized from it.
+        let too_large = krylov::BlockJacobi::MAX_BLOCK_SIZE + 1;
+        for (block_size, source) in [
+            (0, krylov::PrecondError::ZeroBlockSize),
+            (
+                too_large,
+                krylov::PrecondError::BlockSizeTooLarge(too_large),
+            ),
+        ] {
+            let err = service
+                .register_csr(
+                    "bad",
+                    &Csr::identity(3),
+                    PrecondSpec::BlockJacobi { block_size },
+                )
+                .unwrap_err();
+            let operator = "bad".into();
+            assert_eq!(err, ServiceError::PrecondFailed { operator, source });
+        }
         // The failed registrations left nothing behind.
         assert!(service.operator_names().is_empty());
     }
