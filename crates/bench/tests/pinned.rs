@@ -570,10 +570,7 @@ fn fault_bitflip() -> String {
 /// restart recovers.
 fn fault_nan() -> String {
     let mut spec = fault_job("smooth", "frsz2_21", 1e-8);
-    spec.fault = Some(FaultSpec {
-        nan_hessenberg_at: Some(7),
-        ..FaultSpec::default()
-    });
+    spec.opts.fault_nan_hessenberg_at = Some(7);
     let r = fault_service().solve_report(&spec).expect("NaN job").result;
     assert!(r.stats.breakdowns >= 1 && r.stats.converged);
     judge(&spec, &r)

@@ -2,34 +2,32 @@
 //!
 //! A production CB-GMRES deployment must treat poisoned compressed
 //! basis words, non-finite Hessenberg entries, and wedged or panicking
-//! jobs as routine events. This module makes every one of those faults
-//! *injectable on demand and deterministically*, so the detection and
-//! recovery paths (the explicit-residual convergence test, the
-//! non-finite breakdown guards, the service's retry/escalation and
-//! deadline machinery) are exercised by tests and the `faults` bench
-//! suite instead of waiting for cosmic rays:
+//! jobs as routine events. This module makes each of them injectable
+//! on demand and deterministically, so the detection and recovery
+//! paths (the explicit-residual convergence test, the non-finite
+//! breakdown guard, the service's retry/escalation and deadline
+//! machinery) are exercised by tests and the pinned fault rows:
 //!
 //! - **Basis corruption** — [`FaultInjectingStore`] wraps any
-//!   [`ColumnStorage`] and flips one chosen bit of one chosen value on
-//!   one chosen column write ([`BasisBitFlip`]). [`FaultyFormat`] lifts
-//!   the wrapper to a [`BasisFormat`] so the dyn solve paths inject
-//!   without code changes. An *unarmed* wrapper delegates every method
-//!   and is bit-identical to the bare store.
-//! - **Hessenberg NaN** — armed through
-//!   [`crate::gmres::GmresOptions::fault_nan_hessenberg_at`], which
-//!   poisons the projection coefficients at one global iteration; the
-//!   solver's PR-4 non-finite guard must turn it into a typed
-//!   breakdown, never an infinite loop or a false convergence.
-//! - **Job-level faults** — [`FaultSpec`] is the service-facing plan:
-//!   it adds panicking attempts and per-boundary sleeps (to trip
-//!   deadlines) on top of the numerical faults above.
+//!   [`ColumnStorage`] and flips one bit of one value on one column
+//!   write ([`BasisBitFlip`]), counting it in a shared counter;
+//!   [`FaultyFormat`] lifts it to a [`BasisFormat`] for the dyn solve
+//!   paths. Before its planned write, the wrapper is bit-identical to
+//!   the bare store.
+//! - **Hessenberg NaN** —
+//!   [`crate::gmres::GmresOptions::fault_nan_hessenberg_at`] poisons
+//!   the column of one global iteration. The scalar and s-step cycles
+//!   accept every column at one guard, which must refuse it as a
+//!   breakdown; the block driver keeps its own guard and ignores it.
+//! - **Job-level faults** — [`FaultSpec`]: a service job's injected
+//!   panic, per-boundary sleeps and basis flip.
 //!
-//! Detection is structural, not probabilistic: convergence is decided
-//! only by the explicit residual `‖b − Ax‖/‖b‖` at restart boundaries,
-//! so a corrupted basis can slow a solve or break it down, but it
-//! cannot make the solver report a converged `x` that does not satisfy
-//! the target — the invariant the pinned fault rows check against an
-//! independently recomputed residual.
+//! Detection is structural: convergence is decided only by the
+//! explicit residual `‖b − Ax‖/‖b‖` at restart boundaries, so a
+//! corrupted basis can slow a solve or break it down but never make it
+//! report a converged `x` that misses the target — the invariant the
+//! pinned fault rows check against an independently recomputed
+//! residual.
 
 use crate::basis_format::BasisFormat;
 use numfmt::ColumnStorage;
@@ -50,58 +48,32 @@ pub struct BasisBitFlip {
     pub bit: u32,
 }
 
-/// A deterministic basis-corruption plan plus a shared counter of
-/// faults actually fired (clone the plan, keep a clone, and read
-/// [`FaultPlan::fired`] after the solve).
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    /// The bit flip to apply, if any.
-    pub flip_on_write: Option<BasisBitFlip>,
-    /// Incremented once per injected fault.
-    pub fired: Arc<AtomicU64>,
-}
-
-impl FaultPlan {
-    /// A plan that flips `bit` of value `index` on write `nth_write`.
-    pub fn bit_flip(nth_write: u64, index: usize, bit: u32) -> FaultPlan {
-        FaultPlan {
-            flip_on_write: Some(BasisBitFlip {
-                nth_write,
-                index,
-                bit,
-            }),
-            fired: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// How many faults this plan has injected so far.
-    pub fn fired(&self) -> u64 {
-        self.fired.load(Ordering::Relaxed)
-    }
-}
-
-/// [`ColumnStorage`] wrapper that corrupts writes per a [`FaultPlan`]
-/// and otherwise delegates everything to the wrapped store.
+/// [`ColumnStorage`] wrapper that corrupts one write per a
+/// [`BasisBitFlip`], counts it in a shared counter, and otherwise
+/// delegates everything to the wrapped store.
 ///
 /// Corruption happens *before* delegation, so the poisoned value goes
 /// through the format's real compression path and every read kernel
 /// sees the corrupted stored data — exactly what a flipped bit in the
 /// compressed words would look like to the solver. The wrapper
 /// forwards `chunk_align` and the same method set as
-/// `Box<dyn ColumnStorage>`, so an unarmed wrapper preserves the
-/// solver's reduction order bit for bit.
+/// `Box<dyn ColumnStorage>`, so a wrapper whose flip never fires
+/// preserves the solver's reduction order bit for bit.
 pub struct FaultInjectingStore {
     inner: Box<dyn ColumnStorage>,
-    plan: FaultPlan,
+    flip: BasisBitFlip,
+    fired: Arc<AtomicU64>,
     writes: u64,
 }
 
 impl FaultInjectingStore {
-    /// Wrap `inner` under `plan`.
-    pub fn new(inner: Box<dyn ColumnStorage>, plan: FaultPlan) -> FaultInjectingStore {
+    /// Wrap `inner` to apply `flip`, incrementing `fired` once per
+    /// injected fault (keep a clone and read it after the solve).
+    pub fn new(inner: Box<dyn ColumnStorage>, flip: BasisBitFlip, fired: Arc<AtomicU64>) -> Self {
         FaultInjectingStore {
             inner,
-            plan,
+            flip,
+            fired,
             writes: 0,
         }
     }
@@ -127,17 +99,14 @@ impl ColumnStorage for FaultInjectingStore {
     fn write_column(&mut self, j: usize, data: &[f64]) {
         let nth = self.writes;
         self.writes += 1;
-        if let Some(f) = self.plan.flip_on_write {
-            if f.nth_write == nth && !data.is_empty() {
-                let mut poisoned = data.to_vec();
-                let i = f.index % poisoned.len();
-                poisoned[i] = f64::from_bits(poisoned[i].to_bits() ^ (1u64 << (f.bit % 64)));
-                self.plan.fired.fetch_add(1, Ordering::Relaxed);
-                self.inner.write_column(j, &poisoned);
-                return;
-            }
+        if nth != self.flip.nth_write || data.is_empty() {
+            return self.inner.write_column(j, data);
         }
-        self.inner.write_column(j, data);
+        let mut poisoned = data.to_vec();
+        let i = self.flip.index % poisoned.len();
+        poisoned[i] = f64::from_bits(poisoned[i].to_bits() ^ (1u64 << (self.flip.bit % 64)));
+        self.fired.fetch_add(1, Ordering::Relaxed);
+        self.inner.write_column(j, &poisoned);
     }
 
     #[inline]
@@ -205,19 +174,20 @@ impl ColumnStorage for FaultInjectingStore {
     }
 }
 
-/// [`BasisFormat`] wrapper whose stores inject faults per a
-/// [`FaultPlan`]: the entry point for corrupting a dyn-dispatch solve
-/// (`gmres_dyn*`, the service, tests) without touching
-/// solver code.
+/// [`BasisFormat`] wrapper whose stores are [`FaultInjectingStore`]s:
+/// the entry point for corrupting a dyn-dispatch solve (`gmres_dyn*`,
+/// the service, tests) without touching solver code.
 pub struct FaultyFormat {
     inner: Box<dyn BasisFormat>,
-    plan: FaultPlan,
+    flip: BasisBitFlip,
+    fired: Arc<AtomicU64>,
 }
 
 impl FaultyFormat {
-    /// Wrap `inner` so every created store runs under `plan`.
-    pub fn new(inner: Box<dyn BasisFormat>, plan: FaultPlan) -> FaultyFormat {
-        FaultyFormat { inner, plan }
+    /// Wrap `inner` so every created store applies `flip` and counts
+    /// it in the shared `fired`.
+    pub fn new(inner: Box<dyn BasisFormat>, flip: BasisBitFlip, fired: Arc<AtomicU64>) -> Self {
+        FaultyFormat { inner, flip, fired }
     }
 }
 
@@ -241,46 +211,27 @@ impl BasisFormat for FaultyFormat {
     fn create(&self, rows: usize, cols: usize) -> Box<dyn ColumnStorage> {
         Box::new(FaultInjectingStore::new(
             self.inner.create(rows, cols),
-            self.plan.clone(),
+            self.flip,
+            Arc::clone(&self.fired),
         ))
     }
 }
 
-/// A job-level fault plan for the solver service: which faults to
-/// inject into one job, spanning the numerical faults above plus
-/// process-level misbehavior (panics, slowness). All fields default to
-/// "no fault"; the spec is plain data so jobs stay `Clone`.
+/// The faults a solver-service job adds to its solve: process-level
+/// misbehavior (panics, slowness) and a basis bit flip. All fields
+/// default to "no fault"; the spec is plain data so jobs stay `Clone`.
+/// A Hessenberg NaN is armed on the job's solver options instead
+/// ([`crate::gmres::GmresOptions::fault_nan_hessenberg_at`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// Poison the Hessenberg at this global iteration (see
-    /// [`crate::gmres::GmresOptions::fault_nan_hessenberg_at`]).
-    pub nan_hessenberg_at: Option<usize>,
-    /// Restrict the numerical faults to attempts running this basis
-    /// format — after a retry escalates past it, the fault stops
-    /// firing, which is how the harness exercises
-    /// retry-until-recovered deterministically.
-    pub only_in_format: Option<String>,
     /// Panic at the start of this 0-based solve attempt (caught by the
     /// service's panic isolation).
     pub panic_on_attempt: Option<usize>,
     /// Sleep this long at every restart boundary (trips deadlines
     /// deterministically).
     pub sleep_per_boundary_ms: u64,
-    /// Flip a bit in the stored basis.
+    /// Flip a bit in the stored basis of every fixed-format attempt.
     pub basis_flip: Option<BasisBitFlip>,
-}
-
-impl FaultSpec {
-    /// Whether the numerical faults apply to an attempt running
-    /// `format` (true when no format gate is set).
-    pub fn applies_to_format(&self, format: &str) -> bool {
-        self.only_in_format.as_deref().is_none_or(|f| f == format)
-    }
-
-    /// Whether any field is armed.
-    pub fn is_armed(&self) -> bool {
-        *self != FaultSpec::default()
-    }
 }
 
 #[cfg(test)]
@@ -288,11 +239,21 @@ mod tests {
     use super::*;
     use crate::basis_format::by_name;
 
+    fn flip(nth_write: u64, index: usize, bit: u32) -> BasisBitFlip {
+        BasisBitFlip {
+            nth_write,
+            index,
+            bit,
+        }
+    }
+
     #[test]
     fn unarmed_wrapper_is_bit_identical_to_the_bare_store() {
         let fmt = by_name("frsz2_21").unwrap();
         let mut bare = fmt.create(1000, 3);
-        let mut wrapped = FaultInjectingStore::new(fmt.create(1000, 3), FaultPlan::default());
+        let fired = Arc::new(AtomicU64::new(0));
+        let never = flip(u64::MAX, 0, 63);
+        let mut wrapped = FaultInjectingStore::new(fmt.create(1000, 3), never, fired.clone());
         let v: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.17).sin()).collect();
         bare.write_column(1, &v);
         wrapped.write_column(1, &v);
@@ -310,19 +271,19 @@ mod tests {
             bare.dot_chunk(1, 0, &w).to_bits(),
             wrapped.dot_chunk(1, 0, &w).to_bits()
         );
+        assert_eq!(fired.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn armed_wrapper_corrupts_exactly_the_planned_write() {
         let fmt = by_name("float64").unwrap();
-        let plan = FaultPlan::bit_flip(1, 7, 62);
-        let observer = plan.clone();
-        let mut store = FaultInjectingStore::new(fmt.create(64, 3), plan);
+        let fired = Arc::new(AtomicU64::new(0));
+        let mut store = FaultInjectingStore::new(fmt.create(64, 3), flip(1, 7, 62), fired.clone());
         let v: Vec<f64> = (0..64).map(|i| 1.0 + i as f64 * 1e-3).collect();
         store.write_column(0, &v); // write 0: clean
         store.write_column(1, &v); // write 1: corrupted
         store.write_column(2, &v); // write 2: clean again
-        assert_eq!(observer.fired(), 1);
+        assert_eq!(fired.load(Ordering::Relaxed), 1);
         let mut out = vec![0.0; 64];
         store.read_column(0, &mut out);
         assert_eq!(out, v);
@@ -341,32 +302,17 @@ mod tests {
 
     #[test]
     fn faulty_format_delegates_metadata_and_wraps_stores() {
-        let plan = FaultPlan::bit_flip(0, 0, 63);
-        let observer = plan.clone();
+        let fired = Arc::new(AtomicU64::new(0));
         let inner = by_name("frsz2_32").unwrap();
         let floor = inner.accuracy_floor();
-        let fmt = FaultyFormat::new(inner, plan);
+        let fmt = FaultyFormat::new(inner, flip(0, 0, 63), fired.clone());
         assert_eq!(fmt.name(), "frsz2_32");
         assert_eq!(fmt.accuracy_floor(), floor);
         let mut store = fmt.create(128, 2);
         store.write_column(0, &vec![1.0; 128]);
-        assert_eq!(observer.fired(), 1);
+        assert_eq!(fired.load(Ordering::Relaxed), 1);
         // Sign bit flipped on row 0.
         assert!(store.load(0, 0) < 0.0);
         assert!(store.load(1, 0) > 0.0);
-    }
-
-    #[test]
-    fn fault_spec_format_gate() {
-        let spec = FaultSpec {
-            nan_hessenberg_at: Some(3),
-            only_in_format: Some("frsz2_16".into()),
-            ..FaultSpec::default()
-        };
-        assert!(spec.is_armed());
-        assert!(spec.applies_to_format("frsz2_16"));
-        assert!(!spec.applies_to_format("frsz2_21"));
-        assert!(FaultSpec::default().applies_to_format("anything"));
-        assert!(!FaultSpec::default().is_armed());
     }
 }

@@ -37,10 +37,10 @@ pub struct GmresOptions {
     /// Record the per-iteration residual history (Figs. 5/6/9).
     pub record_history: bool,
     /// Fault-injection hook (see [`crate::faults`]): poison the
-    /// Hessenberg column computed at this global iteration with a NaN.
-    /// The non-finite breakdown guard must detect it — this hook
-    /// exists so tests and the pinned fault rows can prove that
-    /// deterministically. `None` (the default) injects nothing.
+    /// Hessenberg column of this global iteration with a NaN while no
+    /// breakdown is on record. The column guard of the scalar and
+    /// s-step cycles must refuse it as a breakdown; the block driver
+    /// ignores it. `None` (the default) injects nothing.
     pub fault_nan_hessenberg_at: Option<usize>,
 }
 
@@ -329,34 +329,20 @@ pub(crate) fn run_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
             broke_down = hj1 == 0.0 || hj1 < REORTH_ETA * before; // step 12
         }
 
-        // Fault-injection hook: poison the freshly computed projection
-        // coefficient at the configured global iteration. The guard
-        // below must turn it into a typed breakdown. One-shot: the
-        // breakdown ends the cycle before `iterations` can pass the
-        // trigger, so the hook disarms once a breakdown is on record.
-        if opts.fault_nan_hessenberg_at == Some(stats.iterations) && stats.breakdowns == 0 {
-            ws.h[j] = f64::NAN;
-        }
-
-        // NaN-spin guard: a non-finite Hessenberg entry (overflow in
-        // ‖w‖² or in the Gram-Schmidt products from a pathological
-        // operator) would poison the Givens recurrence with NaN and
-        // make every later stopping test compare false, spinning the
-        // solver to `max_iters`. Detect it here, count it as a
-        // breakdown, and end the cycle WITHOUT recording the poisoned
-        // column — the least-squares solve below then runs on the `j`
-        // columns that are still finite.
-        if !hj1.is_finite() || !omega.is_finite() || ws.h[..=j].iter().any(|v| !v.is_finite()) {
-            stats.breakdowns += 1;
-            break;
-        }
-
-        // Record the Hessenberg column (step 16 assembles these).
+        // Record the Hessenberg column (step 16 assembles these); a
+        // non-finite ‖w‖ or a refused column ends the cycle.
         for i in 0..=j {
             ws.hess[j * ld + i] = ws.h[i];
         }
         ws.hess[j * ld + j + 1] = hj1;
-        let implicit_rrn = rotate_column(ws, j, bnorm, opts, stats, history, &mut outcome);
+        let accepted = omega
+            .is_finite()
+            .then(|| rotate_column(ws, j, bnorm, opts, stats, history, &mut outcome))
+            .flatten();
+        let Some(implicit_rrn) = accepted else {
+            stats.breakdowns += 1;
+            break;
+        };
 
         j += 1;
         if broke_down {
@@ -401,11 +387,15 @@ pub(crate) fn seed_cycle<S: ColumnStorage>(
     col_bytes
 }
 
-/// Least-squares update of Hessenberg column `j`, stored unrotated in
-/// `ws.hess`: apply the previous rotations, then a new one that
-/// annihilates the subdiagonal, and rotate `g` with it. Counts the
-/// iteration and records (and returns) the implicit residual estimate
-/// `|g[j+1]| / ‖b‖`.
+/// The column guard of both single-RHS cycles, then the least-squares
+/// update of Hessenberg column `j` (stored unrotated in `ws.hess`). It
+/// applies [`GmresOptions::fault_nan_hessenberg_at`] and refuses a
+/// non-finite column with `None`, updating nothing: a NaN would poison
+/// the Givens recurrence and spin the solver to `max_iters`. The caller
+/// counts one breakdown and ends the cycle. An accepted column gets
+/// the previous rotations and a new one that annihilates the
+/// subdiagonal, rotating `g` with it; the iteration is counted and the
+/// implicit residual estimate `|g[j+1]| / ‖b‖` recorded and returned.
 pub(crate) fn rotate_column(
     ws: &mut Workspace,
     j: usize,
@@ -414,8 +404,15 @@ pub(crate) fn rotate_column(
     stats: &mut SolveStats,
     history: &mut Vec<HistoryPoint>,
     outcome: &mut CycleOutcome,
-) -> f64 {
+) -> Option<f64> {
     let ld = ws.ld;
+    let column = &mut ws.hess[j * ld..j * ld + j + 2];
+    if opts.fault_nan_hessenberg_at == Some(stats.iterations) && stats.breakdowns == 0 {
+        column[j] = f64::NAN;
+    }
+    if column.iter().any(|v| !v.is_finite()) {
+        return None;
+    }
     for i in 0..j {
         let (hi, hi1) = (ws.hess[j * ld + i], ws.hess[j * ld + i + 1]);
         ws.hess[j * ld + i] = ws.cs[i] * hi + ws.sn[i] * hi1;
@@ -439,7 +436,7 @@ pub(crate) fn rotate_column(
             explicit: false,
         });
     }
-    implicit_rrn
+    Some(implicit_rrn)
 }
 
 /// Step 17, closing a cycle of `j` recorded columns:

@@ -63,7 +63,8 @@
 //! **bit-identically** to the uninterrupted solve (a checkpoint from a
 //! different solve is a typed [`CheckpointError::Mismatch`]);
 //! [`faults`] provides the deterministic fault-injection harness
-//! (basis bit-flips, NaN Hessenberg entries) that proves the detection
+//! (basis bit-flips, NaN Hessenberg entries, which the scalar and
+//! s-step cycles catch at one column guard) that proves the detection
 //! paths fire.
 
 #![warn(missing_docs)]
@@ -86,7 +87,7 @@ pub use basis_format::{auto_basis, BasisFormat, ESCALATION_LADDER};
 pub use block::{block_gmres_dyn, block_gmres_dyn_observed, block_gmres_with, BlockSolveResult};
 pub use checkpoint::{CheckpointError, DriverKind, SolveCheckpoint, SolveControl};
 pub use diagnostics::{history_summary, HistorySummary};
-pub use faults::{BasisBitFlip, FaultInjectingStore, FaultPlan, FaultSpec, FaultyFormat};
+pub use faults::{BasisBitFlip, FaultInjectingStore, FaultSpec, FaultyFormat};
 pub use gmres::{
     gmres, gmres_with, solve, CycleEvent, GmresOptions, HistoryPoint, SolveHooks, SolvePlan,
     SolveResult, SolveStats,

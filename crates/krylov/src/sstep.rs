@@ -263,51 +263,51 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
         let jbase = j;
         for c in 0..s_eff {
             let jc = jbase + c;
-            {
-                let col = &mut px.pvec[..jc + 2];
-                panel.raw_column(k, s_eff, c, col);
-                if c > 0 {
-                    for (i, hcol) in px.hraw.chunks(ld).enumerate().take(k) {
-                        let coef = panel.h[i * s_eff + (c - 1)];
-                        if coef != 0.0 {
-                            for (cv, &hv) in col[..i + 2].iter_mut().zip(&hcol[..i + 2]) {
-                                *cv -= coef * hv;
-                            }
+            let col = &mut px.pvec[..jc + 2];
+            panel.raw_column(k, s_eff, c, col);
+            if c > 0 {
+                for (i, hcol) in px.hraw.chunks(ld).enumerate().take(k) {
+                    let coef = panel.h[i * s_eff + (c - 1)];
+                    if coef != 0.0 {
+                        for (cv, &hv) in col[..i + 2].iter_mut().zip(&hcol[..i + 2]) {
+                            *cv -= coef * hv;
                         }
-                    }
-                    for u in 0..c - 1 {
-                        let coef = panel.r[u * s_eff + (c - 1)];
-                        let src = jbase + 1 + u;
-                        if coef != 0.0 {
-                            for (cv, &hv) in col[..src + 2]
-                                .iter_mut()
-                                .zip(&px.hraw[src * ld..src * ld + src + 2])
-                            {
-                                *cv -= coef * hv;
-                            }
-                        }
-                    }
-                    let dvsr = panel.r[(c - 1) * s_eff + (c - 1)];
-                    if dvsr == 0.0 || !dvsr.is_finite() {
-                        stats.breakdowns += 1;
-                        break 'outer;
-                    }
-                    let inv = 1.0 / dvsr;
-                    for v in col.iter_mut() {
-                        *v *= inv;
                     }
                 }
-                if col.iter().any(|v| !v.is_finite()) {
+                for u in 0..c - 1 {
+                    let coef = panel.r[u * s_eff + (c - 1)];
+                    let src = jbase + 1 + u;
+                    if coef != 0.0 {
+                        for (cv, &hv) in col[..src + 2]
+                            .iter_mut()
+                            .zip(&px.hraw[src * ld..src * ld + src + 2])
+                        {
+                            *cv -= coef * hv;
+                        }
+                    }
+                }
+                let dvsr = panel.r[(c - 1) * s_eff + (c - 1)];
+                if dvsr == 0.0 || !dvsr.is_finite() {
                     stats.breakdowns += 1;
                     break 'outer;
+                }
+                let inv = 1.0 / dvsr;
+                for v in col.iter_mut() {
+                    *v *= inv;
                 }
             }
             px.hraw[jc * ld..jc * ld + jc + 2].copy_from_slice(&px.pvec[..jc + 2]);
 
-            // Givens least-squares recurrence, identical to the scalar
-            // cycle's step 16.
+            // Givens least-squares recurrence through the scalar cycle's
+            // guard: a non-finite recovered column (or the injected NaN
+            // fault) is refused and ends the cycle as a breakdown.
             ws.hess[jc * ld..jc * ld + jc + 2].copy_from_slice(&px.pvec[..jc + 2]);
-            let implicit_rrn = rotate_column(ws, jc, bnorm, opts, stats, history, &mut outcome);
+            let Some(implicit_rrn) =
+                rotate_column(ws, jc, bnorm, opts, stats, history, &mut outcome)
+            else {
+                stats.breakdowns += 1;
+                break 'outer;
+            };
             j = jc + 1;
 
             // The implicit estimate reaching the target only ENDS THE
@@ -639,6 +639,32 @@ mod tests {
         let last = r.solve.history.last().unwrap();
         assert!(last.explicit);
         assert!(last.rrn <= 1e-9);
+    }
+
+    /// The panel cycle accepts its recovered columns through the scalar
+    /// cycle's guard, so the injected Hessenberg NaN ends the cycle as a
+    /// breakdown here too, and the restart still reaches the target.
+    #[test]
+    fn fault_nan_hessenberg_breaks_down_an_sstep_cycle() {
+        let (a, b, x0) = test_system();
+        let fmt = by_name("frsz2_21").unwrap();
+        for s in [2, 4] {
+            let mut gmres = opts(1e-9);
+            gmres.fault_nan_hessenberg_at = Some(7);
+            let sopts = SStepOptions {
+                s,
+                loo_budget: None,
+                gmres,
+            };
+            let r = sstep_gmres_dyn(&a, &b, &x0, &sopts, &Identity, fmt.as_ref()).solve;
+            assert!(
+                r.stats.breakdowns >= 1,
+                "s={s}: the injected NaN went undetected"
+            );
+            assert!(r.stats.converged, "s={s}: rrn {}", r.stats.final_rrn);
+            let last = r.history.last().unwrap();
+            assert!(last.explicit && last.rrn <= 1e-9, "s={s}: explicit target");
+        }
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub struct JobReport {
     /// retried job reads left to right.
     pub formats_tried: Vec<String>,
     /// Basis-corruption faults actually injected across all attempts
-    /// (only ever nonzero when [`JobSpec::fault`] armed a
-    /// [`FaultSpec::basis_flip`]).
+    /// (nonzero only when [`JobSpec::fault`] armed a
+    /// [`FaultSpec::basis_flip`] on a fixed-format job).
     pub faults_injected: u64,
 }
 
@@ -77,10 +77,10 @@ pub struct JobSpec {
     pub basis: BasisSelection,
     /// Solver options (restart length, stopping target, ...).
     pub opts: GmresOptions,
-    /// Worker threads for this job's slice of the pool. Each job
-    /// installs its own fixed-size thread pool, and the workspace's
+    /// Worker threads for this job's own fixed-size pool, clamped to
+    /// `1..=std::thread::available_parallelism()`: the workspace's
     /// determinism contract makes the result bit-identical for *any*
-    /// value here.
+    /// value here, so the clamp changes no bit.
     pub threads: usize,
     /// Krylov directions generated per outer step (the s-step panel
     /// width). `1` (the default) runs the scalar driver; larger values
@@ -116,8 +116,9 @@ pub struct JobSpec {
     /// that attempt fresh — the checkpoint's compressed trajectory
     /// belongs to the old format.
     pub resume: Option<Box<SolveCheckpoint>>,
-    /// Deterministic fault injection (tests, benches, chaos drills);
-    /// `None` (the default) injects nothing. See [`FaultSpec`].
+    /// Deterministic job-level fault injection (tests, chaos drills);
+    /// `None` (the default) injects nothing. See [`FaultSpec`]; a
+    /// Hessenberg NaN is armed on [`JobSpec::opts`] instead.
     pub fault: Option<FaultSpec>,
 }
 
@@ -168,7 +169,7 @@ pub struct BlockJobSpec {
     /// Solver options, applied to every lane.
     pub opts: GmresOptions,
     /// Worker threads for this job's pool (same contract as
-    /// [`JobSpec::threads`]: results are bit-identical for any value).
+    /// [`JobSpec::threads`]: clamped to the host, bit-identical results).
     pub threads: usize,
 }
 

@@ -32,7 +32,10 @@
 //! worker-thread count. The service leans on it: each job installs its
 //! own thread pool, so a batch of concurrent jobs returns results
 //! byte-for-byte equal to the same jobs run sequentially on one thread
-//! — the pinned `service` rows fingerprint-check exactly this.
+//! — the pinned `service` rows fingerprint-check exactly this. So the
+//! host bounds the OS threads: a job's pool is clamped to
+//! `std::thread::available_parallelism()`, and a batch runs at most
+//! that many jobs at once.
 //!
 //! # Admission control
 //!
@@ -67,12 +70,13 @@
 //!   per attempt; panicking attempts are caught (`catch_unwind` at the
 //!   job boundary) and retried at the same rung, surfacing as
 //!   [`ServiceError::JobPanicked`] only when retries are exhausted;
-//! - a **fault plan** ([`FaultSpec`]): deterministic basis bit-flips,
-//!   Hessenberg NaNs, injected panics and per-boundary sleeps, used by
-//!   the tests and the pinned fault rows to prove every detection
-//!   path fires. Detection is structural — convergence is only ever
-//!   decided from the explicit residual `‖b − Ax‖/‖b‖` — so injected
-//!   corruption can slow a solve or fail it, never fake a solution.
+//! - **faults** ([`FaultSpec`], plus a Hessenberg NaN armed on the
+//!   job's solver options): injected panics, per-boundary sleeps and
+//!   basis bit-flips, used by the tests and the pinned fault rows to
+//!   prove every detection path fires. Detection is structural —
+//!   convergence is only ever decided from the explicit residual
+//!   `‖b − Ax‖/‖b‖` — so injected corruption can slow a solve or fail
+//!   it, never fake a solution.
 //!
 //! # Example
 //!

@@ -9,13 +9,13 @@ use crate::operator::{AnalyzedOperator, OperatorInfo, PrecondSpec};
 use krylov::basis_format::{self, BasisFormat};
 use krylov::{
     block_gmres_dyn_observed, sstep::gated_width, AdaptiveOptions, BlockSolveResult, CycleEvent,
-    FaultPlan, FaultSpec, FaultyFormat, GmresOptions, SStepOptions, SolveCheckpoint, SolveControl,
-    SolveHooks, SolvePlan, SolveResult,
+    FaultSpec, FaultyFormat, GmresOptions, SStepOptions, SolveCheckpoint, SolveControl, SolveHooks,
+    SolvePlan, SolveResult,
 };
 use spla::Csr;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -28,6 +28,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// The OS threads a job's pool or a batch starts: `requested` clamped
+/// to `1..=` the host's available parallelism (results do not move).
+fn host_threads(requested: usize) -> usize {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    requested.clamp(1, host)
 }
 
 /// Service-wide configuration.
@@ -85,8 +92,8 @@ fn resolve_format(
     })
 }
 
-/// The option structs a job's [`SolvePlan`] borrows, built from its
-/// solver options and s-step width.
+/// The option structs a job's [`SolvePlan`] borrows, built once per
+/// job from its solver options and s-step width.
 fn plan_options(opts: &GmresOptions, sstep: usize) -> (SStepOptions, AdaptiveOptions) {
     let sopts = SStepOptions {
         s: sstep,
@@ -290,8 +297,8 @@ impl SolverService {
     /// against the basis budget (a typed
     /// [`ServiceError::BudgetExceeded`] instead of an allocation
     /// failure), then solved in its own pool of [`JobSpec::threads`]
-    /// workers, bit-identically for any thread count. On top of the
-    /// plain solve the job lifecycle implements
+    /// workers (at most the host's), bit-identically for any count. On
+    /// top of the plain solve the job lifecycle implements
     ///
     /// - **deadlines** ([`JobSpec::deadline`]): checked cooperatively
     ///   at every restart boundary; on breach the solve halts at the
@@ -311,8 +318,8 @@ impl SolverService {
     ///   ([`ServiceError::JobPanicked`] once retries are exhausted) and
     ///   retried at the same rung;
     /// - **fault injection** ([`JobSpec::fault`]): deterministic basis
-    ///   bit-flips, Hessenberg NaNs, injected panics and per-boundary
-    ///   sleeps, for tests and the pinned fault rows.
+    ///   bit-flips, injected panics and per-boundary sleeps, for tests
+    ///   and the pinned fault rows.
     ///
     /// A retry-enabled fixed/auto-format job is admitted at the
     /// ladder-top (`float64`) worst case up front, like an adaptive
@@ -457,8 +464,8 @@ impl SolverService {
         let format = resolve_format(job.basis, job.opts, rows)?;
         // The adaptive driver ignores the s-step knob: no panel scratch.
         let sstep = format.as_ref().map_or(1, |_| job.sstep.max(1));
+        let (sopts, aopts) = plan_options(job.opts, sstep);
         if let Some(cp) = job.resume {
-            let (sopts, aopts) = plan_options(job.opts, sstep);
             cp.check_resume(rows, &job_plan(format.as_deref(), &sopts, &aopts))
                 .map_err(|source| ServiceError::CheckpointMismatch {
                     operator: job.operator.to_string(),
@@ -479,7 +486,7 @@ impl SolverService {
         };
         let _reservation = self.ledger.admit(job.operator, requested)?;
         let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(job.threads.max(1))
+            .num_threads(host_threads(job.threads))
             .build()
             .expect("job thread pool");
 
@@ -488,6 +495,7 @@ impl SolverService {
         let job_start = Instant::now();
         let fault = job.fault;
         let sleep_per_boundary = fault.map_or(0, |f| f.sleep_per_boundary_ms);
+        let flip = fault.and_then(|f| f.basis_flip);
         let fault_fired = Arc::new(AtomicU64::new(0));
         let max_retries = job.retry.map_or(0, |r| r.max_retries);
         let mut probe = || {
@@ -507,26 +515,13 @@ impl SolverService {
         let mut escalated = false;
         let solved = loop {
             attempts += 1;
-            let rung = format_name.as_deref().unwrap_or("adaptive");
-            formats_tried.push(rung.to_string());
-            // Numerical faults are format-gated: after an escalation
-            // moves past `only_in_format`, they stop firing — which is
-            // what makes retry-until-recovered deterministic.
-            let faults_apply = fault.is_some_and(|f| f.applies_to_format(rung));
-            let mut opts = job.opts.clone();
-            if faults_apply {
-                opts.fault_nan_hessenberg_at = fault.and_then(|f| f.nan_hessenberg_at);
-            }
+            formats_tried.push(format_name.as_deref().unwrap_or("adaptive").to_string());
+            // A basis flip wraps the attempt's fixed format; an adaptive
+            // job's ladder builds its own stores and is never flipped.
             let attempt_format: Option<Box<dyn BasisFormat>> = format_name.as_deref().map(|n| {
                 let base = basis_format::by_name(n).expect("ladder formats are registered");
-                match fault.and_then(|f| f.basis_flip).filter(|_| faults_apply) {
-                    Some(flip) => Box::new(FaultyFormat::new(
-                        base,
-                        FaultPlan {
-                            flip_on_write: Some(flip),
-                            fired: Arc::clone(&fault_fired),
-                        },
-                    )) as Box<dyn BasisFormat>,
+                match flip {
+                    Some(flip) => Box::new(FaultyFormat::new(base, flip, Arc::clone(&fault_fired))),
                     None => base,
                 }
             });
@@ -545,7 +540,7 @@ impl SolverService {
                         op.matrix.as_ref(),
                         job.rhss,
                         job.x0s,
-                        &opts,
+                        job.opts,
                         &op.precond,
                         f,
                         |rhs, cycle| observe(rhs, &cycle),
@@ -554,7 +549,6 @@ impl SolverService {
                     // lanes of an adaptive block, which escalate at their
                     // own pace where one shared basis cannot.
                     f => {
-                        let (sopts, aopts) = plan_options(&opts, sstep);
                         let zeros = vec![0.0; rows];
                         let mut lanes = Vec::with_capacity(width);
                         for (lane, b) in job.rhss.iter().enumerate() {
@@ -644,8 +638,10 @@ impl SolverService {
         })
     }
 
-    /// Run a batch of jobs **concurrently**, one OS thread per job,
-    /// each inside its own [`JobSpec::threads`]-sized pool slice.
+    /// Run a batch of jobs **concurrently**: at most the host's
+    /// available parallelism of OS threads each take the next job and
+    /// run it in its own [`JobSpec::threads`]-sized pool (a job holds
+    /// budget only while it runs, so queued admission cannot deadlock).
     /// Results come back in submission order; each entry is that job's
     /// own outcome (one rejected job does not fail the batch).
     ///
@@ -664,37 +660,45 @@ impl SolverService {
         specs: &[JobSpec],
         on_event: impl Fn(JobEvent) + Sync,
     ) -> Vec<Result<SolveResult, ServiceError>> {
-        std::thread::scope(|scope| {
-            let on_event = &on_event;
-            let handles: Vec<_> = specs
-                .iter()
-                .enumerate()
-                .map(|(job, spec)| {
-                    scope.spawn(move || {
-                        self.solve_report_observed(spec, |cycle| {
-                            on_event(JobEvent {
-                                job,
-                                cycle: cycle.clone(),
-                            })
+        let next = AtomicUsize::new(0);
+        let run = |job: usize, spec: &JobSpec| {
+            let observe = |cycle: &CycleEvent| {
+                on_event(JobEvent {
+                    job,
+                    cycle: cycle.clone(),
+                })
+            };
+            catch_unwind(AssertUnwindSafe(|| {
+                self.solve_report_observed(spec, observe)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(ServiceError::JobPanicked {
+                    operator: spec.operator.clone(),
+                    attempts: 1,
+                    message: panic_message(payload),
+                })
+            })
+            .map(|r| r.result)
+        };
+        let mut done: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..host_threads(specs.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        std::iter::from_fn(|| {
+                            let job = next.fetch_add(1, Ordering::Relaxed);
+                            specs.get(job).map(|spec| (job, run(job, spec)))
                         })
-                        .map(|r| r.result)
+                        .collect::<Vec<_>>()
                     })
                 })
                 .collect();
-            handles
+            workers
                 .into_iter()
-                .zip(specs)
-                .map(|(h, spec)| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(ServiceError::JobPanicked {
-                            operator: spec.operator.clone(),
-                            attempts: 1,
-                            message: panic_message(payload),
-                        })
-                    })
-                })
+                .flat_map(|w| w.join().expect("batch workers catch job panics"))
                 .collect()
-        })
+        });
+        done.sort_unstable_by_key(|&(job, _)| job);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -708,6 +712,22 @@ mod tests {
         let a = gen::conv_diff_3d(8, 8, 8, [0.3, 0.2, 0.1], 0.3);
         let (_, b) = manufactured_rhs(&a);
         (a, b)
+    }
+
+    /// `‖b − Ax‖/‖b‖`, recomputed outside the solver.
+    fn recomputed_rrn(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
+        let mut ax = vec![0.0; b.len()];
+        spla::SparseMatrix::spmv(a, x, &mut ax);
+        let r2: f64 = b
+            .iter()
+            .zip(&ax)
+            .map(|(bi, axi)| (bi - axi) * (bi - axi))
+            .sum();
+        r2.sqrt() / b.iter().map(|bi| bi * bi).sum::<f64>().sqrt()
+    }
+
+    fn host() -> usize {
+        std::thread::available_parallelism().unwrap().get()
     }
 
     fn job(operator: &str, b: Vec<f64>, format: &str, target: f64) -> JobSpec {
@@ -1485,20 +1505,36 @@ mod tests {
         // the *independently recomputed* residual must agree, because
         // convergence is only ever decided from `‖b − Ax‖/‖b‖`.
         if report.result.stats.converged {
-            let mut ax = vec![0.0; b.len()];
-            spla::SparseMatrix::spmv(&a, &report.result.x, &mut ax);
-            let rrn = b
-                .iter()
-                .zip(&ax)
-                .map(|(bi, axi)| (bi - axi) * (bi - axi))
-                .sum::<f64>()
-                .sqrt()
-                / b.iter().map(|bi| bi * bi).sum::<f64>().sqrt();
+            let rrn = recomputed_rrn(&a, &report.result.x, &b);
             assert!(
                 rrn <= spec.opts.target_rrn * 1.0001,
                 "claimed convergence must be real: recomputed rrn {rrn:.3e}"
             );
         }
+    }
+
+    /// A job arms the Hessenberg NaN on its solver options; the s-step
+    /// panel cycle refuses the poisoned column as a breakdown, and the
+    /// restarted solve still meets the target by an independent check.
+    #[test]
+    fn sstep_job_nan_fault_is_a_breakdown_not_a_false_convergence() {
+        let (a, b) = smooth();
+        let service = SolverService::with_defaults();
+        service
+            .register_csr("smooth", &a, PrecondSpec::None)
+            .unwrap();
+        let mut spec = job("smooth", b.clone(), "frsz2_21", 1e-8);
+        spec.sstep = 4;
+        spec.opts.fault_nan_hessenberg_at = Some(7);
+        let r = service.solve_report(&spec).unwrap().result;
+        assert!(r.stats.breakdowns >= 1, "the injected NaN went undetected");
+        assert!(r.stats.s_per_cycle.iter().all(|&s| s == 4));
+        assert!(r.stats.converged, "rrn {}", r.stats.final_rrn);
+        let rrn = recomputed_rrn(&a, &r.x, &b);
+        assert!(
+            rrn <= spec.opts.target_rrn * 1.0001,
+            "recomputed rrn {rrn:.3e}"
+        );
     }
 
     #[test]
@@ -1637,6 +1673,79 @@ mod tests {
             for (u, v) in r.x.iter().zip(&q.x) {
                 assert_eq!(u.to_bits(), v.to_bits());
             }
+        }
+    }
+
+    /// Results are bit-identical at any thread count, so a job's pool
+    /// (single or block) starts no more threads than the host has.
+    #[test]
+    fn job_pool_never_outgrows_the_host() {
+        let (a, b) = smooth();
+        let service = SolverService::with_defaults();
+        service
+            .register_csr("smooth", &a, PrecondSpec::None)
+            .unwrap();
+        let mut single = job("smooth", b.clone(), "frsz2_21", 1e-8);
+        single.opts.restart = 10; // several boundaries to observe
+        single.threads = 64;
+        let mut seen = Vec::new();
+        let r = service
+            .solve_report_observed(&single, |_| seen.push(rayon::current_num_threads()))
+            .unwrap();
+        assert!(r.result.stats.converged);
+        let mut block = block_job("smooth", vec![b.clone(), b], "frsz2_21", 1e-8);
+        block.opts.restart = 10;
+        block.threads = 64;
+        service
+            .solve_block_observed(&block, |_| seen.push(rayon::current_num_threads()))
+            .unwrap();
+        assert!(!seen.is_empty());
+        assert!(seen.iter().all(|&t| t <= host()), "pool sizes {seen:?}");
+    }
+
+    /// A batch longer than the host's parallelism queues on a fixed set
+    /// of workers, keeps submission order, and matches each job run
+    /// alone bit for bit.
+    #[test]
+    fn batch_keeps_at_most_host_parallelism_jobs_in_flight() {
+        let (a, b) = smooth();
+        let service = SolverService::with_defaults();
+        service
+            .register_csr("smooth", &a, PrecondSpec::None)
+            .unwrap();
+        let formats = ["frsz2_21", "float64", "frsz2_32"];
+        let specs: Vec<JobSpec> = (0..2 * host() + 1)
+            .map(|k| {
+                let mut spec = job("smooth", b.clone(), formats[k % formats.len()], 1e-8);
+                spec.opts.restart = 10;
+                spec
+            })
+            .collect();
+        let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+        let results = service.run_batch(&specs, |_| {
+            threads.lock().unwrap().insert(std::thread::current().id());
+        });
+        let threads = threads.into_inner().unwrap().len();
+        assert!(
+            (1..=host()).contains(&threads),
+            "{threads} batch threads on a host of {}",
+            host()
+        );
+        assert_eq!(results.len(), specs.len());
+        let rrns = |r: &SolveResult| {
+            r.history
+                .iter()
+                .map(|p| p.rrn.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let xs = |r: &SolveResult| r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (r, spec) in results.iter().zip(&specs) {
+            let r = r.as_ref().unwrap();
+            let twin = service.solve_report(spec).unwrap().result;
+            assert_eq!(r.stats.format, twin.stats.format);
+            assert_eq!(r.stats.iterations, twin.stats.iterations);
+            assert_eq!(rrns(r), rrns(&twin));
+            assert_eq!(xs(r), xs(&twin));
         }
     }
 
