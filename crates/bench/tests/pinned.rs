@@ -456,8 +456,8 @@ fn service_jobs(streaming: bool) -> String {
     specs.iter_mut().for_each(|spec| spec.threads = threads);
     let results = if streaming {
         let (tx, rx) = std::sync::mpsc::channel();
-        let results = service.run_batch(&specs, move |e| {
-            let _ = tx.send(e);
+        let results = service.run_batch(&specs, move |job, e| {
+            let _ = tx.send((job, e.clone()));
         });
         assert!(rx.try_iter().count() > 0, "the batch streamed no telemetry");
         results

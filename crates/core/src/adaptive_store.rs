@@ -6,9 +6,9 @@
 //! most 32-value blocks are locally smooth and would compress fine.
 //! [`Frsz2AdaptiveStore`] closes that gap by choosing `l` per block
 //! from the block's own exponent *spread*: a block whose nonzero values
-//! span `s` binades keeps every value to at least `guard_bits`
-//! significand bits by picking the smallest palette length with
-//! `l − 2 ≥ s + guard_bits`.
+//! span `s` binades keeps every value to at least
+//! [`DEFAULT_GUARD_BITS`] significand bits by picking the smallest
+//! palette length with `l − 2 ≥ s + DEFAULT_GUARD_BITS`.
 //!
 //! Storage layout follows the uniform [`crate::store::Frsz2Store`]
 //! (separate code-word and block-exponent arrays, design choice (5) of
@@ -39,8 +39,8 @@ const BS: usize = 32;
 /// fallback for blocks whose spread exceeds what `frsz2_32` retains.
 pub const PALETTE: [u32; 4] = [16, 21, 32, 64];
 
-/// Default minimum significand bits retained by the *smallest* nonzero
-/// value of a block (see [`Frsz2AdaptiveStore::with_guard`]).
+/// Minimum significand bits retained by the *smallest* nonzero value
+/// of a block: the per-block length selector's guard-bit budget.
 pub const DEFAULT_GUARD_BITS: u32 = 4;
 
 /// Words occupied by one full 32-value block at bit length `l`
@@ -70,7 +70,6 @@ pub struct Frsz2AdaptiveStore {
     col_blocks: usize,
     /// Capacity stride of `words` per column (all blocks at `l = 64`).
     col_words_cap: usize,
-    guard_bits: u32,
     words: Vec<u32>,
     /// Per-block maximum effective exponent, stride `col_blocks`.
     exps: Vec<u32>,
@@ -83,39 +82,6 @@ pub struct Frsz2AdaptiveStore {
 }
 
 impl Frsz2AdaptiveStore {
-    /// Allocate with an explicit guard-bit budget (`guard_bits ≤ 14`,
-    /// so a zero-spread block still picks the cheapest length).
-    pub fn with_guard(rows: usize, cols: usize, guard_bits: u32) -> Self {
-        assert!(guard_bits <= 14, "guard_bits {guard_bits} > 14");
-        let col_blocks = rows.div_ceil(BS);
-        let col_words_cap = col_blocks * block_words(64);
-        let min_l = PALETTE[0];
-        // Initial state is exactly what compressing all-zero columns
-        // produces: every block at the cheapest length, zero words,
-        // the canonical zero-block exponent.
-        let mut offs = vec![0u32; col_blocks * cols];
-        for (i, o) in offs.iter_mut().enumerate() {
-            *o = ((i % col_blocks.max(1)) * block_words(min_l)) as u32;
-        }
-        Frsz2AdaptiveStore {
-            rows,
-            cols,
-            col_blocks,
-            col_words_cap,
-            guard_bits,
-            words: vec![0u32; col_words_cap * cols],
-            exps: vec![ZERO_BLOCK_EXPONENT; col_blocks * cols],
-            ls: vec![min_l as u8; col_blocks * cols],
-            offs,
-            used: vec![(col_blocks * block_words(min_l)) as u32; cols],
-        }
-    }
-
-    /// Guard-bit budget of the per-block length selector.
-    pub fn guard_bits(&self) -> u32 {
-        self.guard_bits
-    }
-
     /// Per-block bit lengths of column `j` (diagnostics/tests).
     pub fn column_bit_lengths(&self, j: usize) -> &[u8] {
         &self.ls[j * self.col_blocks..(j + 1) * self.col_blocks]
@@ -151,7 +117,27 @@ impl Blocks for Frsz2AdaptiveStore {
 
 impl ColumnStorage for Frsz2AdaptiveStore {
     fn with_shape(rows: usize, cols: usize) -> Self {
-        Frsz2AdaptiveStore::with_guard(rows, cols, DEFAULT_GUARD_BITS)
+        let col_blocks = rows.div_ceil(BS);
+        let col_words_cap = col_blocks * block_words(64);
+        let min_l = PALETTE[0];
+        // Initial state is exactly what compressing all-zero columns
+        // produces: every block at the cheapest length, zero words,
+        // the canonical zero-block exponent.
+        let mut offs = vec![0u32; col_blocks * cols];
+        for (i, o) in offs.iter_mut().enumerate() {
+            *o = ((i % col_blocks.max(1)) * block_words(min_l)) as u32;
+        }
+        Frsz2AdaptiveStore {
+            rows,
+            cols,
+            col_blocks,
+            col_words_cap,
+            words: vec![0u32; col_words_cap * cols],
+            exps: vec![ZERO_BLOCK_EXPONENT; col_blocks * cols],
+            ls: vec![min_l as u8; col_blocks * cols],
+            offs,
+            used: vec![(col_blocks * block_words(min_l)) as u32; cols],
+        }
     }
 
     fn rows(&self) -> usize {
@@ -165,7 +151,6 @@ impl ColumnStorage for Frsz2AdaptiveStore {
     fn write_column(&mut self, j: usize, data: &[f64]) {
         assert_eq!(data.len(), self.rows, "column length mismatch");
         assert!(j < self.cols, "column index {j} out of range");
-        let guard = self.guard_bits;
         let base = j * self.col_words_cap;
         let meta = j * self.col_blocks;
         let mut off = 0usize;
@@ -185,7 +170,7 @@ impl ColumnStorage for Frsz2AdaptiveStore {
                 }
             }
             let spread = if emin == u32::MAX { 0 } else { emax - emin };
-            let l = l_for_spread(spread, guard);
+            let l = l_for_spread(spread, DEFAULT_GUARD_BITS);
             self.exps[meta + b] = emax;
             self.ls[meta + b] = l as u8;
             self.offs[meta + b] = off as u32;

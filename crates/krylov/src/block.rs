@@ -77,10 +77,9 @@
 
 use crate::basis::Basis;
 use crate::basis_format::BasisFormat;
-use crate::diagnostics::{history_summary, HistorySummary};
 use crate::gmres::{
-    boundary_bookkeeping, givens, solve_driver_full, BoundaryDecision, CycleEvent, GmresOptions,
-    HistoryPoint, Scalar, SolveHooks, SolveStats, REORTH_ETA,
+    boundary_bookkeeping, givens, solve_driver_full, CycleEvent, GmresOptions, HistoryPoint,
+    Scalar, SolveHooks, SolveStats, REORTH_ETA,
 };
 use crate::panel::{charge, gather_col, pack_interleaved, scatter_col, Panel};
 use crate::precond::Preconditioner;
@@ -117,22 +116,10 @@ pub struct BlockSolveResult {
 }
 
 impl BlockSolveResult {
-    /// Block width `b` of the solve that produced this result.
-    pub fn width(&self) -> usize {
-        self.solutions.len()
-    }
-
     /// `true` only when **every** RHS converged (each decided from its
     /// own explicit residual, never the implicit estimate).
     pub fn all_converged(&self) -> bool {
         self.stats.iter().all(|s| s.converged)
-    }
-
-    /// Per-RHS [`HistorySummary`] (all-`None` entries when histories
-    /// were not recorded) — the block form of
-    /// [`crate::diagnostics::history_summary`].
-    pub fn history_summaries(&self) -> Vec<HistorySummary> {
-        self.histories.iter().map(|h| history_summary(h)).collect()
     }
 }
 
@@ -193,10 +180,11 @@ pub fn block_gmres_dyn<P: Preconditioner, A: SparseMatrix + ?Sized>(
 }
 
 /// [`block_gmres_dyn`] with per-RHS restart-boundary telemetry: the
-/// hook receives `(rhs_index, event)` for every cycle an RHS is about
+/// hook borrows `(rhs_index, event)` for every cycle an RHS is about
 /// to run, with the same boundary semantics as an observed single-RHS
-/// [`crate::solve`] (an RHS's converged boundary emits no event). The event
-/// stream is deterministic, like the solve.
+/// [`crate::solve`] (an RHS's converged boundary emits no event; at
+/// width 1 the events are that solve's own). The event stream is
+/// deterministic, like the solve.
 pub fn block_gmres_dyn_observed<P: Preconditioner, A: SparseMatrix + ?Sized>(
     a: &A,
     bs: &[Vec<f64>],
@@ -204,7 +192,7 @@ pub fn block_gmres_dyn_observed<P: Preconditioner, A: SparseMatrix + ?Sized>(
     opts: &GmresOptions,
     precond: &P,
     format: &dyn BasisFormat,
-    on_event: impl FnMut(usize, CycleEvent),
+    on_event: impl FnMut(usize, &CycleEvent),
 ) -> BlockSolveResult {
     block_solve_driver(
         a,
@@ -227,7 +215,7 @@ fn block_solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Si
     opts: &GmresOptions,
     precond: &P,
     make_store: impl Fn(usize, usize) -> S,
-    mut on_event: impl FnMut(usize, CycleEvent),
+    mut on_event: impl FnMut(usize, &CycleEvent),
 ) -> BlockSolveResult {
     let n = a.rows();
     assert_eq!(a.cols(), n, "GMRES needs a square matrix");
@@ -257,7 +245,7 @@ fn block_solve_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Si
                 &zero
             }
         };
-        let mut observe = |event: &CycleEvent| on_event(0, event.clone());
+        let mut observe = |event: &CycleEvent| on_event(0, event);
         let hooks = SolveHooks {
             observe: Some(&mut observe),
             ..SolveHooks::default()
@@ -286,7 +274,7 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
     opts: &GmresOptions,
     precond: &P,
     mut basis: Basis<S>,
-    on_event: &mut impl FnMut(usize, CycleEvent),
+    on_event: &mut impl FnMut(usize, &CycleEvent),
 ) -> BlockSolveResult {
     let n = a.rows();
     let width = bs.len();
@@ -361,16 +349,14 @@ fn block_arnoldi_driver<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?
             }
             let rrn = norm2(&lane.r) / lane.bnorm;
             // Shared boundary bookkeeping (identical to `solve_driver_full`):
-            // a converged lane deflates — the block shrinks — and a
-            // terminal lane (non-finite residual / budget) retires.
-            match boundary_bookkeeping(rrn, opts, &mut lane.stats, &mut lane.history) {
-                BoundaryDecision::Converged | BoundaryDecision::Terminal => {
-                    lane.retire(start);
-                    continue;
-                }
-                BoundaryDecision::Continue => {}
+            // a lane that runs no further cycle retires — a converged one
+            // deflates the block, a terminal one (non-finite residual /
+            // budget) stops.
+            if !boundary_bookkeeping(rrn, opts, &mut lane.stats, &mut lane.history) {
+                lane.retire(start);
+                continue;
             }
-            on_event(k, CycleEvent::of(&lane.stats));
+            on_event(k, &CycleEvent::of(&lane.stats));
             lane.stats.format_trajectory.push(format.clone());
         }
 
@@ -686,6 +672,33 @@ mod tests {
     }
 
     #[test]
+    fn width_one_events_are_the_observed_solve_events_on_lane_zero() {
+        let a = gen::conv_diff_3d(8, 8, 8, [0.4, 0.2, 0.1], 0.2);
+        let (_, b) = manufactured_rhs(&a);
+        let o = GmresOptions {
+            restart: 10,
+            ..opts(1e-9)
+        };
+        let fmt = crate::basis_format::by_name("frsz2_21").unwrap();
+        let mut lane_events = Vec::new();
+        let bs = std::slice::from_ref(&b);
+        block_gmres_dyn_observed(&a, bs, None, &o, &Identity, fmt.as_ref(), |k, e| {
+            lane_events.push((k, e.clone()))
+        });
+        let mut solve_events = Vec::new();
+        let mut observe = |e: &CycleEvent| solve_events.push((0, e.clone()));
+        let hooks = SolveHooks {
+            observe: Some(&mut observe),
+            ..SolveHooks::default()
+        };
+        let plan = crate::SolvePlan::Fixed(fmt.as_ref(), &o);
+        let r = crate::solve(&a, &b, &vec![0.0; a.rows()], &Identity, plan, hooks).unwrap();
+        assert!(r.stats.converged);
+        assert!(solve_events.len() > 1, "restart 10 must run several cycles");
+        assert_eq!(lane_events, solve_events);
+    }
+
+    #[test]
     fn shared_space_deflates_converged_rhs_and_solves_the_rest() {
         // RHS 0 starts at the exact solution, so it deflates at its
         // first boundary with zero iterations while the others keep
@@ -749,7 +762,7 @@ mod tests {
                     Frsz2Store::with_config(cfg, rows, cols)
                 })
             });
-            assert_eq!(r.width(), 16);
+            assert_eq!(r.solutions.len(), 16);
             for (k, s) in r.stats.iter().enumerate() {
                 assert!(
                     s.converged,
@@ -831,7 +844,7 @@ mod tests {
         let r = block_gmres_with(&a, &bs, None, &o, &Identity, DenseStore::<f64>::with_shape);
         assert!(r.all_converged());
         assert!(r.histories.iter().all(|h| h.is_empty()));
-        for s in r.history_summaries() {
+        for s in r.histories.iter().map(|h| crate::history_summary(h)) {
             assert_eq!(s.points, 0);
             assert!(s.last.is_none());
             assert!(s.last_explicit.is_none());
@@ -853,7 +866,7 @@ mod tests {
         let fmt = crate::basis_format::by_name("float64").unwrap();
         let mut events: Vec<(usize, CycleEvent)> = Vec::new();
         let r = block_gmres_dyn_observed(&a, &bs, None, &o, &Identity, fmt.as_ref(), |k, e| {
-            events.push((k, e))
+            events.push((k, e.clone()))
         });
         assert!(r.all_converged());
         for k in 0..3 {

@@ -577,18 +577,6 @@ pub(crate) struct Boundary {
     pub(crate) last_implicit_rrn: Option<f64>,
 }
 
-/// What the shared restart-boundary bookkeeping decided.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BoundaryDecision {
-    /// Explicit residual reached the target; `stats.converged` is set.
-    Converged,
-    /// Terminal without convergence (non-finite explicit residual, or
-    /// the iteration budget is exhausted).
-    Terminal,
-    /// Run another cycle.
-    Continue,
-}
-
 /// The restart-boundary bookkeeping every driver shares — the one
 /// single-RHS loop [`solve_driver_full`] and the per-lane boundary of
 /// the block driver in `block.rs` both call this VERBATIM so their
@@ -597,17 +585,18 @@ pub(crate) enum BoundaryDecision {
 ///
 /// Given the explicit `‖b − Ax‖/‖b‖` entering the boundary, in this
 /// exact order: stamp `stats.final_rrn`, push the explicit history
-/// point, then decide — converged (the ONLY place `converged` is ever
-/// set, always from the explicit residual, never the implicit Givens
-/// estimate), terminal (a non-finite residual cannot improve — every
-/// further comparison would be false and the solver would spin — or
-/// `max_iters` is exhausted), or continue.
+/// point, then return whether another cycle runs: not once the
+/// residual reaches the target (`converged` is set here, the ONLY
+/// place it ever is, always from the explicit residual, never the
+/// implicit Givens estimate), not for a non-finite residual (it cannot
+/// improve — every further comparison would be false and the solver
+/// would spin), and not once `max_iters` is exhausted.
 pub(crate) fn boundary_bookkeeping(
     rrn: f64,
     opts: &GmresOptions,
     stats: &mut SolveStats,
     history: &mut Vec<HistoryPoint>,
-) -> BoundaryDecision {
+) -> bool {
     stats.final_rrn = rrn;
     if opts.record_history {
         history.push(HistoryPoint {
@@ -618,15 +607,9 @@ pub(crate) fn boundary_bookkeeping(
     }
     if rrn <= opts.target_rrn {
         stats.converged = true;
-        return BoundaryDecision::Converged;
+        return false;
     }
-    if !rrn.is_finite() {
-        return BoundaryDecision::Terminal;
-    }
-    if stats.iterations >= opts.max_iters {
-        return BoundaryDecision::Terminal;
-    }
-    BoundaryDecision::Continue
+    rrn.is_finite() && stats.iterations < opts.max_iters
 }
 
 /// What varies between the scalar, s-step, and adaptive solves: how
@@ -763,11 +746,10 @@ pub(crate) fn solve_driver_full<
             replay = false;
         } else {
             // The shared boundary bookkeeping (final_rrn, explicit
-            // history point, converged/terminal decision).
+            // history point, convergence, whether another cycle runs).
             stats.spmv_count += 1;
-            match boundary_bookkeeping(rrn, opts, &mut stats, &mut history) {
-                BoundaryDecision::Converged | BoundaryDecision::Terminal => break,
-                BoundaryDecision::Continue => {}
+            if !boundary_bookkeeping(rrn, opts, &mut stats, &mut history) {
+                break;
             }
 
             let boundary = Boundary {

@@ -132,7 +132,7 @@ fn block_solve_reports_round_trip_codec_traffic() {
         let single = gmres_dyn(&a, &b, &x0, &o, &Identity, fmt.as_ref());
         let mut events: Vec<(usize, CycleEvent)> = Vec::new();
         let r = block_gmres_dyn_observed(&a, &bs, None, &o, &Identity, fmt.as_ref(), |k, e| {
-            events.push((k, e))
+            events.push((k, e.clone()))
         });
         assert!(r.all_converged(), "{name}");
         let want = single.stats.basis_bits_per_value;

@@ -1,6 +1,6 @@
-//! Solve-job descriptions and the telemetry events they stream.
+//! Solve-job descriptions.
 
-use krylov::{CycleEvent, FaultSpec, GmresOptions, SolveCheckpoint, SolveResult};
+use krylov::{FaultSpec, GmresOptions, SolveCheckpoint, SolveResult};
 use std::time::Duration;
 
 /// How a job picks its Krylov-basis storage format.
@@ -191,27 +191,4 @@ impl BlockJobSpec {
     pub fn width(&self) -> usize {
         self.rhss.len()
     }
-}
-
-/// A per-cycle telemetry event of one job in a batch: the job index
-/// plus the solver's [`CycleEvent`] snapshot (residual, format, basis
-/// traffic).
-#[derive(Clone, Debug, PartialEq)]
-pub struct JobEvent {
-    /// Index of the job in the submitted batch.
-    pub job: usize,
-    /// The restart-boundary snapshot.
-    pub cycle: CycleEvent,
-}
-
-/// A per-cycle telemetry event of one right-hand side inside a block
-/// solve: the RHS index plus that lane's [`CycleEvent`] (same boundary
-/// semantics as a single solve — a lane's converged boundary emits no
-/// event).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RhsEvent {
-    /// Index of the right-hand side within the block job.
-    pub rhs: usize,
-    /// The lane's restart-boundary snapshot.
-    pub cycle: CycleEvent,
 }

@@ -20,10 +20,12 @@
 //!    shared-space block driver so every matrix sweep and every decode
 //!    sweep of the compressed basis is amortized over the whole block.
 //! 3. **Observe** per-cycle telemetry — explicit residual, basis format
-//!    in effect, compressed-basis traffic — through a callback
-//!    ([`SolverService::solve_report_observed`],
-//!    [`SolverService::solve_block_observed`], or the `on_event` of
-//!    [`SolverService::run_batch`], which an `mpsc` sender can back).
+//!    in effect, compressed-basis traffic — through a callback that
+//!    borrows each [`krylov::CycleEvent`]
+//!    ([`SolverService::solve_report_observed`]; the lane-indexed
+//!    `(usize, &CycleEvent)` of [`SolverService::solve_block_observed`]
+//!    and of [`SolverService::run_batch`]'s `on_event`, which an `mpsc`
+//!    sender can back by cloning what it sends).
 //!
 //! # Determinism under concurrency
 //!
@@ -108,7 +110,7 @@ mod service;
 
 pub use admission::AdmissionPolicy;
 pub use error::ServiceError;
-pub use job::{BasisSelection, BlockJobSpec, JobEvent, JobReport, JobSpec, RetryPolicy, RhsEvent};
+pub use job::{BasisSelection, BlockJobSpec, JobReport, JobSpec, RetryPolicy};
 pub use operator::{OperatorInfo, PrecondSpec};
 pub use service::{estimated_basis_bytes, ServiceConfig, SolverService};
 

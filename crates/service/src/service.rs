@@ -2,9 +2,7 @@
 
 use crate::admission::{AdmissionPolicy, Ledger};
 use crate::error::ServiceError;
-use crate::job::{
-    BasisSelection, BlockJobSpec, JobEvent, JobReport, JobSpec, RetryPolicy, RhsEvent,
-};
+use crate::job::{BasisSelection, BlockJobSpec, JobReport, JobSpec, RetryPolicy};
 use crate::operator::{AnalyzedOperator, OperatorInfo, PrecondSpec};
 use krylov::basis_format::{self, BasisFormat};
 use krylov::{
@@ -362,13 +360,13 @@ impl SolverService {
     /// thread, without telemetry. See
     /// [`SolverService::solve_block_observed`].
     pub fn solve_block(&self, spec: &BlockJobSpec) -> Result<BlockSolveResult, ServiceError> {
-        self.solve_block_observed(spec, |_| {})
+        self.solve_block_observed(spec, |_, _| {})
     }
 
     /// Run one multi-RHS (block) job through the lifecycle of
-    /// [`SolverService::solve_report_observed`], streaming an
-    /// [`RhsEvent`] to `observe` at every restart boundary of every
-    /// RHS (the shared space restarts all active RHS together; one
+    /// [`SolverService::solve_report_observed`], lending
+    /// `(rhs_index, event)` to `observe` at every restart boundary of
+    /// every RHS (the shared space restarts all active RHS together; one
     /// RHS's events stay in cycle order). A block job runs scalar
     /// cycles in one attempt; a panic in its solve or in `observe` is
     /// [`ServiceError::JobPanicked`].
@@ -387,7 +385,7 @@ impl SolverService {
     pub fn solve_block_observed(
         &self,
         spec: &BlockJobSpec,
-        mut observe: impl FnMut(&RhsEvent),
+        mut observe: impl FnMut(usize, &CycleEvent),
     ) -> Result<BlockSolveResult, ServiceError> {
         let job = Job {
             operator: &spec.operator,
@@ -402,12 +400,7 @@ impl SolverService {
             resume: None,
             fault: None,
         };
-        let done = self.run_job(&job, &mut |rhs, cycle| {
-            observe(&RhsEvent {
-                rhs,
-                cycle: cycle.clone(),
-            })
-        })?;
+        let done = self.run_job(&job, &mut observe)?;
         let lanes = match done.solved {
             Solved::Block(result) => return Ok(result),
             Solved::Lanes(lanes) => lanes,
@@ -543,7 +536,7 @@ impl SolverService {
                         job.opts,
                         &op.precond,
                         f,
-                        |rhs, cycle| observe(rhs, &cycle),
+                        &mut *observe,
                     ))),
                     // One `krylov::solve` per lane: a single job, or the
                     // lanes of an adaptive block, which escalate at their
@@ -645,12 +638,13 @@ impl SolverService {
     /// Results come back in submission order; each entry is that job's
     /// own outcome (one rejected job does not fail the batch).
     ///
-    /// `on_event` receives every job's per-cycle [`JobEvent`],
+    /// `on_event` borrows every job's per-cycle `(job_index, event)`,
     /// interleaved across jobs as boundaries are reached (events of
-    /// one job stay in cycle order); pass `|_| {}` to run unobserved.
-    /// An `mpsc` channel is one such observer,
-    /// `move |e| { let _ = tx.send(e); }`: a dropped receiver then
-    /// costs a failed send per event and never disturbs the jobs.
+    /// one job stay in cycle order); pass `|_, _| {}` to run
+    /// unobserved. An `mpsc` channel is one such observer,
+    /// `move |job, e| { let _ = tx.send((job, e.clone())); }`: a dropped
+    /// receiver then costs a failed send per event and never disturbs
+    /// the jobs.
     ///
     /// A panicking job — whether its solve or `on_event` panicked — is
     /// reported as that job's own [`ServiceError::JobPanicked`]; the
@@ -658,18 +652,12 @@ impl SolverService {
     pub fn run_batch(
         &self,
         specs: &[JobSpec],
-        on_event: impl Fn(JobEvent) + Sync,
+        on_event: impl Fn(usize, &CycleEvent) + Sync,
     ) -> Vec<Result<SolveResult, ServiceError>> {
         let next = AtomicUsize::new(0);
         let run = |job: usize, spec: &JobSpec| {
-            let observe = |cycle: &CycleEvent| {
-                on_event(JobEvent {
-                    job,
-                    cycle: cycle.clone(),
-                })
-            };
             catch_unwind(AssertUnwindSafe(|| {
-                self.solve_report_observed(spec, observe)
+                self.solve_report_observed(spec, |cycle| on_event(job, cycle))
             }))
             .unwrap_or_else(|payload| {
                 Err(ServiceError::JobPanicked {
@@ -805,7 +793,7 @@ mod tests {
         ));
         let block = BlockJobSpec::new("wide", vec![vec![1.0; 3]]);
         assert!(matches!(
-            service.solve_block_observed(&block, |_| boundaries += 1),
+            service.solve_block_observed(&block, |_, _| boundaries += 1),
             Err(ServiceError::UnknownOperator(_))
         ));
         assert_eq!(boundaries, 0);
@@ -854,7 +842,7 @@ mod tests {
                 block.basis = basis;
                 block.opts.restart = restart;
                 let err = service
-                    .solve_block_observed(&block, |_| boundaries += 1)
+                    .solve_block_observed(&block, |_, _| boundaries += 1)
                     .unwrap_err();
                 assert_eq!(err, refused);
             }
@@ -1096,7 +1084,7 @@ mod tests {
         let specs: Vec<JobSpec> = (0..3)
             .map(|_| job("smooth", b.clone(), "frsz2_21", 1e-6))
             .collect();
-        let results = service.run_batch(&specs, |_| {});
+        let results = service.run_batch(&specs, |_, _| {});
         for r in &results {
             assert!(r.as_ref().unwrap().stats.converged);
         }
@@ -1138,7 +1126,7 @@ mod tests {
         for s in &mut specs {
             s.threads = 2;
         }
-        let concurrent = service.run_batch(&specs, |_| {});
+        let concurrent = service.run_batch(&specs, |_, _| {});
         for (r, c) in reference.iter().zip(&concurrent) {
             let c = c.as_ref().unwrap();
             assert_eq!(r.stats.iterations, c.stats.iterations);
@@ -1168,20 +1156,24 @@ mod tests {
             s.opts.restart = 20; // force several cycles → several events
         }
         let (tx, rx) = std::sync::mpsc::channel();
-        let results = service.run_batch(&specs, move |e| {
-            let _ = tx.send(e);
+        let results = service.run_batch(&specs, move |job, e| {
+            let _ = tx.send((job, e.clone()));
         });
-        let events: Vec<JobEvent> = rx.try_iter().collect();
+        let events: Vec<(usize, CycleEvent)> = rx.try_iter().collect();
         for (job_idx, result) in results.iter().enumerate() {
             let result = result.as_ref().unwrap();
             assert!(result.stats.converged);
-            let mine: Vec<&JobEvent> = events.iter().filter(|e| e.job == job_idx).collect();
+            let mine: Vec<&CycleEvent> = events
+                .iter()
+                .filter(|(job, _)| *job == job_idx)
+                .map(|(_, e)| e)
+                .collect();
             // One event per executed cycle, in cycle order, naming the
             // format the cycle ran in.
             assert_eq!(mine.len(), result.stats.restarts);
             for (k, e) in mine.iter().enumerate() {
-                assert_eq!(e.cycle.cycle, k);
-                assert_eq!(e.cycle.format, result.stats.format_trajectory[k]);
+                assert_eq!(e.cycle, k);
+                assert_eq!(e.format, result.stats.format_trajectory[k]);
             }
             assert!(mine.len() > 1, "restart 20 must take multiple cycles");
         }
@@ -1256,20 +1248,24 @@ mod tests {
             .unwrap();
         let mut spec = block_job("smooth", rhs_family(&a, 3), "frsz2_21", 1e-8);
         spec.opts.restart = 20; // force several cycles → several events
-        let mut events: Vec<RhsEvent> = Vec::new();
+        let mut events: Vec<(usize, CycleEvent)> = Vec::new();
         let result = service
-            .solve_block_observed(&spec, |e| events.push(e.clone()))
+            .solve_block_observed(&spec, |rhs, e| events.push((rhs, e.clone())))
             .unwrap();
-        assert_eq!(result.width(), 3);
+        assert_eq!(result.solutions.len(), 3);
         assert!(result.all_converged());
         for (rhs, stats) in result.stats.iter().enumerate() {
-            let mine: Vec<&RhsEvent> = events.iter().filter(|e| e.rhs == rhs).collect();
+            let mine: Vec<&CycleEvent> = events
+                .iter()
+                .filter(|(lane, _)| *lane == rhs)
+                .map(|(_, e)| e)
+                .collect();
             // Single-solve boundary semantics per lane: one event per
             // executed cycle, in cycle order, naming the cycle's format.
             assert_eq!(mine.len(), stats.restarts);
             for (k, e) in mine.iter().enumerate() {
-                assert_eq!(e.cycle.cycle, k);
-                assert_eq!(e.cycle.format, stats.format_trajectory[k]);
+                assert_eq!(e.cycle, k);
+                assert_eq!(e.format, stats.format_trajectory[k]);
             }
             assert!(mine.len() > 1, "restart 20 must take multiple cycles");
         }
@@ -1350,7 +1346,7 @@ mod tests {
             spec.basis = basis.clone();
             let mut reserved = 0;
             let err = service
-                .solve_block_observed(&spec, |_| {
+                .solve_block_observed(&spec, |_, _| {
                     reserved = service.basis_bytes_in_use();
                     panic!("observer gave up");
                 })
@@ -1573,7 +1569,7 @@ mod tests {
             panic_on_attempt: Some(0),
             ..FaultSpec::default()
         });
-        let results = service.run_batch(&[batch_member, healthy], |_| {});
+        let results = service.run_batch(&[batch_member, healthy], |_, _| {});
         assert!(matches!(results[0], Err(ServiceError::JobPanicked { .. })));
         assert!(results[1].as_ref().unwrap().stats.converged);
     }
@@ -1659,8 +1655,8 @@ mod tests {
         }
         let (tx, rx) = std::sync::mpsc::channel();
         drop(rx); // receiver gone before the first event
-        let results = service.run_batch(&specs, move |e| {
-            let _ = tx.send(e);
+        let results = service.run_batch(&specs, move |job, e| {
+            let _ = tx.send((job, e.clone()));
         });
         let reference: Vec<SolveResult> = specs
             .iter()
@@ -1697,7 +1693,7 @@ mod tests {
         block.opts.restart = 10;
         block.threads = 64;
         service
-            .solve_block_observed(&block, |_| seen.push(rayon::current_num_threads()))
+            .solve_block_observed(&block, |_, _| seen.push(rayon::current_num_threads()))
             .unwrap();
         assert!(!seen.is_empty());
         assert!(seen.iter().all(|&t| t <= host()), "pool sizes {seen:?}");
@@ -1722,7 +1718,7 @@ mod tests {
             })
             .collect();
         let threads = std::sync::Mutex::new(std::collections::HashSet::new());
-        let results = service.run_batch(&specs, |_| {
+        let results = service.run_batch(&specs, |_, _| {
             threads.lock().unwrap().insert(std::thread::current().id());
         });
         let threads = threads.into_inner().unwrap().len();

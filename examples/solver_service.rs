@@ -92,8 +92,8 @@ fn main() {
     // Concurrent batch with per-cycle telemetry through a channel.
     let (tx, rx) = std::sync::mpsc::channel();
     let t = Instant::now();
-    let results = service.run_batch(&batch, move |e| {
-        let _ = tx.send(e);
+    let results = service.run_batch(&batch, move |job, e| {
+        let _ = tx.send((job, e.clone()));
     });
     let concurrent_s = t.elapsed().as_secs_f64();
     let events: Vec<_> = rx.try_iter().collect();
