@@ -1,9 +1,12 @@
 //! Warp-level GPU execution simulator with a roofline cost model.
 //!
 //! Stand-in for the paper's CUDA kernels (no GPU is attached in this
-//! reproduction — see DESIGN.md §1). Kernels are written against a
-//! 32-lane warp API ([`warp::WarpCtx`]) providing the primitives the
-//! paper's implementation relies on: warp shuffles for the `emax`
+//! reproduction). The simulated kernels ([`kernels`]) are FRSZ2
+//! compression and decompression and the Fig. 4 streaming sweep; the
+//! operator's SpMV is not simulated, it runs on the CPU from
+//! `spla::Csr`. Kernels are written against a 32-lane warp API
+//! ([`warp::WarpCtx`]) providing the primitives the paper's
+//! implementation relies on: warp shuffles for the `emax`
 //! butterfly reduction, `clz` (the `count_zero` intrinsic of §IV-C),
 //! coalesced global-memory accesses, and per-class instruction
 //! accounting.
@@ -27,7 +30,6 @@ pub mod counters;
 pub mod device;
 pub mod kernels;
 pub mod launch;
-pub mod spmv;
 pub mod warp;
 
 pub use cost::{estimate, CostBreakdown};

@@ -105,12 +105,6 @@ impl WarpCtx {
         a + b
     }
 
-    #[inline(always)]
-    pub fn f64_mul(&mut self, a: f64, b: f64) -> f64 {
-        self.counters.bump(InstrClass::Fp64, 1);
-        a * b
-    }
-
     /// Fused multiply-add: two FLOPs, one instruction.
     #[inline(always)]
     pub fn f64_fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
@@ -275,15 +269,6 @@ impl WarpCtx {
     /// FRSZ2 store path, where the bit packer writes the words).
     pub fn account_store_only(&mut self, mem: &[u32], idxs: &[usize; WARP], _vals: &[u32; WARP]) {
         self.account_sectors(mem.as_ptr() as usize, idxs, 4, true);
-    }
-
-    /// Account the traffic of per-lane `f64` stores at element indices
-    /// `idxs` whose data is written elsewhere (the launcher's output
-    /// tile, or a host-side permutation scatter). Used by the SpMV
-    /// kernels, where CSR writes `y` coalesced but SELL-C-σ scatters
-    /// through the row permutation.
-    pub fn account_store_f64(&mut self, idxs: &[usize]) {
-        self.account_sectors(0, idxs, 8, true);
     }
 }
 

@@ -3,12 +3,10 @@
 //! The solver is generic over [`numfmt::ColumnStorage`], which is ideal
 //! when the format is known at compile time — but the adaptive driver
 //! ([`crate::adaptive`]) and anything configuration-driven need to pick
-//! (and *re*-pick) a format at runtime. This module is the storage
-//! analogue of `spla::select`: every backend sits behind one
-//! object-safe factory ([`BasisFormat`]), formats are resolved by the
-//! paper's names ([`by_name`]), and [`auto_basis`] chooses a format
-//! from the solve parameters the way `spla::select::auto_format`
-//! chooses a sparse format from row-length statistics.
+//! (and *re*-pick) a format at runtime. Here every backend sits behind
+//! one object-safe factory ([`BasisFormat`]), formats are resolved by
+//! the paper's names ([`by_name`]), and [`auto_basis`] chooses a format
+//! from the solve parameters.
 //!
 //! Registered backends:
 //!
@@ -233,8 +231,7 @@ pub const AUTO_BASIS_HEADROOM: f64 = 4.0;
 /// `target_rrn` on an `n`-row system with restart length `m`: the
 /// narrowest ladder format whose accuracy floor, amplified by the
 /// documented `HEADROOM · √m · √log₂(n)` margin, still clears the
-/// target (mirroring `spla::select::auto_format`'s fixed-threshold
-/// style). Falls back to `float64`, which has no meaningful floor.
+/// target. Falls back to `float64`, which has no meaningful floor.
 /// Deterministic: a pure function of its arguments.
 ///
 /// This is the *static* advisor; when the target sits below every

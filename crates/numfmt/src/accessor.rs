@@ -355,9 +355,8 @@ pub trait ColumnStorage: Send + Sync {
 /// object; those two run the trait's per-tile defaults over the
 /// forwarded `read_chunk`. This is what makes runtime format selection
 /// possible — a `krylov::basis_format` factory hands the solver a
-/// `Box<dyn ColumnStorage>` and the generic solve path runs unchanged
-/// (the same pattern as `spla::FormatChoice::build` returning
-/// `Box<dyn SparseMatrix>`). The only non-object-safe method is
+/// `Box<dyn ColumnStorage>` and the generic solve path runs unchanged.
+/// The only non-object-safe method is
 /// [`ColumnStorage::with_shape`], which cannot pick a format out of
 /// thin air and therefore panics; boxed stores are always built by a
 /// factory.

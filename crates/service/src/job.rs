@@ -12,10 +12,11 @@ pub enum BasisSelection {
     /// Let [`krylov::auto_basis`] pick the cheapest ladder format whose
     /// accuracy floor clears the job's stopping target.
     Auto,
-    /// Run the bidirectionally adaptive driver
-    /// ([`krylov::adaptive_gmres`] with default policy): start at the
-    /// bottom of the escalation ladder, escalate on stagnation
-    /// evidence.
+    /// Run the adaptive driver ([`krylov::adaptive_gmres`] with the
+    /// default [`krylov::AdaptiveOptions`]): start at the bottom of the
+    /// escalation ladder and escalate on stagnation evidence. It
+    /// escalates only: the default leaves `de_escalate` off, so a job
+    /// never steps back down.
     Adaptive,
 }
 
@@ -185,10 +186,5 @@ impl BlockJobSpec {
             opts: GmresOptions::default(),
             threads: 1,
         }
-    }
-
-    /// Block width `b` of this job.
-    pub fn width(&self) -> usize {
-        self.rhss.len()
     }
 }

@@ -1,20 +1,18 @@
 //! A long-lived, concurrent front end for the CB-GMRES solver stack.
 //!
 //! The library crates answer "solve this system once": every call pays
-//! for sparse-format selection, row statistics, and preconditioner
-//! factorization again. [`SolverService`] amortizes that work the way a
-//! resident solver process would:
+//! for preconditioner factorization again. [`SolverService`] amortizes
+//! that work the way a resident solver process would:
 //!
 //! 1. **Register** each matrix once ([`SolverService::register_csr`]).
-//!    Registration runs the expensive analysis a single time — the
-//!    `spla::auto_format` choice, row-length statistics, and the
-//!    factorized preconditioner are cached behind an `Arc` and shared
-//!    read-only by every later job.
+//!    Registration runs the expensive analysis a single time — the CSR
+//!    matrix and its factorized preconditioner are cached behind an
+//!    `Arc` and shared read-only by every later job.
 //! 2. **Submit** solve jobs ([`JobSpec`]) against registered operators,
 //!    one at a time ([`SolverService::solve_report`]) or as a concurrent
 //!    batch ([`SolverService::run_batch`]). Each job picks a basis format
 //!    ([`BasisSelection`]): a fixed registry name, the accuracy-floor
-//!    `Auto` pick, or the bidirectionally `Adaptive` ladder. Many
+//!    `Auto` pick, or the `Adaptive` ladder, which escalates only. Many
 //!    right-hand sides against one operator go in as a single
 //!    [`BlockJobSpec`] ([`SolverService::solve_block`]), routed to the
 //!    shared-space block driver so every matrix sweep and every decode

@@ -1,15 +1,12 @@
 //! Cached per-operator analysis.
 //!
-//! Registering a matrix with the service runs every expensive
-//! per-operator step **once** — sparse-format auto-selection
-//! ([`spla::select::auto_format`]), row-length statistics,
-//! preconditioner factorization — and keeps the results behind an
-//! `Arc`, so any number of concurrent jobs share them read-only.
+//! Registering a matrix with the service copies it and factorizes its
+//! preconditioner **once**, and keeps both behind an `Arc`, so any
+//! number of concurrent jobs share them read-only.
 
 use crate::error::ServiceError;
 use krylov::{auto_basis, BlockJacobi, Identity, Jacobi, Preconditioner};
-use spla::stats::{row_length_stats, RowLengthStats};
-use spla::{auto_format, Csr, SparseMatrix};
+use spla::{Csr, SparseMatrix};
 
 /// Which preconditioner to factorize (once) at registration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,24 +25,19 @@ pub enum PrecondSpec {
     },
 }
 
-/// One registered operator: the auto-selected sparse matrix plus every
-/// analysis product jobs reuse.
+/// One registered operator: its CSR matrix plus the factorized
+/// preconditioner jobs reuse.
 pub(crate) struct AnalyzedOperator {
     pub(crate) name: String,
-    /// The operator in its auto-selected format. `SparseMatrix` is
-    /// `Send + Sync`, so concurrent jobs share this box read-only.
-    pub(crate) matrix: Box<dyn SparseMatrix>,
-    pub(crate) row_stats: RowLengthStats,
-    pub(crate) sparse_format: &'static str,
+    /// The registered matrix, shared read-only by concurrent jobs.
+    pub(crate) matrix: Csr,
     /// The factorized preconditioner, shared read-only like `matrix`.
     pub(crate) precond: Box<dyn Preconditioner>,
 }
 
 impl AnalyzedOperator {
-    /// Run the full (expensive) analysis for a matrix: format
-    /// selection, row statistics, preconditioner factorization.
+    /// Copy the matrix and factorize its preconditioner.
     pub(crate) fn analyze(name: &str, a: &Csr, precond: PrecondSpec) -> Result<Self, ServiceError> {
-        let choice = auto_format(a);
         let failed = |source| ServiceError::PrecondFailed {
             operator: name.to_string(),
             source,
@@ -59,9 +51,7 @@ impl AnalyzedOperator {
         };
         Ok(AnalyzedOperator {
             name: name.to_string(),
-            matrix: choice.build(a),
-            row_stats: row_length_stats(a),
-            sparse_format: choice.name(),
+            matrix: a.clone(),
             precond,
         })
     }
@@ -80,9 +70,7 @@ impl AnalyzedOperator {
             rows: self.matrix.rows(),
             cols: self.matrix.cols(),
             nnz: self.matrix.nnz(),
-            sparse_format: self.sparse_format.to_string(),
             storage_bytes: self.matrix.storage_bytes(),
-            row_stats: self.row_stats,
             preconditioner: self.precond.name().to_string(),
             recommended_basis: self.recommended_basis(target_rrn, restart),
         }
@@ -102,12 +90,8 @@ pub struct OperatorInfo {
     pub cols: usize,
     /// Stored non-zeros.
     pub nnz: usize,
-    /// Sparse format `auto_format` selected (`csr`/`ell`/`sell-c-sigma`).
-    pub sparse_format: String,
-    /// Bytes the selected format stores (exposes the padding trade-off).
+    /// Bytes the operator's CSR arrays hold.
     pub storage_bytes: usize,
-    /// Row-length statistics that drove the format selection.
-    pub row_stats: RowLengthStats,
     /// Name of the factorized preconditioner (`none`/`jacobi`/
     /// `block-jacobi`).
     pub preconditioner: String,

@@ -79,12 +79,6 @@ impl Csr {
         &self.row_ptr
     }
 
-    /// Stored entries per row, in row order (the input of the format
-    /// converters and the selection heuristic).
-    pub fn row_lengths(&self) -> impl Iterator<Item = u32> + '_ {
-        self.row_ptr.windows(2).map(|w| (w[1] - w[0]) as u32)
-    }
-
     /// Mutable values (used by scaling transformations).
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values

@@ -3,14 +3,13 @@
 //! Provides everything the solver and the evaluation need below the Krylov
 //! layer:
 //!
-//! * [`coo`]/[`csr`] — triplet assembly and compressed-sparse-row storage
-//!   with rayon-parallel SpMV (the memory-bound kernel of GMRES step 3),
+//! * [`coo`]/[`csr`] — triplet assembly and compressed-sparse-row
+//!   storage, the one sparse format, with rayon-parallel SpMV (the
+//!   memory-bound kernel of GMRES step 3),
 //! * [`matrix`] — the [`SparseMatrix`] trait the solver stack is generic
-//!   over, with [`ell`] (padded ELLPACK) and [`sell`] (SELL-C-σ, the
-//!   sliced format GPUs actually run SpMV from) as alternative storage
-//!   formats whose SpMV is bit-identical to CSR,
-//! * [`select`] — data-driven runtime format selection from row-length
-//!   statistics,
+//!   over, so `&dyn` operators and instrumented wrappers run it too,
+//! * [`select`] — `auto_format`, a shim that always returns CSR, kept
+//!   for the benchmark package's one call,
 //! * [`dense`] — deterministic parallel vector kernels (dot, norm2, axpy),
 //! * [`io`] — MatrixMarket reading/writing so the real SuiteSparse
 //!   matrices of Table I can be dropped in when available,
@@ -27,19 +26,15 @@
 pub mod coo;
 pub mod csr;
 pub mod dense;
-pub mod ell;
 pub mod gen;
 pub mod io;
 pub mod matrix;
 pub mod select;
-pub mod sell;
 pub mod stats;
 pub mod suite;
 
 pub use coo::Coo;
 pub use csr::Csr;
-pub use ell::Ell;
 pub use matrix::SparseMatrix;
 pub use select::{auto_format, FormatChoice};
-pub use sell::SellCSigma;
 pub use suite::{SuiteMatrix, TableOneEntry, TABLE_ONE};

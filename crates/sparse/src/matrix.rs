@@ -1,28 +1,24 @@
-//! The format-agnostic sparse-matrix interface.
+//! The sparse-matrix interface.
 //!
-//! CB-GMRES is memory-bandwidth-bound and its dominant kernel is the
-//! SpMV of step 3, so the *storage format* of `A` — not just the basis
-//! compression — decides how close the solver runs to the bandwidth
-//! roof. The paper's production setting (Ginkgo) never executes SpMV
-//! from CSR on the GPU; it uses sliced-ELL variants whose slices give
-//! every warp a coalesced access pattern. [`SparseMatrix`] is the seam
-//! that lets the whole stack (solver, preconditioners, simulator,
-//! benches) run on any of [`crate::Csr`], [`crate::Ell`], or
-//! [`crate::SellCSigma`].
+//! Every operator is stored as [`crate::Csr`], the one sparse format:
+//! CB-GMRES saves its bandwidth in the compressed Krylov basis, not in
+//! the SpMV of step 3. [`SparseMatrix`] is the seam the solver stack
+//! (solver, preconditioners, benchmark) is generic over, so a `&dyn`
+//! operator or an instrumented wrapper around a `Csr` runs the same
+//! code.
 //!
 //! # The bit-identity contract
 //!
 //! Every implementation MUST accumulate each output row **serially, in
 //! the row's CSR entry order** (ascending column within a row), with one
-//! worker owning each row. Formats may permute *storage* (σ-sorting,
-//! slice padding, column-major layout) but never the *accumulation
-//! order*. Consequence: `spmv` results are bit-identical across every
-//! format and every thread count, so residual histories of a solve do
-//! not depend on the matrix format backing it — enforced by property
+//! worker owning each row. Consequence: `spmv` results are bit-identical
+//! across implementations (`Csr`'s own kernels, the trait defaults, a
+//! wrapper) and thread counts, so residual histories of a solve do not
+//! depend on how the operator is dispatched — enforced by property
 //! tests in `crates/sparse/tests/proptests.rs` and by the pinned SpMV
-//! and auto-format solve rows of `crates/bench/tests/pinned.rs`.
+//! and solve rows of `crates/bench/tests/pinned.rs`.
 
-/// Rows per parallel work item, shared by all format implementations:
+/// Rows per parallel work item, shared by `Csr` and the trait defaults:
 /// large enough to amortize scheduling (≥ ~7k FLOPs per item on the
 /// suite's stencils), small enough to balance irregular row lengths.
 /// Task boundaries derive from this constant and the row count only —
@@ -30,11 +26,10 @@
 /// deterministic.
 pub(crate) const ROW_CHUNK: usize = 1024;
 
-/// The one row-parallel driver every format's `spmv` runs through:
+/// The row-parallel driver `Csr::spmv` runs through:
 /// `y[i] = kernel(i)` over fixed [`ROW_CHUNK`] chunks, with a serial
 /// fast path when a single work item cannot be split. The chunk
-/// geometry IS the determinism contract — keeping it in one place
-/// means no format can drift from it.
+/// geometry IS the determinism contract.
 pub(crate) fn par_over_rows(y: &mut [f64], kernel: impl Fn(usize) -> f64 + Sync) {
     use rayon::prelude::*;
     if y.len() <= ROW_CHUNK {
@@ -59,7 +54,7 @@ pub(crate) fn par_over_rows(y: &mut [f64], kernel: impl Fn(usize) -> f64 + Sync)
 /// [`ROW_CHUNK`]-row spans as the vector driver — the boundaries derive
 /// from `ROW_CHUNK` and the row count only, never the thread count or
 /// the block width — so per-row accumulation stays serial and `spmm`
-/// results are bit-identical across formats and thread counts.
+/// results are bit-identical across implementations and thread counts.
 pub(crate) fn par_over_row_blocks(
     y: &mut [f64],
     width: usize,
@@ -85,7 +80,7 @@ pub(crate) fn par_over_row_blocks(
 /// A sparse matrix usable as the operator of the solver stack.
 ///
 /// Object-safe: `&dyn SparseMatrix` works wherever `&impl SparseMatrix`
-/// does (the runtime auto-selection in [`crate::select`] relies on it).
+/// does (boxed operators and instrumented wrappers rely on it).
 pub trait SparseMatrix: Send + Sync {
     /// Number of rows.
     fn rows(&self) -> usize;
@@ -93,22 +88,21 @@ pub trait SparseMatrix: Send + Sync {
     /// Number of columns.
     fn cols(&self) -> usize;
 
-    /// Stored non-zeros (excluding any format padding).
+    /// Stored non-zeros.
     fn nnz(&self) -> usize;
 
-    /// Short format label for reports (`"csr"`, `"ell"`, `"sell-c-sigma"`).
+    /// Short format label for reports (`"csr"` for [`crate::Csr`]).
     fn format_name(&self) -> &'static str;
 
-    /// Bytes held by the format's arrays, *including* padding — the
-    /// quantity the format trade-off is about.
+    /// Bytes held by the matrix's arrays.
     fn storage_bytes(&self) -> usize;
 
     /// Visit the stored entries of row `i` as `(col, value)` in the
     /// row's accumulation order (ascending column).
     fn for_each_in_row(&self, i: usize, f: &mut dyn FnMut(u32, f64));
 
-    /// `y := A x` — parallel, deterministic, bit-identical to every
-    /// other format at any thread count (see module docs).
+    /// `y := A x` — parallel, deterministic, bit-identical to the
+    /// serial row-order sum at any thread count (see module docs).
     fn spmv(&self, x: &[f64], y: &mut [f64]);
 
     /// `Y := A X` for `width` right-hand sides at once — the block
@@ -121,14 +115,14 @@ pub trait SparseMatrix: Send + Sync {
     /// The bit-identity contract extends the SpMV one: each
     /// `(row, rhs)` pair accumulates serially in the row's CSR entry
     /// order, and tile boundaries are the same `ROW_CHUNK` row spans
-    /// `spmv` uses. Consequence: `spmm_into` at any width, on any
-    /// format, at any thread count, reproduces `width` independent
-    /// `spmv` calls bit for bit — enforced by the property tests in
-    /// `crates/sparse/tests/proptests.rs`.
+    /// `spmv` uses. Consequence: `spmm_into` at any width, in any
+    /// implementation, at any thread count, reproduces `width`
+    /// independent `spmv` calls bit for bit — enforced by the property
+    /// tests in `crates/sparse/tests/proptests.rs`.
     ///
     /// The default tiles over [`SparseMatrix::for_each_in_row`];
-    /// [`crate::Csr`], [`crate::Ell`], and [`crate::SellCSigma`]
-    /// override it with fused kernels that read each stored entry once.
+    /// [`crate::Csr`] overrides it with a fused kernel that reads each
+    /// stored entry once.
     ///
     /// # Panics
     /// If `width == 0`, `x.len() != cols*width`, or
@@ -156,8 +150,8 @@ pub trait SparseMatrix: Send + Sync {
     /// [`SparseMatrix::spmv`] calls, each power applied to the finished
     /// previous one (a global dependency, so powers are not tiled
     /// across each other), and that is exactly what this method does:
-    /// bit-identical across formats and thread counts because `spmv`
-    /// is. Every format inherits it. Enforced by the property tests in
+    /// bit-identical across implementations and thread counts because
+    /// `spmv` is. Enforced by the property tests in
     /// `crates/sparse/tests/proptests.rs`.
     ///
     /// # Panics
@@ -193,7 +187,7 @@ pub trait SparseMatrix: Send + Sync {
         d
     }
 
-    /// Bytes streamed by one SpMV (format arrays + input/output
+    /// Bytes streamed by one SpMV (matrix arrays + input/output
     /// vectors) — drives the performance model.
     fn spmv_bytes(&self) -> usize {
         self.storage_bytes() + self.cols() * 8 + self.rows() * 8
@@ -202,7 +196,7 @@ pub trait SparseMatrix: Send + Sync {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Coo, Ell, SellCSigma, SparseMatrix};
+    use crate::{Coo, SparseMatrix};
 
     fn example() -> crate::Csr {
         let mut m = Coo::new(4, 4);
@@ -217,54 +211,22 @@ mod tests {
     }
 
     #[test]
-    fn trait_is_object_safe_and_consistent_across_formats() {
+    fn trait_object_matches_inherent_csr() {
         let a = example();
-        let formats: Vec<Box<dyn SparseMatrix>> = vec![
-            Box::new(a.clone()),
-            Box::new(Ell::from_csr(&a)),
-            Box::new(SellCSigma::from_csr(&a, 2, 4)),
-        ];
+        let m: Box<dyn SparseMatrix> = Box::new(a.clone());
         let x = vec![1.0, -2.0, 0.5, 4.0];
         let reference = a.mul_vec(&x);
-        for m in &formats {
-            assert_eq!(m.rows(), 4);
-            assert_eq!(m.cols(), 4);
-            assert_eq!(m.nnz(), 7);
-            assert_eq!(
-                m.diagonal(),
-                vec![2.0, 3.0, 5.0, -2.0],
-                "{}",
-                m.format_name()
-            );
-            let mut y = vec![0.0; 4];
-            m.spmv(&x, &mut y);
-            for i in 0..4 {
-                assert_eq!(
-                    y[i].to_bits(),
-                    reference[i].to_bits(),
-                    "{} row {i}",
-                    m.format_name()
-                );
-            }
-            assert!(m.storage_bytes() > 0);
-            assert!(m.spmv_bytes() > m.storage_bytes());
+        assert_eq!(m.rows(), 4);
+        assert_eq!(m.cols(), 4);
+        assert_eq!(m.nnz(), 7);
+        assert_eq!(m.format_name(), "csr");
+        assert_eq!(m.diagonal(), vec![2.0, 3.0, 5.0, -2.0]);
+        let mut y = vec![0.0; 4];
+        m.spmv(&x, &mut y);
+        for i in 0..4 {
+            assert_eq!(y[i].to_bits(), reference[i].to_bits(), "row {i}");
         }
-    }
-
-    #[test]
-    fn row_visit_matches_csr_rows() {
-        let a = example();
-        let ell = Ell::from_csr(&a);
-        let sell = SellCSigma::from_csr(&a, 2, 4);
-        for i in 0..a.rows() {
-            let (cols, vals) = a.row(i);
-            for m in [&ell as &dyn SparseMatrix, &sell] {
-                let mut got = Vec::new();
-                m.for_each_in_row(i, &mut |c, v| got.push((c, v)));
-                let expect: Vec<(u32, f64)> =
-                    cols.iter().copied().zip(vals.iter().copied()).collect();
-                assert_eq!(got, expect, "{} row {i}", m.format_name());
-            }
-        }
+        assert!(m.storage_bytes() > 0);
+        assert!(m.spmv_bytes() > m.storage_bytes());
     }
 }

@@ -1,186 +1,25 @@
-//! Data-driven sparse-format auto-selection.
-//!
-//! SpMV is bandwidth-bound, so the format question reduces to a traffic
-//! trade-off: ELL and SELL-C-σ give warps coalesced value/index streams
-//! but pay for padding slots that CSR never stores. The selection
-//! heuristic therefore compares *measured padding ratios* (padded slots
-//! over non-zeros, computed exactly from the row-length distribution of
-//! [`crate::stats::row_length_stats`]) against fixed thresholds:
-//!
-//! 1. **ELL** when `rows·max_len / nnz ≤ 1.10` — near-uniform rows
-//!    (stencil matrices): full-matrix padding costs ≤ 10 % extra
-//!    traffic, far less than the coalescing win, and ELL needs no
-//!    permutation bookkeeping.
-//! 2. **SELL-C-σ** (`C = 32`, `σ = 256`) when its exact per-slice
-//!    padding ratio is ≤ 1.30 — irregular but not pathological rows:
-//!    σ-sorting packs similar-length rows into shared slices.
-//! 3. **CSR** otherwise — a few very long rows (power-law graphs,
-//!    dense coupling rows) would blow up any padded format.
-//!
-//! The decision is a pure function of the row-length distribution, so
-//! it is deterministic for a given matrix.
+//! A shim kept only for the benchmark package, whose service twin
+//! builds its operator with `spla::auto_format(&csr).build(&csr)`.
+//! CSR is the one sparse storage format, so the choice has one variant
+//! and [`FormatChoice::build`] clones the matrix. New code holds the
+//! [`Csr`] itself.
 
-use crate::matrix::SparseMatrix;
-use crate::sell::SellCSigma;
-use crate::stats::row_length_stats_from;
-use crate::{Csr, Ell};
+use crate::{Csr, SparseMatrix};
 
-/// Default SELL slice height: one warp (the paper's `BS = 32` mandate
-/// makes 32 the natural coalescing unit on NVIDIA GPUs).
-pub const SELL_DEFAULT_C: usize = 32;
-
-/// Default SELL sorting window: 8 slices. Large enough to pack
-/// similar-length rows together, small enough to keep the permutation
-/// local (scattered `y` writes stay within a 256-row neighbourhood).
-pub const SELL_DEFAULT_SIGMA: usize = 256;
-
-/// ELL is chosen when full-matrix padding adds at most this factor.
-pub const ELL_MAX_PADDING: f64 = 1.10;
-
-/// SELL is chosen when per-slice padding adds at most this factor.
-pub const SELL_MAX_PADDING: f64 = 1.30;
-
-/// Outcome of [`auto_format`].
+/// Outcome of [`auto_format`]: always CSR.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FormatChoice {
     Csr,
-    Ell,
-    Sell { c: usize, sigma: usize },
 }
 
 impl FormatChoice {
-    /// Short label for reports (matches `SparseMatrix::format_name`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FormatChoice::Csr => "csr",
-            FormatChoice::Ell => "ell",
-            FormatChoice::Sell { .. } => "sell-c-sigma",
-        }
-    }
-
-    /// Materialize the chosen format from a CSR matrix (clones for
-    /// CSR, converts otherwise).
+    /// A boxed clone of `a`.
     pub fn build(&self, a: &Csr) -> Box<dyn SparseMatrix> {
-        match *self {
-            FormatChoice::Csr => Box::new(a.clone()),
-            FormatChoice::Ell => Box::new(Ell::from_csr(a)),
-            FormatChoice::Sell { c, sigma } => Box::new(SellCSigma::from_csr(a, c, sigma)),
-        }
+        Box::new(a.clone())
     }
 }
 
-/// Exact SELL-C-σ padded-slot count for the given row-length
-/// distribution (no matrix data touched: σ-sort the lengths, sum each
-/// slice's `C · max`).
-fn sell_padded_slots(row_lengths: &mut [u32], c: usize, sigma: usize) -> usize {
-    for window in row_lengths.chunks_mut(sigma) {
-        window.sort_unstable_by_key(|&l| std::cmp::Reverse(l));
-    }
-    row_lengths
-        .chunks(c)
-        .map(|slice| slice.iter().copied().max().unwrap_or(0) as usize * c)
-        .sum()
-}
-
-/// Pick a sparse format for `a` from its row-length statistics (see
-/// module docs for the heuristic and thresholds). Deterministic.
-pub fn auto_format(a: &Csr) -> FormatChoice {
-    let mut lengths: Vec<u32> = a.row_lengths().collect();
-    let stats = row_length_stats_from(lengths.iter().copied(), a.nnz());
-    if stats.nnz == 0 || stats.rows == 0 {
-        return FormatChoice::Csr;
-    }
-    let ell_padding = (stats.rows * stats.max) as f64 / stats.nnz as f64;
-    if ell_padding <= ELL_MAX_PADDING {
-        return FormatChoice::Ell;
-    }
-    let padded = sell_padded_slots(&mut lengths, SELL_DEFAULT_C, SELL_DEFAULT_SIGMA);
-    if padded as f64 / stats.nnz as f64 <= SELL_MAX_PADDING {
-        return FormatChoice::Sell {
-            c: SELL_DEFAULT_C,
-            sigma: SELL_DEFAULT_SIGMA,
-        };
-    }
+/// Returns [`FormatChoice::Csr`] for every matrix.
+pub fn auto_format(_a: &Csr) -> FormatChoice {
     FormatChoice::Csr
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{gen, Coo};
-
-    #[test]
-    fn uniform_stencil_selects_ell() {
-        let a = gen::conv_diff_3d(12, 12, 12, [0.3, 0.2, 0.1], 0.2);
-        assert_eq!(auto_format(&a), FormatChoice::Ell);
-    }
-
-    #[test]
-    fn irregular_rows_select_sell() {
-        // Row lengths cycle 1..=12: max/mean ≈ 1.85 rules out ELL, but
-        // σ-sorted 32-row slices are nearly dense.
-        let n = 2048;
-        let mut m = Coo::new(n, n);
-        for i in 0..n {
-            m.push(i, i, 4.0);
-            for k in 0..(i % 12) {
-                let c = (i + 7 * (k + 1)) % n;
-                if c != i {
-                    m.push(i, c, -0.1);
-                }
-            }
-        }
-        let choice = auto_format(&m.to_csr());
-        assert_eq!(
-            choice,
-            FormatChoice::Sell {
-                c: SELL_DEFAULT_C,
-                sigma: SELL_DEFAULT_SIGMA
-            }
-        );
-    }
-
-    #[test]
-    fn dense_coupling_row_falls_back_to_csr() {
-        // One row couples to everything: any padded format would store
-        // a ~n-wide slice for it plus its 31 slice-mates.
-        let n = 4096;
-        let mut m = Coo::new(n, n);
-        for i in 0..n {
-            m.push(i, i, 2.0);
-        }
-        for c in 1..n {
-            m.push(0, c, 0.5);
-        }
-        assert_eq!(auto_format(&m.to_csr()), FormatChoice::Csr);
-    }
-
-    #[test]
-    fn empty_matrix_is_csr_and_choice_is_deterministic() {
-        assert_eq!(auto_format(&Coo::new(0, 0).to_csr()), FormatChoice::Csr);
-        let a = gen::conv_diff_3d(8, 8, 8, [0.4, 0.0, 0.0], 0.1);
-        assert_eq!(auto_format(&a), auto_format(&a));
-    }
-
-    #[test]
-    fn build_materializes_the_chosen_format() {
-        let a = gen::conv_diff_3d(6, 6, 6, [0.2, 0.1, 0.0], 0.2);
-        let choice = auto_format(&a);
-        let m = choice.build(&a);
-        assert_eq!(m.format_name(), choice.name());
-        assert_eq!(m.nnz(), a.nnz());
-        let x = vec![1.0; a.cols()];
-        let mut y = vec![0.0; a.rows()];
-        m.spmv(&x, &mut y);
-        assert_eq!(y, a.mul_vec(&x));
-    }
-
-    #[test]
-    fn sell_padded_slots_matches_constructed_matrix() {
-        let a = gen::tree_transport(9, 0.3, 0.4);
-        let mut lengths: Vec<u32> = a.row_lengths().collect();
-        let predicted = sell_padded_slots(&mut lengths, 32, 256);
-        let built = crate::SellCSigma::from_csr(&a, 32, 256);
-        assert_eq!(predicted, built.values().len());
-    }
 }

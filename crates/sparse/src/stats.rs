@@ -2,57 +2,7 @@
 //!
 //! Backs Figure 2 (value/exponent histograms of Krylov vectors — the
 //! decorrelation argument of §III-A) and Figure 10 (base-2 exponent
-//! histogram of PR02R's non-zeros), plus the row-length statistics
-//! driving the sparse-format auto-selection in [`crate::select`].
-
-/// Row-length summary of a sparse matrix: the inputs of the ELL / SELL
-/// padding estimates in [`crate::select::auto_format`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RowLengthStats {
-    /// Number of rows.
-    pub rows: usize,
-    /// Total stored non-zeros.
-    pub nnz: usize,
-    /// Mean stored entries per row (0 for an empty matrix).
-    pub mean: f64,
-    /// Maximum stored entries in any row.
-    pub max: usize,
-    /// Population variance of the row lengths.
-    pub variance: f64,
-}
-
-/// Compute [`RowLengthStats`] from a CSR matrix (one pass over
-/// `row_ptr`).
-pub fn row_length_stats(a: &crate::Csr) -> RowLengthStats {
-    row_length_stats_from(a.row_lengths(), a.nnz())
-}
-
-/// Compute [`RowLengthStats`] from an explicit row-length stream in a
-/// single pass (for callers that already hold the lengths).
-pub fn row_length_stats_from(lengths: impl Iterator<Item = u32>, nnz: usize) -> RowLengthStats {
-    let mut rows = 0usize;
-    let mut max = 0usize;
-    let mut sum = 0usize;
-    let mut sum_sq = 0.0f64;
-    for len in lengths {
-        let len = len as usize;
-        rows += 1;
-        max = max.max(len);
-        sum += len;
-        sum_sq += (len * len) as f64;
-    }
-    if rows == 0 {
-        return RowLengthStats::default();
-    }
-    let mean = sum as f64 / rows as f64;
-    RowLengthStats {
-        rows,
-        nnz,
-        mean,
-        max,
-        variance: (sum_sq / rows as f64 - mean * mean).max(0.0),
-    }
-}
+//! histogram of PR02R's non-zeros).
 
 /// Unbiased base-2 exponent of a nonzero finite value
 /// (`floor(log2(|v|))`, exact, including subnormals).
@@ -145,30 +95,6 @@ pub fn exponent_concentration(values: &[f64]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn row_length_stats_on_known_matrix() {
-        let mut m = crate::Coo::new(4, 4);
-        // Row lengths 2, 1, 3, 0.
-        m.push(0, 0, 1.0);
-        m.push(0, 1, 1.0);
-        m.push(1, 1, 1.0);
-        m.push(2, 0, 1.0);
-        m.push(2, 2, 1.0);
-        m.push(2, 3, 1.0);
-        let s = row_length_stats(&m.to_csr());
-        assert_eq!(s.rows, 4);
-        assert_eq!(s.nnz, 6);
-        assert_eq!(s.max, 3);
-        assert!((s.mean - 1.5).abs() < 1e-15);
-        // Var = mean(l²) - mean² = (4+1+9+0)/4 - 2.25 = 1.25.
-        assert!((s.variance - 1.25).abs() < 1e-12);
-
-        assert_eq!(
-            row_length_stats(&crate::Coo::new(0, 0).to_csr()),
-            RowLengthStats::default()
-        );
-    }
 
     #[test]
     fn exponent_of_known_values() {

@@ -1,7 +1,7 @@
 //! Property tests for the sparse substrate.
 
 use proptest::prelude::*;
-use spla::{dense, io, Coo, Ell, SellCSigma, SparseMatrix};
+use spla::{dense, io, Coo, SparseMatrix};
 use std::io::BufReader;
 
 /// Random small dense matrix as triplets (possibly with duplicates).
@@ -165,49 +165,13 @@ proptest! {
         prop_assert_eq!(a.values(), b.values());
     }
 
-    /// ELL and SELL-C-σ SpMV are bit-identical to CSR on arbitrary
-    /// generated matrices, for several slice/window geometries.
-    #[test]
-    fn formats_spmv_bit_identical_to_csr(
-        trips in triplets(20),
-        x in prop::collection::vec(-5.0f64..5.0, 20),
-        c in 1usize..9,
-        sigma in 1usize..40,
-    ) {
-        let n = 20;
-        let mut coo = Coo::new(n, n);
-        for &(r, c, v) in &trips {
-            coo.push(r, c, v);
-        }
-        let a = coo.to_csr();
-        let reference = a.mul_vec(&x);
-        let formats: [Box<dyn SparseMatrix>; 2] = [
-            Box::new(Ell::from_csr(&a)),
-            Box::new(SellCSigma::from_csr(&a, c, sigma)),
-        ];
-        for m in &formats {
-            prop_assert_eq!(m.nnz(), a.nnz());
-            let mut y = vec![0.0; n];
-            m.spmv(&x, &mut y);
-            for i in 0..n {
-                prop_assert_eq!(
-                    y[i].to_bits(),
-                    reference[i].to_bits(),
-                    "{} row {}", m.format_name(), i
-                );
-            }
-        }
-    }
-
-    /// `spmm_into` (default tiled AND the fused CSR/ELL/SELL overrides)
+    /// `spmm_into` (CSR's fused kernel AND the trait-default tiling)
     /// reproduces per-RHS `spmv` bit for bit on arbitrary generated
     /// matrices at several block widths.
     #[test]
     fn formats_spmm_bit_identical_to_per_rhs_spmv(
         trips in triplets(20),
         xs in prop::collection::vec(-5.0f64..5.0, 20 * 16),
-        c in 1usize..9,
-        sigma in 1usize..40,
     ) {
         let n = 20;
         let mut coo = Coo::new(n, n);
@@ -215,10 +179,9 @@ proptest! {
             coo.push(r, c, v);
         }
         let a = coo.to_csr();
-        let formats: [Box<dyn SparseMatrix>; 3] = [
+        let formats: [Box<dyn SparseMatrix>; 2] = [
             Box::new(a.clone()),
-            Box::new(Ell::from_csr(&a)),
-            Box::new(SellCSigma::from_csr(&a, c, sigma)),
+            Box::new(DefaultSpmm(a.clone())),
         ];
         for width in [1usize, 2, 7, 16] {
             // Interleave the first `width` of the 16 generated RHS.
@@ -246,15 +209,14 @@ proptest! {
         }
     }
 
-    /// `spmv_powers_into` (the trait method, which every format
-    /// inherits) reproduces `s` successive `spmv` calls bit for bit on
-    /// arbitrary generated square matrices at several panel depths.
+    /// `spmv_powers_into` (the trait method, over CSR's `spmv` and
+    /// over the `DefaultSpmm` wrapper's) reproduces `s` successive
+    /// `spmv` calls bit for bit on arbitrary generated square matrices
+    /// at several panel depths.
     #[test]
     fn formats_spmv_powers_bit_identical_to_repeated_spmv(
         trips in triplets(20),
         x in prop::collection::vec(-2.0f64..2.0, 20),
-        c in 1usize..9,
-        sigma in 1usize..40,
     ) {
         let n = 20;
         let mut coo = Coo::new(n, n);
@@ -262,10 +224,9 @@ proptest! {
             coo.push(r, c, v);
         }
         let a = coo.to_csr();
-        let formats: [Box<dyn SparseMatrix>; 3] = [
+        let formats: [Box<dyn SparseMatrix>; 2] = [
             Box::new(a.clone()),
-            Box::new(Ell::from_csr(&a)),
-            Box::new(SellCSigma::from_csr(&a, c, sigma)),
+            Box::new(DefaultSpmm(a.clone())),
         ];
         for s in [1usize, 2, 5, 8] {
             // Reference: s chained spmv calls.
@@ -316,9 +277,9 @@ proptest! {
 
 /// Forwards everything to CSR *except* `spmm_into`, so the trait's
 /// default tiled implementation (over `for_each_in_row`) is exercised
-/// by the cross-thread-count tests below. `spmv_powers_into` is the
-/// trait method for every format (repeated `spmv`); here it runs over
-/// the forwarded CSR `spmv`.
+/// by the spmm properties above and the cross-thread-count tests
+/// below. `spmv_powers_into` is the trait method (repeated `spmv`);
+/// here it runs over the forwarded CSR `spmv`.
 struct DefaultSpmm(spla::Csr);
 
 impl SparseMatrix for DefaultSpmm {
@@ -346,8 +307,8 @@ impl SparseMatrix for DefaultSpmm {
 }
 
 /// `spmm_into` agrees with serial per-RHS CSR SpMV *bitwise* on a
-/// matrix spanning many parallel row chunks, for every format (plus the
-/// trait-default tiling), under pools of 1, 2 and 8 threads, at block
+/// matrix spanning many parallel row chunks, for CSR's fused kernel and
+/// the trait-default tiling, under pools of 1, 2 and 8 threads, at block
 /// widths 1, 2, 7 and 16 — the block arm of the determinism contract.
 #[test]
 fn formats_spmm_bit_identical_across_thread_counts() {
@@ -363,12 +324,8 @@ fn formats_spmm_bit_identical_across_thread_counts() {
         }
     }
     let a = coo.to_csr();
-    let formats: [Box<dyn SparseMatrix>; 4] = [
-        Box::new(a.clone()),
-        Box::new(Ell::from_csr(&a)),
-        Box::new(SellCSigma::from_csr(&a, 32, 256)),
-        Box::new(DefaultSpmm(a.clone())),
-    ];
+    let formats: [Box<dyn SparseMatrix>; 2] =
+        [Box::new(a.clone()), Box::new(DefaultSpmm(a.clone()))];
     for width in [1usize, 2, 7, 16] {
         let mut x = vec![0.0; n * width];
         for i in 0..n {
@@ -408,8 +365,8 @@ fn formats_spmm_bit_identical_across_thread_counts() {
 }
 
 /// The matrix-powers panel agrees with chained serial CSR SpMV
-/// *bitwise* on a matrix spanning many parallel row chunks, for every
-/// format (plus the `DefaultSpmm` wrapper), under pools of 1, 2 and 8
+/// *bitwise* on a matrix spanning many parallel row chunks, for CSR
+/// and the `DefaultSpmm` wrapper, under pools of 1, 2 and 8
 /// threads, at panel depths 1, 2, 4 and 8 — the s-step arm of the
 /// determinism contract.
 #[test]
@@ -427,12 +384,8 @@ fn formats_spmv_powers_bit_identical_across_thread_counts() {
     }
     let a = coo.to_csr();
     let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.29).sin()).collect();
-    let formats: [Box<dyn SparseMatrix>; 4] = [
-        Box::new(a.clone()),
-        Box::new(Ell::from_csr(&a)),
-        Box::new(SellCSigma::from_csr(&a, 32, 256)),
-        Box::new(DefaultSpmm(a.clone())),
-    ];
+    let formats: [Box<dyn SparseMatrix>; 2] =
+        [Box::new(a.clone()), Box::new(DefaultSpmm(a.clone()))];
     for s in [1usize, 2, 4, 8] {
         // Chained serial CSR reference.
         let mut reference = vec![0.0; n * s];
@@ -464,9 +417,10 @@ fn formats_spmv_powers_bit_identical_across_thread_counts() {
     }
 }
 
-/// Every format agrees with serial CSR *bitwise* on a matrix large
-/// enough to span many parallel row chunks, under pools of 1, 2 and 8
-/// threads — the cross-format arm of the determinism contract.
+/// Parallel SpMV, called on CSR and through the `DefaultSpmm` wrapper,
+/// agrees with serial CSR *bitwise* on a matrix large enough to span
+/// many parallel row chunks, under pools of 1, 2 and 8 threads — the
+/// thread-count arm of the determinism contract.
 #[test]
 fn formats_spmv_bit_identical_across_thread_counts() {
     let n = 6000;
@@ -485,12 +439,8 @@ fn formats_spmv_bit_identical_across_thread_counts() {
     let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.29).sin()).collect();
     let mut reference = vec![0.0; n];
     a.spmv_serial(&x, &mut reference);
-    let formats: [Box<dyn SparseMatrix>; 4] = [
-        Box::new(a.clone()),
-        Box::new(Ell::from_csr(&a)),
-        Box::new(SellCSigma::from_csr(&a, 32, 256)),
-        spla::auto_format(&a).build(&a),
-    ];
+    let formats: [Box<dyn SparseMatrix>; 2] =
+        [Box::new(a.clone()), Box::new(DefaultSpmm(a.clone()))];
     for m in &formats {
         for threads in [1usize, 2, 8] {
             let pool = rayon::ThreadPoolBuilder::new()

@@ -23,9 +23,8 @@ fn main() {
     let quiet = std::env::args().any(|a| a == "--quiet");
 
     // ------------------------------------------------------------------
-    // 1. Register operators once. Registration caches the expensive
-    //    analysis: sparse-format selection, row statistics, and the
-    //    factorized preconditioner.
+    // 1. Register operators once. Registration caches the CSR matrix
+    //    and its factorized preconditioner.
     // ------------------------------------------------------------------
     let service = SolverService::with_defaults();
     let smooth = gen::conv_diff_3d(12, 12, 12, [0.3, 0.2, 0.1], 0.3);
@@ -40,15 +39,13 @@ fn main() {
     ] {
         let info = service.register_csr(name, a, precond).expect("register");
         println!(
-            "{:<8} {:>6} rows {:>7} nnz  format={:<12} precond={:<8} \
-             row len mean {:.2} max {}  recommended basis: {}",
+            "{:<8} {:>6} rows {:>7} nnz {:>8} bytes  precond={:<8} \
+             recommended basis: {}",
             info.name,
             info.rows,
             info.nnz,
-            info.sparse_format,
+            info.storage_bytes,
             info.preconditioner,
-            info.row_stats.mean,
-            info.row_stats.max,
             info.recommended_basis,
         );
     }

@@ -335,40 +335,26 @@ fn frsz2_byte_adapter_matches_store_semantics() {
 #[test]
 fn cb_gmres_l21_history_is_format_independent_end_to_end() {
     // The paper's headline l = 21 configuration, run with the operator
-    // held in each sparse format (CSR / ELL / SELL-C-σ / the runtime
-    // auto-selection): the bit-identity contract of `SparseMatrix`
-    // means every residual history point and every solution entry is
-    // bitwise equal — the format is a pure performance knob.
-    use frsz2_repro::spla::{auto_format, Ell, SellCSigma, SparseMatrix};
+    // as a `Csr` and as a `&dyn SparseMatrix`: the bit-identity contract
+    // of `SparseMatrix` means every residual history point and every
+    // solution entry is bitwise equal — dispatch is not a numerics knob.
+    use frsz2_repro::spla::SparseMatrix;
     let a = gen::conv_diff_3d(10, 10, 10, [0.4, 0.2, 0.1], 0.2);
     let (_, b) = manufactured_rhs(&a);
     let x0 = vec![0.0; a.rows()];
     let opts = small_opts(1e-10);
     let cfg = Frsz2Config::new(32, 21);
-    let solve = |op: &dyn SparseMatrix| {
-        gmres_with(op, &b, &x0, &opts, &Identity, |rows, cols| {
-            Frsz2Store::with_config(cfg, rows, cols)
-        })
-    };
-    let base = solve(&a);
+    let store = |rows: usize, cols: usize| Frsz2Store::with_config(cfg, rows, cols);
+    let base = gmres_with(&a, &b, &x0, &opts, &Identity, store);
     assert!(base.stats.converged, "CSR-backed l=21 solve must converge");
-    let ell = Ell::from_csr(&a);
-    let sell = SellCSigma::from_csr(&a, 32, 256);
-    let auto = auto_format(&a).build(&a);
-    for (label, op) in [
-        ("ell", &ell as &dyn SparseMatrix),
-        ("sell-c-sigma", &sell),
-        ("auto", auto.as_ref()),
-    ] {
-        let r = solve(op);
-        assert_eq!(r.stats.iterations, base.stats.iterations, "{label}");
-        assert_eq!(r.history.len(), base.history.len(), "{label}");
-        for (p, q) in r.history.iter().zip(&base.history) {
-            assert_eq!(p.rrn.to_bits(), q.rrn.to_bits(), "{label} history");
-        }
-        for (u, v) in r.x.iter().zip(&base.x) {
-            assert_eq!(u.to_bits(), v.to_bits(), "{label} solution");
-        }
+    let r = gmres_with(&a as &dyn SparseMatrix, &b, &x0, &opts, &Identity, store);
+    assert_eq!(r.stats.iterations, base.stats.iterations);
+    assert_eq!(r.history.len(), base.history.len());
+    for (p, q) in r.history.iter().zip(&base.history) {
+        assert_eq!(p.rrn.to_bits(), q.rrn.to_bits(), "history");
+    }
+    for (u, v) in r.x.iter().zip(&base.x) {
+        assert_eq!(u.to_bits(), v.to_bits(), "solution");
     }
 }
 
