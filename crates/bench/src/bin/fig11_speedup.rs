@@ -4,7 +4,9 @@
 //! Two timings are reported per cell:
 //! * the **modeled H100 time** — the solver's measured traffic and
 //!   decompression instruction counts through the gpusim roofline
-//!   (headline number: this host has no GPU, see DESIGN.md §1), and
+//!   (headline number: no GPU is attached in this reproduction, so
+//!   `gpusim` stands in for the paper's CUDA kernels; see the crate map
+//!   in ARCHITECTURE.md), and
 //! * the **CPU wall clock** of this host (secondary; a 2-core CPU has
 //!   ~10 spare ops per loaded value instead of the H100's ~100, so
 //!   decompression overhead that vanishes on the GPU is visible here).

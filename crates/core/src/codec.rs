@@ -12,6 +12,9 @@
 //! (decompression gathers each code from a two-word window, compression
 //! spills whole words from a staging register), monomorphized for the
 //! paper's `l ∈ {16, 21, 32}` — the same kernels both column stores run.
+//! Decoding is `decode_scale`'s exact convert-and-scale step wherever
+//! it holds, and the paper's count-zero sequence
+//! (`decode_count_zero`) below it.
 
 use crate::bitpack;
 use crate::kernels::{self, Fixed};
@@ -168,10 +171,54 @@ pub(crate) fn encode_bits(bits: u64, emax: u32, l: u32) -> u64 {
     (sign << (l - 1)) | shift_signed(sig, shift)
 }
 
+/// The block scale `2^(emax − 1021 − l)` of the convert-and-scale
+/// decode, or `None` below its threshold.
+///
+/// For `l <= 32` and `emax >= l − 1`, every `l`-bit code of the block
+/// decodes to `±field · 2^(emax − 1021 − l)`, a normal number or a
+/// signed zero, and the scale is itself normal. An integer below
+/// `2^31` times a normal power of two is exact whenever the product is
+/// normal, so [`decode_scaled`] gives the bits of the paper's
+/// count-zero sequence ([`decode_count_zero`]) in one convert, one
+/// multiply and one OR. Below the threshold — a block whose largest
+/// magnitude is under ~`2^(l − 1024)`, or a never-written block, whose
+/// `emax` is 1 — the scale would be subnormal, and the count-zero
+/// sequence decodes.
+#[inline(always)]
+pub(crate) fn decode_scale(emax: u32, l: u32) -> Option<f64> {
+    (l <= 32 && emax >= l - 1).then(|| f64::from_bits(u64::from(emax + 2 - l) << 52))
+}
+
+/// Decode one `l`-bit code (`l <= 32`) with its block's
+/// [`decode_scale`]: the field converted exactly, scaled, and the sign
+/// bit OR-ed in (so field 0 gives ±0).
+#[inline(always)]
+pub(crate) fn decode_scaled(c: u64, scale: f64, l: u32) -> f64 {
+    // The field has at most 31 bits: the signed conversion is exact and
+    // one instruction.
+    let field = (c & mask64(l - 1)) as i64 as f64;
+    f64::from_bits((field * scale).to_bits() | ((c >> (l - 1)) << 63))
+}
+
 /// Decode one `l`-bit code against its block exponent (shared by all
-/// storage paths; same math as `reference::decompress_value`).
+/// storage paths; same bits as `reference::decompress_value`): the
+/// convert-and-scale rule where [`decode_scale`] holds, the count-zero
+/// sequence otherwise. The per-block kernels pick the path once per
+/// block instead.
 #[inline(always)]
 pub(crate) fn decode_code(c: u64, emax: u32, l: u32) -> f64 {
+    match decode_scale(emax, l) {
+        Some(scale) => decode_scaled(c, scale, l),
+        None => decode_count_zero(c, emax, l),
+    }
+}
+
+/// The paper's decode (§IV-B), which the `gpusim` kernels also model:
+/// count the zeros the encoder inserted, then rebuild the exponent and
+/// the significand bit by bit. The fallback below [`decode_scale`]'s
+/// threshold and for `l > 32`.
+#[inline(always)]
+pub(crate) fn decode_count_zero(c: u64, emax: u32, l: u32) -> f64 {
     let sign = (c >> (l - 1)) & 1;
     let field = c & mask64(l - 1);
     if field == 0 {
@@ -346,9 +393,59 @@ impl Frsz2Vector {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference;
+
+    /// The decode rule's exactness grid: every `l` in `2..=32`, every
+    /// `emax` in `1..=l + 70` plus 1023, 1500 and 2046, and per pair
+    /// 4,096 codes — 0, sign-only, 1 and all-ones, then pseudo-random
+    /// ones — handed to `f(l, emax, codes)`.
+    pub(crate) fn decode_grid(mut f: impl FnMut(u32, u32, &[u64])) {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut codes = Vec::with_capacity(4096);
+        for l in 2u32..=32 {
+            let m = mask64(l);
+            for emax in (1..=l + 70).chain([1023, 1500, 2046]) {
+                codes.clear();
+                codes.extend([0, 1 << (l - 1), 1, m]);
+                while codes.len() < 4096 {
+                    // splitmix64
+                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    codes.push((z ^ (z >> 31)) & m);
+                }
+                f(l, emax, &codes);
+            }
+        }
+    }
+
+    /// The convert-and-scale rule gives `reference::decompress_value`'s
+    /// bits wherever it applies (`emax >= l − 1`), and below that
+    /// threshold `decode_code` takes the count-zero path.
+    #[test]
+    fn decode_rule_is_exact() {
+        decode_grid(|l, emax, codes| {
+            let scale = decode_scale(emax, l);
+            assert_eq!(scale.is_some(), emax >= l - 1, "l={l} emax={emax}");
+            for &c in codes {
+                let want = reference::decompress_value(c, emax, l).to_bits();
+                let got = decode_code(c, emax, l).to_bits();
+                assert_eq!(got, want, "decode_code l={l} emax={emax} code={c:#x}");
+                if let Some(s) = scale {
+                    let got = decode_scaled(c, s, l).to_bits();
+                    assert_eq!(got, want, "decode_scaled l={l} emax={emax} code={c:#x}");
+                } else {
+                    let got = decode_count_zero(c, emax, l).to_bits();
+                    assert_eq!(got, want, "count zero l={l} emax={emax} code={c:#x}");
+                }
+            }
+        });
+        // Wide fields never take the rule.
+        assert!(decode_scale(2046, 33).is_none());
+    }
 
     fn wave(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i as f64) * 0.61).sin() * 0.8).collect()

@@ -29,11 +29,12 @@
 //! ```
 //!
 //! extracts it with two loads, one shift and one mask — no per-element
-//! branching on word boundaries and no intermediate decode tile, which
-//! is what the paper's §IV-B means by decompression "in registers".
-//! Only [`gemv_dots_chunk`] keeps a tile: both of its halves read one
-//! block of every column, so it decodes that block once into a stack
-//! tile that stays in L1.
+//! branching on word boundaries and no intermediate decode tile, so a
+//! value goes from its packed bits to the dot or update that consumes
+//! it without a trip through memory: the paper's decompression "in
+//! registers" (§IV-B). Only [`gemv_dots_chunk`] keeps a tile: both of
+//! its halves read one block of every column, so it decodes that block
+//! once into a stack tile that stays in L1.
 //! The one wrinkle is the block's final word: a field that lies
 //! entirely inside it must not gather the (nonexistent) word after the
 //! block, so each block loop is split at [`two_word_fields`] into a
@@ -63,21 +64,74 @@
 //! ([`code_at`]) — still fused, still tile-free, just without the
 //! two-word window (a >32-bit field can straddle three words).
 //!
+//! # Decode: one exact convert-and-scale step
+//!
+//! For `l <= 32` and `emax >= l − 1`, every code of a block decodes to
+//! `±field · 2^(emax − 1021 − l)`, a normal number or a signed zero. So
+//! the per-block kernels build the block's scale once
+//! ([`crate::codec::decode_scale`]) and decode each code as
+//! `(field as f64) · scale` with the sign bit OR-ed in — exactly the
+//! bits of the paper's count-zero sequence, because an integer below
+//! `2^31` times a normal power of two is exact when the product is
+//! normal. Blocks below that threshold (largest magnitude under
+//! ~`2^(l − 1024)`, or never written, `emax = 1`) and bit lengths above
+//! 32 keep the count-zero sequence ([`crate::codec::decode_count_zero`]).
+//! The choice is made per block, never per value.
+//!
+//! # Lanes: AVX-512 inside the same drivers
+//!
+//! On `x86_64` CPUs with AVX-512 F, BW, DQ and VBMI (detected once per
+//! process), [`decode_range`], [`dots_chunk`], [`gemv_chunk`] and
+//! [`gemv_dots_chunk`] run the lane drivers of the private `lanes`
+//! module for stores with the paper's 32-value blocks; every other
+//! host and block size runs the scalar drivers, which stay the
+//! reference. Eight consecutive `l`-bit fields span exactly `l` bytes,
+//! so one masked `l`-byte load, one `vpermb` through a per-`l` constant
+//! table, one variable shift and one mask put 8 codes in 8 lanes, and
+//! `vcvtqq2pd` and one multiply by the block scale, with each lane's
+//! sign bit OR-ed into it, decode them.
+//!
+//! * **Across rows** — `decode_range`, `gemv_chunk` and the tile decode
+//!   and update of `gemv_dots_chunk`: a 32-row block is four vectors,
+//!   and in the updates the 32 rows of `w` stay in four registers
+//!   while all `k` columns apply to them.
+//! * **Across columns** — `dots_chunk` and the dot half of
+//!   `gemv_dots_chunk`: 8 columns' 8-row vectors are transposed in
+//!   registers, so each column owns one accumulator lane that adds its
+//!   rows in order. A group short of 8 columns repeats its last column
+//!   in the spare lanes and drops their sums.
+//!
+//! Each lane group reads its own blocks' `(l, words, emax)`, so the
+//! adaptive store runs the lanes too. A ragged trailing block, and a
+//! lane group holding a block that fails the threshold or has
+//! `l > 32`, go through the scalar per-block kernels inside the same
+//! call. The multi-RHS drivers, [`dot_chunk`], [`axpy_chunk`] and
+//! [`load`] stay scalar.
+//!
 //! # Bit-identity contract
 //!
-//! These kernels change *how* codes are extracted, never *what* is
-//! computed from them: extraction is exact (the same code bits reach
-//! [`crate::codec::decode_code`]) and every accumulation visits
-//! elements in row order with one accumulator per output, exactly like
-//! the scalar reference loops they replace. Fused results are
-//! therefore bit-identical to decompress-then-BLAS — property-tested
-//! in `tests/fused_kernels.rs` and `tests/adaptive_fused_kernels.rs`,
-//! checked through the solver's basis in
+//! These kernels change *how* codes are extracted and decoded, never
+//! *what* is computed from them: extraction is exact, both decode paths
+//! give the bits of `reference::decompress_value`, and every
+//! accumulation visits elements in row order with one accumulator per
+//! output, exactly like the scalar reference loops they replace — in
+//! the lanes too, which keep a separate multiply and add (never a
+//! fused multiply-add), skip zero coefficients per column and apply
+//! columns in ascending `j`. Lanes, scalar drivers and
+//! decompress-then-BLAS are therefore bit-identical — property-tested
+//! in `tests/fused_kernels.rs`, `tests/adaptive_fused_kernels.rs` and
+//! `tests/lanes.rs`, lanes against the scalar drivers in this module's
+//! unit tests, checked through the solver's basis in
 //! `crates/krylov/tests/fused_ortho.rs`, and pinned at full size by the
 //! `basis_dots`/`basis_gemv` rows of `crates/bench/tests/pinned.rs`.
 
-use crate::codec::{decode_code, encode_bits, Frsz2Config};
+use crate::codec::{
+    decode_code, decode_count_zero, decode_scale, decode_scaled, encode_bits, Frsz2Config,
+};
 use crate::{bitpack, mask64};
+
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 const MASK52: u64 = (1u64 << 52) - 1;
 
@@ -184,6 +238,25 @@ fn for_each_code<const L: u32>(l_rt: u32, bw: &[u32], count: usize, mut f: impl 
     }
 }
 
+/// Feed `f(i, v_i)` the first `count` decoded values of one `l <= 32`
+/// block, in row order: convert-and-scale when the block meets
+/// [`decode_scale`]'s threshold, the count-zero sequence otherwise —
+/// one check per block.
+#[inline(always)]
+fn for_each_value<const L: u32>(
+    l_rt: u32,
+    bw: &[u32],
+    emax: u32,
+    count: usize,
+    mut f: impl FnMut(usize, f64),
+) {
+    let l = resolve_l::<L>(l_rt);
+    match decode_scale(emax, l) {
+        Some(scale) => for_each_code::<L>(l, bw, count, |i, c| f(i, decode_scaled(c, scale, l))),
+        None => for_each_code::<L>(l, bw, count, |i, c| f(i, decode_count_zero(c, emax, l))),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Per-block primitives (l <= 32 window path).
 // ---------------------------------------------------------------------
@@ -191,31 +264,22 @@ fn for_each_code<const L: u32>(l_rt: u32, bw: &[u32], count: usize, mut f: impl 
 /// Decode one block's leading `out.len()` values from its packed words.
 #[inline(always)]
 fn decode_block_le32<const L: u32>(l_rt: u32, bw: &[u32], emax: u32, out: &mut [f64]) {
-    let l = resolve_l::<L>(l_rt);
-    for_each_code::<L>(l, bw, out.len(), |i, c| {
-        out[i] = decode_code(c, emax, l);
-    });
+    for_each_value::<L>(l_rt, bw, emax, out.len(), |i, v| out[i] = v);
 }
 
 /// Fused decompress-and-dot over one block: `acc += Σ_i vᵢ · wᵢ`,
 /// accumulating in row order (bit-compatible with decode-then-dot).
 #[inline(always)]
 fn dot_block_le32<const L: u32>(l_rt: u32, bw: &[u32], emax: u32, w: &[f64], acc: &mut f64) {
-    let l = resolve_l::<L>(l_rt);
     let mut a = *acc;
-    for_each_code::<L>(l, bw, w.len(), |i, c| {
-        a += decode_code(c, emax, l) * w[i];
-    });
+    for_each_value::<L>(l_rt, bw, emax, w.len(), |i, v| a += v * w[i]);
     *acc = a;
 }
 
 /// Fused decompress-and-axpy over one block: `wᵢ += alpha · vᵢ`.
 #[inline(always)]
 fn axpy_block_le32<const L: u32>(l_rt: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64]) {
-    let l = resolve_l::<L>(l_rt);
-    for_each_code::<L>(l, bw, w.len(), |i, c| {
-        w[i] += alpha * decode_code(c, emax, l);
-    });
+    for_each_value::<L>(l_rt, bw, emax, w.len(), |i, v| w[i] += alpha * v);
 }
 
 /// Truncating encode for `l <= 54`: [`encode_bits`] with the
@@ -388,8 +452,18 @@ pub(crate) fn decode_range(
         "row_start must be block-aligned"
     );
     assert!(row_start + out.len() <= rows, "range beyond column");
-    for (ob, chunk) in out.chunks_mut(bs).enumerate() {
-        let (l, bw, emax) = m.block(j, row_start / bs + ob);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = lanes::Avx512::for_blocks(m) {
+        return lanes.decode_blocks(m, j, row_start / bs, out);
+    }
+    decode_blocks_scalar(m, j, row_start / bs, out);
+}
+
+/// [`decode_range`]'s scalar loop: blocks `b0, b0 + 1, …` of column `j`
+/// into `out`.
+fn decode_blocks_scalar(m: &impl Blocks, j: usize, b0: usize, out: &mut [f64]) {
+    for (ob, chunk) in out.chunks_mut(m.block_size()).enumerate() {
+        let (l, bw, emax) = m.block(j, b0 + ob);
         decode_block(l, bw, emax, chunk);
     }
 }
@@ -423,14 +497,30 @@ pub(crate) fn axpy_chunk(m: &impl Blocks, j: usize, row_start: usize, alpha: f64
 /// its column in row order — bit-identical to `k` independent
 /// [`dot_chunk`] calls.
 pub(crate) fn dots_chunk(m: &impl Blocks, k: usize, row_start: usize, w: &[f64], out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = lanes::Avx512::for_blocks(m) {
+        return lanes.dots_chunk(m, k, row_start, w, out);
+    }
+    dots_chunk_scalar(m, k, row_start, w, out);
+}
+
+/// [`dots_chunk`]'s scalar driver.
+fn dots_chunk_scalar(m: &impl Blocks, k: usize, row_start: usize, w: &[f64], out: &mut [f64]) {
     let bs = m.block_size();
     let b0 = first_block(bs, row_start);
     out[..k].fill(0.0);
     for (ob, wc) in w.chunks(bs).enumerate() {
-        for (j, acc) in out[..k].iter_mut().enumerate() {
-            let (l, bw, emax) = m.block(j, b0 + ob);
-            dot_block(l, bw, emax, wc, acc);
-        }
+        dots_block(m, 0, b0 + ob, wc, &mut out[..k]);
+    }
+}
+
+/// Block `b` of columns `j0 .. j0 + out.len()` dotted with `wc`, added
+/// to `out` column by column in row order.
+#[inline]
+fn dots_block(m: &impl Blocks, j0: usize, b: usize, wc: &[f64], out: &mut [f64]) {
+    for (j, acc) in (j0..).zip(out.iter_mut()) {
+        let (l, bw, emax) = m.block(j, b);
+        dot_block(l, bw, emax, wc, acc);
     }
 }
 
@@ -447,14 +537,30 @@ pub(crate) fn gemv_chunk(
     alphas: &[f64],
     w: &mut [f64],
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = lanes::Avx512::for_blocks(m) {
+        return lanes.gemv_chunk(m, k, row_start, alphas, w);
+    }
+    gemv_chunk_scalar(m, k, row_start, alphas, w);
+}
+
+/// [`gemv_chunk`]'s scalar driver.
+fn gemv_chunk_scalar(m: &impl Blocks, k: usize, row_start: usize, alphas: &[f64], w: &mut [f64]) {
     let bs = m.block_size();
     let b0 = first_block(bs, row_start);
     for (ob, wc) in w.chunks_mut(bs).enumerate() {
-        for (j, &a) in alphas.iter().enumerate().take(k) {
-            if a != 0.0 {
-                let (l, bw, emax) = m.block(j, b0 + ob);
-                axpy_block(l, bw, emax, a, wc);
-            }
+        gemv_block(m, k, b0 + ob, alphas, wc);
+    }
+}
+
+/// Block `b` of the first `k` columns applied to `wc` in ascending `j`,
+/// skipping zero coefficients.
+#[inline]
+fn gemv_block(m: &impl Blocks, k: usize, b: usize, alphas: &[f64], wc: &mut [f64]) {
+    for (j, &a) in alphas.iter().enumerate().take(k) {
+        if a != 0.0 {
+            let (l, bw, emax) = m.block(j, b);
+            axpy_block(l, bw, emax, a, wc);
         }
     }
 }
@@ -479,33 +585,64 @@ pub(crate) fn gemv_dots_chunk(
     w: &mut [f64],
     out: &mut [f64],
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = lanes::Avx512::for_blocks(m) {
+        return lanes.gemv_dots_chunk(m, k, row_start, alphas, w, out);
+    }
+    gemv_dots_chunk_scalar(m, k, row_start, alphas, w, out);
+}
+
+/// [`gemv_dots_chunk`]'s scalar driver.
+fn gemv_dots_chunk_scalar(
+    m: &impl Blocks,
+    k: usize,
+    row_start: usize,
+    alphas: &[f64],
+    w: &mut [f64],
+    out: &mut [f64],
+) {
     let bs = m.block_size();
     if k * bs > FUSED_TILE {
-        gemv_chunk(m, k, row_start, alphas, w);
-        dots_chunk(m, k, row_start, w, out);
+        gemv_chunk_scalar(m, k, row_start, alphas, w);
+        dots_chunk_scalar(m, k, row_start, w, out);
         return;
     }
     let b0 = first_block(bs, row_start);
     out[..k].fill(0.0);
     let mut tile = [0.0f64; FUSED_TILE];
-    let tile = &mut tile[..k * bs];
     for (ob, wc) in w.chunks_mut(bs).enumerate() {
-        let n = wc.len();
-        for (j, col) in tile.chunks_exact_mut(bs).enumerate() {
-            let (l, bw, emax) = m.block(j, b0 + ob);
-            decode_block(l, bw, emax, &mut col[..n]);
-        }
-        for (&a, col) in alphas.iter().zip(tile.chunks_exact(bs)) {
-            if a != 0.0 {
-                for (x, &v) in wc.iter_mut().zip(col) {
-                    *x += a * v;
-                }
+        gemv_dots_block(m, b0 + ob, alphas, wc, &mut out[..k], &mut tile[..k * bs]);
+    }
+}
+
+/// One block of [`gemv_dots_chunk`] for the `out.len()` columns: block
+/// `b` of each column decoded into its `block_size()` slot of `tile`,
+/// applied to `wc` in ascending `j` (zero coefficients skipped), and
+/// each column's dot with the updated `wc` added to `out` in row order.
+#[inline]
+fn gemv_dots_block(
+    m: &impl Blocks,
+    b: usize,
+    alphas: &[f64],
+    wc: &mut [f64],
+    out: &mut [f64],
+    tile: &mut [f64],
+) {
+    let (bs, n) = (m.block_size(), wc.len());
+    for (j, col) in tile.chunks_exact_mut(bs).enumerate() {
+        let (l, bw, emax) = m.block(j, b);
+        decode_block(l, bw, emax, &mut col[..n]);
+    }
+    for (&a, col) in alphas.iter().zip(tile.chunks_exact(bs)) {
+        if a != 0.0 {
+            for (x, &v) in wc.iter_mut().zip(col) {
+                *x += a * v;
             }
         }
-        for (acc, col) in out.iter_mut().zip(tile.chunks_exact(bs)) {
-            for (&v, &x) in col.iter().zip(&*wc) {
-                *acc += v * x;
-            }
+    }
+    for (acc, col) in out.iter_mut().zip(tile.chunks_exact(bs)) {
+        for (&v, &x) in col.iter().zip(&*wc) {
+            *acc += v * x;
         }
     }
 }
@@ -543,10 +680,8 @@ fn dot_many_block_le32<const L: u32>(
     count: usize,
     accs: &mut [f64],
 ) {
-    let l = resolve_l::<L>(l_rt);
     let tl = accs.len();
-    for_each_code::<L>(l, bw, count, |i, c| {
-        let v = decode_code(c, emax, l);
+    for_each_value::<L>(l_rt, bw, emax, count, |i, v| {
         for (a, &wv) in accs.iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
             *a += v * wv;
         }
@@ -567,10 +702,8 @@ fn axpy_many_block_le32<const L: u32>(
     nw: usize,
     count: usize,
 ) {
-    let l = resolve_l::<L>(l_rt);
     let tl = al.len();
-    for_each_code::<L>(l, bw, count, |i, c| {
-        let v = decode_code(c, emax, l);
+    for_each_value::<L>(l_rt, bw, emax, count, |i, v| {
         for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
             if a != 0.0 {
                 *wv += a * v;
@@ -675,7 +808,7 @@ fn decode_block(l: u32, bw: &[u32], emax: u32, out: &mut [f64]) {
         dispatch_l!(l, decode_block_le32(l, bw, emax, out));
     } else {
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = decode_code(code_at(l, bw, i), emax, l);
+            *slot = decode_count_zero(code_at(l, bw, i), emax, l);
         }
     }
 }
@@ -689,7 +822,7 @@ fn dot_block(l: u32, bw: &[u32], emax: u32, w: &[f64], acc: &mut f64) {
         dispatch_l!(l, dot_block_le32(l, bw, emax, w, acc));
     } else {
         for (i, &wv) in w.iter().enumerate() {
-            *acc += decode_code(code_at(l, bw, i), emax, l) * wv;
+            *acc += decode_count_zero(code_at(l, bw, i), emax, l) * wv;
         }
     }
 }
@@ -702,7 +835,7 @@ fn axpy_block(l: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64]) {
         dispatch_l!(l, axpy_block_le32(l, bw, emax, alpha, w));
     } else {
         for (i, wv) in w.iter_mut().enumerate() {
-            *wv += alpha * decode_code(code_at(l, bw, i), emax, l);
+            *wv += alpha * decode_count_zero(code_at(l, bw, i), emax, l);
         }
     }
 }
@@ -727,7 +860,7 @@ fn dot_many_block(
     } else {
         let tl = accs.len();
         for i in 0..count {
-            let v = decode_code(code_at(l, bw, i), emax, l);
+            let v = decode_count_zero(code_at(l, bw, i), emax, l);
             for (a, &wv) in accs.iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
                 *a += v * wv;
             }
@@ -754,7 +887,7 @@ fn axpy_many_block(
     } else {
         let tl = al.len();
         for i in 0..count {
-            let v = decode_code(code_at(l, bw, i), emax, l);
+            let v = decode_count_zero(code_at(l, bw, i), emax, l);
             for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
                 if a != 0.0 {
                     *wv += a * v;

@@ -24,7 +24,16 @@
 //!   word-aligned bit lengths (`l ∈ {16, 32, 64}`) and a bit-packed
 //!   path for everything else (e.g. the paper's `l = 21`), mirroring
 //!   optimization (3) of §IV-C. Its kernels are the same ones both
-//!   column stores ([`Frsz2Store`], [`Frsz2AdaptiveStore`]) run.
+//!   column stores ([`Frsz2Store`], [`Frsz2AdaptiveStore`]) run. They
+//!   decode by one exact convert-and-scale step — for `l <= 32` and a
+//!   block exponent `emax >= l − 1`, a code is `±field ·
+//!   2^(emax − 1021 − l)`, one integer conversion, one multiply and the
+//!   sign OR-ed in — and keep the paper's count-zero sequence for the
+//!   blocks below that threshold and for `l > 32`. On x86-64 CPUs with
+//!   AVX-512 F, BW, DQ and VBMI (detected once at run time) the
+//!   multi-column kernels and chunked decode of 32-value blocks run the
+//!   same operations in AVX-512 lanes, 8 values per instruction; every
+//!   other host runs the scalar kernels, which stay the reference.
 //!
 //! Property tests assert the two agree bit-for-bit, and that the
 //! worst-case error bound `2^(emax−1023−(l−2))` (one ULP of the truncated
@@ -59,6 +68,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod adaptive_store;
 pub mod bitpack;

@@ -60,7 +60,7 @@ impl Frsz2Store {
     }
 
     /// The per-block view the shared kernels read through.
-    fn blocks(&self) -> Fixed<'_> {
+    pub(crate) fn blocks(&self) -> Fixed<'_> {
         Fixed {
             cfg: self.cfg,
             words: &self.words,

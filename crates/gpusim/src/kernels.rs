@@ -26,7 +26,9 @@ fn mask64(n: u32) -> u64 {
 }
 
 /// Per-lane FRSZ2 decode with counted operations (§IV-B steps 2-4).
-/// Mirrors `frsz2::codec::decode_code` bit for bit.
+/// It keeps the paper's count-zero sequence, because it models the H100
+/// kernel's instruction mix; the CPU codec decodes most blocks by an
+/// exact convert-and-scale step instead, with the same bits.
 fn decode_lane(w: &mut WarpCtx, c: u64, emax: u32, l: u32) -> f64 {
     let sign = w.i_shr(c, l - 1);
     let field = w.i_and(c, mask64(l - 1));

@@ -23,7 +23,9 @@
 //!
 //! Functional correctness is cross-checked: the simulated FRSZ2 warp
 //! kernels must produce bit-identical output to the CPU codec in
-//! `frsz2::codec`.
+//! `frsz2::codec`. The simulated decode keeps the paper's count-zero
+//! sequence (it models the H100 kernel), while the CPU kernels decode
+//! by an exact convert-and-scale step and AVX-512 lanes.
 
 pub mod cost;
 pub mod counters;

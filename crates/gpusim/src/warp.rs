@@ -105,32 +105,6 @@ impl WarpCtx {
         a + b
     }
 
-    /// Fused multiply-add: two FLOPs, one instruction.
-    #[inline(always)]
-    pub fn f64_fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        self.counters.bump(InstrClass::Fp64, 2);
-        a.mul_add(b, c)
-    }
-
-    #[inline(always)]
-    pub fn f32_fma(&mut self, a: f32, b: f32, c: f32) -> f32 {
-        self.counters.bump(InstrClass::Fp32, 2);
-        a.mul_add(b, c)
-    }
-
-    /// Account `n` additional FP64 FLOPs without executing them (used by
-    /// the arithmetic-intensity sweep, where the synthetic FLOP count is
-    /// the independent variable of Fig. 4).
-    #[inline(always)]
-    pub fn account_f64_flops(&mut self, n: u64) {
-        self.counters.bump(InstrClass::Fp64, n);
-    }
-
-    #[inline(always)]
-    pub fn account_f32_flops(&mut self, n: u64) {
-        self.counters.bump(InstrClass::Fp32, n);
-    }
-
     // ---- warp collectives ---------------------------------------------
 
     /// Butterfly shuffle: lane `i` receives the value of lane `i ^ mask`.
@@ -256,14 +230,6 @@ impl WarpCtx {
         mem[idx] = val;
     }
 
-    /// Coalesced per-lane `f64` stores.
-    pub fn store_f64(&mut self, mem: &mut [f64], idxs: &[usize; WARP], vals: &[f64; WARP]) {
-        self.account_sectors(mem.as_ptr() as usize, idxs, 8, true);
-        for (i, &idx) in idxs.iter().enumerate() {
-            mem[idx] = vals[i];
-        }
-    }
-
     /// Account the traffic of a coalesced `u32` store whose data was
     /// already materialized by a host-side helper (used by the packed
     /// FRSZ2 store path, where the bit packer writes the words).
@@ -286,8 +252,6 @@ mod tests {
         assert_eq!(w.clz(1u64 << 52), 11);
         assert_eq!(w.counters.int, 4);
         assert_eq!(w.counters.clz, 1);
-        assert_eq!(w.f64_fma(2.0, 3.0, 1.0), 7.0);
-        assert_eq!(w.counters.fp64, 2, "FMA counts two FLOPs");
     }
 
     #[test]

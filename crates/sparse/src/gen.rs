@@ -1,7 +1,9 @@
 //! Deterministic sparse-problem generators.
 //!
 //! These produce the synthetic analogues of the paper's SuiteSparse CFD
-//! test set (see `DESIGN.md` §1 for the substitution argument). Three
+//! test set (the `spla` row of ARCHITECTURE.md's crate map). Each
+//! reproduces the property that drives its matrices' behaviour in the
+//! evaluation — the substitution argument is the list below. Three
 //! ingredients cover all eleven matrices:
 //!
 //! 1. finite-difference stencils (7- and 27-point, with upwind convection

@@ -3,9 +3,10 @@
 //!
 //! Each entry records the *paper's* size/nnz/target-RRN and builds a
 //! scaled synthetic matrix reproducing the property that drives that
-//! matrix's behaviour in the evaluation (see `gen` module docs and
-//! DESIGN.md §1). `scale = 1.0` produces the default laptop-scale
-//! problem; the paper-scale dimensions are recorded for reference.
+//! matrix's behaviour in the evaluation (the `gen` module docs give the
+//! substitution argument, matrix by matrix). `scale = 1.0` produces the
+//! default laptop-scale problem; the paper-scale dimensions are
+//! recorded for reference.
 //!
 //! Real `.mtx` files can be substituted at any time via
 //! [`crate::io::read_matrix_market`].
