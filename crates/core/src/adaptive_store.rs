@@ -238,25 +238,6 @@ impl ColumnStorage for Frsz2AdaptiveStore {
         kernels::gemv_dots_chunk(self, k, row_start, alphas, w, out);
     }
 
-    /// Multi-column, multi-RHS fused dots: each block is decoded once
-    /// (at its own bit length) for all `nw` interleaved vectors.
-    fn dots_many_chunk(&self, k: usize, row_start: usize, ws: &[f64], nw: usize, out: &mut [f64]) {
-        kernels::dots_many_chunk(self, k, row_start, ws, nw, out);
-    }
-
-    /// Multi-column, multi-RHS fused update with the accessor's
-    /// per-`(column, vector)` zero-coefficient skip.
-    fn gemv_many_chunk(
-        &self,
-        k: usize,
-        row_start: usize,
-        alphas: &[f64],
-        nw: usize,
-        ws: &mut [f64],
-    ) {
-        kernels::gemv_many_chunk(self, k, row_start, alphas, nw, ws);
-    }
-
     /// A variable-rate store has no single column size; report the
     /// across-column average of the *used* bytes (code words + block
     /// exponents + one bit-length byte per block) — the figure the

@@ -3,22 +3,26 @@
 //!
 //! The module has two layers.
 //!
-//! * Five **per-block kernels** — [`decode_block`], [`dot_block`],
-//!   [`axpy_block`], [`dot_many_block`] and [`axpy_many_block`] — take
-//!   one block's bit length `l`, packed words and exponent. They and
-//!   [`pack_block`] on the write side are the only places a bit length
-//!   is dispatched.
-//! * Eight **chunk drivers** — [`decode_range`], [`dot_chunk`],
-//!   [`axpy_chunk`], [`dots_chunk`], [`gemv_chunk`],
-//!   [`gemv_dots_chunk`], [`dots_many_chunk`] and [`gemv_many_chunk`] —
-//!   are the loops over a row range's blocks behind each
-//!   `ColumnStorage` kernel method. They read blocks only through the
-//!   [`Blocks`] view, `block(j, b) -> (l, words, emax)`, which each
-//!   store answers: [`Fixed`] is the fixed-stride layout of
+//! * Three **per-block kernels** — [`decode_block`], [`dot_block`] and
+//!   [`axpy_block`] — take one block's bit length `l`, packed words and
+//!   exponent. They and [`pack_block`] on the write side are the only
+//!   places a bit length is dispatched.
+//! * Six **chunk drivers** — [`decode_range`], [`dot_chunk`],
+//!   [`axpy_chunk`], [`dots_chunk`], [`gemv_chunk`] and
+//!   [`gemv_dots_chunk`] — are the loops over a row range's blocks
+//!   behind each `ColumnStorage` kernel method. They read blocks only
+//!   through the [`Blocks`] view, `block(j, b) -> (l, words, emax)`,
+//!   which each store answers: [`Fixed`] is the fixed-stride layout of
 //!   `Frsz2Store` and of the `codec` functions, and
 //!   `Frsz2AdaptiveStore` answers from its per-block
 //!   `(l, offset, emax)` metadata. Every read method of both stores is
 //!   one driver call, so a kernel change lands once for every store.
+//!
+//! The multi-RHS sweeps of block and s-step solves have no driver
+//! here: both stores inherit `ColumnStorage`'s `dots_many_chunk` and
+//! `gemv_many_chunk`, the register-tiled pair of `numfmt::tiled`,
+//! which decodes through `read_chunk`, i.e. [`decode_range`] and its
+//! lanes.
 //!
 //! Every hot loop walks a block's packed code words through a
 //! **rolling `u64` window**: field `i` of an `l`-bit stream
@@ -105,8 +109,7 @@
 //! adaptive store runs the lanes too. A ragged trailing block, and a
 //! lane group holding a block that fails the threshold or has
 //! `l > 32`, go through the scalar per-block kernels inside the same
-//! call. The multi-RHS drivers, [`dot_chunk`], [`axpy_chunk`] and
-//! [`load`] stay scalar.
+//! call. [`dot_chunk`], [`axpy_chunk`] and [`load`] stay scalar.
 //!
 //! # Bit-identity contract
 //!
@@ -648,153 +651,6 @@ fn gemv_dots_block(
 }
 
 // ---------------------------------------------------------------------
-// Multi-RHS drivers (block solves: one decode sweep, `nw` vectors).
-// ---------------------------------------------------------------------
-
-/// Rows per cache sub-window of the multi-RHS drivers, in blocks. The
-/// accumulators (`dots`) or the interleaved vectors (`gemv`) of one
-/// sub-window stay resident while all `k` columns stream past, so the
-/// compressed basis is still decoded exactly once per sweep but the
-/// `k × nw` running sums are reloaded only once per sub-window instead
-/// of once per block. Pure access reordering — accumulation order per
-/// `(column, vector)` is untouched, so bits don't depend on it.
-const MANY_SUBWINDOW_BLOCKS: usize = 32;
-
-/// Vectors per stack-accumulator tile of the multi-RHS drivers. Splits
-/// very wide blocks into register-friendly strips; per-`(j, t)`
-/// accumulation order is again unaffected.
-const MANY_NW_TILE: usize = 64;
-
-/// Fused decompress-and-dots over one block against `nw` interleaved
-/// vectors: `accs[t] += Σ_i vᵢ · wrows[i·nw + t]` for `t <
-/// accs.len()`, each accumulator in row order (bit-compatible with
-/// decode-then-dot per vector). `wrows` starts at the block's first
-/// row, already offset to the accumulator tile's first vector.
-#[inline(always)]
-fn dot_many_block_le32<const L: u32>(
-    l_rt: u32,
-    bw: &[u32],
-    emax: u32,
-    wrows: &[f64],
-    nw: usize,
-    count: usize,
-    accs: &mut [f64],
-) {
-    let tl = accs.len();
-    for_each_value::<L>(l_rt, bw, emax, count, |i, v| {
-        for (a, &wv) in accs.iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
-            *a += v * wv;
-        }
-    });
-}
-
-/// Fused decompress-and-axpy over one block into `nw` interleaved
-/// vectors: `wrows[i·nw + t] += al[t] · vᵢ`, skipping `t` with
-/// `al[t] == 0.0` (signed-zero preservation, matching
-/// [`gemv_chunk`]'s contract per vector).
-#[inline(always)]
-fn axpy_many_block_le32<const L: u32>(
-    l_rt: u32,
-    bw: &[u32],
-    emax: u32,
-    al: &[f64],
-    wrows: &mut [f64],
-    nw: usize,
-    count: usize,
-) {
-    let tl = al.len();
-    for_each_value::<L>(l_rt, bw, emax, count, |i, v| {
-        for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
-            if a != 0.0 {
-                *wv += a * v;
-            }
-        }
-    });
-}
-
-/// Multi-column, multi-RHS fused dots:
-/// `out[j·nw + t] = Σ_i V[row_start + i, j] · ws[i·nw + t]` — the
-/// block-Arnoldi projection `H = VᵀW` over one row chunk, with `ws`
-/// holding `nw` vectors interleaved row-major. Every stored block is
-/// decoded once for all `nw` vectors and each `out[j·nw + t]`
-/// accumulates in row order with one accumulator — bit-identical to
-/// `nw` independent [`dots_chunk`] calls on deinterleaved vectors.
-pub(crate) fn dots_many_chunk(
-    m: &impl Blocks,
-    k: usize,
-    row_start: usize,
-    ws: &[f64],
-    nw: usize,
-    out: &mut [f64],
-) {
-    let bs = m.block_size();
-    let b0 = first_block(bs, row_start);
-    debug_assert_eq!(ws.len() % nw, 0);
-    let len = ws.len() / nw;
-    out[..k * nw].fill(0.0);
-    let sw_rows = MANY_SUBWINDOW_BLOCKS * bs;
-    for t0 in (0..nw).step_by(MANY_NW_TILE) {
-        let tl = MANY_NW_TILE.min(nw - t0);
-        for row0 in (0..len).step_by(sw_rows) {
-            let sw_len = sw_rows.min(len - row0);
-            for j in 0..k {
-                let acc_out = &mut out[j * nw + t0..j * nw + t0 + tl];
-                let mut accs = [0.0f64; MANY_NW_TILE];
-                accs[..tl].copy_from_slice(acc_out);
-                for off in (0..sw_len).step_by(bs) {
-                    let (l, bw, emax) = m.block(j, b0 + (row0 + off) / bs);
-                    let count = bs.min(sw_len - off);
-                    let wrows = &ws[(row0 + off) * nw + t0..];
-                    dot_many_block(l, bw, emax, wrows, nw, count, &mut accs[..tl]);
-                }
-                acc_out.copy_from_slice(&accs[..tl]);
-            }
-        }
-    }
-}
-
-/// Multi-column, multi-RHS fused update:
-/// `ws[i·nw + t] += Σ_j alphas[j·nw + t] · V[row_start + i, j]` — the
-/// block projection update `W ← W − VH` (callers pass `alphas = −H`).
-/// Every stored block is decoded once for all `nw` vectors; per
-/// element of each vector, columns apply one at a time in ascending
-/// `j` and `(j, t)` pairs with a zero coefficient are skipped —
-/// bit-identical to `nw` independent [`gemv_chunk`] calls on
-/// deinterleaved vectors.
-pub(crate) fn gemv_many_chunk(
-    m: &impl Blocks,
-    k: usize,
-    row_start: usize,
-    alphas: &[f64],
-    nw: usize,
-    ws: &mut [f64],
-) {
-    let bs = m.block_size();
-    let b0 = first_block(bs, row_start);
-    debug_assert_eq!(ws.len() % nw, 0);
-    let len = ws.len() / nw;
-    let sw_rows = MANY_SUBWINDOW_BLOCKS * bs;
-    for t0 in (0..nw).step_by(MANY_NW_TILE) {
-        let tl = MANY_NW_TILE.min(nw - t0);
-        for row0 in (0..len).step_by(sw_rows) {
-            let sw_len = sw_rows.min(len - row0);
-            for j in 0..k {
-                let al = &alphas[j * nw + t0..j * nw + t0 + tl];
-                if al.iter().all(|&a| a == 0.0) {
-                    continue;
-                }
-                for off in (0..sw_len).step_by(bs) {
-                    let (l, bw, emax) = m.block(j, b0 + (row0 + off) / bs);
-                    let count = bs.min(sw_len - off);
-                    let wrows = &mut ws[(row0 + off) * nw + t0..];
-                    axpy_many_block(l, bw, emax, al, wrows, nw, count);
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Per-block kernels (every bit length; `bw` is the block's full span).
 // ---------------------------------------------------------------------
 
@@ -836,63 +692,6 @@ fn axpy_block(l: u32, bw: &[u32], emax: u32, alpha: f64, w: &mut [f64]) {
     } else {
         for (i, wv) in w.iter_mut().enumerate() {
             *wv += alpha * decode_count_zero(code_at(l, bw, i), emax, l);
-        }
-    }
-}
-
-/// Fused decompress-and-dots over one block at a per-block bit length
-/// against `nw` interleaved vectors: `accs[t] += Σ_i vᵢ ·
-/// wrows[i·nw + t]`, each accumulator in row order (bit-compatible
-/// with [`dot_block`] per deinterleaved vector). `wrows` starts at the
-/// block's first row, pre-offset to the accumulator tile's vector 0.
-#[inline]
-fn dot_many_block(
-    l: u32,
-    bw: &[u32],
-    emax: u32,
-    wrows: &[f64],
-    nw: usize,
-    count: usize,
-    accs: &mut [f64],
-) {
-    if l <= 32 {
-        dispatch_l!(l, dot_many_block_le32(l, bw, emax, wrows, nw, count, accs));
-    } else {
-        let tl = accs.len();
-        for i in 0..count {
-            let v = decode_count_zero(code_at(l, bw, i), emax, l);
-            for (a, &wv) in accs.iter_mut().zip(&wrows[i * nw..i * nw + tl]) {
-                *a += v * wv;
-            }
-        }
-    }
-}
-
-/// Fused decompress-and-axpy over one block at a per-block bit length
-/// into `nw` interleaved vectors: `wrows[i·nw + t] += al[t] · vᵢ`,
-/// skipping zero coefficients (bit-compatible with [`axpy_block`] per
-/// deinterleaved vector).
-#[inline]
-fn axpy_many_block(
-    l: u32,
-    bw: &[u32],
-    emax: u32,
-    al: &[f64],
-    wrows: &mut [f64],
-    nw: usize,
-    count: usize,
-) {
-    if l <= 32 {
-        dispatch_l!(l, axpy_many_block_le32(l, bw, emax, al, wrows, nw, count));
-    } else {
-        let tl = al.len();
-        for i in 0..count {
-            let v = decode_count_zero(code_at(l, bw, i), emax, l);
-            for (wv, &a) in wrows[i * nw..i * nw + tl].iter_mut().zip(al) {
-                if a != 0.0 {
-                    *wv += a * v;
-                }
-            }
         }
     }
 }

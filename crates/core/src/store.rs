@@ -146,26 +146,6 @@ impl ColumnStorage for Frsz2Store {
         kernels::gemv_dots_chunk(&self.blocks(), k, row_start, alphas, w, out);
     }
 
-    /// Multi-column, multi-RHS fused dots for block solves: every
-    /// compressed block is decoded **once** for all `nw` interleaved
-    /// vectors.
-    fn dots_many_chunk(&self, k: usize, row_start: usize, ws: &[f64], nw: usize, out: &mut [f64]) {
-        kernels::dots_many_chunk(&self.blocks(), k, row_start, ws, nw, out);
-    }
-
-    /// Multi-column, multi-RHS fused update: one decode of each
-    /// compressed block for all `nw` interleaved vectors.
-    fn gemv_many_chunk(
-        &self,
-        k: usize,
-        row_start: usize,
-        alphas: &[f64],
-        nw: usize,
-        ws: &mut [f64],
-    ) {
-        kernels::gemv_many_chunk(&self.blocks(), k, row_start, alphas, nw, ws);
-    }
-
     fn column_bytes(&self) -> usize {
         (self.col_words + self.col_blocks) * 4
     }

@@ -60,7 +60,9 @@ fn wave(n: usize, seed: usize) -> Vec<f64> {
 
 /// After construction, NO kernel path may touch the heap — for any bit
 /// length, aligned or not, full or ragged tail chunks, at `k = 4` (one
-/// ragged lane group) and `k = 13` (a full group and a ragged one).
+/// ragged lane group) and `k = 13` (a full group and a ragged one),
+/// on the bare store and, at `frsz2_21`, behind `Box<dyn
+/// ColumnStorage>`, whose multi-RHS kernels tile through `read_chunk`.
 /// Every kernel is warmed up first, so one-time set-up such as the
 /// lane-support check is not counted.
 #[test]
@@ -68,62 +70,72 @@ fn fused_kernels_never_allocate() {
     let rows = 1024 + 32 + 7; // several blocks plus a ragged tail
     let cols = 13;
     for l in [4u32, 8, 16, 21, 32, 64] {
-        let mut st = Frsz2Store::with_config(Frsz2Config::new(32, l), rows, cols);
+        let mut bare = Frsz2Store::with_config(Frsz2Config::new(32, l), rows, cols);
         for j in 0..cols {
-            st.write_column(j, &wave(rows, j));
+            bare.write_column(j, &wave(rows, j));
         }
-        let w = wave(rows, 3);
-        let nw = 3;
-        let ws = wave(rows * nw, 5);
-        let mut wv = w.clone();
-        let mut wsv = ws.clone();
-        let mut out = vec![0.0; cols * nw];
-        let mut tile = vec![0.0; rows];
-        let alphas: Vec<f64> = (0..cols * nw)
-            .map(|j| {
-                if j % 3 == 1 {
-                    0.0
-                } else {
-                    0.5 - j as f64 / 16.0
-                }
-            })
-            .collect();
-        for k in [4, 13] {
-            let mut sink = 0.0;
-            let mut run = || {
-                sink += st.dot_chunk(1, 32, &w[..rows - 32]);
-                st.axpy_chunk(2, 0, -0.75, &mut wv);
-                st.read_chunk(k - 1, 0, &mut tile);
-                st.read_chunk(0, 64, &mut tile[64..]);
-                st.dots_chunk(k, 0, &w, &mut out);
-                st.gemv_chunk(k, 0, &alphas, &mut wv);
-                st.gemv_dots_chunk(k, 32, &alphas, &mut wv[32..], &mut out);
-                st.dots_many_chunk(k, 0, &ws, nw, &mut out);
-                st.gemv_many_chunk(k, 0, &alphas, nw, &mut wsv);
-            };
-            run();
-            let before = allocations();
-            for _ in 0..10 {
-                run();
-            }
-            let after = allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "l={l} k={k}: kernels allocated {} times",
-                after - before
-            );
-            assert!(sink.is_finite());
+        measure(&mut bare, rows, cols, &format!("l={l}"));
+        if l == 21 {
+            let mut boxed: Box<dyn ColumnStorage> = Box::new(bare);
+            measure(&mut boxed, rows, cols, "boxed l=21");
         }
+    }
+}
 
-        // Compression is also tile-free: `write_column` performs no
-        // heap allocation either (the rolling-register pack stages in
-        // a fixed stack buffer).
+/// The allocation count of every kernel of `st` (and of its column
+/// write) over ten warm runs must be zero.
+fn measure(st: &mut impl ColumnStorage, rows: usize, cols: usize, label: &str) {
+    let w = wave(rows, 3);
+    let nw = 3;
+    let ws = wave(rows * nw, 5);
+    let mut wv = w.clone();
+    let mut wsv = ws.clone();
+    let mut out = vec![0.0; cols * nw];
+    let mut tile = vec![0.0; rows];
+    let alphas: Vec<f64> = (0..cols * nw)
+        .map(|j| {
+            if j % 3 == 1 {
+                0.0
+            } else {
+                0.5 - j as f64 / 16.0
+            }
+        })
+        .collect();
+    for k in [4, 13] {
+        let mut sink = 0.0;
+        let mut run = || {
+            sink += st.dot_chunk(1, 32, &w[..rows - 32]);
+            st.axpy_chunk(2, 0, -0.75, &mut wv);
+            st.read_chunk(k - 1, 0, &mut tile);
+            st.read_chunk(0, 64, &mut tile[64..]);
+            st.dots_chunk(k, 0, &w, &mut out);
+            st.gemv_chunk(k, 0, &alphas, &mut wv);
+            st.gemv_dots_chunk(k, 32, &alphas, &mut wv[32..], &mut out);
+            st.dots_many_chunk(k, 0, &ws, nw, &mut out);
+            st.gemv_many_chunk(k, 0, &alphas, nw, &mut wsv);
+        };
+        run();
         let before = allocations();
         for _ in 0..10 {
-            st.write_column(0, &w);
+            run();
         }
         let after = allocations();
-        assert_eq!(after - before, 0, "l={l}: write_column allocated");
+        assert_eq!(
+            after - before,
+            0,
+            "{label} k={k}: kernels allocated {} times",
+            after - before
+        );
+        assert!(sink.is_finite());
     }
+
+    // Compression is also tile-free: `write_column` performs no
+    // heap allocation either (the rolling-register pack stages in
+    // a fixed stack buffer).
+    let before = allocations();
+    for _ in 0..10 {
+        st.write_column(0, &w);
+    }
+    let after = allocations();
+    assert_eq!(after - before, 0, "{label}: write_column allocated");
 }

@@ -64,10 +64,10 @@ pub fn assert_gemv_dots_matches_two_kernels(st: &impl ColumnStorage, ks: &[usize
 /// of `st` must give the bits of per-vector `dots_chunk` and
 /// `gemv_chunk` on each deinterleaved vector. Checked over the whole
 /// column and from a nonzero block-aligned start, for `nw ∈ {1, 3,
-/// 65}` (65 crosses the kernels' 64-vector tile); callers pass more
-/// than 1,024 rows (the row sub-window) ending in a ragged block.
-/// Coefficient column 2 is all zero and the others hold scattered
-/// zeros, so both zero skips (whole column, single pair) run.
+/// 65}` (a remainder strip alone, and 16 full strips of 4 plus one);
+/// callers pass rows that span several 512-row tiles and end in a
+/// ragged block. Coefficient column 2 is all zero and the others hold
+/// scattered zeros, so both zero skips (whole column, single pair) run.
 pub fn assert_multi_rhs_matches_per_vector(st: &impl ColumnStorage, k: usize, label: &str) {
     let align = st.chunk_align();
     for start in [0, 2 * align] {

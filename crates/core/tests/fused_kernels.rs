@@ -123,12 +123,29 @@ fn multi_column_dots_bit_equal_per_column_kernels() {
 
 /// The multi-RHS kernels (`dots_many_chunk`, `gemv_many_chunk`) give
 /// the bits of the per-vector kernels at every bit-length class:
-/// 1,227 rows cross the 1,024-row sub-window and end in an 11-row block.
+/// 1,227 rows cross two 512-row tiles and end in an 11-row block.
 #[test]
 fn multi_rhs_kernels_bit_equal_per_vector_kernels() {
     for l in [16, 21, 32, 40, 64] {
         let st = store_with(l, 1227, 5);
         common::assert_multi_rhs_matches_per_vector(&st, 5, &format!("l={l}"));
+    }
+}
+
+/// Block sizes that do not divide the 512-row tile (48 tiles at 480
+/// rows, 1,024 at one block) keep the multi-RHS kernels' reads
+/// block-aligned, on the bare store and behind `Box<dyn
+/// ColumnStorage>` alike; both end in a ragged block.
+#[test]
+fn multi_rhs_kernels_tile_at_any_block_size() {
+    for (bs, rows) in [(48, 1227), (1024, 3083)] {
+        let mut st = Frsz2Store::with_config(Frsz2Config::new(bs, 21), rows, 5);
+        for j in 0..5 {
+            st.write_column(j, &wave(rows, j));
+        }
+        let boxed: Box<dyn ColumnStorage> = Box::new(st.clone());
+        common::assert_multi_rhs_matches_per_vector(&st, 5, &format!("bs={bs}"));
+        common::assert_multi_rhs_matches_per_vector(&boxed, 5, &format!("boxed bs={bs}"));
     }
 }
 

@@ -244,11 +244,12 @@ pub trait ColumnStorage: Send + Sync {
     /// interleaved row-major (vector `t` at stride `nw`), the layout
     /// `SparseMatrix::spmm_into`-style multi-RHS buffers already use.
     ///
-    /// The default tiles each column through a stack buffer; block
-    /// formats override so each stored block is decoded **once** for
-    /// all `nw` vectors — the whole point of a block solve: one decode
-    /// sweep of the compressed basis per expansion block, not one per
-    /// right-hand side.
+    /// Every store runs the one register-tiled kernel,
+    /// [`crate::tiled::dots_many_chunk`]: per row tile it decodes
+    /// groups of columns through [`ColumnStorage::read_chunk`] (one
+    /// call per column per tile) and keeps the group's running sums in
+    /// registers. So one decode sweep of the basis serves all `nw`
+    /// vectors, at the store's own `read_chunk` speed.
     ///
     /// # Bit-identity contract
     /// `out[j·nw + t]` must accumulate column `j`'s products with
@@ -256,26 +257,7 @@ pub trait ColumnStorage: Send + Sync {
     /// [`ColumnStorage::dot_chunk`] would produce on the deinterleaved
     /// vector `t`.
     fn dots_many_chunk(&self, k: usize, row_start: usize, ws: &[f64], nw: usize, out: &mut [f64]) {
-        assert!(nw >= 1, "dots_many_chunk needs at least one vector");
-        debug_assert_eq!(ws.len() % nw, 0);
-        let len = ws.len() / nw;
-        let mut tile = [0.0f64; 512];
-        for j in 0..k {
-            let accs = &mut out[j * nw..(j + 1) * nw];
-            accs.fill(0.0);
-            let mut off = 0;
-            while off < len {
-                let t_len = 512.min(len - off);
-                self.read_chunk(j, row_start + off, &mut tile[..t_len]);
-                for (i, &v) in tile[..t_len].iter().enumerate() {
-                    let row = &ws[(off + i) * nw..(off + i) * nw + nw];
-                    for (acc, &wv) in accs.iter_mut().zip(row) {
-                        *acc += v * wv;
-                    }
-                }
-                off += t_len;
-            }
-        }
+        crate::tiled::dots_many_chunk(self, k, row_start, ws, nw, out);
     }
 
     /// Multi-RHS fused update:
@@ -284,9 +266,11 @@ pub trait ColumnStorage: Send + Sync {
     /// with `ws` interleaved row-major as in
     /// [`ColumnStorage::dots_many_chunk`]. Callers pass `alphas = −H`.
     ///
-    /// The default applies per column through a stack tile; block
-    /// formats override so each stored block is decoded once for all
-    /// `nw` vectors.
+    /// Every store runs the one register-tiled kernel,
+    /// [`crate::tiled::gemv_many_chunk`]: per row tile it decodes
+    /// groups of columns through [`ColumnStorage::read_chunk`] and
+    /// applies them to each row of `ws` held in registers. A column
+    /// whose `nw` coefficients are all zero is not read.
     ///
     /// # Bit-identity contract
     /// Per element of each vector, column contributions apply one at a
@@ -303,30 +287,7 @@ pub trait ColumnStorage: Send + Sync {
         nw: usize,
         ws: &mut [f64],
     ) {
-        assert!(nw >= 1, "gemv_many_chunk needs at least one vector");
-        debug_assert_eq!(ws.len() % nw, 0);
-        let len = ws.len() / nw;
-        let mut tile = [0.0f64; 512];
-        for j in 0..k {
-            let al = &alphas[j * nw..(j + 1) * nw];
-            if al.iter().all(|&a| a == 0.0) {
-                continue;
-            }
-            let mut off = 0;
-            while off < len {
-                let t_len = 512.min(len - off);
-                self.read_chunk(j, row_start + off, &mut tile[..t_len]);
-                for (i, &v) in tile[..t_len].iter().enumerate() {
-                    let row = &mut ws[(off + i) * nw..(off + i) * nw + nw];
-                    for (wv, &a) in row.iter_mut().zip(al) {
-                        if a != 0.0 {
-                            *wv += a * v;
-                        }
-                    }
-                }
-                off += t_len;
-            }
-        }
+        crate::tiled::gemv_many_chunk(self, k, row_start, alphas, nw, ws);
     }
 
     /// Bytes of storage actually occupied by one column, including any
@@ -352,11 +313,14 @@ pub trait ColumnStorage: Send + Sync {
 /// Boxed storage is itself storage: every method but the two multi-RHS
 /// kernels ([`ColumnStorage::dots_many_chunk`],
 /// [`ColumnStorage::gemv_many_chunk`]) delegates to the contained
-/// object; those two run the trait's per-tile defaults over the
-/// forwarded `read_chunk`. This is what makes runtime format selection
-/// possible — a `krylov::basis_format` factory hands the solver a
-/// `Box<dyn ColumnStorage>` and the generic solve path runs unchanged.
-/// The only non-object-safe method is
+/// object; those two run the trait's defaults, the tiled pair of
+/// [`crate::tiled`], which reaches the contained store only through the
+/// forwarded `chunk_align` and `read_chunk`. Every store runs that same
+/// pair, so the box loses no speed there, only the inner store's
+/// attribution of the sweep. This is what makes runtime format
+/// selection possible — a `krylov::basis_format` factory hands the
+/// solver a `Box<dyn ColumnStorage>` and the generic solve path runs
+/// unchanged. The only non-object-safe method is
 /// [`ColumnStorage::with_shape`], which cannot pick a format out of
 /// thin air and therefore panics; boxed stores are always built by a
 /// factory.
@@ -450,13 +414,6 @@ pub struct DenseStore<T: StoredScalar> {
     rows: usize,
     cols: usize,
     data: Vec<T>,
-}
-
-impl<T: StoredScalar> DenseStore<T> {
-    /// Borrow the raw stored column (test/diagnostic use).
-    pub fn column_raw(&self, j: usize) -> &[T] {
-        &self.data[j * self.rows..(j + 1) * self.rows]
-    }
 }
 
 impl<T: StoredScalar> ColumnStorage for DenseStore<T> {
@@ -781,8 +738,10 @@ mod tests {
     /// store's own implementation. Results cannot show this (a trait
     /// default gives the same bits as the override it bypasses), so the
     /// inner store logs what reached it. The two multi-RHS kernels are
-    /// the known exception: the box runs their trait defaults, which
-    /// reach the inner store only through `read_chunk`.
+    /// the known exception: the box runs their trait defaults, the
+    /// tiled pair, which reach the inner store only through
+    /// `chunk_align` and `read_chunk`, never as its own multi-RHS
+    /// methods.
     #[test]
     fn boxed_storage_forwards_every_method_to_the_inner_store() {
         let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -830,7 +789,13 @@ mod tests {
         st.dots_many_chunk(2, 0, &[1.0; 8], 2, &mut many);
         st.gemv_many_chunk(2, 0, &[1.0; 4], 2, &mut many);
         let reached = take();
-        assert!(!reached.is_empty() && reached.iter().all(|&m| m == "read_chunk"));
+        assert!(reached.contains(&"read_chunk"), "{reached:?}");
+        assert!(
+            reached
+                .iter()
+                .all(|&m| m == "read_chunk" || m == "chunk_align"),
+            "{reached:?}"
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   once (compressed) and then re-read many times (decompressed on the
 //!   fly), which is exactly the Krylov-basis access pattern,
 //! * [`DenseStore`] — the `ColumnStorage` implementation for value-level
-//!   casts.
+//!   casts,
+//! * [`tiled`] — the register-tiled multi-RHS kernel pair every store's
+//!   `dots_many_chunk`/`gemv_many_chunk` runs.
 //!
 //! Block-based formats (FRSZ2) implement [`ColumnStorage`] in the `frsz2`
 //! crate; the solver in `krylov` is generic over the trait, mirroring how
@@ -25,6 +27,7 @@
 pub mod accessor;
 pub mod bf16;
 pub mod f16;
+pub mod tiled;
 
 pub use accessor::{ColumnStorage, DenseStore, StoredScalar};
 pub use bf16::BF16;
