@@ -63,8 +63,10 @@ fn wave(n: usize, seed: usize) -> Vec<f64> {
 /// ragged lane group) and `k = 13` (a full group and a ragged one),
 /// on the bare store and, at `frsz2_21`, behind `Box<dyn
 /// ColumnStorage>`, whose multi-RHS kernels tile through `read_chunk`.
-/// Every kernel is warmed up first, so one-time set-up such as the
-/// lane-support check is not counted.
+/// Those run at `nw` of 3 (scalar strips only), 4, 8 and 12 (one, two
+/// and three ymm lane strips). Every kernel is warmed up
+/// first, so one-time set-up such as the lane-support check is not
+/// counted.
 #[test]
 fn fused_kernels_never_allocate() {
     let rows = 1024 + 32 + 7; // several blocks plus a ragged tail
@@ -85,8 +87,25 @@ fn fused_kernels_never_allocate() {
 /// The allocation count of every kernel of `st` (and of its column
 /// write) over ten warm runs must be zero.
 fn measure(st: &mut impl ColumnStorage, rows: usize, cols: usize, label: &str) {
+    for nw in [3, 4, 8, 12] {
+        measure_kernels(st, rows, cols, nw, &format!("{label} nw={nw}"));
+    }
+
+    // Compression is also tile-free: `write_column` performs no
+    // heap allocation either (the rolling-register pack stages in
+    // a fixed stack buffer).
     let w = wave(rows, 3);
-    let nw = 3;
+    let before = allocations();
+    for _ in 0..10 {
+        st.write_column(0, &w);
+    }
+    let after = allocations();
+    assert_eq!(after - before, 0, "{label}: write_column allocated");
+}
+
+/// [`measure`]'s kernel half, with `nw` vectors for the multi-RHS pair.
+fn measure_kernels(st: &impl ColumnStorage, rows: usize, cols: usize, nw: usize, label: &str) {
+    let w = wave(rows, 3);
     let ws = wave(rows * nw, 5);
     let mut wv = w.clone();
     let mut wsv = ws.clone();
@@ -128,14 +147,4 @@ fn measure(st: &mut impl ColumnStorage, rows: usize, cols: usize, label: &str) {
         );
         assert!(sink.is_finite());
     }
-
-    // Compression is also tile-free: `write_column` performs no
-    // heap allocation either (the rolling-register pack stages in
-    // a fixed stack buffer).
-    let before = allocations();
-    for _ in 0..10 {
-        st.write_column(0, &w);
-    }
-    let after = allocations();
-    assert_eq!(after - before, 0, "{label}: write_column allocated");
 }

@@ -123,8 +123,9 @@ pub(crate) struct Panel {
     /// Column norms leaving stage 1.
     pub(crate) pnorms: Vec<f64>,
     /// Per-chunk partials of `dots_many_with`, pre-sized so no panel
-    /// ever grows it.
-    partials: Vec<f64>,
+    /// (nor the s-step LOO monitor, which sweeps through this panel's
+    /// buffers) ever grows it.
+    pub(crate) partials: Vec<f64>,
 }
 
 impl Panel {

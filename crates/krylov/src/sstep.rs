@@ -52,11 +52,16 @@
 //! measures `max |(QᵀQ − I)_{ab}|` over the cycle's recorded columns
 //! (reading them back *through* the compressed store, so the measure
 //! sees exactly what the next cycle will) and compares it against a
-//! format-relative budget ([`loo_budget`]). One breach shrinks `s` to
-//! 1 for the rest of the solve — convergence evidence is untouched
-//! (explicit residual only); the solve just stops amortizing. Widths,
-//! measures and breaches land in the solve's [`SolveStats`], and each
-//! cycle reads its width back from there: the driver keeps no state.
+//! format-relative budget ([`loo_budget`]). It reads them in panels of
+//! `s`, through the panel's own buffers: one multi-RHS dot sweep per
+//! panel gives that panel's Gram entries with the bits of per-column
+//! dots, so a cycle of `k` columns decodes about `k²/(2s)` columns for
+//! the monitor where one sweep per column would decode `k(k+3)/2`.
+//! One breach shrinks `s` to 1 for the rest of the solve — convergence
+//! evidence is untouched (explicit residual only); the solve just
+//! stops amortizing. Widths, measures and breaches land in the solve's
+//! [`SolveStats`], and each cycle reads its width back from there: the
+//! driver keeps no state.
 //! Per-format admissible `s` lives in
 //! [`BasisFormat::max_sstep`], mirroring the measured
 //! `accuracy_floor` table.
@@ -78,7 +83,7 @@ use crate::gmres::{
     CyclePolicy, GmresOptions, HistoryPoint, SolveHooks, SolveResult, SolveStats, Workspace,
     REORTH_ETA,
 };
-use crate::panel::{charge, gather_col, pack_interleaved, Panel};
+use crate::panel::{charge, gather_col, pack_interleaved, scatter_col, Panel};
 use crate::precond::Preconditioner;
 use numfmt::ColumnStorage;
 use spla::SparseMatrix;
@@ -153,7 +158,7 @@ struct PanelScratch {
     hraw: Vec<f64>,
     /// One recovered raw Hessenberg column, `m + 1`.
     pvec: Vec<f64>,
-    /// LOO dot products, `m + 1`.
+    /// The Gram entries of one LOO monitor panel, `m · s`.
     loo: Vec<f64>,
 }
 
@@ -165,7 +170,7 @@ impl PanelScratch {
             panel: Panel::new(n, m, s),
             hraw: vec![0.0; (m + 1) * m],
             pvec: vec![0.0; m + 1],
-            loo: vec![0.0; m + 1],
+            loo: vec![0.0; m * s],
         }
     }
 }
@@ -332,30 +337,49 @@ fn run_sstep_cycle<S: ColumnStorage, P: Preconditioner, A: SparseMatrix + ?Sized
 }
 
 /// Measure `max |(QᵀQ − I)_{ab}|` over the first `k` stored basis
-/// columns, reading each column back through the compressed store.
-/// Diagnostics only: the `k(k+3)/2` column decodes are charged to
-/// `basis_bytes_read` but NOT to the sweep counters, which count
-/// solver work (the quantity s-step reduces), not monitoring.
+/// columns, reading them back through the compressed store in panels
+/// of up to `s`: a panel's `nw` columns are read into the panel buffer
+/// (`px.panel.w`), and one multi-RHS dot sweep against columns
+/// `0 .. c0 + nw` gives their entries `(i, c)`, `i ≤ c`, of the Gram
+/// matrix. By the [`ColumnStorage::dots_many_chunk`] contract each
+/// entry has the bits of the per-column [`Basis::dots_with`] value, so
+/// the measure does too. Diagnostics only: each panel's `nw` reads
+/// plus its sweep of `c0 + nw` columns, about `k²/(2s)` column decodes
+/// a cycle, are charged to `basis_bytes_read` but NOT to the sweep
+/// counters, which count solver work (the quantity s-step reduces),
+/// not monitoring.
 fn measure_loo<S: ColumnStorage>(
     basis: &Basis<S>,
     k: usize,
+    s: usize,
     ws: &mut Workspace,
     px: &mut PanelScratch,
     stats: &mut SolveStats,
 ) -> f64 {
+    let n = basis.rows();
     let col_bytes = basis.column_bytes() as u64;
     let mut worst = 0.0f64;
-    for c in 0..k {
-        basis.read_column(c, &mut ws.vj);
-        basis.dots_with(c + 1, &ws.vj, &mut px.loo[..c + 1], &mut ws.dot_partials);
-        stats.basis_bytes_read += (c as u64 + 2) * col_bytes;
-        for (i, &d) in px.loo[..c + 1].iter().enumerate() {
-            let target = if i == c { 1.0 } else { 0.0 };
-            let dev = (d - target).abs();
-            if !dev.is_finite() {
-                return f64::INFINITY;
+    for c0 in (0..k).step_by(s) {
+        let nw = s.min(k - c0);
+        let kk = c0 + nw;
+        let w = &mut px.panel.w[..n * nw];
+        for t in 0..nw {
+            basis.read_column(c0 + t, &mut ws.vj);
+            scatter_col(w, nw, t, &ws.vj);
+        }
+        let gram = &mut px.loo[..kk * nw];
+        basis.dots_many_with(kk, w, nw, gram, &mut px.panel.partials);
+        stats.basis_bytes_read += (nw + kk) as u64 * col_bytes;
+        for t in 0..nw {
+            let c = c0 + t;
+            for i in 0..=c {
+                let target = if i == c { 1.0 } else { 0.0 };
+                let dev = (gram[i * nw + t] - target).abs();
+                if !dev.is_finite() {
+                    return f64::INFINITY;
+                }
+                worst = worst.max(dev);
             }
-            worst = worst.max(dev);
         }
     }
     worst
@@ -410,7 +434,7 @@ impl<S: ColumnStorage> CyclePolicy<S> for PanelPolicy {
         // LOO monitor: measure the cycle's recorded columns through the
         // store; one breach shrinks s to 1 for the rest of the solve.
         if s > 1 && out.steps > 0 {
-            let loo = measure_loo(basis, out.steps, ws, px, stats);
+            let loo = measure_loo(basis, out.steps, s, ws, px, stats);
             stats.loo_per_cycle.push(loo);
             // NaN counts as a breach: a non-finite measure means the
             // stored columns are unusable for a wide panel.
@@ -852,6 +876,100 @@ mod tests {
         for (u, v) in r.x.iter().zip(&base.x) {
             assert_eq!(u.to_bits(), v.to_bits(), "solution");
         }
+    }
+
+    /// The per-column LOO monitor the panelled [`measure_loo`]
+    /// replaced, kept as its reference: one `read_column` and one
+    /// `dots_with` per column, `k(k+3)/2` column decodes.
+    fn measure_loo_per_column<S: ColumnStorage>(basis: &Basis<S>, k: usize) -> f64 {
+        let (mut v, mut gram) = (vec![0.0; basis.rows()], vec![0.0; k]);
+        let mut partials = Vec::new();
+        let mut worst = 0.0f64;
+        for c in 0..k {
+            basis.read_column(c, &mut v);
+            basis.dots_with(c + 1, &v, &mut gram[..c + 1], &mut partials);
+            for (i, &d) in gram[..c + 1].iter().enumerate() {
+                let target = if i == c { 1.0 } else { 0.0 };
+                let dev = (d - target).abs();
+                if !dev.is_finite() {
+                    return f64::INFINITY;
+                }
+                worst = worst.max(dev);
+            }
+        }
+        worst
+    }
+
+    /// The panelled monitor against the per-column reference on `cols`
+    /// stored in `basis`: the same bits at s = 2, 4 and 8 with `k` no
+    /// multiple of `s`, and each panel charges its `nw` reads plus one
+    /// sweep of `c0 + nw` columns.
+    fn check_monitor<S: ColumnStorage>(basis: &mut Basis<S>, cols: &[Vec<f64>], label: &str) {
+        let (n, m) = (basis.rows(), cols.len());
+        for (j, col) in cols.iter().enumerate() {
+            basis.write(j, col);
+        }
+        let col_bytes = basis.column_bytes() as u64;
+        let mut ws = Workspace::new(n, m);
+        for s in [2, 4, 8] {
+            let mut px = PanelScratch::new(n, m, s);
+            for k in [7, 13] {
+                let mut stats = SolveStats::default();
+                let got = measure_loo(basis, k, s, &mut ws, &mut px, &mut stats);
+                let want = measure_loo_per_column(basis, k);
+                assert_eq!(got.to_bits(), want.to_bits(), "{label} s={s} k={k}");
+                assert!(got < 1e-3, "{label} s={s} k={k}: LOO {got}");
+                let decodes: u64 = (0..k)
+                    .step_by(s)
+                    .map(|c0| (2 * s.min(k - c0) + c0) as u64)
+                    .sum();
+                assert_eq!(
+                    stats.basis_bytes_read,
+                    decodes * col_bytes,
+                    "{label} s={s} k={k}"
+                );
+            }
+        }
+    }
+
+    /// The panelled LOO monitor keeps the per-column monitor's bits on a
+    /// lossy and an exact store whose columns span two row chunks, and
+    /// a column with a NaN measures `INFINITY` as it did.
+    #[test]
+    fn panelled_loo_monitor_matches_the_per_column_one() {
+        let (n, m) = (crate::basis::TARGET_CHUNK + 808, 16);
+        // Nearly orthonormal columns: waves through one MGS pass.
+        let mut cols: Vec<Vec<f64>> = Vec::new();
+        for j in 0..m {
+            let mut v: Vec<f64> = (0..n)
+                .map(|i| ((i * (j + 1)) as f64 * 0.0013 + j as f64).sin())
+                .collect();
+            for q in &cols {
+                let d: f64 = q.iter().zip(&v).map(|(a, b)| a * b).sum();
+                v.iter_mut().zip(q).for_each(|(x, y)| *x -= d * y);
+            }
+            let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+            v.iter_mut().for_each(|x| *x /= norm);
+            cols.push(v);
+        }
+        let frsz2 = Frsz2Store::with_config(Frsz2Config::new(32, 21), n, m + 1);
+        check_monitor(&mut Basis::from_store(frsz2), &cols, "frsz2_21");
+        let mut dense = Basis::<DenseStore<f64>>::new(n, m + 1);
+        check_monitor(&mut dense, &cols, "float64");
+
+        // FRSZ2 takes finite input only, so the NaN goes in the exact
+        // store.
+        let mut poisoned = cols[5].clone();
+        poisoned[n / 2] = f64::NAN;
+        dense.write(5, &poisoned);
+        let mut ws = Workspace::new(n, m);
+        for s in [2, 4, 8] {
+            let mut px = PanelScratch::new(n, m, s);
+            let mut stats = SolveStats::default();
+            let got = measure_loo(&dense, 13, s, &mut ws, &mut px, &mut stats);
+            assert_eq!(got, f64::INFINITY, "s={s}: poisoned");
+        }
+        assert_eq!(measure_loo_per_column(&dense, 13), f64::INFINITY);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 #[repr(transparent)]
 pub struct F16(pub u16);
 
-const EXP_BITS: u32 = 5;
 const MAN_BITS: u32 = 10;
 const BIAS: i32 = 15;
 const EXP_MASK: u16 = 0x7C00;
@@ -149,10 +148,6 @@ impl F16 {
         self.0 & EXP_MASK == EXP_MASK && self.0 & MAN_MASK != 0
     }
 
-    pub fn is_infinite(self) -> bool {
-        self.0 & EXP_MASK == EXP_MASK && self.0 & MAN_MASK == 0
-    }
-
     pub fn is_finite(self) -> bool {
         self.0 & EXP_MASK != EXP_MASK
     }
@@ -163,16 +158,6 @@ impl F16 {
 
     pub fn from_bits(bits: u16) -> F16 {
         F16(bits)
-    }
-
-    /// Number of exponent bits (5).
-    pub const fn exponent_bits() -> u32 {
-        EXP_BITS
-    }
-
-    /// Number of explicit mantissa bits (10).
-    pub const fn mantissa_bits() -> u32 {
-        MAN_BITS
     }
 }
 
@@ -269,8 +254,8 @@ mod tests {
     #[test]
     fn nan_and_infinity() {
         assert!(F16::from_f64(f64::NAN).is_nan());
-        assert!(F16::from_f64(f64::INFINITY).is_infinite());
-        assert!(F16::from_f64(f64::NEG_INFINITY).is_infinite());
+        assert_eq!(F16::from_f64(f64::INFINITY).to_bits(), 0x7C00);
+        assert_eq!(F16::from_f64(f64::NEG_INFINITY).to_bits(), 0xFC00);
         assert!(F16::from_bits(0x7E00).to_f64().is_nan());
         assert_eq!(F16::from_bits(0x7C00).to_f64(), f64::INFINITY);
     }
@@ -297,7 +282,7 @@ mod tests {
         // Independent reference decoder built from powi arithmetic.
         for bits in 0..=u16::MAX {
             let h = F16::from_bits(bits);
-            if h.is_nan() || h.is_infinite() {
+            if !h.is_finite() {
                 continue;
             }
             let s = if bits & 0x8000 != 0 { -1.0 } else { 1.0 };

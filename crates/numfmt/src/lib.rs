@@ -24,6 +24,9 @@
 //! float16 storage format is one of the compression baselines under study,
 //! so its rounding behaviour is part of the system being reproduced.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod accessor;
 pub mod bf16;
 pub mod f16;

@@ -7,36 +7,46 @@
 //! multiple of it). Per tile they decode up to four columns at a time
 //! through [`ColumnStorage::read_chunk`] into one 16 KB stack tile, so
 //! a block format decodes at its own `read_chunk` speed and each
-//! column is read once per tile. The multiply half then runs in registers, one strip
-//! of four vectors at a time, plus one strip of the one to three left
-//! over:
+//! column is read once per tile. The multiply half then runs in
+//! registers, one strip of vectors at a time:
 //!
-//! * **dots** — the group's four columns × four vectors of running
-//!   sums stay in locals while the tile's rows stream past, and each
-//!   row of `ws` is loaded once for the whole group;
-//! * **gemv** — each row of `ws` is loaded once into locals, the
-//!   group's columns apply to it in ascending `j`, and it is stored
-//!   once.
+//! * **dots** — the group's four columns' running sums for the strip
+//!   stay in registers while the tile's rows stream past, and each row
+//!   of `ws` is loaded once for the whole group;
+//! * **gemv** — each row of the strip is loaded once, the group's
+//!   columns apply to it in ascending `j`, and it is stored once.
+//!
+//! On x86-64 CPUs with AVX-512 F and VL (detected once per process)
+//! the strips run in lanes across the vectors `t`, which sit next to
+//! each other in every row of `ws`: strips of 4 in ymm registers, and
+//! the scalar strips for the 1–3 left over.
+//! Every other host runs the scalar strips alone, four vectors at a
+//! time plus one strip of the remainder; they stay the reference.
 //!
 //! A group short of four columns repeats its last column in the spare
 //! slots (dots, whose extra sums are dropped) or gives them zero
 //! coefficients (gemv, where the select below keeps `w` as it is).
-//! A gemv strip whose coefficients are all nonzero, the common case,
-//! runs without the select, which is then the identity.
+//! A scalar gemv strip whose coefficients are all nonzero, the common
+//! case, runs without the select, which is then the identity.
 //!
 //! # Bit-identity contract
 //!
 //! Only the order of memory traffic changes, never what is computed:
 //! each `(j, t)` dot has one accumulator that adds its rows in row
 //! order, and per element of `ws` the columns apply in ascending `j`,
-//! each product separately rounded and added. A zero `(j, t)`
-//! coefficient is skipped by a select, never added as `+ 0.0` (which
+//! each product separately rounded and added (lanes included: a
+//! multiply and an add, never a fused multiply-add). A zero `(j, t)`
+//! coefficient is skipped by a select (in lanes, an add masked by
+//! `a != 0.0`, which a NaN passes), never added as `+ 0.0` (which
 //! could flip a `-0.0`), and a column whose `nw` coefficients are all
 //! zero is neither read nor applied. So both kernels give the bits of
 //! the per-vector `dots_chunk`/`gemv_chunk` on each deinterleaved
-//! vector.
+//! vector, lanes or not.
 
 use crate::ColumnStorage;
+
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 /// Columns decoded per group.
 const GROUP: usize = 4;
@@ -70,11 +80,11 @@ fn with_tile(rows: usize, f: impl FnOnce(&mut [f64])) {
     }
 }
 
-/// `$strip::<W>(args…, t0)` over the strips of `nw` vectors: full
-/// strips of [`WIDTH`], then one strip of the remainder.
+/// `$strip::<W>(args…, t0)` over the strips of vectors `$t0 .. nw`:
+/// full strips of [`WIDTH`], then one strip of the remainder.
 macro_rules! strips {
-    ($nw:expr, $strip:ident($($arg:expr),*)) => {{
-        let mut t0 = 0;
+    ($t0:expr, $nw:expr, $strip:ident($($arg:expr),*)) => {{
+        let mut t0 = $t0;
         while t0 + WIDTH <= $nw {
             $strip::<WIDTH>($($arg,)* t0);
             t0 += WIDTH;
@@ -124,10 +134,21 @@ pub fn dots_many_chunk<S: ColumnStorage + ?Sized>(
     });
 }
 
-/// One group's dots over one tile, strip by strip. Not generic over
-/// the store, so the multiply half is compiled once.
+/// One group's dots over one tile: in AVX-512 lanes where the CPU has
+/// them, else in scalar strips. Not generic over the store, so the
+/// multiply half is compiled once.
 fn dots_group(cols: [&[f64]; GROUP], wt: &[f64], nw: usize, sums: &mut [f64]) {
-    strips!(nw, dots_strip(cols, wt, nw, sums));
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = lanes::Avx512::detect() {
+        return lanes.dots_group(cols, wt, nw, sums);
+    }
+    dots_strips(cols, wt, nw, sums, 0);
+}
+
+/// Vectors `t0 .. nw` of one group's dots in scalar strips: the
+/// fallback and reference body, and the lanes' remainder of 1–3.
+fn dots_strips(cols: [&[f64]; GROUP], wt: &[f64], nw: usize, sums: &mut [f64], t0: usize) {
+    strips!(t0, nw, dots_strip(cols, wt, nw, sums));
 }
 
 /// Vectors `t0 .. t0 + W` of one group's dots over one tile: the
@@ -201,8 +222,8 @@ pub fn gemv_many_chunk<S: ColumnStorage + ?Sized>(
     });
 }
 
-/// One group's update over one tile, strip by strip; compiled once,
-/// like [`dots_group`].
+/// One group's update over one tile, in lanes or scalar strips;
+/// compiled once, like [`dots_group`].
 fn gemv_group(
     cols: [&[f64]; GROUP],
     group: [Option<usize>; GROUP],
@@ -210,7 +231,24 @@ fn gemv_group(
     wt: &mut [f64],
     nw: usize,
 ) {
-    strips!(nw, gemv_strip(cols, group, alphas, wt, nw));
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = lanes::Avx512::detect() {
+        return lanes.gemv_group(cols, group, alphas, wt, nw);
+    }
+    gemv_strips(cols, group, alphas, wt, nw, 0);
+}
+
+/// Vectors `t0 .. nw` of one group's update in scalar strips, like
+/// [`dots_strips`].
+fn gemv_strips(
+    cols: [&[f64]; GROUP],
+    group: [Option<usize>; GROUP],
+    alphas: &[f64],
+    wt: &mut [f64],
+    nw: usize,
+    t0: usize,
+) {
+    strips!(t0, nw, gemv_strip(cols, group, alphas, wt, nw));
 }
 
 /// Vectors `t0 .. t0 + W` of one group's update over one tile. When
@@ -461,6 +499,58 @@ mod tests {
                     check(&by48, start, k, nw, "aligned 48");
                 }
                 check(&by1024, 0, k, nw, "aligned 1024");
+            }
+        }
+    }
+
+    /// The lane bodies and the scalar strips run on the same tiles, bit
+    /// for bit: `nw` over every mix of 4-wide and 1–3-wide strips, `k`
+    /// over short and padded groups, sums carried in, `-0.0` in `ws`,
+    /// and the update under [`coefficients`] (a NaN, a zero column,
+    /// scattered zeros) and with every coefficient nonzero. Both
+    /// bodies run on an AVX-512 host, so the fallback stays tested.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_groups_match_scalar_strips() {
+        let Some(lanes) = lanes::Avx512::detect() else {
+            println!("lane_groups_match_scalar_strips: skipped, this CPU lacks AVX-512 F/VL");
+            return;
+        };
+        println!("lane_groups_match_scalar_strips: AVX-512 F/VL present, lane bodies ran");
+        let rows = 67;
+        let data: Vec<Vec<f64>> = (0..13).map(|j| column(rows, j)).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for nw in (1..=17).chain([65]) {
+            let ws = vectors(rows, nw);
+            for k in [1, 3, 4, 5, 13] {
+                let label = format!("k={k} nw={nw}");
+                // A group as the chunk kernels build it: dots repeat the
+                // last column, the update leaves padding slots empty.
+                let groups = (0..k).step_by(GROUP).map(|j0| {
+                    let g = GROUP.min(k - j0);
+                    let cols: [&[f64]; GROUP] =
+                        std::array::from_fn(|c| &data[j0 + c.min(g - 1)][..]);
+                    let slots = std::array::from_fn(|c| (c < g).then_some(j0 + c));
+                    (j0, g, cols, slots)
+                });
+                let carried: Vec<f64> = (0..k * nw).map(|p| (p as f64 * 0.53).sin()).collect();
+                let (mut want, mut got) = (carried.clone(), carried);
+                for (j0, g, cols, _) in groups.clone() {
+                    let span = j0 * nw..(j0 + g) * nw;
+                    dots_strips(cols, &ws, nw, &mut want[span.clone()], 0);
+                    lanes.dots_group(cols, &ws, nw, &mut got[span]);
+                }
+                assert_eq!(bits(&got), bits(&want), "{label} dots");
+
+                let nonzero = (1..=k * nw).map(|p| (p as f64 * 0.43).cos()).collect();
+                for (set, alphas) in [("sparse", coefficients(k, nw)), ("nonzero", nonzero)] {
+                    let (mut want, mut got) = (ws.clone(), ws.clone());
+                    for (_, _, cols, slots) in groups.clone() {
+                        gemv_strips(cols, slots, &alphas, &mut want, nw, 0);
+                        lanes.gemv_group(cols, slots, &alphas, &mut got, nw);
+                    }
+                    assert_eq!(bits(&got), bits(&want), "{label} gemv {set}");
+                }
             }
         }
     }
